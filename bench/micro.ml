@@ -22,13 +22,15 @@ let tests () =
   let feats =
     Tuner.Features.gemm_features ~log:true linpack (GP.config_to_array linpack_cfg)
   in
+  (* The search's scoring path: Network.predict_matrix over a Matrix
+     batch, the same forward_batch kernel Tuner.Search runs (the Tensor
+     path behind Network.predict is the training one). *)
   let batch =
     let n = 256 in
-    let x = Mlp.Tensor.create n Tuner.Features.dim in
-    for i = 0 to n - 1 do
-      Array.blit feats 0 x.Mlp.Tensor.data (i * Tuner.Features.dim)
-        Tuner.Features.dim
-    done;
+    let x = Mlp.Matrix.create n Tuner.Features.dim in
+    Array.iteri
+      (fun j v -> for i = 0 to n - 1 do Mlp.Matrix.set x i j v done)
+      feats;
     x
   in
   let small = GP.input 32 32 32 in
@@ -43,7 +45,7 @@ let tests () =
     Test.make ~name:"table2: MLP inference (1 config)"
       (Staged.stage (fun () -> ignore (Mlp.Network.predict_one net feats)));
     Test.make ~name:"fig5: MLP inference (batch 256)"
-      (Staged.stage (fun () -> ignore (Mlp.Network.predict net batch)));
+      (Staged.stage (fun () -> ignore (Mlp.Network.predict_matrix net batch)));
     Test.make ~name:"table3: occupancy calculation"
       (Staged.stage (fun () ->
            ignore

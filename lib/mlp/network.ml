@@ -38,6 +38,13 @@ let num_weights t =
     (fun acc l -> acc + (l.w.Tensor.rows * l.w.Tensor.cols) + Array.length l.b)
     0 t.layers
 
+let is_finite t =
+  Array.for_all
+    (fun l ->
+      Array.for_all Float.is_finite l.w.Tensor.data
+      && Array.for_all Float.is_finite l.b)
+    t.layers
+
 (* Forward pass keeping pre-activations (z) and activations (a) of every
    layer for backprop. *)
 let forward t x =
@@ -68,102 +75,36 @@ let predict_one t features =
   let x = Tensor.of_array ~rows:1 ~cols:(Array.length features) features in
   (predict t x).(0)
 
-(* Batched inference over Bigarray storage, the planning hot path. One
-   matrix product per layer over the whole batch; rows are processed in
-   blocks of eight so each weight load is amortized over eight
-   activations and, more importantly, eight independent accumulator
-   chains are in flight at once — a single row's dot product is a
-   serial FMA dependency chain (the bit-identity contract fixes its
-   order), so latency can only be hidden across rows. Per output
-   element the arithmetic is the same single-accumulator ascending-k
-   dot product as Tensor.matmul_nt followed by the same [+ bias] and
-   [< 0 -> 0] relu, so the result is bit-identical to [predict] on the
-   same rows — the float contract the scalar/batched differential
-   tests pin down. *)
+(* Batched inference over Bigarray storage, the planning hot path. The
+   kernel is C (forward_stubs.c): output neurons as SIMD lanes over
+   weights transposed once per call, skipping exact-zero inputs when a
+   layer's weights are all finite. Per output element the arithmetic is
+   the same single-accumulator ascending-k dot product as
+   Tensor.matmul_nt followed by the same [+ bias] and [< 0 -> 0] relu,
+   so the result is bit-identical to [predict] on the same rows. The
+   weights and biases are copied into one Bigarray per call so the
+   kernel can run outside the OCaml heap with the runtime lock
+   released. *)
+external forward_stub :
+  int array -> Matrix.storage -> Matrix.storage -> int -> Matrix.storage -> unit
+  = "isaac_mlp_forward_batch"
+
 let forward_batch t ~input =
-  assert (input.Matrix.cols = t.arch.(0));
-  let n = input.Matrix.rows in
-  let nlayers = Array.length t.layers in
-  let cur = ref input in
-  for li = 0 to nlayers - 1 do
-    let l = t.layers.(li) in
-    let fan_in = (!cur).Matrix.cols in
-    let fan_out = Array.length l.b in
-    assert (l.w.Tensor.cols = fan_in && l.w.Tensor.rows = fan_out);
-    let out = Matrix.create n fan_out in
-    let xd = (!cur).Matrix.data and od = out.Matrix.data in
-    let wd = l.w.Tensor.data in
-    let b = l.b in
-    let relu = li < nlayers - 1 in
-    (* The relu is inlined as a local branch (not a closure): a closure
-       call here boxes its float argument on every output element. *)
-    let i = ref 0 in
-    while !i + 8 <= n do
-      let x0 = !i * fan_in in
-      let x1 = x0 + fan_in and x2 = x0 + (2 * fan_in) and x3 = x0 + (3 * fan_in)
-      and x4 = x0 + (4 * fan_in) and x5 = x0 + (5 * fan_in)
-      and x6 = x0 + (6 * fan_in) and x7 = x0 + (7 * fan_in) in
-      let o0 = !i * fan_out in
-      for j = 0 to fan_out - 1 do
-        let wbase = j * fan_in in
-        let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0
-        and acc3 = ref 0.0 and acc4 = ref 0.0 and acc5 = ref 0.0
-        and acc6 = ref 0.0 and acc7 = ref 0.0 in
-        for k = 0 to fan_in - 1 do
-          let w = Array.unsafe_get wd (wbase + k) in
-          acc0 := !acc0 +. (Bigarray.Array1.unsafe_get xd (x0 + k) *. w);
-          acc1 := !acc1 +. (Bigarray.Array1.unsafe_get xd (x1 + k) *. w);
-          acc2 := !acc2 +. (Bigarray.Array1.unsafe_get xd (x2 + k) *. w);
-          acc3 := !acc3 +. (Bigarray.Array1.unsafe_get xd (x3 + k) *. w);
-          acc4 := !acc4 +. (Bigarray.Array1.unsafe_get xd (x4 + k) *. w);
-          acc5 := !acc5 +. (Bigarray.Array1.unsafe_get xd (x5 + k) *. w);
-          acc6 := !acc6 +. (Bigarray.Array1.unsafe_get xd (x6 + k) *. w);
-          acc7 := !acc7 +. (Bigarray.Array1.unsafe_get xd (x7 + k) *. w)
-        done;
-        let bias = Array.unsafe_get b j in
-        let v0 = !acc0 +. bias and v1 = !acc1 +. bias and v2 = !acc2 +. bias
-        and v3 = !acc3 +. bias and v4 = !acc4 +. bias and v5 = !acc5 +. bias
-        and v6 = !acc6 +. bias and v7 = !acc7 +. bias in
-        let v0 = if relu && v0 < 0.0 then 0.0 else v0 in
-        let v1 = if relu && v1 < 0.0 then 0.0 else v1 in
-        let v2 = if relu && v2 < 0.0 then 0.0 else v2 in
-        let v3 = if relu && v3 < 0.0 then 0.0 else v3 in
-        let v4 = if relu && v4 < 0.0 then 0.0 else v4 in
-        let v5 = if relu && v5 < 0.0 then 0.0 else v5 in
-        let v6 = if relu && v6 < 0.0 then 0.0 else v6 in
-        let v7 = if relu && v7 < 0.0 then 0.0 else v7 in
-        Bigarray.Array1.unsafe_set od (o0 + j) v0;
-        Bigarray.Array1.unsafe_set od (o0 + fan_out + j) v1;
-        Bigarray.Array1.unsafe_set od (o0 + (2 * fan_out) + j) v2;
-        Bigarray.Array1.unsafe_set od (o0 + (3 * fan_out) + j) v3;
-        Bigarray.Array1.unsafe_set od (o0 + (4 * fan_out) + j) v4;
-        Bigarray.Array1.unsafe_set od (o0 + (5 * fan_out) + j) v5;
-        Bigarray.Array1.unsafe_set od (o0 + (6 * fan_out) + j) v6;
-        Bigarray.Array1.unsafe_set od (o0 + (7 * fan_out) + j) v7
-      done;
-      i := !i + 8
-    done;
-    (* Ragged tail: fewer than eight rows left. *)
-    while !i < n do
-      let xbase = !i * fan_in and obase = !i * fan_out in
-      for j = 0 to fan_out - 1 do
-        let wbase = j * fan_in in
-        let acc = ref 0.0 in
-        for k = 0 to fan_in - 1 do
-          acc :=
-            !acc
-            +. (Bigarray.Array1.unsafe_get xd (xbase + k)
-                *. Array.unsafe_get wd (wbase + k))
-        done;
-        let v = !acc +. Array.unsafe_get b j in
-        let v = if relu && v < 0.0 then 0.0 else v in
-        Bigarray.Array1.unsafe_set od (obase + j) v
-      done;
-      incr i
-    done;
-    cur := out
-  done;
-  !cur
+  let rows = input.Matrix.rows in
+  if input.Matrix.cols <> t.arch.(0) then
+    invalid_arg "Network.forward_batch: input width";
+  let params =
+    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (num_weights t)
+  in
+  let off = ref 0 in
+  let put a =
+    Array.iteri (fun i v -> Bigarray.Array1.unsafe_set params (!off + i) v) a;
+    off := !off + Array.length a
+  in
+  Array.iter (fun l -> put l.w.Tensor.data; put l.b) t.layers;
+  let out = Matrix.create rows t.arch.(Array.length t.arch - 1) in
+  forward_stub t.arch params input.Matrix.data rows out.Matrix.data;
+  out
 
 let predict_matrix t x =
   let out = forward_batch t ~input:x in

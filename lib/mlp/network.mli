@@ -22,6 +22,11 @@ val num_weights : t -> int
 (** Total trainable parameters (weights + biases), as reported in
     Table 2's "#weights" column. *)
 
+val is_finite : t -> bool
+(** [true] when every weight and bias is finite. A network that fails
+    this predicts NaN or infinity, so {!Tuner.Profile.load} rejects
+    it. *)
+
 val predict : t -> Tensor.t -> float array
 (** Batch forward pass: (batch × inputs) → batch predictions. *)
 
@@ -34,17 +39,24 @@ val predict_one : t -> float array -> float
 val forward_batch : t -> input:Matrix.t -> Matrix.t
 (** Batched forward pass over unboxed {!Matrix} storage: [input] is
     (batch × inputs), one feature vector per row; the result is
-    (batch × 1) network outputs. Evaluates the whole batch as one
-    matrix product per layer with eight-row weight reuse — the planning
-    hot path that scores thousands of candidate configurations per
-    query ({!Tuner.Search}).
+    (batch × outputs), one row of network outputs per input row. This
+    is the planning hot path that scores tens of thousands of candidate
+    configurations per query ({!Tuner.Search}). The kernel is C: output
+    neurons are 128-bit SIMD lanes over weights transposed once per
+    call, exact-zero inputs are skipped when every weight of the layer
+    is finite, and the OCaml runtime lock is released while it runs, so
+    other domains keep collecting. It is reentrant: domains may run it
+    on disjoint {!Matrix.sub_rows} views at once.
 
     Float contract: per element the arithmetic (ascending-[k]
     single-accumulator dot product, then bias add, then relu) is
     identical to {!predict}'s {!Tensor} pipeline, so outputs are
     bit-equal to the scalar path on the same rows, for any batch size
-    (including 1 and ragged tails). The differential tests in
-    [test/test_mlp.ml] assert exact equality. *)
+    and any input values, zeros of either sign included. The
+    differential tests in [test/test_mlp.ml] assert exact equality.
+
+    Raises [Invalid_argument] if [input]'s width is not the network's
+    input width. *)
 
 val predict_matrix : t -> Matrix.t -> float array
 (** {!forward_batch} with the (batch × 1) result flattened to one

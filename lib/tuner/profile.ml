@@ -149,6 +149,25 @@ let of_payload path payload =
   if Array.length feat_mean <> Features.dim || Array.length feat_std <> Features.dim
   then failwith (path ^ ": bad feature scaler");
   let net = Mlp.Network.load_from next in
+  (* Reject what parses but cannot plan: a shape the search's feature
+     matrix does not fit, or a non-finite value that turns every
+     prediction into NaN and the argmax into noise. *)
+  let bad msg = failwith (path ^ ": " ^ msg) in
+  let sizes = Mlp.Network.sizes net in
+  if sizes.(0) <> Features.dim then
+    bad (Printf.sprintf "network input width %d, expected %d" sizes.(0)
+           Features.dim);
+  if sizes.(Array.length sizes - 1) <> 1 then
+    bad (Printf.sprintf "network output width %d, expected 1"
+           sizes.(Array.length sizes - 1));
+  if Array.exists (fun w -> w < 1) sizes then bad "empty network layer";
+  if not (Mlp.Network.is_finite net) then bad "non-finite network weight or bias";
+  if not (Array.for_all Float.is_finite feat_mean) then
+    bad "non-finite feature mean";
+  if not (Array.for_all (fun s -> Float.is_finite s && s > 0.0) feat_std) then
+    bad "feature std not finite and positive";
+  if not (Float.is_finite mean && Float.is_finite std) then
+    bad "non-finite target scaler";
   { op; device; net; scaler = { Features.mean; std }; log_features; feat_mean;
     feat_std }
 

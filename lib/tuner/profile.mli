@@ -64,7 +64,11 @@ val save : t -> string -> unit
 val load : string -> (t, string) result
 (** Validating load: header kind/version, payload length and checksum
     are checked before a byte is parsed, and parse failures surface as
-    [Error] — a corrupted profile is never partially loaded. *)
+    [Error] — a corrupted profile is never partially loaded. A profile
+    that parses but cannot plan is an [Error] too: a network whose
+    input width is not {!Features.dim} or whose output width is not 1,
+    a non-finite weight, bias, feature mean or target-scaler value, or
+    a feature std that is not finite and positive. *)
 
 val load_exn : string -> t
 (** {!load}, raising [Failure] on [Error] (CLI/test convenience). *)

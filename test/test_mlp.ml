@@ -154,8 +154,8 @@ let test_matrix_sub_rows_shares_storage () =
 
 (* The float contract of the planning hot path: the batched Bigarray
    forward must be bit-equal to the Tensor pipeline — exact zero
-   tolerance — for any batch size, including 1 and ragged tails of the
-   4-row blocking. *)
+   tolerance — for any batch size, including 1 and the widths that
+   leave a partly filled SIMD vector or accumulator block. *)
 let test_forward_batch_matches_predict () =
   List.iter
     (fun sizes ->
@@ -182,20 +182,127 @@ let test_forward_batch_rows_match_scalar () =
         (Mlp.Network.predict_one net row) p)
     batch
 
+(* Bit equality that also tells -0.0 from +0.0; NaN matches NaN in
+   position only, since a NaN's payload is not part of the contract. *)
+let same_bits want got =
+  Array.length want = Array.length got
+  && Array.for_all2
+       (fun a b ->
+         if Float.is_nan a then Float.is_nan b
+         else Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       want got
+
+(* Inputs the kernel special-cases: exact zeros of both signs (skipped)
+   and whole zero rows, mixed with Gaussian values. *)
+let zeroish_inputs r ~rows ~cols =
+  let x = Mlp.Tensor.create rows cols in
+  for i = 0 to rows - 1 do
+    let zero_row = Util.Rng.int r 8 = 0 in
+    for j = 0 to cols - 1 do
+      let v =
+        if zero_row then 0.0
+        else
+          match Util.Rng.int r 8 with
+          | 0 | 1 -> 0.0
+          | 2 -> -0.0
+          | _ -> Util.Rng.gaussian r
+      in
+      Mlp.Tensor.set x i j v
+    done
+  done;
+  x
+
+(* One Adam step moves every bias off zero, so the bias add is exercised
+   too (fresh networks start with zero biases). *)
+let trained_net r sizes =
+  let net = Mlp.Network.create r ~sizes in
+  let x = zeroish_inputs r ~rows:4 ~cols:sizes.(0) in
+  ignore
+    (Mlp.Network.train_batch net Mlp.Network.default_adam ~x
+       ~y:(Array.init 4 (fun _ -> Util.Rng.gaussian r)));
+  net
+
+(* [predict_matrix] on a [sub_rows] view at offset [off] of a larger
+   matrix whose other rows are garbage, against [predict] on the rows
+   alone. *)
+let view_matches_predict r net x ~off =
+  let rows = x.Mlp.Tensor.rows and cols = x.Mlp.Tensor.cols in
+  let big = Mlp.Matrix.create (off + rows + 2) cols in
+  for i = 0 to off + rows + 1 do
+    for j = 0 to cols - 1 do
+      let v =
+        if i >= off && i < off + rows then Mlp.Tensor.get x (i - off) j
+        else Util.Rng.gaussian r
+      in
+      Mlp.Matrix.set big i j v
+    done
+  done;
+  let view = Mlp.Matrix.sub_rows big ~off ~len:rows in
+  same_bits (Mlp.Network.predict net x) (Mlp.Network.predict_matrix net view)
+
 let prop_forward_batch_bit_equal =
-  QCheck.Test.make ~name:"forward_batch bit-equals predict" ~count:30
-    QCheck.(triple (int_range 1 24) (int_range 1 40) (int_range 0 1000))
-    (fun (inputs, batch, seed) ->
+  QCheck.Test.make ~name:"forward_batch bit-equals predict" ~count:60
+    QCheck.(quad (int_range 1 70) (int_range 0 40) (int_range 0 5)
+              (int_range 0 10_000))
+    (fun (inputs, batch, off, seed) ->
       let r = Util.Rng.create (1 + seed) in
-      let hidden = Array.init (1 + (seed mod 3)) (fun i -> 8 + (i * 4)) in
+      let hidden = Array.init (1 + (seed mod 3)) (fun _ -> 1 + Util.Rng.int r 70) in
       let sizes = Array.concat [ [| inputs |]; hidden; [| 1 |] ] in
-      let net = Mlp.Network.create r ~sizes in
-      let x = Mlp.Tensor.create batch inputs in
-      Array.iteri
-        (fun i _ -> x.Mlp.Tensor.data.(i) <- Util.Rng.gaussian r)
-        x.Mlp.Tensor.data;
-      Mlp.Network.predict net x
-      = Mlp.Network.predict_matrix net (Mlp.Matrix.of_tensor x))
+      let net = trained_net r sizes in
+      view_matches_predict r net (zeroish_inputs r ~rows:batch ~cols:inputs) ~off)
+
+let test_forward_batch_wide_input () =
+  let r = Util.Rng.create 600 in
+  let net = trained_net r [| 640; 70; 33; 1 |] in
+  List.iter
+    (fun batch ->
+      Alcotest.(check bool)
+        (Printf.sprintf "bit-equal at batch=%d" batch)
+        true
+        (view_matches_predict r net (zeroish_inputs r ~rows:batch ~cols:640)
+           ~off:3))
+    [ 0; 1; 9; 40 ]
+
+(* Set weights through the text serialization (the network type is
+   abstract): [(layer, index, value)] replaces that layer's weight. *)
+let with_weights net edits =
+  let buf = Buffer.create 4096 in
+  Mlp.Network.save_buf buf net;
+  let lines = Array.of_list (String.split_on_char '\n' (Buffer.contents buf)) in
+  List.iter
+    (fun (layer, index, value) ->
+      let line = 3 + (2 * layer) in
+      let words =
+        Array.of_list
+          (List.filter (( <> ) "") (String.split_on_char ' ' lines.(line)))
+      in
+      words.(index) <- value;
+      lines.(line) <- String.concat " " (Array.to_list words))
+    edits;
+  let rest = ref (Array.to_list lines) in
+  Mlp.Network.load_from (fun () ->
+      match !rest with [] -> raise End_of_file | l :: tl -> rest := tl; l)
+
+(* With a non-finite weight a zero input no longer contributes an exact
+   zero (0 * inf and 0 * nan are NaN), so the kernel must not skip zeros
+   in that layer: NaN must land exactly where [predict] puts it. An inf
+   weight leaves a mix of NaN, infinite and finite outputs; a NaN weight
+   poisons every row. *)
+let test_forward_batch_nonfinite_weights () =
+  let r = Util.Rng.create 77 in
+  let base = trained_net r [| 5; 9; 6; 1 |] in
+  let x = zeroish_inputs r ~rows:40 ~cols:5 in
+  List.iter
+    (fun (name, edits, mixed) ->
+      let net = with_weights base edits in
+      Alcotest.(check bool) (name ^ ": not finite") false (Mlp.Network.is_finite net);
+      let want = Mlp.Network.predict net x in
+      Alcotest.(check bool) (name ^ ": some NaN") true (Array.exists Float.is_nan want);
+      Alcotest.(check bool) (name ^ ": some not NaN") mixed
+        (Array.exists (fun v -> not (Float.is_nan v)) want);
+      Alcotest.(check bool) (name ^ ": NaN positions and other bits match") true
+        (view_matches_predict r net x ~off:1))
+    [ ("inf weight", [ (0, 7, "inf") ], true); ("nan weight", [ (1, 30, "nan") ], false) ]
 
 let test_split () =
   let x = random_mat 100 3 in
@@ -243,5 +350,7 @@ let () =
          quick "sub_rows view" test_matrix_sub_rows_shares_storage;
          quick "forward_batch = predict" test_forward_batch_matches_predict;
          quick "rows match scalar path" test_forward_batch_rows_match_scalar;
+         quick "input width 640" test_forward_batch_wide_input;
+         quick "non-finite weights" test_forward_batch_nonfinite_weights;
          QCheck_alcotest.to_alcotest prop_forward_batch_bit_equal ]);
       ("train", [ quick "split" test_split ]) ]

@@ -295,6 +295,80 @@ let test_profile_save_load () =
       Alcotest.(check (float 1e-6)) "same prediction"
         (Tuner.Profile.predict_tflops p f) (Tuner.Profile.predict_tflops p2 f))
 
+(* --- profile validation ------------------------------------------------- *)
+
+(* A hand-written profile payload, valid by default; each defect case
+   overrides one field. The override replaces the first value of that
+   field (first feature mean / std, first weight / bias of layer 0). *)
+let profile_payload ?(scaler = "0.5 1.5") ?(mean = "0") ?(std = "1")
+    ?(arch = [| Tuner.Features.dim; 4; 1 |]) ?(weight = "0.25") ?(bias = "0")
+    () =
+  let row first n rest =
+    String.concat " " (List.init n (fun i -> if i = 0 then first else rest))
+  in
+  let layers =
+    List.concat
+      (List.init (Array.length arch - 1) (fun l ->
+           let first a b = if l = 0 then a else b in
+           [ row (first weight "0.25") (arch.(l) * arch.(l + 1)) "0.25";
+             row (first bias "0") arch.(l + 1) "0" ]))
+  in
+  String.concat "\n"
+    ([ "op gemm"; "device Tesla P100"; "scaler " ^ scaler; "log_features true";
+       row mean Tuner.Features.dim "0"; row std Tuner.Features.dim "1";
+       Printf.sprintf "mlp %d" (Array.length arch);
+       String.concat " " (Array.to_list (Array.map string_of_int arch)); "0" ]
+     @ layers)
+  ^ "\n"
+
+(* Through Util.Artifact.write, so the envelope is valid and only the
+   payload can be at fault. *)
+let load_profile_payload payload =
+  let path = Filename.temp_file "profile" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Util.Artifact.write ~path ~kind:"isaac-profile" ~version:3 payload;
+      Tuner.Profile.load path)
+
+let test_handmade_profile_plans () =
+  match load_profile_payload (profile_payload ()) with
+  | Error msg -> Alcotest.failf "valid payload rejected: %s" msg
+  | Ok p ->
+    let f =
+      Tuner.Features.gemm_features ~log:true (GP.input 512 512 512)
+        (Array.make 10 8)
+    in
+    Alcotest.(check bool) "finite prediction" true
+      (Float.is_finite (Tuner.Profile.predict_tflops p f))
+
+let rejects ~reason payload () =
+  match load_profile_payload payload with
+  | Ok _ -> Alcotest.failf "loaded Ok, expected an error about %s" reason
+  | Error msg ->
+    let contains s sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+      go 0
+    in
+    if not (contains msg reason) then
+      Alcotest.failf "error %S does not mention %S" msg reason
+
+let profile_defects =
+  [ ("rejects input width 19", "input width",
+     profile_payload ~arch:[| 19; 4; 1 |] ());
+    ("rejects output width 2", "output width",
+     profile_payload ~arch:[| Tuner.Features.dim; 4; 2 |] ());
+    ("rejects an empty hidden layer", "empty network layer",
+     profile_payload ~arch:[| Tuner.Features.dim; 0; 1 |] ());
+    ("rejects a nan weight", "non-finite network", profile_payload ~weight:"nan" ());
+    ("rejects an infinite bias", "non-finite network", profile_payload ~bias:"inf" ());
+    ("rejects a nan feature mean", "feature mean", profile_payload ~mean:"nan" ());
+    ("rejects an infinite target scaler", "target scaler",
+     profile_payload ~scaler:"1e999 1.5" ());
+    ("rejects a zero feature std", "feature std", profile_payload ~std:"0" ());
+    ("rejects a nan feature std", "feature std", profile_payload ~std:"nan" ()) ]
+
 let test_search_returns_legal () =
   let r = rng () in
   let device = Gpu.Device.gtx980ti in
@@ -529,6 +603,11 @@ let () =
          quick "parallel generation" test_dataset_parallel_generation;
          quick "kernel corpus export" test_dataset_kernel_corpus_export;
          quick "legality consistency" test_legality_split ]);
+      ("profile validation",
+       quick "valid handmade profile plans" test_handmade_profile_plans
+       :: List.map
+            (fun (name, reason, payload) -> quick name (rejects ~reason payload))
+            profile_defects);
       ("profile+search",
        [ Alcotest.test_case "profile save/load" `Slow test_profile_save_load;
          Alcotest.test_case "parallel scoring" `Slow test_search_parallel_scoring;
