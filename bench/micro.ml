@@ -92,9 +92,9 @@ let tests () =
    GEMM launch (64^3, 16 blocks) — the rate every interpreter-backed
    pipeline (dataset labelling, attribution, differential tests) is
    bound by. Measured three ways so the BENCH report both gates
-   regressions of the threaded-code engine and records its speedup over
-   the retained reference engine: reference decode-per-step, compiled
-   single-domain, and compiled at the ambient domain count. *)
+   regressions of the bytecode engine and records its speedup over the
+   decode-per-step reference: reference, bytecode single-domain, and
+   bytecode at the ambient domain count. *)
 let interp_throughput () =
   let input = GP.input 64 64 64 in
   let cfg =
@@ -143,116 +143,14 @@ let interp_throughput () =
         Ptx.Interp.run ~domains program ~grid ~block ~bufs ~iargs)
   in
   Printf.printf
-    "\nInterpreter throughput (64^3 GEMM): reference %.3g instr/s; compiled \
+    "\nInterpreter throughput (64^3 GEMM): reference %.3g instr/s; bytecode \
      %.3g (x%.2f serial); %.3g (x%.2f at %d domains)\n"
     ref_tp serial_tp (serial_tp /. ref_tp) par_tp (par_tp /. ref_tp) domains;
   Reporting.metric ~experiment:"micro" ~unit_:"x"
     ~kind:Obs.Bench_report.Timing "micro.interp_speedup_vs_ref"
     (par_tp /. ref_tp);
-  (* Engine duel — the default flat-bytecode dispatch loop vs the
-     retained closure-threaded engine, single domain. Runs interleave
-     rep by rep so clock drift hits both engines equally, and min-of-
-     reps is the robust estimator for a deterministic workload on a
-     noisy box. Measured on two workloads: the replay-heavy 64^3 GEMM
-     (shared-memory transaction grouping bounds the win) and an
-     FFMA-dense loop (dispatch-bound, where superinstruction fusion
-     pays; design target >= 1.5x). The blocking gate only requires the
-     default engine to never lose to the engine it replaced. *)
-  let duel run_closures run_bytecode =
-    let reps = 12 in
-    let bc = ref infinity and bb = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (run_closures ());
-      let t1 = Unix.gettimeofday () in
-      ignore (run_bytecode ());
-      let t2 = Unix.gettimeofday () in
-      if t1 -. t0 < !bc then bc := t1 -. t0;
-      if t2 -. t1 < !bb then bb := t2 -. t1
-    done;
-    (!bc, !bb)
-  in
-  let fresh_out () = Array.make (64 * 64) 0.0 in
-  let gemm_bufs out = [ ("A", a); ("B", b); ("C", out) ] in
-  let gemm_c, gemm_b =
-    duel
-      (fun () ->
-        Ptx.Interp.run_closures ~domains:1 program ~grid ~block
-          ~bufs:(gemm_bufs (fresh_out ())) ~iargs)
-      (fun () ->
-        Ptx.Interp.run_bytecode ~domains:1 program ~grid ~block
-          ~bufs:(gemm_bufs (fresh_out ())) ~iargs)
-  in
-  let total =
-    float_of_int
-      (Ptx.Interp.total
-         (Ptx.Interp.run ~domains:1 program ~grid ~block
-            ~bufs:(gemm_bufs (fresh_out ())) ~iargs))
-  in
-  Reporting.metric ~experiment:"micro" ~unit_:"instr/s"
-    ~kind:Obs.Bench_report.Timing ~direction:Obs.Bench_report.Higher_better
-    "micro.interp_closures_instr_per_s" (total /. gemm_c);
-  Reporting.metric ~experiment:"micro" ~unit_:"instr/s"
-    ~kind:Obs.Bench_report.Timing ~direction:Obs.Bench_report.Higher_better
-    "micro.interp_bytecode_instr_per_s" (total /. gemm_b);
-  let gemm_speedup = gemm_c /. gemm_b in
-  Reporting.metric ~experiment:"micro" ~unit_:"x"
-    ~kind:Obs.Bench_report.Timing ~direction:Obs.Bench_report.Higher_better
-    "micro.interp_bytecode_speedup_vs_closures" gemm_speedup;
-  (* Dispatch-bound workload: a tight loop mixing a short dependent FFMA
-     chain (fused into one FFMA-run superinstruction) with the loop's
-     add/setp/branch control — no memory traffic, so per-instruction
-     dispatch cost is the whole story. *)
-  let ffma_src = {|.visible .entry ffma_loop (  // dtype=f32
-  .param .u64 O,  // buf0
-)
-{ // 8 fregs, 2 iregs, 1 pregs, 0 shared words, 0 shared int words
-  mov.s32 %r0, 0
-loop:
-  fma.rn.f32 %f1, %f0, %f2, %f3
-  fma.rn.f32 %f2, %f1, %f3, %f4
-  fma.rn.f32 %f3, %f2, %f4, %f5
-  fma.rn.f32 %f0, %f3, %f5, %f6
-  add.s32 %r0, %r0, 1
-  setp.lt.s32 %p0, %r0, 40000
-  @%p0 bra loop
-  mov.s32 %r1, %tid.x
-  st.global.f32 [%param_buf0 + %r1], %f0
-  ret
-}|} in
-  let ffma_p =
-    match Ptx.Asm.parse ffma_src with
-    | Ok p -> p
-    | Error e -> failwith ("micro: ffma kernel: " ^ e)
-  in
-  let ffma_bufs () = [ ("O", Array.make 64 0.0) ] in
-  let ffma_c, ffma_b =
-    duel
-      (fun () ->
-        Ptx.Interp.run_closures ~domains:1 ffma_p ~grid:(1, 1, 1)
-          ~block:(64, 1, 1) ~bufs:(ffma_bufs ()) ~iargs:[])
-      (fun () ->
-        Ptx.Interp.run_bytecode ~domains:1 ffma_p ~grid:(1, 1, 1)
-          ~block:(64, 1, 1) ~bufs:(ffma_bufs ()) ~iargs:[])
-  in
-  let ffma_speedup = ffma_c /. ffma_b in
-  Reporting.metric ~experiment:"micro" ~unit_:"x"
-    ~kind:Obs.Bench_report.Timing ~direction:Obs.Bench_report.Higher_better
-    "micro.interp_bytecode_ffma_speedup_vs_closures" ffma_speedup;
-  Printf.printf
-    "Bytecode vs closure engine (1 domain, min of 12 interleaved): GEMM \
-     x%.2f, FFMA-dense x%.2f\n"
-    gemm_speedup ffma_speedup;
-  [ Reporting.check_min ~claim:"threaded-code interpreter beats reference"
-      ~paper:"n/a (extension)" ~value:(serial_tp /. ref_tp) ~at_least:1.5;
-    Reporting.check_min
-      ~claim:"bytecode dispatch at least matches closure engine (GEMM)"
-      ~paper:"n/a (extension)" ~value:gemm_speedup ~at_least:1.0;
-    Reporting.check_min
-      ~claim:
-        "bytecode dispatch at least matches closure engine (FFMA-dense; \
-         design target 1.5x)"
-      ~paper:"n/a (extension)" ~value:ffma_speedup ~at_least:1.0 ]
+  [ Reporting.check_min ~claim:"bytecode interpreter beats reference"
+      ~paper:"n/a (extension)" ~value:(serial_tp /. ref_tp) ~at_least:1.5 ]
 
 (* Artifact-size regression row: the packed Ptx.Encode wire format vs
    the disassembled kernel text, over the bench GEMM/CONV kernels (the

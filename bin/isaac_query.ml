@@ -51,20 +51,8 @@ let print_timing (plan : Isaac.plan) =
          phases
       @ [ [| "total"; Printf.sprintf "%.2f ms" (total *. 1e3) |] ])
 
-let engine_conv =
-  let parse = function
-    | "batched" -> Ok `Batched
-    | "scalar" -> Ok `Scalar
-    | _ -> Error (`Msg "unknown engine (batched/scalar)")
-  in
-  Arg.conv
-    ( parse,
-      fun fmt e ->
-        Format.fprintf fmt "%s"
-          (match e with `Batched -> "batched" | `Scalar -> "scalar") )
-
-let run profile_path conv explain timing engine_kind m n k dtype a_trans b_trans
-    cn cc ckf cpq crs_ =
+let run profile_path conv explain timing m n k dtype a_trans b_trans cn cc ckf
+    cpq crs_ =
   let profile =
     match Tuner.Profile.load profile_path with
     | Ok p -> p
@@ -81,7 +69,7 @@ let run profile_path conv explain timing engine_kind m n k dtype a_trans b_trans
     else begin
       Printf.printf "CONV N=%d C=%d K=%d P=Q=%d R=S=%d (%s) on %s\n" cn cc ckf cpq
         crs_ (Ptx.Types.dtype_name dtype) device.name;
-      match Isaac.plan_conv ~engine:engine_kind engine input with
+      match Isaac.plan_conv engine input with
       | Some plan ->
         print_plan plan;
         if timing then print_timing plan
@@ -96,7 +84,7 @@ let run profile_path conv explain timing engine_kind m n k dtype a_trans b_trans
         (if a_trans then 'T' else 'N')
         (if b_trans then 'T' else 'N')
         (Ptx.Types.dtype_name dtype) device.name;
-      match Isaac.plan_gemm ~engine:engine_kind engine input with
+      match Isaac.plan_gemm engine input with
       | Some plan ->
         print_plan plan;
         if timing then print_timing plan
@@ -118,12 +106,6 @@ let cmd =
              ~doc:"Print the planning-latency breakdown (featurize, \
                    inference, argmax, ...) alongside the plan.")
   in
-  let engine_kind =
-    Arg.(value & opt engine_conv `Batched
-         & info [ "engine" ]
-             ~doc:"Search engine: $(b,batched) (default) or $(b,scalar) (the \
-                   reference path; identical plan, slower).")
-  in
   let m = Arg.(value & opt int 1024 & info [ "m" ] ~doc:"GEMM M.") in
   let n = Arg.(value & opt int 1024 & info [ "n" ] ~doc:"GEMM N.") in
   let k = Arg.(value & opt int 1024 & info [ "k" ] ~doc:"GEMM K.") in
@@ -137,7 +119,7 @@ let cmd =
   let crs_ = Arg.(value & opt int 3 & info [ "crs" ] ~doc:"CONV filter R=S.") in
   Cmd.v
     (Cmd.info "isaac_query" ~doc:"Infer the best kernel for an input from a tuned profile")
-    Term.(const run $ profile $ conv $ explain $ timing $ engine_kind $ m $ n $ k
-          $ dtype $ at $ bt $ cn $ cc $ ckf $ cpq $ crs_)
+    Term.(const run $ profile $ conv $ explain $ timing $ m $ n $ k $ dtype $ at
+          $ bt $ cn $ cc $ ckf $ cpq $ crs_)
 
 let () = exit (Cmd.eval cmd)

@@ -182,7 +182,7 @@ let plan_seed_base = 0x15aac
 let request_rng tag input =
   Util.Rng.create (plan_seed_base lxor Hashtbl.hash (tag, input))
 
-let plan_gemm_with_status ?top_k ?engine t (i : GP.input) =
+let plan_gemm_with_status t (i : GP.input) =
   Obs.Span.with_request (fun () ->
       let t0 = if Obs.Telemetry.enabled () then Unix.gettimeofday () else 0.0 in
       let plan, outcome, age_s =
@@ -192,8 +192,8 @@ let plan_gemm_with_status ?top_k ?engine t (i : GP.input) =
               Obs.Span.with_ "plan"
                 ~meta:(fun () -> [ ("op", Obs.Json.String "gemm") ])
                 (fun () ->
-                  Tuner.Search.exhaustive_gemm ?top_k ?engine
-                    (request_rng "gemm" i) t.device ~profile:t.profile i)
+                  Tuner.Search.exhaustive_gemm (request_rng "gemm" i) t.device
+                    ~profile:t.profile i)
             in
             Option.map
               (fun r ->
@@ -206,9 +206,9 @@ let plan_gemm_with_status ?top_k ?engine t (i : GP.input) =
       record_outcome ~t0 ~age_s outcome;
       (plan, outcome))
 
-let plan_gemm ?top_k ?engine t i = fst (plan_gemm_with_status ?top_k ?engine t i)
+let plan_gemm t i = fst (plan_gemm_with_status t i)
 
-let plan_conv_with_status ?top_k ?engine t (i : CP.input) =
+let plan_conv_with_status t (i : CP.input) =
   Obs.Span.with_request (fun () ->
       let t0 = if Obs.Telemetry.enabled () then Unix.gettimeofday () else 0.0 in
       let plan, outcome, age_s =
@@ -218,8 +218,8 @@ let plan_conv_with_status ?top_k ?engine t (i : CP.input) =
               Obs.Span.with_ "plan"
                 ~meta:(fun () -> [ ("op", Obs.Json.String "conv") ])
                 (fun () ->
-                  Tuner.Search.exhaustive_conv ?top_k ?engine
-                    (request_rng "conv" i) t.device ~profile:t.profile i)
+                  Tuner.Search.exhaustive_conv (request_rng "conv" i) t.device
+                    ~profile:t.profile i)
             in
             Option.map
               (fun r ->
@@ -232,7 +232,7 @@ let plan_conv_with_status ?top_k ?engine t (i : CP.input) =
       record_outcome ~t0 ~age_s outcome;
       (plan, outcome))
 
-let plan_conv ?top_k ?engine t i = fst (plan_conv_with_status ?top_k ?engine t i)
+let plan_conv t i = fst (plan_conv_with_status t i)
 
 let cache_stats t =
   Plan_cache.merge_stats

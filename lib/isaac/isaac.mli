@@ -96,17 +96,11 @@ val of_profile :
 val profile : t -> Tuner.Profile.t
 val device : t -> Gpu.Device.t
 
-val plan_gemm :
-  ?top_k:int ->
-  ?engine:Tuner.Search.engine ->
-  t ->
-  Codegen.Gemm_params.input ->
-  plan option
+val plan_gemm : t -> Codegen.Gemm_params.input -> plan option
 (** Runtime inference for a GEMM input. Results are cached per input, so
-    repeated calls are free (the paper's filesystem cache). [engine]
-    selects the {!Tuner.Search} scoring engine (default [`Batched]); the
-    [`Scalar] reference chooses the identical config, only slower, so
-    the plan cache may safely mix engines.
+    repeated calls are free (the paper's filesystem cache). The search
+    runs {!Tuner.Search.exhaustive_gemm} with its defaults: the batched
+    scoring engine and the paper's top-100 re-benchmark.
 
     Concurrency-safe: lookups are lock-free, and N domains racing a
     cold input trigger exactly one search (the rest park on it and
@@ -115,28 +109,15 @@ val plan_gemm :
     function of (profile, device, input) — independent of request
     order and domain count. *)
 
-val plan_conv :
-  ?top_k:int ->
-  ?engine:Tuner.Search.engine ->
-  t ->
-  Codegen.Conv_params.input ->
-  plan option
+val plan_conv : t -> Codegen.Conv_params.input -> plan option
 
 val plan_gemm_with_status :
-  ?top_k:int ->
-  ?engine:Tuner.Search.engine ->
-  t ->
-  Codegen.Gemm_params.input ->
-  plan option * Plan_cache.outcome
+  t -> Codegen.Gemm_params.input -> plan option * Plan_cache.outcome
 (** {!plan_gemm} plus how the cache served it ([Hit]/[Miss]/[Coalesced])
     — the serving daemon reports this on the wire. *)
 
 val plan_conv_with_status :
-  ?top_k:int ->
-  ?engine:Tuner.Search.engine ->
-  t ->
-  Codegen.Conv_params.input ->
-  plan option * Plan_cache.outcome
+  t -> Codegen.Conv_params.input -> plan option * Plan_cache.outcome
 
 val cache_stats : t -> Plan_cache.stats
 (** Merged counters of the GEMM and CONV plan caches. Cache-hit ages

@@ -66,7 +66,10 @@ let rotate_locked s =
   output_char s.oc '\n';
   s.bytes <- s.bytes + String.length marker + 1
 
-let emit ev fields =
+(* [capped = false] skips the rotation check: [stop] writes its closing
+   [trace_end] that way, so the last line can never rotate the newest
+   events out of the live file (it may overshoot the cap by that line). *)
+let write ~capped ev fields =
   match Atomic.get sink with
   | None -> ()
   | Some s ->
@@ -80,13 +83,16 @@ let emit ev fields =
       (fun () ->
         if not s.closed then begin
           (match s.max_bytes with
-           | Some cap when s.bytes > 0 && s.bytes + String.length line + 1 > cap ->
+           | Some cap
+             when capped && s.bytes > 0 && s.bytes + String.length line + 1 > cap ->
              rotate_locked s
            | _ -> ());
           output_string s.oc line;
           output_char s.oc '\n';
           s.bytes <- s.bytes + String.length line + 1
         end)
+
+let emit ev fields = write ~capped:true ev fields
 
 let stop () =
   Mutex.lock master;
@@ -99,7 +105,7 @@ let stop () =
         (* Finalizers run while the sink is still live so they can emit
            (Metrics flushes its summary events here). *)
         List.iter (fun f -> f ()) (List.rev !finalizers);
-        emit "trace_end" [];
+        write ~capped:false "trace_end" [];
         Atomic.set on false;
         Atomic.set sink None;
         (* Close under the sink lock: an emitter that read this sink

@@ -12,6 +12,9 @@
     past the cap, it is atomically renamed to [file.jsonl.1] (replacing
     any previous rotation) and a fresh file is started with a
     [trace_rotate] marker event, so total disk usage stays under ~2N MB.
+    The closing [trace_end] event is exempt: {!stop} appends it without
+    the rotation check, so the newest events always stay in the live
+    file, which may then exceed the cap by that one ~50-byte line.
 
     The sink is safe to use concurrently from multiple OCaml 5 domains —
     the tuner's benchmarking loops fan out — and event timestamps are
@@ -32,8 +35,9 @@ val start : ?max_bytes:int -> path:string -> unit -> unit
     set; exposed for tests and embedders. *)
 
 val stop : unit -> unit
-(** Flush registered finalizers (metric summaries), emit [trace_end],
-    close the sink. No-op when disabled. Runs automatically [at_exit]. *)
+(** Flush registered finalizers (metric summaries), append [trace_end]
+    (never rotating; see above), close the sink. No-op when disabled.
+    Runs automatically [at_exit]. *)
 
 val at_stop : (unit -> unit) -> unit
 (** Register a finalizer to run inside {!stop} before the sink closes

@@ -95,9 +95,6 @@ val symbolic :
     [Ntid_*] and bound thread enumeration. Registers start at [Const 0] /
     [Pconst false], matching the interpreter's zeroed register files. *)
 
-val entry_env : solution -> int -> env
-(** Abstract environment at a block's entry. *)
-
 val walk_block :
   solution -> int -> f:(pc:int -> env -> unit) -> unit
 (** Replay one block's transfer function, calling [f] with the

@@ -4,8 +4,6 @@
     meant to be assembled by ptxas. *)
 
 val special_name : Types.special -> string
-val operand_i : Types.ioperand -> string
-val operand_f : Types.foperand -> string
 val instr : Types.dtype -> Instr.t -> string
 (** Render one instruction. *)
 

@@ -94,8 +94,6 @@ val dump : t -> string
 val corpus_kind : string
 (** ["isaac-packed-kernels"]. *)
 
-val corpus_version : int
-
 val save_corpus : ?fsync:bool -> path:string -> t list -> unit
 (** Atomically write a corpus (deduplicated by {!hash}, order of first
     occurrence preserved). Raises [Sys_error] on I/O failure, like

@@ -62,8 +62,6 @@ let opcode = function
   | St_shared_i _ -> 30 | Atom_global_add _ -> 31 | Label _ -> 32
   | Bra _ -> 33 | Bar -> 34 | Ret -> 35
 
-let n_opcodes = 36
-
 let opcode_name = function
   | 0 -> "mov" | 1 -> "iadd" | 2 -> "isub" | 3 -> "imul" | 4 -> "imad"
   | 5 -> "idiv" | 6 -> "irem" | 7 -> "imin" | 8 -> "imax" | 9 -> "ishl"

@@ -67,9 +67,6 @@ val opcode : op -> int
     words. Follows constructor order; persisted artifacts and kernel
     hashes depend on it, so existing numbers never change. *)
 
-val n_opcodes : int
-(** Exclusive upper bound of {!opcode}. *)
-
 val opcode_name : int -> string
 (** Short mnemonic for an opcode number (["?"] when out of range); used
     by the [--dump-binary] field breakdown. *)

@@ -85,31 +85,17 @@ exception Trap of string
 let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
 
 (* ---------------------------------------------------------------------
-   Threaded-code engine.
+   Execution model.
 
-   [run] lowers the instruction array once per launch into an array of
-   closures ("threaded code"): one closure per real instruction, taking
-   the per-domain execution context and the current thread and returning
-   the next compiled pc (or a negative stop sentinel for Bar/Ret). All
-   launch-invariant decoding happens at compile time:
-
-   - labels are squashed out of the code array, so fall-through is always
-     [pc + 1] and branch targets are pre-resolved compiled indices — no
-     label Hashtbl on the hot path;
-   - operands are pre-discriminated: params and launch-geometry specials
-     ([Ntid_*]/[Nctaid_*]) fold to constants, [Tid_*]/[Ctaid_*] read
-     thread fields, and the register/immediate split is decided once;
-   - guards are hoisted into a wrapper closure, so unguarded instructions
-     pay nothing for predication;
-   - the per-category counter bump is baked into each closure.
-
-   Blocks are independent except for [Atom_global_add], so the grid loop
-   fans out across OCaml domains ([Util.Parallel]): each domain executes
-   a contiguous chunk of linearized block indices against its own context
+   [run] lowers the body once per launch into flat bytecode (see "Flat
+   bytecode" below) and interprets it block by block. Blocks are
+   independent except for [Atom_global_add], so the grid loop fans out
+   across OCaml domains ([Util.Parallel]): each domain executes a
+   contiguous chunk of linearized block indices against its own context
    (counter shard, shared memory, transaction-replay state) and the
-   shards are summed in chunk order afterwards — counter totals are
-   sums of per-block contributions, so the merged result is bit-identical
-   to serial execution. Kernels containing global atomics fall back to a
+   shards are summed in chunk order afterwards — counter totals are sums
+   of per-block contributions, so the merged result is bit-identical to
+   serial execution. Kernels containing global atomics fall back to a
    single domain so floating-point accumulation order (and thus output
    buffers) also stays bit-identical. The dynamic-instruction budget is a
    shared atomic permit pool; domains take leases of [lease_chunk]
@@ -122,15 +108,11 @@ type thread = {
   fregs : float array;
   iregs : int array;
   pregs : bool array;
-  mutable pc : int;  (* compiled pc *)
-  mutable done_ : bool;
+  mutable pc : int;  (* bytecode word offset *)
   lin : int;  (* linear thread index within the block (lane = lin mod 32) *)
   tid_x : int;
   tid_y : int;
   tid_z : int;
-  mutable cta_x : int;
-  mutable cta_y : int;
-  mutable cta_z : int;
 }
 
 (* One access group of the memory-transaction replay: the accesses issued
@@ -202,7 +184,7 @@ let new_grp () =
 
 (* Locate this lane's current access group: bump the lane's dynamic
    ordinal and return the (lazily reset) k-th group of the (slot, warp)
-   pool. [msw] is the memory slot pre-scaled by [n_warps] at compile
+   pool. [msw] is the memory slot pre-scaled by [n_warps] at lowering
    time, so locating the pool costs a shift and an add. The packed
    ordinal word self-invalidates across barrier phases by carrying its
    stamp in the high bits; a kth above 2^32 would corrupt the stamp, but
@@ -350,16 +332,6 @@ let record_shared ctx msw lin addr =
 
 type stop = Hit_bar | Hit_ret
 
-(* Compiled-pc stop sentinels returned by closures instead of a next pc. *)
-let stop_ret = -1
-let stop_bar = -2
-
-(* Pre-discriminated integer operand. *)
-type ikind =
-  | KReg of int
-  | KConst of int
-  | KDyn of (thread -> int)
-
 (* pc -> nearest preceding label, precomputed in one pass so trap
    messages stay rich ("pc N (label L + k)") at zero steady-state cost. *)
 let nearest_labels (body : Instr.t array) =
@@ -380,25 +352,6 @@ let describe_with near n_body pc =
     | Some (l, lpc) when pc = lpc -> Printf.sprintf "pc %d (label %s)" pc l
     | Some (l, lpc) -> Printf.sprintf "pc %d (label %s + %d)" pc l (pc - lpc)
     | None -> Printf.sprintf "pc %d" pc
-
-(* Category bump applied to instructions whose guard evaluated false:
-   masked instructions still occupy an issue slot, so they count in their
-   category (keeping static/dynamic cross-checks aligned). *)
-let masked_bump op : counters -> unit =
-  match Instr.categorize op with
-  | Some Instr.Cat_ialu -> fun k -> k.ialu <- k.ialu + 1
-  | Some Cat_fma -> fun k -> k.fma <- k.fma + 1
-  | Some Cat_fp_other -> fun k -> k.fp_other <- k.fp_other + 1
-  | Some Cat_ld_global -> fun k -> k.ld_global <- k.ld_global + 1
-  | Some Cat_st_global -> fun k -> k.st_global <- k.st_global + 1
-  | Some Cat_ld_shared -> fun k -> k.ld_shared <- k.ld_shared + 1
-  | Some Cat_st_shared -> fun k -> k.st_shared <- k.st_shared + 1
-  | Some Cat_atom -> fun k -> k.atom <- k.atom + 1
-  | Some Cat_bar -> fun k -> k.bar <- k.bar + 1
-  | Some Cat_branch -> fun k -> k.branch <- k.branch + 1
-  | Some Cat_pred -> fun k -> k.pred <- k.pred + 1
-  | Some Cat_mov -> fun k -> k.mov <- k.mov + 1
-  | None -> fun _ -> ()
 
 (* Stable category numbering packed into bytecode instruction words
    (bits 18–21) for the masked-issue bump; follows the field order of
@@ -432,724 +385,16 @@ let bump_cat k = function
   | 11 -> k.mov <- k.mov + 1
   | _ -> ()
 
-let run_closures ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
-    ~block ~bufs ~iargs =
-  let gx, gy, gz = grid and bx, by, bz = block in
-  if gx <= 0 || gy <= 0 || gz <= 0 || bx <= 0 || by <= 0 || bz <= 0 then
-    trap "invalid launch geometry";
-  let buffers =
-    Array.map
-      (fun name ->
-        match List.assoc_opt name bufs with
-        | Some a -> a
-        | None -> trap "missing buffer argument %s" name)
-      p.buf_params
-  in
-  let ints =
-    Array.map
-      (fun name ->
-        match List.assoc_opt name iargs with
-        | Some v -> v
-        | None -> trap "missing int argument %s" name)
-      p.int_params
-  in
-  let labels = Program.find_labels p in
-  let body = p.body in
-  let n_body = Array.length body in
-  let near = nearest_labels body in
-  let describe pc = describe_with near n_body pc in
-  (* Every trap raised during execution carries the counter totals
-     accumulated up to the fault (this domain's shard) — the "hardware
-     counter" snapshot that makes divergent or runaway kernels
-     diagnosable post mortem. *)
-  let trap_at k opc fmt =
-    Printf.ksprintf
-      (fun s ->
-        let where = describe opc in
-        (* When serving telemetry is live, record the trap in the flight
-           ring and append the recorder's recent-event context to the
-           failure report — the post-mortem for a kernel that faults
-           mid-request. *)
-        let flight =
-          if Obs.Telemetry.enabled () then begin
-            Obs.Telemetry.Flight.record ~kind:"trap" ~name:p.name
-              (s ^ " at " ^ where);
-            match Obs.Telemetry.Flight.dump () with
-            | "" -> ""
-            | d -> "\n" ^ d
-          end
-          else ""
-        in
-        raise
-          (Trap (Printf.sprintf "%s at %s [%s]%s" s where (summary k) flight)))
-      fmt
-  in
-  let is_half = p.dtype = F16 in
-
-  let shared_words = p.shared_words in
-  let shared_int_words = p.shared_int_words in
-  (* --- compile pass ---------------------------------------------------- *)
-  (* Squash labels: [idx.(i)] is the compiled index of real instruction
-     [i] (-1 for labels); [orig_of] maps back for trap messages;
-     [comp_of_orig] maps any original pc to the first real instruction at
-     or after it (branch targets land on labels). *)
-  let idx = Array.make (max 1 n_body) (-1) in
-  let n_code =
-    let j = ref 0 in
-    for i = 0 to n_body - 1 do
-      match body.(i).Instr.op with
-      | Instr.Label _ -> ()
-      | _ ->
-        idx.(i) <- !j;
-        incr j
-    done;
-    !j
-  in
-  let orig_of = Array.make (n_code + 1) n_body in
-  Array.iteri (fun i ci -> if ci >= 0 then orig_of.(ci) <- i) idx;
-  let comp_of_orig = Array.make (max 1 n_body) n_code in
-  (let nxt = ref n_code in
-   for i = n_body - 1 downto 0 do
-     if idx.(i) >= 0 then nxt := idx.(i);
-     comp_of_orig.(i) <- !nxt
-   done);
-  (* Dense memory-instruction slots for the transaction replay,
-     pre-scaled by n_warps so locating a (slot, warp) group pool needs
-     no multiply on the hot path. *)
-  let n_warps = ((bx * by * bz) + 31) / 32 in
-  let n_mem = ref 0 in
-  let fresh_mem () =
-    let m = !n_mem * n_warps in
-    incr n_mem;
-    m
-  in
-  let ik = function
-    | Ireg r -> KReg r
-    | Iimm v -> KConst v
-    | Iparam slot -> KConst ints.(slot)
-    | Ispecial s -> (
-      match s with
-      | Ntid_x -> KConst bx
-      | Ntid_y -> KConst by
-      | Ntid_z -> KConst bz
-      | Nctaid_x -> KConst gx
-      | Nctaid_y -> KConst gy
-      | Nctaid_z -> KConst gz
-      | Tid_x -> KDyn (fun th -> th.tid_x)
-      | Tid_y -> KDyn (fun th -> th.tid_y)
-      | Tid_z -> KDyn (fun th -> th.tid_z)
-      | Ctaid_x -> KDyn (fun th -> th.cta_x)
-      | Ctaid_y -> KDyn (fun th -> th.cta_y)
-      | Ctaid_z -> KDyn (fun th -> th.cta_z))
-  in
-  let iget = function
-    | KReg r -> fun th -> th.iregs.(r)
-    | KConst v -> fun _ -> v
-    | KDyn f -> f
-  in
-  let fget = function
-    | Freg r -> fun th -> th.fregs.(r)
-    | Fimm v -> fun _ -> v
-  in
-  (* Generic integer binop (cold shapes); hot ops get inlined cases. *)
-  let iop2 d a b (f : int -> int -> int) nxt =
-    match (ik a, ik b) with
-    | KReg i, KReg j ->
-      fun ctx th ->
-        let k = ctx.k in
-        k.ialu <- k.ialu + 1;
-        th.iregs.(d) <- f th.iregs.(i) th.iregs.(j);
-        nxt
-    | KReg i, KConst v ->
-      fun ctx th ->
-        let k = ctx.k in
-        k.ialu <- k.ialu + 1;
-        th.iregs.(d) <- f th.iregs.(i) v;
-        nxt
-    | KConst v, KReg j ->
-      fun ctx th ->
-        let k = ctx.k in
-        k.ialu <- k.ialu + 1;
-        th.iregs.(d) <- f v th.iregs.(j);
-        nxt
-    | ka, kb ->
-      let fa = iget ka and fb = iget kb in
-      fun ctx th ->
-        let k = ctx.k in
-        k.ialu <- k.ialu + 1;
-        th.iregs.(d) <- f (fa th) (fb th);
-        nxt
-  in
-  (* Generic float binop into fp_other. *)
-  let fop2 d a b (f : float -> float -> float) nxt =
-    match (a, b) with
-    | Freg i, Freg j ->
-      fun ctx th ->
-        let k = ctx.k in
-        k.fp_other <- k.fp_other + 1;
-        let fr = th.fregs in
-        fr.(d) <- f fr.(i) fr.(j);
-        nxt
-    | _ ->
-      let fa = fget a and fb = fget b in
-      fun ctx th ->
-        let k = ctx.k in
-        k.fp_other <- k.fp_other + 1;
-        th.fregs.(d) <- f (fa th) (fb th);
-        nxt
-  in
-  let compile_op opc (op : Instr.op) nxt : ctx -> thread -> int =
-    match op with
-    | Instr.Label _ -> assert false
-    | Mov (d, a) -> (
-      match ik a with
-      | KReg s ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.mov <- k.mov + 1;
-          th.iregs.(d) <- th.iregs.(s);
-          nxt
-      | KConst v ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.mov <- k.mov + 1;
-          th.iregs.(d) <- v;
-          nxt
-      | KDyn f ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.mov <- k.mov + 1;
-          th.iregs.(d) <- f th;
-          nxt)
-    | Movf (d, a) -> (
-      match a with
-      | Freg s ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.mov <- k.mov + 1;
-          th.fregs.(d) <- th.fregs.(s);
-          nxt
-      | Fimm v ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.mov <- k.mov + 1;
-          th.fregs.(d) <- v;
-          nxt)
-    | Iadd (d, a, b) -> (
-      match (ik a, ik b) with
-      | KReg i, KReg j ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          let ir = th.iregs in
-          ir.(d) <- ir.(i) + ir.(j);
-          nxt
-      | (KReg i, KConst v | KConst v, KReg i) ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          let ir = th.iregs in
-          ir.(d) <- ir.(i) + v;
-          nxt
-      | ka, kb ->
-        let fa = iget ka and fb = iget kb in
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          th.iregs.(d) <- fa th + fb th;
-          nxt)
-    | Isub (d, a, b) -> iop2 d a b (fun x y -> x - y) nxt
-    | Imul (d, a, b) -> (
-      match (ik a, ik b) with
-      | KReg i, KReg j ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          let ir = th.iregs in
-          ir.(d) <- ir.(i) * ir.(j);
-          nxt
-      | (KReg i, KConst v | KConst v, KReg i) ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          let ir = th.iregs in
-          ir.(d) <- ir.(i) * v;
-          nxt
-      | ka, kb ->
-        let fa = iget ka and fb = iget kb in
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          th.iregs.(d) <- fa th * fb th;
-          nxt)
-    | Imad (d, a, b, c) -> (
-      match (ik a, ik b, ik c) with
-      | KReg i, KReg j, KReg m ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          let ir = th.iregs in
-          ir.(d) <- (ir.(i) * ir.(j)) + ir.(m);
-          nxt
-      | (KReg i, KConst v, KReg m | KConst v, KReg i, KReg m) ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          let ir = th.iregs in
-          ir.(d) <- (ir.(i) * v) + ir.(m);
-          nxt
-      | ka, kb, kc ->
-        let fa = iget ka and fb = iget kb and fc = iget kc in
-        fun ctx th ->
-          let k = ctx.k in
-          k.ialu <- k.ialu + 1;
-          th.iregs.(d) <- (fa th * fb th) + fc th;
-          nxt)
-    | Idiv (d, a, b) ->
-      let fa = iget (ik a) and fb = iget (ik b) in
-      fun ctx th ->
-        let k = ctx.k in
-        k.ialu <- k.ialu + 1;
-        let bv = fb th in
-        if bv = 0 then trap_at k opc "%s: division by zero" p.name;
-        th.iregs.(d) <- fa th / bv;
-        nxt
-    | Irem (d, a, b) ->
-      let fa = iget (ik a) and fb = iget (ik b) in
-      fun ctx th ->
-        let k = ctx.k in
-        k.ialu <- k.ialu + 1;
-        let bv = fb th in
-        if bv = 0 then trap_at k opc "%s: remainder by zero" p.name;
-        th.iregs.(d) <- fa th mod bv;
-        nxt
-    | Imin (d, a, b) -> iop2 d a b (fun x y -> if x <= y then x else y) nxt
-    | Imax (d, a, b) -> iop2 d a b (fun x y -> if x >= y then x else y) nxt
-    | Ishl (d, a, b) -> iop2 d a b (fun x y -> x lsl y) nxt
-    | Ishr (d, a, b) -> iop2 d a b (fun x y -> x asr y) nxt
-    | Iand (d, a, b) -> iop2 d a b (fun x y -> x land y) nxt
-    | Ior (d, a, b) -> iop2 d a b (fun x y -> x lor y) nxt
-    | Setp (cmp, d, a, b) ->
-      let cf : int -> int -> bool =
-        match cmp with
-        | Eq -> fun x y -> x = y
-        | Ne -> fun x y -> x <> y
-        | Lt -> fun x y -> x < y
-        | Le -> fun x y -> x <= y
-        | Gt -> fun x y -> x > y
-        | Ge -> fun x y -> x >= y
-      in
-      (match (ik a, ik b) with
-      | KReg i, KReg j ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.pred <- k.pred + 1;
-          let ir = th.iregs in
-          th.pregs.(d) <- cf ir.(i) ir.(j);
-          nxt
-      | KReg i, KConst v ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.pred <- k.pred + 1;
-          th.pregs.(d) <- cf th.iregs.(i) v;
-          nxt
-      | ka, kb ->
-        let fa = iget ka and fb = iget kb in
-        fun ctx th ->
-          let k = ctx.k in
-          k.pred <- k.pred + 1;
-          th.pregs.(d) <- cf (fa th) (fb th);
-          nxt)
-    | And_p (d, a, b) ->
-      fun ctx th ->
-        let k = ctx.k in
-        k.pred <- k.pred + 1;
-        let pr = th.pregs in
-        pr.(d) <- pr.(a) && pr.(b);
-        nxt
-    | Or_p (d, a, b) ->
-      fun ctx th ->
-        let k = ctx.k in
-        k.pred <- k.pred + 1;
-        let pr = th.pregs in
-        pr.(d) <- pr.(a) || pr.(b);
-        nxt
-    | Not_p (d, a) ->
-      fun ctx th ->
-        let k = ctx.k in
-        k.pred <- k.pred + 1;
-        let pr = th.pregs in
-        pr.(d) <- not pr.(a);
-        nxt
-    | Fadd (d, a, b) -> fop2 d a b (fun x y -> x +. y) nxt
-    | Fsub (d, a, b) -> fop2 d a b (fun x y -> x -. y) nxt
-    | Fmul (d, a, b) -> fop2 d a b (fun x y -> x *. y) nxt
-    | Ffma (d, a, b, c) -> (
-      match (a, b, c) with
-      | Freg x, Freg y, Freg z ->
-        fun ctx th ->
-          let k = ctx.k in
-          k.fma <- k.fma + 1;
-          let fr = th.fregs in
-          fr.(d) <- (fr.(x) *. fr.(y)) +. fr.(z);
-          nxt
-      | _ ->
-        let fa = fget a and fb = fget b and fc = fget c in
-        fun ctx th ->
-          let k = ctx.k in
-          k.fma <- k.fma + 1;
-          th.fregs.(d) <- (fa th *. fb th) +. fc th;
-          nxt)
-    | Fmax (d, a, b) -> fop2 d a b (fun x y -> Float.max x y) nxt
-    | Fmin (d, a, b) -> fop2 d a b (fun x y -> Float.min x y) nxt
-    | Ld_global (d, slot, addr) ->
-      let buf = buffers.(slot) in
-      let bname = p.buf_params.(slot) in
-      let len = Array.length buf in
-      let fa = iget (ik addr) in
-      let ms = fresh_mem () in
-      fun ctx th ->
-        let k = ctx.k in
-        k.ld_global <- k.ld_global + 1;
-        let a = fa th in
-        record_global ctx ~store:false ms th.lin a;
-        if a < 0 || a >= len then
-          trap_at k opc "%s: global load out of bounds: %s[%d] (len %d)"
-            p.name bname a len;
-        th.fregs.(d) <- Array.unsafe_get buf a;
-        nxt
-    | Ld_global_i (d, slot, addr) ->
-      let buf = buffers.(slot) in
-      let bname = p.buf_params.(slot) in
-      let len = Array.length buf in
-      let fa = iget (ik addr) in
-      let ms = fresh_mem () in
-      fun ctx th ->
-        let k = ctx.k in
-        k.ld_global <- k.ld_global + 1;
-        let a = fa th in
-        record_global ctx ~store:false ms th.lin a;
-        if a < 0 || a >= len then
-          trap_at k opc "%s: global load out of bounds: %s[%d] (len %d)"
-            p.name bname a len;
-        th.iregs.(d) <- int_of_float (Array.unsafe_get buf a);
-        nxt
-    | Ld_shared (d, addr) ->
-      let fa = iget (ik addr) in
-      let ms = fresh_mem () in
-      fun ctx th ->
-        let k = ctx.k in
-        k.ld_shared <- k.ld_shared + 1;
-        let a = fa th in
-        record_shared ctx ms th.lin a;
-        if a < 0 || a >= shared_words then
-          trap_at k opc "%s: shared load out of bounds: [%d] (size %d)" p.name
-            a shared_words;
-        th.fregs.(d) <- Array.unsafe_get ctx.shared_f a;
-        nxt
-    | Ld_shared_i (d, addr) ->
-      let fa = iget (ik addr) in
-      let ms = fresh_mem () in
-      fun ctx th ->
-        let k = ctx.k in
-        k.ld_shared <- k.ld_shared + 1;
-        let a = fa th in
-        record_shared ctx ms th.lin a;
-        if a < 0 || a >= shared_int_words then
-          trap_at k opc "%s: shared int load out of bounds: [%d] (size %d)"
-            p.name a shared_int_words;
-        th.iregs.(d) <- Array.unsafe_get ctx.shared_i a;
-        nxt
-    | St_global (slot, addr, v) ->
-      let buf = buffers.(slot) in
-      let bname = p.buf_params.(slot) in
-      let len = Array.length buf in
-      let fa = iget (ik addr) and fv = fget v in
-      let ms = fresh_mem () in
-      if is_half then
-        fun ctx th ->
-          let k = ctx.k in
-          k.st_global <- k.st_global + 1;
-          let a = fa th in
-          record_global ctx ~store:true ms th.lin a;
-          if a < 0 || a >= len then
-            trap_at k opc "%s: global store out of bounds: %s[%d] (len %d)"
-              p.name bname a len;
-          Array.unsafe_set buf a (round_half (fv th));
-          nxt
-      else
-        fun ctx th ->
-          let k = ctx.k in
-          k.st_global <- k.st_global + 1;
-          let a = fa th in
-          record_global ctx ~store:true ms th.lin a;
-          if a < 0 || a >= len then
-            trap_at k opc "%s: global store out of bounds: %s[%d] (len %d)"
-              p.name bname a len;
-          Array.unsafe_set buf a (fv th);
-          nxt
-    | St_shared (addr, v) ->
-      let fa = iget (ik addr) and fv = fget v in
-      let ms = fresh_mem () in
-      if is_half then
-        fun ctx th ->
-          let k = ctx.k in
-          k.st_shared <- k.st_shared + 1;
-          let a = fa th in
-          record_shared ctx ms th.lin a;
-          if a < 0 || a >= shared_words then
-            trap_at k opc "%s: shared store out of bounds: [%d] (size %d)"
-              p.name a shared_words;
-          Array.unsafe_set ctx.shared_f a (round_half (fv th));
-          nxt
-      else
-        fun ctx th ->
-          let k = ctx.k in
-          k.st_shared <- k.st_shared + 1;
-          let a = fa th in
-          record_shared ctx ms th.lin a;
-          if a < 0 || a >= shared_words then
-            trap_at k opc "%s: shared store out of bounds: [%d] (size %d)"
-              p.name a shared_words;
-          Array.unsafe_set ctx.shared_f a (fv th);
-          nxt
-    | St_shared_i (addr, v) ->
-      let fa = iget (ik addr) and fv = iget (ik v) in
-      let ms = fresh_mem () in
-      fun ctx th ->
-        let k = ctx.k in
-        k.st_shared <- k.st_shared + 1;
-        let a = fa th in
-        record_shared ctx ms th.lin a;
-        if a < 0 || a >= shared_int_words then
-          trap_at k opc "%s: shared int store out of bounds: [%d] (size %d)"
-            p.name a shared_int_words;
-        Array.unsafe_set ctx.shared_i a (fv th);
-        nxt
-    | Atom_global_add (slot, addr, v) ->
-      (* No transaction replay for atomics (matching the reference); the
-         load-side bounds message fires first, as the reference's
-         [global_get] does. Kernels containing this op run serially. *)
-      let buf = buffers.(slot) in
-      let bname = p.buf_params.(slot) in
-      let len = Array.length buf in
-      let fa = iget (ik addr) and fv = fget v in
-      if is_half then
-        fun ctx th ->
-          let k = ctx.k in
-          k.atom <- k.atom + 1;
-          let a = fa th in
-          if a < 0 || a >= len then
-            trap_at k opc "%s: global load out of bounds: %s[%d] (len %d)"
-              p.name bname a len;
-          Array.unsafe_set buf a (round_half (Array.unsafe_get buf a +. fv th));
-          nxt
-      else
-        fun ctx th ->
-          let k = ctx.k in
-          k.atom <- k.atom + 1;
-          let a = fa th in
-          if a < 0 || a >= len then
-            trap_at k opc "%s: global load out of bounds: %s[%d] (len %d)"
-              p.name bname a len;
-          Array.unsafe_set buf a (Array.unsafe_get buf a +. fv th);
-          nxt
-    | Bra target -> (
-      match Hashtbl.find_opt labels target with
-      | Some oi ->
-        let t = comp_of_orig.(oi) in
-        fun ctx _ ->
-          let k = ctx.k in
-          k.branch <- k.branch + 1;
-          t
-      | None ->
-        (* Undefined labels trap lazily (on first execution), as the
-           reference interpreter does. *)
-        fun ctx _ ->
-          let k = ctx.k in
-          k.branch <- k.branch + 1;
-          trap_at k opc "%s: undefined label %s" p.name target)
-    | Bar ->
-      fun ctx th ->
-        let k = ctx.k in
-        k.bar <- k.bar + 1;
-        th.pc <- nxt;
-        stop_bar
-    | Ret ->
-      let self = nxt - 1 in
-      fun ctx th ->
-        let k = ctx.k in
-        k.branch <- k.branch + 1;
-        th.pc <- self;
-        th.done_ <- true;
-        stop_ret
-  in
-  let code = Array.make (max 1 n_code) (fun _ _ -> stop_ret) in
-  for i = 0 to n_body - 1 do
-    let ci = idx.(i) in
-    if ci >= 0 then begin
-      let { Instr.op; guard } = body.(i) in
-      let nxt = ci + 1 in
-      let exec = compile_op i op nxt in
-      code.(ci) <-
-        (match guard with
-        | None -> exec
-        | Some (preg, sense) ->
-          let mb = masked_bump op in
-          if sense then
-            fun ctx th ->
-              if th.pregs.(preg) then exec ctx th
-              else begin
-                let k = ctx.k in
-                k.predicated_off <- k.predicated_off + 1;
-                mb k;
-                nxt
-              end
-          else
-            fun ctx th ->
-              if th.pregs.(preg) then begin
-                let k = ctx.k in
-                k.predicated_off <- k.predicated_off + 1;
-                mb k;
-                nxt
-              end
-              else exec ctx th)
-    end
-  done;
-  let n_mem = max 1 !n_mem in
-  (* --- execution ------------------------------------------------------- *)
-  let n_threads = bx * by * bz in
-  let n_blocks = gx * gy * gz in
-  let pool = Atomic.make (max_dynamic - 1) in
-  let mk_ctx () =
-    { k = zero_counters ();
-      pool;
-      lease = 0;
-      n_warps;
-      shared_f = Array.make (max 1 p.shared_words) 0.0;
-      shared_i = Array.make (max 1 p.shared_int_words) 0;
-      ord = Array.make (n_mem * n_warps * 32) 0;
-      grps = Array.init (n_mem * n_warps) (fun _ -> [||]);
-      gid = 1;
-      stamp = 1;
-      threads =
-        Array.init n_threads (fun linear ->
-            { fregs = Array.make (max 1 p.n_fregs) 0.0;
-              iregs = Array.make (max 1 p.n_iregs) 0;
-              pregs = Array.make (max 1 p.n_pregs) false;
-              pc = 0;
-              done_ = false;
-              lin = linear;
-              tid_x = linear mod bx;
-              tid_y = linear / bx mod by;
-              tid_z = linear / (bx * by);
-              cta_x = 0;
-              cta_y = 0;
-              cta_z = 0 }) }
-  in
-  (* Execute [th] until it reaches a barrier or returns. The end-of-code
-     check precedes the budget charge, as in the reference. *)
-  let run_to_barrier ctx th =
-    let rec go pc =
-      if pc >= n_code then
-        trap_at ctx.k (n_body - 1) "%s: fell off end of kernel" p.name
-      else begin
-        (if ctx.lease > 0 then ctx.lease <- ctx.lease - 1 else refill ctx);
-        let n = (Array.unsafe_get code pc) ctx th in
-        if n >= 0 then go n else if n = stop_ret then Hit_ret else Hit_bar
-      end
-    in
-    go th.pc
-  in
-  let exec_block ctx cx cy cz =
-    let threads = ctx.threads in
-    Array.fill ctx.shared_f 0 (Array.length ctx.shared_f) 0.0;
-    Array.fill ctx.shared_i 0 (Array.length ctx.shared_i) 0;
-    Array.iter
-      (fun th ->
-        Array.fill th.fregs 0 (Array.length th.fregs) 0.0;
-        Array.fill th.iregs 0 (Array.length th.iregs) 0;
-        Array.fill th.pregs 0 (Array.length th.pregs) false;
-        th.pc <- 0;
-        th.done_ <- false;
-        th.cta_x <- cx;
-        th.cta_y <- cy;
-        th.cta_z <- cz)
-      threads;
-    ctx.stamp <- ctx.stamp + 1;
-    (* Barrier-phase loop: all threads must agree on Hit_bar vs Hit_ret. *)
-    let where stop (th : thread) =
-      (* After Hit_bar the pc has advanced past the Bar; Ret leaves it. *)
-      match stop with
-      | Hit_bar ->
-        Printf.sprintf "hit barrier at %s" (describe orig_of.(th.pc - 1))
-      | Hit_ret -> Printf.sprintf "returned at %s" (describe orig_of.(th.pc))
-    in
-    let rec phases () =
-      let first = run_to_barrier ctx threads.(0) in
-      for i = 1 to n_threads - 1 do
-        let stop = run_to_barrier ctx threads.(i) in
-        if stop <> first then
-          raise
-            (Trap
-               (Printf.sprintf
-                  "%s: barrier divergence: thread 0 %s but thread %d %s [%s]"
-                  p.name
-                  (where first threads.(0))
-                  i
-                  (where stop threads.(i))
-                  (summary ctx.k)))
-      done;
-      ctx.stamp <- ctx.stamp + 1;
-      match first with Hit_ret -> () | Hit_bar -> phases ()
-    in
-    phases ()
-  in
-  (* Blocks execute in linearized order b = cz*gy*gx + cy*gx + cx, the
-     reference's cz-outer/cx-inner nesting. *)
-  let exec_chunk ~offset ~size =
-    let ctx = mk_ctx () in
-    for b = offset to offset + size - 1 do
-      exec_block ctx (b mod gx) (b / gx mod gy) (b / (gx * gy))
-    done;
-    ctx.k
-  in
-  let has_atomics =
-    Array.exists
-      (fun (i : Instr.t) ->
-        match i.Instr.op with Instr.Atom_global_add _ -> true | _ -> false)
-      body
-  in
-  let n_domains =
-    let d =
-      match domains with
-      | Some d -> max 1 d
-      | None -> Util.Parallel.recommended_domains ()
-    in
-    if has_atomics then 1 else max 1 (min d n_blocks)
-  in
-  let shards =
-    if n_domains <= 1 then [ exec_chunk ~offset:0 ~size:n_blocks ]
-    else
-      Util.Parallel.run_chunks_offsets ~domains:n_domains ~total:n_blocks
-        (fun ~chunk:_ ~offset ~size -> exec_chunk ~offset ~size)
-  in
-  let counters = zero_counters () in
-  List.iter (fun shard -> add_into ~into:counters shard) shards;
-  obs_export counters;
-  counters
-
 (* ---------------------------------------------------------------------
-   Flat bytecode engine.
+   Flat bytecode.
 
-   [run_bytecode] lowers the body once per launch into one flat [int]
-   array of variable-stride packed instructions and runs a direct
-   dispatch loop over it — the interpreter analogue of executing the
-   [Encode] wire format instead of an AST. Versus the closure engine it
-   removes the per-instruction indirect call and closure-environment
-   loads: the dispatch is a dense integer [match] (a jump table) and the
-   register files / counter shard are hoisted into locals of the
-   per-thread execution loop.
+   [run] lowers the body once per launch into one flat [int] array of
+   variable-stride packed instructions and runs a direct dispatch loop
+   over it — the interpreter analogue of executing the [Encode] wire
+   format instead of an AST. The dispatch is a dense integer [match] (a
+   jump table) and the register files / counter shard are hoisted into
+   locals of the per-thread execution loop, so an instruction costs no
+   indirect call and no environment loads.
 
    Word 0 of every instruction packs, mirroring [Encode]'s layout idea:
      bits 0–7   bytecode opcode (shape-specialized, not [Instr.opcode])
@@ -1161,7 +406,7 @@ let run_closures ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
                 raw codegen output whose virtual predicates number in
                 the hundreds)
    Operand words follow. All launch-invariant decoding happens during
-   lowering, exactly like the closure compile pass:
+   lowering:
    - labels are squashed; branch targets are absolute word offsets
      patched in a second pass (undefined labels keep the reference's
      lazy first-execution trap via a side table of names);
@@ -1175,9 +420,9 @@ let run_closures ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
    - float immediates live in a per-launch constant pool.
 
    Counter bumps, trap messages, transaction-replay calls, bounds-check
-   ordering and the budget charge are placed exactly as in the closure
-   engine — the differential suite holds all three engines to
-   bit-identical outputs and counters. *)
+   ordering and the budget charge are placed exactly as in the
+   decode-per-step {!Interp_ref} — the differential suite holds the two
+   to bit-identical outputs, counters and trap messages. *)
 
 (* Bytecode opcodes (the [match] below is a dense jump table). *)
 let bc_mov_r = 0
@@ -1250,7 +495,7 @@ let bc_imad_rcc = 47 (* imad rD, rA, imm, imm' *)
 let bc_mad_lds_add_lds = 48
 let bc_add_lds_add_lds = 49
 
-let run_bytecode ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
+let run ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
     ~block ~bufs ~iargs =
   let gx, gy, gz = grid and bx, by, bz = block in
   if gx <= 0 || gy <= 0 || gz <= 0 || bx <= 0 || by <= 0 || bz <= 0 then
@@ -1276,10 +521,18 @@ let run_bytecode ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
   let n_body = Array.length body in
   let near = nearest_labels body in
   let describe pc = describe_with near n_body pc in
+  (* Every trap raised during execution carries the counter totals
+     accumulated up to the fault (this domain's shard) — the "hardware
+     counter" snapshot that makes divergent or runaway kernels
+     diagnosable post mortem. *)
   let trap_at k opc fmt =
     Printf.ksprintf
       (fun s ->
         let where = describe opc in
+        (* When serving telemetry is live, record the trap in the flight
+           ring and append the recorder's recent-event context to the
+           failure report — the post-mortem for a kernel that faults
+           mid-request. *)
         let flight =
           if Obs.Telemetry.enabled () then begin
             Obs.Telemetry.Flight.record ~kind:"trap" ~name:p.name
@@ -1349,9 +602,9 @@ let run_bytecode ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
     urev := name :: !urev;
     i
   in
-  (* Dense memory-instruction slots, in the same program order as the
-     closure engine so the transaction replay is identical. Pre-scaled
-     by n_warps, as in the closure engine. *)
+  (* Dense memory-instruction slots for the transaction replay, drawn in
+     program order and pre-scaled by n_warps so locating a (slot, warp)
+     group pool needs no multiply on the hot path. *)
   let n_warps = ((bx * by * bz) + 31) / 32 in
   let n_mem = ref 0 in
   let fresh_mem () =
@@ -1458,8 +711,7 @@ let run_bytecode ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
       (* Greedy adjacent fusion, longest pattern first; the shared load
          keeps the w0 slot's original pc when it comes first, and carries
          its own pc as an operand otherwise (trap attribution). fresh_mem
-         is still drawn in program order, keeping replay slots identical
-         to the closure engine's. *)
+         is still drawn in program order. *)
       (let start () =
          let w0_at = !code_len in
          word_at.(i) <- w0_at;
@@ -1701,14 +953,10 @@ let run_bytecode ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
               iregs = Array.make (p.n_iregs + 6) 0;
               pregs = Array.make (max 1 p.n_pregs) false;
               pc = 0;
-              done_ = false;
               lin = linear;
               tid_x = linear mod bx;
               tid_y = linear / bx mod by;
-              tid_z = linear / (bx * by);
-              cta_x = 0;
-              cta_y = 0;
-              cta_z = 0 }) }
+              tid_z = linear / (bx * by) }) }
   in
   (* The dispatch loop. The register files, counter shard and shared
      memories are hoisted into locals for the whole barrier phase; every
@@ -2271,7 +1519,6 @@ let run_bytecode ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
           | 42 (* ret *) ->
             k.branch <- k.branch + 1;
             th.pc <- pc;
-            th.done_ <- true;
             Hit_ret
           | 43 (* ffma_run *) ->
             let n = Array.unsafe_get bc (pc + 1) in
@@ -2475,11 +1722,7 @@ let run_bytecode ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
         Array.unsafe_set ir (vt + 3) cx;
         Array.unsafe_set ir (vt + 4) cy;
         Array.unsafe_set ir (vt + 5) cz;
-        th.pc <- 0;
-        th.done_ <- false;
-        th.cta_x <- cx;
-        th.cta_y <- cy;
-        th.cta_z <- cz)
+        th.pc <- 0)
       threads;
     ctx.stamp <- ctx.stamp + 1;
     let where stop (th : thread) =
@@ -2542,9 +1785,3 @@ let run_bytecode ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
   List.iter (fun shard -> add_into ~into:counters shard) shards;
   obs_export counters;
   counters
-
-let run ?max_dynamic ?domains ?(engine = `Bytecode) p ~grid ~block ~bufs
-    ~iargs =
-  match engine with
-  | `Bytecode -> run_bytecode ?max_dynamic ?domains p ~grid ~block ~bufs ~iargs
-  | `Closures -> run_closures ?max_dynamic ?domains p ~grid ~block ~bufs ~iargs

@@ -74,7 +74,6 @@ exception Trap of string
 val run :
   ?max_dynamic:int ->
   ?domains:int ->
-  ?engine:[ `Bytecode | `Closures ] ->
   Program.t ->
   grid:int * int * int ->
   block:int * int * int ->
@@ -87,49 +86,22 @@ val run :
     [max_dynamic] bounds the total dynamic instruction count (default
     200 million) to catch generator bugs that would loop forever.
 
-    Two engines share identical semantics; [engine] selects one
-    (default [`Bytecode]):
-
-    - [`Bytecode] lowers the body once per launch into one flat packed
-      [int] array (shape-specialized opcodes, branch targets as absolute
-      word offsets, operands collapsed to register-or-constant, float
-      immediates pooled) and runs a dense jump-table dispatch loop with
-      the register files hoisted into locals — the serving hot path.
-    - [`Closures] compiles one closure per instruction (threaded code) —
-      kept as a structurally independent differential reference.
-
-    The differential suite holds both engines (and the naive
-    {!Interp_ref}) to bit-identical output buffers, counters and trap
+    The body is lowered once per launch into one flat packed [int]
+    array (shape-specialized opcodes, fused superinstructions for the
+    FFMA runs and shared-load staging of generated inner loops, branch
+    targets as absolute word offsets, operands collapsed to
+    register-or-constant, float immediates pooled) and run by a dense
+    jump-table dispatch loop with the register files hoisted into
+    locals. The differential suite holds it to the naive
+    {!Interp_ref} — bit-identical output buffers, counters and trap
     messages.
 
-    Either way the grid loop fans blocks out across [domains] OCaml
-    domains (default {!Util.Parallel.recommended_domains}, so
-    [ISAAC_DOMAINS] applies). Per-domain counter shards are summed
-    deterministically, so counters, output buffers and [Obs] exports are
-    bit-identical for every domain count — kernels using
-    [Atom_global_add] automatically fall back to a single domain to keep
-    the floating-point accumulation order (and thus the buffers) exact.
-    Trap messages from a parallel run carry the faulting domain's counter
-    shard rather than the global totals. *)
-
-val run_bytecode :
-  ?max_dynamic:int ->
-  ?domains:int ->
-  Program.t ->
-  grid:int * int * int ->
-  block:int * int * int ->
-  bufs:(string * float array) list ->
-  iargs:(string * int) list ->
-  counters
-(** {!run} with the flat-bytecode engine, directly. *)
-
-val run_closures :
-  ?max_dynamic:int ->
-  ?domains:int ->
-  Program.t ->
-  grid:int * int * int ->
-  block:int * int * int ->
-  bufs:(string * float array) list ->
-  iargs:(string * int) list ->
-  counters
-(** {!run} with the closure-threaded engine, directly. *)
+    The grid loop fans blocks out across [domains] OCaml domains
+    (default {!Util.Parallel.recommended_domains}, so [ISAAC_DOMAINS]
+    applies). Per-domain counter shards are summed deterministically, so
+    counters, output buffers and [Obs] exports are bit-identical for
+    every domain count — kernels using [Atom_global_add] automatically
+    fall back to a single domain to keep the floating-point accumulation
+    order (and thus the buffers) exact. Trap messages from a parallel
+    run carry the faulting domain's counter shard rather than the global
+    totals. *)

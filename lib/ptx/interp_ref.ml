@@ -1,5 +1,5 @@
 (* The original decode-per-step interpreter, retained verbatim as the
-   executable specification for the threaded-code engine in {!Interp}.
+   executable specification for the bytecode engine in {!Interp}.
    Every observable — output buffers, all sixteen counters, trap
    messages — must match between the two; test/test_interp_diff.ml
    enforces this differentially. Keep this file boring: bug fixes that

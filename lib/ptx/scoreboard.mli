@@ -44,18 +44,10 @@ type latency = {
 
 val default_latency : latency
 
-(** Issue-pipe classes used for dual-issue pairing. *)
-type pipe = P_fp | P_ialu | P_mem | P_ctrl
-
-val pipe_of : Instr.op -> pipe option
-(** [None] for [Label] (never issued). *)
-
 val cat_index : Instr.category -> int
 (** Stable index of a category in {!block_sched.mix}, following the
     field order of [Interp.counters]: ialu, fma, fp_other, ld_global,
     st_global, ld_shared, st_shared, atom, bar, branch, pred, mov. *)
-
-val n_categories : int
 
 type block_sched = {
   block : int;          (** {!Cfg.block} id *)

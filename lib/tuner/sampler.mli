@@ -19,9 +19,6 @@
 type t
 (** A fitted categorical model over a {!Config_space.t}. *)
 
-val alpha_default : float
-(** Dirichlet prior pseudo-count, 100 as in the paper. *)
-
 val fit :
   ?alpha:float ->
   ?warmup:int ->
@@ -31,8 +28,9 @@ val fit :
   t
 (** [fit rng space ~legal] draws [warmup] (default 10000) uniform
     configurations, keeps the acceptance counts of every parameter value
-    among legal draws, and returns the smoothed per-parameter
-    marginals. *)
+    among legal draws, and returns the per-parameter marginals smoothed
+    by a Dirichlet prior of [alpha] pseudo-counts (default 100, as in the
+    paper). *)
 
 val space : t -> Config_space.t
 (** The configuration space this model was fitted over. *)

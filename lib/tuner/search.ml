@@ -269,7 +269,6 @@ let legal_conv_config_array_ref device (i : CP.input) =
        ~cost:(fun c -> CP.cost i c))
 
 let legal_gemm_configs device i = Array.to_list (legal_gemm_config_array device i)
-let legal_conv_configs device i = Array.to_list (legal_conv_config_array device i)
 
 let default_cap () = Util.Env_config.int "ISAAC_SEARCH_CAP" 60_000
 
@@ -498,25 +497,15 @@ let exhaustive_conv ?top_k ?cap ?noise ?domains ?engine rng device ~profile
       Features.conv_features ~log i (GP.config_to_array cfg))
     ~cost:(fun cfg -> CP.cost i cfg)
 
-let oracle ~legal_configs ~cost device =
+let oracle_gemm device (i : GP.input) =
   let best = ref None in
   Array.iter
     (fun cfg ->
-      match Gpu.Perf_model.predict device (cost cfg) with
+      match Gpu.Perf_model.predict device (GP.cost i cfg) with
       | None -> ()
       | Some report ->
         (match !best with
          | Some (_, br) when br.Gpu.Perf_model.seconds <= report.seconds -> ()
          | _ -> best := Some (cfg, report)))
-    (legal_configs device);
+    (legal_gemm_config_array device i);
   !best
-
-let oracle_gemm device (i : GP.input) =
-  oracle device
-    ~legal_configs:(fun d -> legal_gemm_config_array d i)
-    ~cost:(fun cfg -> GP.cost i cfg)
-
-let oracle_conv device (i : CP.input) =
-  oracle device
-    ~legal_configs:(fun d -> legal_conv_config_array d i)
-    ~cost:(fun cfg -> CP.cost i cfg)

@@ -92,10 +92,6 @@ val legal_gemm_configs :
 (** [Array.to_list] of {!legal_gemm_config_array}, kept for callers that
     want a list. *)
 
-val legal_conv_configs :
-  Gpu.Device.t -> Codegen.Conv_params.input -> Codegen.Gemm_params.config list
-(** CONV analogue of {!legal_gemm_configs}. *)
-
 val exhaustive_gemm :
   ?top_k:int ->
   ?cap:int ->
@@ -139,8 +135,3 @@ val oracle_gemm :
 (** Noise-free argmax of the timing model over the whole legal space: the
     best any search could do. Used by tests ("the MLP search reaches ≥x%
     of the oracle") and by the §8 analysis tables. *)
-
-val oracle_conv :
-  Gpu.Device.t -> Codegen.Conv_params.input ->
-  (Codegen.Gemm_params.config * Gpu.Perf_model.report) option
-(** CONV analogue of {!oracle_gemm}. *)

@@ -1,4 +1,4 @@
-(* Differential testing of the interpreter, two ways:
+(* Differential testing of the interpreter, three ways:
 
    1. Random straight-line programs are executed by Ptx.Interp, by
       Ptx.Interp_ref, and by a direct OCaml evaluation of the same
@@ -9,11 +9,15 @@
 
    2. Real generated kernels (GEMM in all three bounds modes, kl/ks
       reduction splits, a kg>1 atomics split, and implicit-GEMM CONV)
-      are launched through the retained decode-per-step reference
-      engine and through the threaded-code engine at domains=1 and
-      domains=4; output buffers must be bitwise identical and all 16
-      dynamic counters exactly equal. This is the contract that lets
-      the compiled engine replace the reference everywhere. *)
+      are launched through the decode-per-step reference engine and
+      through the bytecode engine at domains=1 and domains=4; output
+      buffers must be bitwise identical and all 16 dynamic counters
+      exactly equal. This is the contract that lets the bytecode engine
+      replace the reference everywhere.
+
+   3. Hand-assembled faulting kernels — including faults and budget
+      exhaustion inside every fused bytecode superinstruction — must
+      raise byte-identical Trap messages from both engines. *)
 
 open Ptx.Types
 module B = Ptx.Builder
@@ -243,7 +247,7 @@ let prop_differential =
     (QCheck.make QCheck.Gen.(list_size (int_range 1 60) step_gen))
     run_both
 
-(* --- generated kernels: reference engine vs threaded-code engine -------- *)
+(* --- generated kernels: reference engine vs bytecode engine ------------- *)
 
 module GP = Codegen.Gemm_params
 module CP = Codegen.Conv_params
@@ -262,11 +266,10 @@ let check_same name (out_ref, c_ref) (out_got, c_got) =
     Alcotest.failf "%s: counters differ:\n  ref: %s\n  got: %s" name
       (Ptx.Interp.summary c_ref) (Ptx.Interp.summary c_got)
 
-(* Launch the same program + inputs through the naive reference and both
-   production engines (flat bytecode and threaded closures) at 1 and 4
-   domains, and insist all five runs are indistinguishable. Fresh output
-   buffers per launch so an atomics kernel (kg > 1) accumulates from
-   zero each time. *)
+(* Launch the same program + inputs through the naive reference and the
+   bytecode engine at 1 and 4 domains, and insist all three runs are
+   indistinguishable. Fresh output buffers per launch so an atomics
+   kernel (kg > 1) accumulates from zero each time. *)
 let diff_launch name program ~grid ~block ~bufs ~iargs ~out_len =
   let launch run =
     let out = Array.make out_len 0.0 in
@@ -277,19 +280,13 @@ let diff_launch name program ~grid ~block ~bufs ~iargs ~out_len =
     launch (fun bufs -> Ptx.Interp_ref.run program ~grid ~block ~bufs ~iargs)
   in
   List.iter
-    (fun (ename, engine) ->
-      List.iter
-        (fun domains ->
-          let got =
-            launch (fun bufs ->
-                Ptx.Interp.run ~engine ~domains program ~grid ~block ~bufs
-                  ~iargs)
-          in
-          check_same
-            (Printf.sprintf "%s [%s domains=%d]" name ename domains)
-            reference got)
-        [ 1; 4 ])
-    [ ("bytecode", `Bytecode); ("closures", `Closures) ]
+    (fun domains ->
+      let got =
+        launch (fun bufs ->
+            Ptx.Interp.run ~domains program ~grid ~block ~bufs ~iargs)
+      in
+      check_same (Printf.sprintf "%s [domains=%d]" name domains) reference got)
+    [ 1; 4 ]
 
 let gemm_case ?bounds name (m, n, k) (cfg : GP.config) =
   let input = GP.input m n k in
@@ -325,7 +322,7 @@ let test_gemm_diff () =
   gemm_case "gemm 33x17x24 ks2" (33, 17, 24) { base_cfg with ks = 2 }
 
 let test_gemm_diff_atomics () =
-  (* kg > 1 reduces across the grid with global atomics: the threaded
+  (* kg > 1 reduces across the grid with global atomics: the bytecode
      engine must detect this and fall back to serial execution even at
      domains=4, keeping results identical to the reference. *)
   gemm_case "gemm 32^3 kg2 atomics" (32, 32, 32) { base_cfg with kg = 2 }
@@ -363,11 +360,107 @@ let test_conv_diff () =
     (CP.input ~stride:2 ~n:2 ~c:3 ~k:4 ~p:4 ~q:4 ~r:3 ~s:3 ())
     base_cfg
 
+(* --- trap messages: reference engine vs bytecode engine ----------------- *)
+
+(* A hand-assembled kernel over one 4-word buffer [C] and 8 shared
+   words. Built as a raw record rather than through [Program.validate],
+   so the undefined-label case can exist at all. *)
+let raw_program name body =
+  { Ptx.Program.name; dtype = F32; buf_params = [| "C" |]; int_params = [||];
+    shared_words = 8; shared_int_words = 0; body = Array.of_list body;
+    n_fregs = 8; n_iregs = 8; n_pregs = 2 }
+
+let u = I.mk
+
+let trap_message f =
+  match f () with
+  | (_ : Ptx.Interp.counters) -> None
+  | exception Ptx.Interp.Trap msg -> Some msg
+
+(* Both engines must trap, with byte-identical messages: the faulting
+   pc and label, the operands, and the full counter snapshot. One
+   domain, so the bytecode engine's snapshot is the global total. *)
+let trap_parity ?max_dynamic ?(block = (1, 1, 1))
+    ?(bufs = fun () -> [ ("C", Array.make 4 0.0) ]) name body =
+  let program = raw_program name body in
+  let grid = (1, 1, 1) in
+  let want =
+    trap_message (fun () ->
+        Ptx.Interp_ref.run ?max_dynamic program ~grid ~block ~bufs:(bufs ())
+          ~iargs:[])
+  and got =
+    trap_message (fun () ->
+        Ptx.Interp.run ?max_dynamic ~domains:1 program ~grid ~block
+          ~bufs:(bufs ()) ~iargs:[])
+  in
+  match (want, got) with
+  | None, _ -> Alcotest.failf "%s: reference did not trap" name
+  | Some w, Some g when String.equal w g -> ()
+  | Some w, g ->
+    Alcotest.failf "%s: trap messages differ:\n  ref: %s\n  got: %s" name w
+      (Option.value g ~default:"(no trap)")
+
+let test_trap_parity () =
+  trap_parity "oob global store"
+    [ u (I.St_global (0, Iimm 100, Fimm 1.0)); u I.Ret ];
+  trap_parity "oob shared store after a label"
+    [ u (I.Label "body"); u (I.Mov (0, Iimm 0));
+      u (I.St_shared (Iimm 9, Fimm 1.0)); u I.Ret ];
+  trap_parity "division by zero"
+    [ u (I.Mov (0, Iimm 7)); u (I.Mov (1, Iimm 0));
+      u (I.Idiv (2, Ireg 0, Ireg 1)); u I.Ret ];
+  trap_parity ~max_dynamic:1000 "budget exhaustion"
+    [ u (I.Label "top"); u (I.Bra "top") ];
+  trap_parity ~block:(2, 1, 1) "barrier divergence"
+    [ u (I.Mov (0, Ispecial Tid_x)); u (I.Setp (Eq, 0, Ireg 0, Iimm 0));
+      I.mk ~guard:(0, true) (I.Bra "skip"); u I.Bar; u (I.Label "skip");
+      u I.Ret ];
+  trap_parity ~bufs:(fun () -> []) "missing buffer" [ u I.Ret ];
+  trap_parity "undefined label"
+    [ u (I.Mov (0, Iimm 1)); u (I.Bra "nowhere"); u I.Ret ];
+  trap_parity "fell off end" [ u (I.Mov (0, Iimm 1)) ];
+  (* Fused superinstructions: each body below lowers to exactly the named
+     fusion (the instruction before it is a [Mov], which fuses with
+     nothing), and the fault or the budget's last permit falls on an
+     inner component, not the fused instruction's first word. *)
+  trap_parity "oob shared load in lds_add"
+    [ u (I.Mov (0, Iimm 100)); u (I.Ld_shared (0, Ireg 0));
+      u (I.Iadd (1, Ireg 1, Iimm 4)); u I.Ret ];
+  trap_parity "oob shared load in add_lds"
+    [ u (I.Mov (0, Iimm 96)); u (I.Iadd (0, Ireg 0, Iimm 4));
+      u (I.Ld_shared (0, Ireg 0)); u I.Ret ];
+  trap_parity "oob shared load in mad_lds"
+    [ u (I.Mov (0, Iimm 10)); u (I.Mov (1, Iimm 3));
+      u (I.Imad (2, Ireg 0, Iimm 10, Ireg 1)); u (I.Ld_shared (0, Ireg 2));
+      u I.Ret ];
+  trap_parity "oob second shared load in add_lds_add_lds"
+    [ u (I.Mov (0, Iimm 0)); u (I.Iadd (0, Ireg 0, Iimm 1));
+      u (I.Ld_shared (0, Ireg 0)); u (I.Iadd (0, Ireg 0, Iimm 100));
+      u (I.Ld_shared (1, Ireg 0)); u I.Ret ];
+  trap_parity "oob first shared load in mad_lds_add_lds"
+    [ u (I.Mov (0, Iimm 10)); u (I.Mov (1, Iimm 0));
+      u (I.Imad (2, Ireg 0, Iimm 10, Ireg 1)); u (I.Ld_shared (0, Ireg 2));
+      u (I.Iadd (2, Ireg 2, Iimm 1)); u (I.Ld_shared (1, Ireg 2)); u I.Ret ];
+  (* Three permits: the Mov, then the quad's iadd and first load; its
+     second iadd finds the pool dry. *)
+  trap_parity ~max_dynamic:4 "budget exhaustion inside a quad"
+    [ u (I.Mov (0, Iimm 0)); u (I.Iadd (0, Ireg 0, Iimm 1));
+      u (I.Ld_shared (0, Ireg 0)); u (I.Iadd (0, Ireg 0, Iimm 1));
+      u (I.Ld_shared (1, Ireg 0)); u I.Ret ];
+  (* Two permits for a run of four FFMAs: the run must fall back to
+     per-FFMA charging and trap on the third. *)
+  trap_parity ~max_dynamic:3 "budget exhaustion inside an FFMA run"
+    [ u (I.Ffma (1, Freg 0, Freg 0, Freg 0));
+      u (I.Ffma (2, Freg 1, Freg 1, Freg 1));
+      u (I.Ffma (3, Freg 2, Freg 2, Freg 2));
+      u (I.Ffma (4, Freg 3, Freg 3, Freg 3)); u I.Ret ]
+
 let () =
   Alcotest.run "interp-diff"
     [ ("differential", [ QCheck_alcotest.to_alcotest prop_differential ]);
       ( "kernels",
         [ quick "gemm: ref vs compiled, serial and 4 domains" test_gemm_diff;
           quick "gemm kg>1: atomics force serial fallback" test_gemm_diff_atomics;
-          quick "conv: ref vs compiled, serial and 4 domains" test_conv_diff ] )
+          quick "conv: ref vs compiled, serial and 4 domains" test_conv_diff ] );
+      ("traps", [ quick "messages match reference (15 cases)" test_trap_parity ])
     ]
