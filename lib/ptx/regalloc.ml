@@ -55,40 +55,78 @@ let successors (p : Program.t) labels pc =
      | Some _ -> if pc + 1 < n then [ t; pc + 1 ] else [ t ])
   | _ -> if pc + 1 < n then [ pc + 1 ] else []
 
-(* Backward liveness fixpoint. live.(class).(pc) is a Bytes bitset over
-   the class's registers. *)
-type liveness = {
-  live_f : Bytes.t array;  (* live-in sets *)
-  live_i : Bytes.t array;
-  live_p : Bytes.t array;
-}
+(* Live-in sets of one register class as word bitsets, all pcs in one
+   flat array: register r of the set at pc is bit (r mod 63) of
+   [words.(pc * width + r / 63)]. *)
+type sets = { width : int; words : int array }
 
-let bit_get b r = Char.code (Bytes.get b (r lsr 3)) land (1 lsl (r land 7)) <> 0
-let bit_set b r =
-  let i = r lsr 3 in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lor (1 lsl (r land 7))))
+let word_bits = 63 (* OCaml 5 is 64-bit only: an int holds 63 bits *)
 
-let bytes_for n = Bytes.make ((n + 7) / 8) '\000'
+let sets_for n nregs =
+  let width = (nregs + word_bits - 1) / word_bits in
+  { width; words = Array.make (n * width) 0 }
 
-(* dst <- dst ∪ src; returns true if dst changed. *)
-let union_into dst src =
-  let changed = ref false in
-  for i = 0 to Bytes.length dst - 1 do
-    let d = Char.code (Bytes.get dst i) and s = Char.code (Bytes.get src i) in
-    let u = d lor s in
+(* SWAR population count of a 63-bit word. The classic 64-bit masks
+   apply unchanged except the first, whose bit 62 would select the
+   absent bit 63; OCaml arithmetic wraps mod 2^63, and the final sum
+   (<= 63) sits in bits 56-61 of the product. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x =
+    (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
+  in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+(* [f (base + b)] for every set bit b of [w], lowest first. *)
+let rec iter_bits base w f =
+  if w <> 0 then begin
+    let low = w land -w in
+    f (base + popcount (low - 1));
+    iter_bits base (w lxor low) f
+  end
+
+(* One transfer step at pc through the shared [scratch] row:
+   in(pc) ∪= uses ∪ (∪ in(succ) − defs). True if in(pc) grew. *)
+let step s scratch pc succs defs uses =
+  let w = s.width and words = s.words in
+  Array.fill scratch 0 w 0;
+  List.iter
+    (fun succ ->
+      let o = succ * w in
+      for j = 0 to w - 1 do
+        scratch.(j) <- scratch.(j) lor words.(o + j)
+      done)
+    succs;
+  List.iter
+    (fun r ->
+      let j = r / word_bits in
+      scratch.(j) <- scratch.(j) land lnot (1 lsl (r mod word_bits)))
+    defs;
+  List.iter
+    (fun r ->
+      let j = r / word_bits in
+      scratch.(j) <- scratch.(j) lor (1 lsl (r mod word_bits)))
+    uses;
+  let o = pc * w and grew = ref false in
+  for j = 0 to w - 1 do
+    let d = words.(o + j) in
+    let u = d lor scratch.(j) in
     if u <> d then begin
-      Bytes.set dst i (Char.chr u);
-      changed := true
+      words.(o + j) <- u;
+      grew := true
     end
   done;
-  !changed
+  !grew
 
+(* Backward liveness fixpoint, per register class. *)
 let compute_liveness (p : Program.t) =
   let n = Array.length p.body in
   let labels = Program.find_labels p in
-  let live_f = Array.init n (fun _ -> bytes_for p.n_fregs) in
-  let live_i = Array.init n (fun _ -> bytes_for p.n_iregs) in
-  let live_p = Array.init n (fun _ -> bytes_for p.n_pregs) in
+  let sf = sets_for n p.n_fregs
+  and si = sets_for n p.n_iregs
+  and sp = sets_for n p.n_pregs in
+  let scratch = Array.make (max sf.width (max si.width sp.width)) 0 in
   let dus = Array.map def_use p.body in
   let succs = Array.init n (successors p labels) in
   let changed = ref true in
@@ -96,59 +134,64 @@ let compute_liveness (p : Program.t) =
     changed := false;
     for pc = n - 1 downto 0 do
       let (df, uf), (di, ui), (dp, up) = dus.(pc) in
-      let step live defs uses nbits get_live =
-        (* out = ∪ succ live-in; in = uses ∪ (out − defs) *)
-        let out = bytes_for nbits in
-        List.iter (fun s -> ignore (union_into out (get_live s))) succs.(pc);
-        List.iter (fun d ->
-          let i = d lsr 3 in
-          Bytes.set out i (Char.chr (Char.code (Bytes.get out i) land lnot (1 lsl (d land 7))))) defs;
-        List.iter (fun u -> bit_set out u) uses;
-        if union_into live out then changed := true
-      in
-      step live_f.(pc) df uf p.n_fregs (fun s -> live_f.(s));
-      step live_i.(pc) di ui p.n_iregs (fun s -> live_i.(s));
-      step live_p.(pc) dp up p.n_pregs (fun s -> live_p.(s))
+      let ss = succs.(pc) in
+      if step sf scratch pc ss df uf then changed := true;
+      if step si scratch pc ss di ui then changed := true;
+      if step sp scratch pc ss dp up then changed := true
     done
   done;
-  ({ live_f; live_i; live_p }, dus)
+  ((sf, si, sp), dus)
 
-let max_live sets nregs =
+let max_live s =
   let best = ref 0 in
-  Array.iter
-    (fun b ->
+  if s.width > 0 then
+    for pc = 0 to (Array.length s.words / s.width) - 1 do
       let count = ref 0 in
-      for r = 0 to nregs - 1 do
-        if bit_get b r then incr count
+      for j = pc * s.width to ((pc + 1) * s.width) - 1 do
+        count := !count + popcount s.words.(j)
       done;
-      if !count > !best then best := !count)
-    sets;
+      best := max !best !count
+    done;
   !best
 
 let pressure p =
-  let lv, _ = compute_liveness p in
-  { fregs = max_live lv.live_f p.n_fregs;
-    iregs = max_live lv.live_i p.n_iregs;
-    pregs = max_live lv.live_p p.n_pregs }
+  let (sf, si, sp), _ = compute_liveness p in
+  { fregs = max_live sf; iregs = max_live si; pregs = max_live sp }
 
 (* Live intervals: [start, stop] over instruction positions. A register
-   is "occupied" at pc if live-in at pc, or defined at pc. *)
-let intervals sets dus ~select ~nregs =
-  let n = Array.length sets in
+   is "occupied" at pc if live-in at pc, or defined or used at pc. The
+   live-in part takes two sweeps over the words, with [seen] masking
+   the registers already placed: forward, the first set that holds a
+   register gives its start; backward, the last one gives its stop. *)
+let intervals s dus ~select ~nregs =
+  let n = Array.length dus and w = s.width in
   let start = Array.make nregs max_int and stop = Array.make nregs (-1) in
-  for pc = 0 to n - 1 do
-    for r = 0 to nregs - 1 do
-      if bit_get sets.(pc) r then begin
+  Array.iteri
+    (fun pc du ->
+      let defs, uses = select du in
+      let touch r =
         if pc < start.(r) then start.(r) <- pc;
         if pc > stop.(r) then stop.(r) <- pc
+      in
+      List.iter touch defs;
+      List.iter touch uses)
+    dus;
+  let seen = Array.make w 0 in
+  let sweep pc place =
+    for j = 0 to w - 1 do
+      let fresh = s.words.((pc * w) + j) land lnot seen.(j) in
+      if fresh <> 0 then begin
+        seen.(j) <- seen.(j) lor fresh;
+        iter_bits (j * word_bits) fresh place
       end
-    done;
-    let defs, uses = select dus.(pc) in
-    List.iter
-      (fun r ->
-        if pc < start.(r) then start.(r) <- pc;
-        if pc > stop.(r) then stop.(r) <- pc)
-      (defs @ uses)
+    done
+  in
+  for pc = 0 to n - 1 do
+    sweep pc (fun r -> if pc < start.(r) then start.(r) <- pc)
+  done;
+  Array.fill seen 0 w 0;
+  for pc = n - 1 downto 0 do
+    sweep pc (fun r -> if pc > stop.(r) then stop.(r) <- pc)
   done;
   let out = ref [] in
   for r = nregs - 1 downto 0 do
@@ -157,8 +200,8 @@ let intervals sets dus ~select ~nregs =
   Array.of_list !out
 
 let live_ranges p =
-  let lv, dus = compute_liveness p in
-  intervals lv.live_f dus
+  let (sf, _, _), dus = compute_liveness p in
+  intervals sf dus
     ~select:(fun ((df, uf), _, _) -> (df, uf))
     ~nregs:p.n_fregs
 
@@ -193,15 +236,15 @@ let linear_scan ivals =
   (assignment, !next)
 
 let allocate (p : Program.t) =
-  let lv, dus = compute_liveness p in
+  let (sf, si, sp), dus = compute_liveness p in
   let iv_f =
-    intervals lv.live_f dus ~select:(fun ((f, uf), _, _) -> (f, uf)) ~nregs:p.n_fregs
+    intervals sf dus ~select:(fun ((f, uf), _, _) -> (f, uf)) ~nregs:p.n_fregs
   in
   let iv_i =
-    intervals lv.live_i dus ~select:(fun (_, (i, ui), _) -> (i, ui)) ~nregs:p.n_iregs
+    intervals si dus ~select:(fun (_, (i, ui), _) -> (i, ui)) ~nregs:p.n_iregs
   in
   let iv_p =
-    intervals lv.live_p dus ~select:(fun (_, _, (pp, up)) -> (pp, up)) ~nregs:p.n_pregs
+    intervals sp dus ~select:(fun (_, _, (pp, up)) -> (pp, up)) ~nregs:p.n_pregs
   in
   let map_f, nf = linear_scan iv_f in
   let map_i, ni = linear_scan iv_i in

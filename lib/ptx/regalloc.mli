@@ -16,6 +16,14 @@
     Guarded (predicated) definitions are treated as def+use: when the
     guard is false the old value survives, so it must stay live.
 
+    Representation: per register class, the live-in sets of all [n]
+    instructions are word bitsets in one flat [int array] of
+    [n * ceil(regs / 63)] words (63 bits per OCaml int), updated through
+    one reused scratch row, so a fixpoint pass allocates nothing.
+    Intervals take two sweeps over those words (first live pc forward,
+    last backward) and MaxLive is a popcount per row: O(n × words)
+    per pass rather than O(n × regs).
+
     Caveat: allocation assumes registers are written before they are
     read (the builders always emit an initializing [mov]); a kernel
     relying on the interpreter's implicit zero-initialization could

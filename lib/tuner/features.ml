@@ -72,8 +72,10 @@ let conv_query ~log (i : Codegen.Conv_params.input) =
          tr log (i.r * i.s); 0.0 |];
     q_log = log }
 
-let fill_query q config (x : Mlp.Matrix.t) ~row =
-  assert (Array.length config = 10 && x.Mlp.Matrix.cols = dim);
+let fill_packed q packed ~slot (x : Mlp.Matrix.t) ~row =
+  let o = slot * 10 in
+  assert (slot >= 0 && o + 10 <= Array.length packed);
+  assert (x.Mlp.Matrix.cols = dim);
   assert (row >= 0 && row < x.Mlp.Matrix.rows);
   let d = x.Mlp.Matrix.data in
   let base = row * dim in
@@ -82,8 +84,12 @@ let fill_query q config (x : Mlp.Matrix.t) ~row =
   done;
   for j = 0 to 9 do
     Bigarray.Array1.unsafe_set d (base + 6 + j)
-      (tr_memo q.q_log (Array.unsafe_get config j))
+      (tr_memo q.q_log (Array.unsafe_get packed (o + j)))
   done
+
+let fill_query q config x ~row =
+  assert (Array.length config = 10);
+  fill_packed q config ~slot:0 x ~row
 
 let query_features q config =
   let x = Mlp.Matrix.create 1 dim in

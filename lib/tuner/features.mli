@@ -64,6 +64,12 @@ val fill_query : query -> int array -> Mlp.Matrix.t -> row:int -> unit
     the batch matrix [x] — the write side of the batched scoring path.
     [x] must have {!dim} columns. *)
 
+val fill_packed :
+  query -> int array -> slot:int -> Mlp.Matrix.t -> row:int -> unit
+(** [fill_packed q packed ~slot x ~row] is {!fill_query} of the
+    configuration stored at ints [10 * slot] to [10 * slot + 9] of a
+    flat buffer of packed configurations, read in place. *)
+
 val query_features : query -> int array -> float array
 (** One row through {!fill_query}, returned as a plain array (tests and
     scalar callers). Equals [gemm_features]/[conv_features] of the same

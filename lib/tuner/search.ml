@@ -76,12 +76,12 @@ let max_of a = Array.fold_left max a.(0) a
    config in one flat int array, in forward grid order — so
    enumerating ~10^5 legal points allocates one flat array instead of
    promoting 10^5 short-lived records through the minor heap; config
-   records are materialized later, and only for the configurations
-   that are actually scored. The walk runs twice — once to count,
-   once to fill an exactly-sized buffer — because the walk itself is
-   a few percent of the cost of repeatedly growing (allocate + zero +
-   copy, each large enough to pace a major GC slice) a doubling
-   buffer in the major heap. *)
+   records are materialized later, and only for the top-k candidates:
+   scoring reads each config's ten ints in place. The walk runs
+   twice — once to count, once to fill an exactly-sized buffer —
+   because the walk itself is a few percent of the cost of repeatedly
+   growing (allocate + zero + copy, each large enough to pace a major
+   GC slice) a doubling buffer in the major heap. *)
 type packed_enum = { packed : int array; count : int; visited : int }
 
 (* Serving telemetry: per-phase latency histograms (observed once per
@@ -272,32 +272,69 @@ let legal_gemm_configs device i = Array.to_list (legal_gemm_config_array device 
 
 let default_cap () = Util.Env_config.int "ISAAC_SEARCH_CAP" 60_000
 
-(* Deterministic subsample preserving order: every ceil(n/cap)-th item. *)
+(* Deterministic subsample preserving order: every [stride]-th item,
+   where the stride is ceil(n/cap) beyond the cap and 1 within it. *)
+let subsample_stride ~cap n = if n <= cap then 1 else (n + cap - 1) / cap
+
 let subsample cap items =
   let n = Array.length items in
-  if n <= cap then items
-  else begin
-    let stride = (n + cap - 1) / cap in
-    Array.init ((n + stride - 1) / stride) (fun i -> items.(i * stride))
-  end
+  let stride = subsample_stride ~cap n in
+  if stride = 1 then items
+  else Array.init ((n + stride - 1) / stride) (fun i -> items.(i * stride))
 
-(* Same selection over the packed representation — materializes records
-   only for the configurations that will be scored. *)
-let subsample_packed cap e =
-  if e.count <= cap then Array.init e.count (packed_config e)
-  else begin
-    let stride = (e.count + cap - 1) / cap in
-    Array.init
-      ((e.count + stride - 1) / stride)
-      (fun i -> packed_config e (i * stride))
-  end
+(* Ranking of scored rows: descending [Float.compare] of the
+   predictions, ties to the lower row, so NaN ranks last and the two
+   zeros tie. A total order on rows: the order [Array.stable_sort]
+   gives. *)
+let rank_compare pred a b =
+  let c = Float.compare pred.(b) pred.(a) in
+  if c <> 0 then c else Int.compare a b
+
+(* A binary heap of the best [k] rows seen so far, rooted at the worst
+   of them, then a sort of the [k] survivors. Rows arrive in ascending
+   order, so a new row displaces the root only on a strictly greater
+   prediction: most rows cost one comparison, against ~log n closure
+   calls each in a full sort. *)
+let top_k_indices ~k pred =
+  let n = Array.length pred in
+  let k = max 0 (min k n) in
+  let heap = Array.init k Fun.id in
+  let rec sift_down i =
+    let l = (2 * i) + 1 in
+    if l < k then begin
+      let worse =
+        if l + 1 < k && rank_compare pred heap.(l) heap.(l + 1) < 0 then l + 1
+        else l
+      in
+      if rank_compare pred heap.(i) heap.(worse) < 0 then begin
+        let t = heap.(i) in
+        heap.(i) <- heap.(worse);
+        heap.(worse) <- t;
+        sift_down worse
+      end
+    end
+  in
+  if k > 0 then begin
+    for i = (k / 2) - 1 downto 0 do
+      sift_down i
+    done;
+    for row = k to n - 1 do
+      if Float.compare pred.(row) pred.(heap.(0)) > 0 then begin
+        heap.(0) <- row;
+        sift_down 0
+      end
+    done;
+    Array.sort (rank_compare pred) heap
+  end;
+  heap
 
 (* Batched scoring: fill one shared feature matrix through the per-query
    featurization cache, standardize + forward it as matrix-matrix work,
    fanning row ranges across domains. Rows are independent, so the
-   result is identical for any domain count. *)
-let score_batched ~domains ~query profile cfgs =
-  let n = Array.length cfgs in
+   result is identical for any domain count. Row [row] is config
+   [row * stride] in caller-facing order, featurized straight from its
+   packed slot. *)
+let score_batched ~domains ~query profile e ~stride ~n =
   (* Worker domains start with empty DLS — hand them the caller's
      request id so their spans/flight events correlate with the plan
      request that spawned them. *)
@@ -308,7 +345,9 @@ let score_batched ~domains ~query profile cfgs =
         Util.Parallel.iter_ranges ~domains ~total:n (fun ~offset ~size ->
             Obs.Span.set_request req;
             for row = offset to offset + size - 1 do
-              Features.fill_query query (GP.config_to_array cfgs.(row)) x ~row
+              Features.fill_packed query e.packed
+                ~slot:(e.count - 1 - (row * stride))
+                x ~row
             done);
         x)
   in
@@ -350,7 +389,20 @@ let score_scalar ~domains ~features_of profile cfgs =
 let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
     ?(top_k = 100) ?cap ?noise ?domains ?(engine = `Batched) rng device
     ~profile =
-  let cap = match cap with Some c -> c | None -> default_cap () in
+  let at_least_one what v =
+    if v < 1 then
+      invalid_arg
+        (Printf.sprintf "Tuner.Search.exhaustive: %s = %d, must be >= 1" what v)
+  in
+  let cap =
+    match cap with
+    | Some c -> at_least_one "cap" c; c
+    | None ->
+      let c = default_cap () in
+      at_least_one "ISAAC_SEARCH_CAP" c;
+      c
+  in
+  at_least_one "top_k" top_k;
   let domains =
     match domains with
     | Some d -> d
@@ -372,12 +424,22 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
   in
   if n_legal = 0 then None
   else begin
-    let scored_cfgs =
+    (* The batched engine scores packed slots and builds config records
+       for the top-k rows only. *)
+    let n, config_of_row, score =
       match enum with
-      | `Packed e -> subsample_packed cap e
-      | `Materialized (all, _) -> subsample cap all
+      | `Packed e ->
+        let stride = subsample_stride ~cap e.count in
+        let n = (e.count + stride - 1) / stride in
+        ( n,
+          (fun row -> packed_config e (row * stride)),
+          fun () -> score_batched ~domains ~query profile e ~stride ~n )
+      | `Materialized (all, _) ->
+        let cfgs = subsample cap all in
+        ( Array.length cfgs,
+          (fun row -> cfgs.(row)),
+          fun () -> score_scalar ~domains ~features_of profile cfgs )
     in
-    let n = Array.length scored_cfgs in
     let pred, t_feat, t_inf =
       Obs.Span.with_ "search.score"
         ~meta:(fun () ->
@@ -388,23 +450,16 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
               Obs.Json.String
                 (match engine with `Batched -> "batched" | `Scalar -> "scalar")
             ) ])
-        (fun () ->
-          match engine with
-          | `Batched -> score_batched ~domains ~query profile scored_cfgs
-          | `Scalar -> score_scalar ~domains ~features_of profile scored_cfgs)
+        score
     in
     let candidates, t_argmax =
       Obs.Span.timed (fun () ->
-          let order = Array.init n (fun i -> i) in
-          (* Float.compare, not polymorphic compare: the latter is an
-             out-of-line C call per comparison, ~3x the whole sort. *)
-          Array.sort (fun a b -> Float.compare pred.(b) pred.(a)) order;
-          let k = min top_k n in
-          Array.init k (fun rank ->
-              let idx = order.(rank) in
-              { config = scored_cfgs.(idx);
+          Array.map
+            (fun row ->
+              { config = config_of_row row;
                 predicted_tflops =
-                  Features.untarget profile.Profile.scaler pred.(idx) }))
+                  Features.untarget profile.Profile.scaler pred.(row) })
+            (top_k_indices ~k:top_k pred))
     in
     (* Re-benchmark the short-list on the device and keep the fastest. *)
     let best, t_rebench =

@@ -22,7 +22,7 @@
 
     Float contract: the two engines compute bit-identical predictions
     (same enumeration order, same feature values, same accumulation
-    order in the network), so they sort candidates identically, consume
+    order in the network), so they rank candidates identically, consume
     the rebench [rng] identically, and return the {e same chosen config}
     — asserted by differential tests and by the deterministic
     [plan_argmax_equal] bench check in CI.
@@ -56,10 +56,21 @@ type result = {
   phases : (string * float) list;
   (** wall-clock seconds per pipeline phase, in order: [enumerate]
       (legal-space construction), [featurize] (feature-matrix fill),
-      [inference] (network forward), [argmax] (sort + top-k) and
-      [rebench] (on-device short-list timing). Surfaced by
+      [inference] (network forward), [argmax] (top-k selection,
+      {!top_k_indices}, plus the k candidate records) and [rebench]
+      (on-device short-list timing). Surfaced by
       [isaac_query --timing]. *)
 }
+
+val top_k_indices : k:int -> float array -> int array
+(** [top_k_indices ~k pred] ranks the indices of [pred] by descending
+    [Float.compare] of their values, ties to the lower index, and
+    returns the first [min k n] ([[||]] when [k <= 0]). This is the
+    prefix of [Array.stable_sort] by descending [Float.compare]: NaN
+    ranks last and [-0.0] ties with [0.0]. It runs a bounded heap of
+    [k] indices over one pass of [pred], so it costs O(n + k log k)
+    comparisons for the usual case rather than a full sort's
+    O(n log n). The search's [argmax] phase. *)
 
 val legal_gemm_config_array :
   Gpu.Device.t -> Codegen.Gemm_params.input -> Codegen.Gemm_params.config array
@@ -108,6 +119,9 @@ val exhaustive_gemm :
     configurations are scored — beyond it a deterministic subsample is
     scored instead, trading the global-optimum guarantee for latency
     exactly like shrinking the paper's "specified search range".
+    Raises [Invalid_argument] naming the parameter ([top_k], [cap], or
+    [ISAAC_SEARCH_CAP] when the cap came from the environment) if
+    either is below 1.
     [None] when no configuration is legal (never happens for the spaces
     shipped here). [domains > 1] spreads featurization and model scoring
     over OCaml 5 domains; it defaults to

@@ -131,6 +131,143 @@ let test_idempotent_pressure () =
   Alcotest.(check bool) "second allocation is stable" true
     (r.n_fregs <= q.n_fregs && r.n_iregs <= q.n_iregs && r.n_pregs <= q.n_pregs)
 
+(* Exact allocator output on 46 seeded kernels: GEMM and CONV, both
+   bounds modes, every dtype (fp16 with vec = 2 among them), K splits
+   at every level and transposed layouts. Per kernel, the FNV-1a hash
+   of the packed encoding of [allocate p] pins the register assignment
+   itself, and the [pressure] triple pins MaxLive per class. The values
+   were recorded before liveness moved to word bitsets; any change to
+   liveness, interval construction or linear-scan order shows up here
+   by name. *)
+module CP = Codegen.Conv_params
+
+type kernel = Gemm of GP.input | Conv of CP.input
+
+let f16, f32, f64 = Ptx.Types.(F16, F32, F64)
+
+let gemm dtype ~at ~bt m n k =
+  Gemm (GP.input ~dtype ~a_trans:at ~b_trans:bt m n k)
+
+let conv dtype ~stride ~pad n c k p q r s =
+  Conv (CP.input ~dtype ~stride ~pad ~n ~c ~k ~p ~q ~r ~s ())
+
+let pinned =
+  [ (gemm f32 ~at:false ~bt:false 512 512 512, GP.Predicated,
+     [| 2; 8; 4; 16; 8; 16; 4; 1; 1; 2 |], "c63b3037d65be865", (75, 12, 3));
+    (gemm f32 ~at:false ~bt:false 512 512 512, GP.Predicated,
+     [| 1; 8; 4; 64; 32; 32; 2; 1; 1; 1 |], "356d6f530cfeded9", (42, 12, 3));
+    (gemm f32 ~at:false ~bt:false 512 512 512, GP.Predicated,
+     [| 4; 8; 2; 16; 128; 8; 1; 16; 2; 2 |], "f6ef5bcdaffcdc17", (76, 12, 2));
+    (gemm f32 ~at:false ~bt:false 512 512 512, GP.Branch,
+     [| 2; 8; 1; 128; 128; 8; 1; 32; 1; 1 |], "e67f939b85555c1b", (26, 12, 2));
+    (gemm f32 ~at:false ~bt:false 512 512 512, GP.Branch,
+     [| 8; 2; 2; 8; 16; 16; 8; 16; 1; 2 |], "9b0f0c6c2f69e0d2", (43, 12, 3));
+    (gemm f32 ~at:false ~bt:false 512 512 512, GP.Branch,
+     [| 8; 2; 1; 32; 16; 32; 1; 8; 4; 2 |], "50a5efdf31d13ab2", (26, 12, 2));
+    (gemm f32 ~at:true ~bt:false 2560 16 2560, GP.Predicated,
+     [| 8; 4; 1; 64; 128; 4; 1; 8; 1; 1 |], "bc3bb0dc3cee52fd", (44, 12, 2));
+    (gemm f32 ~at:true ~bt:false 2560 16 2560, GP.Predicated,
+     [| 4; 4; 2; 8; 64; 32; 4; 4; 2; 1 |], "ef8ed1d5d1b92eb7", (41, 12, 3));
+    (gemm f32 ~at:true ~bt:false 2560 16 2560, GP.Predicated,
+     [| 4; 8; 1; 128; 8; 16; 1; 16; 1; 2 |], "8cc1c20997241d1d", (44, 12, 2));
+    (gemm f32 ~at:true ~bt:false 2560 16 2560, GP.Branch,
+     [| 4; 4; 2; 32; 16; 4; 1; 2; 1; 1 |], "9dfa2df1ca3fd8cc", (40, 12, 2));
+    (gemm f32 ~at:true ~bt:false 2560 16 2560, GP.Branch,
+     [| 8; 4; 4; 128; 16; 16; 2; 64; 1; 2 |], "64b2ef0e2546751d", (141, 12, 3));
+    (gemm f32 ~at:true ~bt:false 2560 16 2560, GP.Branch,
+     [| 4; 8; 4; 32; 64; 4; 1; 4; 2; 1 |], "43dd779d81e3d348", (140, 12, 2));
+    (gemm f16 ~at:false ~bt:true 1024 64 512, GP.Predicated,
+     [| 4; 4; 1; 64; 64; 8; 1; 16; 2; 1 |], "4bc32937657c6753", (24, 12, 2));
+    (gemm f16 ~at:false ~bt:true 1024 64 512, GP.Predicated,
+     [| 8; 4; 4; 16; 128; 32; 2; 8; 1; 2 |], "1181b728db3e2e16", (141, 12, 3));
+    (gemm f16 ~at:false ~bt:true 1024 64 512, GP.Predicated,
+     [| 4; 8; 1; 32; 128; 32; 2; 2; 1; 2 |], "4d3f6c6acac74e2a", (45, 12, 3));
+    (gemm f16 ~at:false ~bt:true 1024 64 512, GP.Branch,
+     [| 8; 2; 1; 16; 32; 16; 4; 4; 2; 2 |], "dafd13886420c812", (27, 12, 3));
+    (gemm f16 ~at:false ~bt:true 1024 64 512, GP.Branch,
+     [| 4; 4; 2; 8; 16; 32; 4; 16; 4; 1 |], "9df9de3e03a5fde6", (41, 12, 3));
+    (gemm f16 ~at:false ~bt:true 1024 64 512, GP.Branch,
+     [| 8; 4; 1; 128; 32; 32; 1; 2; 4; 2 |], "d7758d569e4f3ea9", (44, 12, 2));
+    (gemm f64 ~at:false ~bt:false 256 256 256, GP.Predicated,
+     [| 8; 4; 2; 64; 8; 32; 8; 4; 2; 1 |], "f24e366919184356", (77, 12, 3));
+    (gemm f64 ~at:false ~bt:false 256 256 256, GP.Predicated,
+     [| 4; 1; 2; 32; 16; 16; 2; 8; 1; 2 |], "b624a4a90ee9219c", (14, 12, 3));
+    (gemm f64 ~at:false ~bt:false 256 256 256, GP.Branch,
+     [| 4; 8; 1; 32; 32; 4; 1; 16; 4; 2 |], "a92d3bfbde66f89f", (44, 12, 2));
+    (gemm f64 ~at:false ~bt:false 256 256 256, GP.Branch,
+     [| 8; 4; 2; 16; 32; 16; 2; 16; 4; 1 |], "5b0b94e254e4d3ba", (77, 12, 3));
+    (gemm f32 ~at:true ~bt:true 35 29 1000, GP.Predicated,
+     [| 8; 2; 1; 8; 8; 8; 8; 2; 2; 2 |], "2e4cd8690eb30e3f", (27, 12, 3));
+    (gemm f32 ~at:true ~bt:true 35 29 1000, GP.Predicated,
+     [| 8; 8; 2; 16; 64; 8; 4; 64; 2; 1 |], "9c919e0d64d70aea", (145, 12, 3));
+    (gemm f32 ~at:true ~bt:true 35 29 1000, GP.Predicated,
+     [| 4; 2; 2; 8; 16; 8; 4; 32; 1; 2 |], "8a34986a2793ea49", (23, 12, 3));
+    (gemm f32 ~at:true ~bt:true 35 29 1000, GP.Branch,
+     [| 4; 8; 1; 64; 16; 16; 4; 2; 2; 2 |], "b2268519b33999de", (45, 12, 3));
+    (gemm f32 ~at:true ~bt:true 35 29 1000, GP.Branch,
+     [| 8; 4; 2; 32; 8; 32; 4; 16; 1; 1 |], "161af641bd6d309d", (77, 12, 3));
+    (gemm f32 ~at:true ~bt:true 35 29 1000, GP.Branch,
+     [| 8; 2; 1; 32; 8; 32; 8; 16; 1; 2 |], "734c2a22a7ce0baf", (27, 12, 3));
+    (gemm f16 ~at:false ~bt:false 100 70 300, GP.Predicated,
+     [| 8; 8; 2; 32; 64; 8; 1; 4; 2; 2 |], "199bc2f3eda2a714", (144, 12, 2));
+    (gemm f16 ~at:false ~bt:false 100 70 300, GP.Predicated,
+     [| 2; 8; 2; 64; 32; 16; 2; 16; 1; 2 |], "c6194852c3a4ff3a", (43, 12, 3));
+    (gemm f16 ~at:false ~bt:false 100 70 300, GP.Branch,
+     [| 4; 8; 4; 64; 32; 32; 4; 1; 2; 1 |], "058eb5700b4c5cbc", (141, 12, 3));
+    (gemm f16 ~at:false ~bt:false 100 70 300, GP.Branch,
+     [| 2; 8; 4; 128; 32; 32; 2; 2; 2; 2 |], "595182cc0922d4fc", (75, 12, 3));
+    (conv f32 ~stride:1 ~pad:0 2 16 32 8 8 3 3, GP.Predicated,
+     [| 8; 2; 2; 32; 8; 16; 2; 8; 2; 2 |], "935d171fac17ae55", (43, 12, 3));
+    (conv f32 ~stride:1 ~pad:0 2 16 32 8 8 3 3, GP.Predicated,
+     [| 4; 8; 2; 8; 128; 16; 2; 8; 1; 1 |], "03d2d8b7e31ccbfe", (77, 12, 3));
+    (conv f32 ~stride:1 ~pad:0 2 16 32 8 8 3 3, GP.Predicated,
+     [| 4; 8; 4; 64; 64; 32; 2; 2; 4; 1 |], "57a571755e11c629", (141, 12, 3));
+    (conv f32 ~stride:1 ~pad:0 2 16 32 8 8 3 3, GP.Branch,
+     [| 4; 8; 4; 8; 128; 4; 1; 2; 1; 2 |], "5057e4dd75c31bb0", (140, 12, 2));
+    (conv f32 ~stride:1 ~pad:0 2 16 32 8 8 3 3, GP.Branch,
+     [| 2; 8; 2; 16; 32; 32; 4; 4; 4; 1 |], "9cf79503788d8d77", (43, 12, 3));
+    (conv f32 ~stride:1 ~pad:0 2 16 32 8 8 3 3, GP.Branch,
+     [| 4; 8; 1; 16; 64; 16; 2; 4; 4; 2 |], "6e0f119c13c12463", (45, 12, 3));
+    (conv f16 ~stride:2 ~pad:2 1 3 64 28 28 5 5, GP.Predicated,
+     [| 8; 8; 1; 64; 32; 16; 2; 1; 2; 1 |], "f5b9449971bad46e", (81, 12, 3));
+    (conv f16 ~stride:2 ~pad:2 1 3 64 28 28 5 5, GP.Predicated,
+     [| 4; 4; 2; 32; 64; 32; 2; 2; 4; 1 |], "5d5c46db460d7b73", (41, 12, 3));
+    (conv f16 ~stride:2 ~pad:2 1 3 64 28 28 5 5, GP.Branch,
+     [| 8; 8; 1; 8; 64; 32; 4; 2; 2; 1 |], "78708410cf04d690", (81, 12, 3));
+    (conv f16 ~stride:2 ~pad:2 1 3 64 28 28 5 5, GP.Branch,
+     [| 8; 1; 2; 64; 8; 32; 2; 2; 2; 1 |], "487c668bba1d643a", (26, 12, 3));
+    (conv f32 ~stride:1 ~pad:1 8 64 64 14 14 3 3, GP.Predicated,
+     [| 2; 2; 2; 16; 16; 4; 1; 16; 1; 1 |], "5d9827c6ed702d5f", (12, 12, 2));
+    (conv f32 ~stride:1 ~pad:1 8 64 64 14 14 3 3, GP.Predicated,
+     [| 2; 8; 2; 64; 8; 32; 4; 16; 1; 1 |], "1bee6c526731077c", (43, 12, 3));
+    (conv f32 ~stride:1 ~pad:1 8 64 64 14 14 3 3, GP.Branch,
+     [| 2; 2; 2; 16; 8; 4; 1; 8; 1; 1 |], "adbeb4b260706e18", (12, 12, 2));
+    (conv f32 ~stride:1 ~pad:1 8 64 64 14 14 3 3, GP.Branch,
+     [| 1; 8; 1; 8; 8; 8; 4; 2; 1; 2 |], "25d6ae798ba2c361", (18, 12, 3)) ]
+
+let test_pinned_output () =
+  List.iter
+    (fun (kernel, bounds, config, hash, (fregs, iregs, pregs)) ->
+      let c = GP.config_of_array config in
+      let p, name =
+        match kernel with
+        | Gemm i -> (Codegen.Gemm.generate ~bounds i c, GP.describe_name i c)
+        | Conv i -> (Codegen.Conv.generate ~bounds i c, "conv " ^ GP.describe c)
+      in
+      let name =
+        Printf.sprintf "%s (%s)" name
+          (if bounds = GP.Branch then "branch" else "predicated")
+      in
+      (match Ptx.Encode.encode (Ptx.Regalloc.allocate p) with
+       | Error e -> Alcotest.failf "%s: %s" name e
+       | Ok e ->
+         Alcotest.(check string) (name ^ ": kernel hash") hash
+           (Ptx.Encode.hash_hex (Ptx.Encode.hash e)));
+      let pr = Ptx.Regalloc.pressure p in
+      Alcotest.(check (triple int int int)) (name ^ ": pressure")
+        (fregs, iregs, pregs) (pr.fregs, pr.iregs, pr.pregs))
+    pinned
+
 let () =
   Alcotest.run "regalloc"
     [ ("pressure",
@@ -143,4 +280,5 @@ let () =
          quick "semantics: all splits" test_equivalence_splits;
          quick "semantics: transposed" test_equivalence_transposed;
          quick "semantics: divergent branches" test_equivalence_branch_bounds;
-         quick "idempotent" test_idempotent_pressure ]) ]
+         quick "idempotent" test_idempotent_pressure;
+         quick "pinned output on 46 kernels" test_pinned_output ]) ]

@@ -102,6 +102,28 @@ let test_errors () =
       (* no conv profile was loaded *)
       check_error {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3}|})
 
+(* A bad ISAAC_SEARCH_CAP fails the plan request with an error reply
+   that names the knob; with the knob restored the daemon plans again. *)
+let test_bad_search_cap () =
+  with_server (fun srv _ ->
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv "ISAAC_SEARCH_CAP" "4000")
+        (fun () ->
+          Unix.putenv "ISAAC_SEARCH_CAP" "0";
+          let r = handle_line srv gemm_req in
+          Alcotest.(check (option bool)) "not ok" (Some false)
+            (J.to_bool (field r "ok"));
+          let msg = Option.value ~default:"" (J.to_str (field r "error")) in
+          let knob = "ISAAC_SEARCH_CAP = 0" in
+          let n = String.length knob in
+          let rec mentions i =
+            i + n <= String.length msg
+            && (String.sub msg i n = knob || mentions (i + 1))
+          in
+          if not (mentions 0) then
+            Alcotest.failf "error %S does not name %S" msg knob);
+      expect_ok (handle_line srv gemm_req))
+
 let stats_cache_entries srv =
   let r = handle_line srv {|{"op":"stats"}|} in
   expect_ok r;
@@ -175,6 +197,7 @@ let () =
        [ slow "ping + id echo" test_ping_and_ids;
          slow "cold miss, warm hit, identical plan" test_cold_then_warm;
          slow "malformed requests" test_errors;
+         slow "bad search cap names the knob" test_bad_search_cap;
          slow "stats endpoint" test_stats;
          slow "shutdown verdict" test_shutdown_verdict ]);
       ("hot reload",

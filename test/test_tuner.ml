@@ -431,6 +431,66 @@ let test_subsample_cap () =
   in
   Alcotest.(check bool) "scored at most ~cap" true (result.n_scored <= 600)
 
+(* [cap] and [top_k] below 1 are rejected up front, by name. Unchecked,
+   a zero cap divides by zero, a negative one fails in [Array.init], and
+   [top_k = 0] returns [None] although legal configurations exist. *)
+let test_search_rejects_bad_cap_and_top_k () =
+  let profile =
+    match load_profile_payload (profile_payload ()) with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let input = GP.input 512 512 512 in
+  let plan ?top_k ?cap () =
+    Tuner.Search.exhaustive_gemm ?top_k ?cap ~domains:1 (rng ())
+      Gpu.Device.p100 ~profile input
+  in
+  let rejects msg f =
+    Alcotest.check_raises msg
+      (Invalid_argument ("Tuner.Search.exhaustive: " ^ msg))
+      (fun () -> ignore (f ()))
+  in
+  rejects "cap = 0, must be >= 1" (plan ~cap:0);
+  rejects "cap = -5, must be >= 1" (plan ~cap:(-5));
+  rejects "top_k = 0, must be >= 1" (plan ~top_k:0);
+  rejects "top_k = -1, must be >= 1" (plan ~top_k:(-1));
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "ISAAC_SEARCH_CAP" "4000")
+    (fun () ->
+      Unix.putenv "ISAAC_SEARCH_CAP" "0";
+      rejects "ISAAC_SEARCH_CAP = 0, must be >= 1" (fun () -> plan ()));
+  (* The smallest accepted values still plan. *)
+  match plan ~top_k:1 ~cap:1 () with
+  | None -> Alcotest.fail "top_k = 1, cap = 1 found no plan"
+  | Some r ->
+    Alcotest.(check int) "one scored" 1 r.n_scored;
+    Alcotest.(check int) "one candidate" 1 (Array.length r.candidates)
+
+(* The top-k selection is the k-prefix of a stable sort by descending
+   [Float.compare]: NaN last, the two zeros tied, ties to the lower
+   index. Values come from small pools, so ties are the common case. *)
+let prop_top_k_is_stable_sort_prefix =
+  let special =
+    [| 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1.0; -1.0 |]
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 300 >>= fun n ->
+      int_range 1 (Array.length special) >>= fun pool ->
+      array_repeat n
+        (frequency [ (4, oneofa (Array.sub special 0 pool)); (1, float) ]))
+  in
+  QCheck.Test.make ~name:"top_k_indices = stable-sort prefix" ~count:500
+    (QCheck.make ~print:QCheck.Print.(array float) gen)
+    (fun pred ->
+      let n = Array.length pred in
+      let order = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> Float.compare pred.(b) pred.(a)) order;
+      List.for_all
+        (fun k ->
+          Tuner.Search.top_k_indices ~k pred = Array.sub order 0 (max 0 (min k n)))
+        [ 0; 1; n - 1; n; n + 5 ])
+
 (* --- pruned enumeration vs reference ------------------------------------- *)
 
 let check_config_arrays name (want : GP.config array) (got : GP.config array) =
@@ -614,7 +674,9 @@ let () =
          Alcotest.test_case "search returns legal" `Slow test_search_returns_legal;
          Alcotest.test_case "search beats median" `Slow test_search_beats_median_kernel;
          Alcotest.test_case "oracle upper bound" `Slow test_oracle_is_upper_bound;
-         Alcotest.test_case "cap subsampling" `Slow test_subsample_cap ]);
+         Alcotest.test_case "cap subsampling" `Slow test_subsample_cap;
+         quick "bad cap and top_k rejected" test_search_rejects_bad_cap_and_top_k;
+         QCheck_alcotest.to_alcotest prop_top_k_is_stable_sort_prefix ]);
       ("pruned enumeration",
        [ Alcotest.test_case "gemm legal sets match reference" `Slow
            test_pruned_legal_sets_match_reference;
