@@ -6,9 +6,8 @@ type measurement = {
 
 let default_noise = 0.03
 
-(* Cumulative serving telemetry, distinct from the trace-scoped Metrics
-   counters below: handles are resolved once at module init so the
-   enabled path costs one shard fetch_and_add per event. *)
+(* Handles are resolved once at module init so the enabled path costs
+   one shard fetch_and_add per event. *)
 let t_measurements = Obs.Telemetry.counter "executor.measurements"
 let t_illegal = Obs.Telemetry.counter "executor.illegal"
 let t_kernel_s = Obs.Telemetry.histo "executor.kernel_s"
@@ -19,14 +18,11 @@ let legal (d : Device.t) (c : Kernel_cost.t) =
 let measure ?(noise = default_noise) rng d c =
   match Perf_model.predict d c with
   | None ->
-    Obs.Metrics.incr "executor.illegal";
     if Obs.Telemetry.enabled () then Obs.Telemetry.Counter.incr t_illegal;
     None
   | Some report ->
     let jitter = exp (noise *. Util.Rng.gaussian rng) in
     let seconds = report.seconds *. jitter in
-    Obs.Metrics.incr "executor.measurements";
-    Obs.Metrics.observe "executor.kernel_seconds" seconds;
     if Obs.Telemetry.enabled () then begin
       Obs.Telemetry.Counter.incr t_measurements;
       Obs.Telemetry.Histo.observe t_kernel_s seconds

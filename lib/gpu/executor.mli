@@ -24,10 +24,10 @@ val legal : Device.t -> Kernel_cost.t -> bool
 val measure :
   ?noise:float -> Util.Rng.t -> Device.t -> Kernel_cost.t -> measurement option
 (** One noisy benchmark run; [None] if the kernel is illegal on the
-    device. Under [ISAAC_TRACE] each call counts
-    [executor.measurements] (or [executor.illegal]) and feeds the
-    [executor.kernel_seconds] histogram — the per-config benchmark cost
-    the profiler aggregates. *)
+    device. While the {!Obs.Telemetry} registry collects, each call
+    counts [executor.measurements] (or [executor.illegal]) and feeds the
+    [executor.kernel_s] histogram — the per-config benchmark cost the
+    profiler aggregates. *)
 
 val measure_best_of :
   ?noise:float -> ?reps:int -> Util.Rng.t -> Device.t -> Kernel_cost.t ->

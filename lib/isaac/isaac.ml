@@ -38,8 +38,6 @@ let src = Logs.Src.create "isaac" ~doc:"ISAAC auto-tuner"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Serving telemetry handles (cumulative, distinct from the trace-scoped
-   Metrics counters used alongside them). *)
 let t_cache_hit = Obs.Telemetry.counter "plan.cache_hit"
 let t_cache_miss = Obs.Telemetry.counter "plan.cache_miss"
 let t_coalesced = Obs.Telemetry.counter "plan.coalesced"
@@ -53,7 +51,6 @@ let observe_latency ~t0 =
 (* [age_s] is already clamped non-negative by the cache (its timestamps
    are wall clock, which NTP can step backwards). *)
 let record_plan_hit ~t0 ~age_s =
-  Obs.Metrics.incr "plan.cache_hit";
   if Obs.Telemetry.enabled () then begin
     Obs.Telemetry.Counter.incr t_cache_hit;
     Obs.Telemetry.Histo.observe t_hit_age age_s;
@@ -61,14 +58,12 @@ let record_plan_hit ~t0 ~age_s =
   end
 
 let record_plan_miss ~t0 =
-  Obs.Metrics.incr "plan.cache_miss";
   if Obs.Telemetry.enabled () then begin
     Obs.Telemetry.Counter.incr t_cache_miss;
     observe_latency ~t0
   end
 
 let record_plan_coalesced ~t0 =
-  Obs.Metrics.incr "plan.coalesced";
   if Obs.Telemetry.enabled () then begin
     Obs.Telemetry.Counter.incr t_coalesced;
     observe_latency ~t0
@@ -79,8 +74,7 @@ let record_outcome ~t0 ~age_s = function
   | Plan_cache.Miss -> record_plan_miss ~t0
   | Plan_cache.Coalesced -> record_plan_coalesced ~t0
 
-let of_profile ?cache_entries ?cache_bytes ?(metrics_prefix = "plan") device
-    (profile : Tuner.Profile.t) =
+let of_profile ?cache_entries ?cache_bytes device (profile : Tuner.Profile.t) =
   if profile.device <> device.Gpu.Device.name then
     invalid_arg
       (Printf.sprintf "Isaac.of_profile: profile tuned on %s, device is %s"
@@ -89,11 +83,9 @@ let of_profile ?cache_entries ?cache_bytes ?(metrics_prefix = "plan") device
     rng = Util.Rng.create 0x15aac;
     load_rng = Util.Rng.create 0x10ad5;
     gemm_cache =
-      Plan_cache.create ?max_entries:cache_entries ?max_bytes:cache_bytes
-        ~metrics_prefix ();
+      Plan_cache.create ?max_entries:cache_entries ?max_bytes:cache_bytes ();
     conv_cache =
-      Plan_cache.create ?max_entries:cache_entries ?max_bytes:cache_bytes
-        ~metrics_prefix () }
+      Plan_cache.create ?max_entries:cache_entries ?max_bytes:cache_bytes () }
 
 let tune ?samples ?(epochs = 20) ?arch ?dtypes ?(noise = Gpu.Executor.default_noise)
     ?domains ?checkpoint rng device ~op () =
@@ -506,7 +498,7 @@ let load_plans t path =
               | Some e -> entries := e :: !entries
               | None ->
                 incr skipped;
-                Obs.Metrics.incr "plans.skipped_lines";
+                Obs.Telemetry.incr "plans.skipped_lines";
                 Log.warn (fun m ->
                     m "%s:%d: skipping malformed plan line" path (lineno + 2)))
           rest;
@@ -529,7 +521,7 @@ let load_plans t path =
                 kernels;
               Some set
             | Error e ->
-              Obs.Metrics.incr "plans.corpus_load_failures";
+              Obs.Telemetry.incr "plans.corpus_load_failures";
               Log.warn (fun m ->
                   m "%s: ignoring unreadable kernel corpus (%s)" cpath e);
               None
@@ -539,7 +531,7 @@ let load_plans t path =
           | Some h, Some set ->
             let ok = Hashtbl.mem set h in
             if not ok then begin
-              Obs.Metrics.incr "plans.kernel_unresolved";
+              Obs.Telemetry.incr "plans.kernel_unresolved";
               Log.warn (fun m ->
                   m "%s: plan references kernel %s absent from corpus; \
                      skipping" path (Ptx.Encode.hash_hex h))

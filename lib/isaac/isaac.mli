@@ -81,7 +81,6 @@ val tune :
 val of_profile :
   ?cache_entries:int ->
   ?cache_bytes:int ->
-  ?metrics_prefix:string ->
   Gpu.Device.t ->
   Tuner.Profile.t ->
   t
@@ -90,8 +89,7 @@ val of_profile :
     [cache_bytes] bound each per-op plan cache (LRU eviction beyond
     them; unbounded by default — library users typically plan a handful
     of shapes, while the serving daemon passes explicit budgets).
-    [metrics_prefix] (default ["plan"]) names the {!Obs.Telemetry}
-    counter evictions are reported under ([<prefix>.evictions]). *)
+    Evictions count as [plan.evictions] in {!Obs.Telemetry}. *)
 
 val profile : t -> Tuner.Profile.t
 val device : t -> Gpu.Device.t

@@ -83,7 +83,6 @@ type ('k, 'v) t = {
   c_misses : int Atomic.t;
   c_coalesced : int Atomic.t;
   c_evictions : int Atomic.t;
-  metrics_prefix : string option;
 }
 
 let next_pow2 n =
@@ -91,7 +90,7 @@ let next_pow2 n =
   go 1
 
 let create ?(shards = 16) ?max_entries ?max_bytes
-    ?(clock = Unix.gettimeofday) ?metrics_prefix () =
+    ?(clock = Unix.gettimeofday) () =
   if shards < 1 then invalid_arg "Plan_cache.create: shards must be >= 1";
   (match max_entries with
    | Some m when m < 1 -> invalid_arg "Plan_cache.create: max_entries must be >= 1"
@@ -113,8 +112,7 @@ let create ?(shards = 16) ?max_entries ?max_bytes
     c_hits = Atomic.make 0;
     c_misses = Atomic.make 0;
     c_coalesced = Atomic.make 0;
-    c_evictions = Atomic.make 0;
-    metrics_prefix }
+    c_evictions = Atomic.make 0 }
 
 let shard_of t k = t.shards.((Hashtbl.hash k) land t.mask)
 
@@ -144,9 +142,7 @@ let record_eviction t weight =
   Atomic.decr t.n_entries;
   ignore (Atomic.fetch_and_add t.n_bytes (-weight));
   Atomic.incr t.c_evictions;
-  match t.metrics_prefix with
-  | Some p -> Obs.Telemetry.incr (p ^ ".evictions")
-  | None -> ()
+  Obs.Telemetry.incr "plan.evictions"
 
 (* Scan the published snapshots (no locks) for the globally
    least-recently-used Ready entry, then remove it under its shard's

@@ -20,8 +20,7 @@
       least-recently-used entry is evicted — exact LRU ordered by a
       global access tick, O(entries) scan per eviction (plans are
       hundreds of bytes and planning runs are milliseconds; the scan is
-      noise). Evictions bump [<metrics_prefix>.evictions] in
-      {!Obs.Telemetry} when a prefix was given.
+      noise). Evictions bump [plan.evictions] in {!Obs.Telemetry}.
 
     {b Clock caveat.} Entry timestamps come from the injectable [clock]
     (default [Unix.gettimeofday]) — {e wall} time, not a monotonic
@@ -64,14 +63,12 @@ val create :
   ?max_entries:int ->
   ?max_bytes:int ->
   ?clock:(unit -> float) ->
-  ?metrics_prefix:string ->
   unit ->
   ('k, 'v) t
 (** [shards] defaults to 16 and is rounded up to a power of two (use 1
     in tests that assert exact LRU order across all keys). Omitted
     budgets are unbounded. [clock] is injectable for age/eviction
-    tests. [metrics_prefix] enables telemetry reporting of evictions
-    under [<prefix>.evictions]. *)
+    tests. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lock-free lookup; refreshes the entry's recency on hit. [None] for

@@ -46,16 +46,14 @@ let fit ?(batch_size = 64) ?(epochs = 20) ?(adam = Network.default_adam) ?valida
     done;
     train_hist.(epoch) <- (if !batches = 0 then Float.nan else !loss_sum /. float_of_int !batches);
     let fe = float_of_int epoch in
-    Obs.Metrics.point "mlp.train_mse" ~x:fe ~y:train_hist.(epoch);
-    Obs.Metrics.point "mlp.lr" ~x:fe ~y:adam.Network.lr;
-    if Obs.Telemetry.enabled () then begin
-      Obs.Telemetry.incr "mlp.epochs";
-      Obs.Telemetry.set_gauge "mlp.train_mse" train_hist.(epoch)
-    end;
+    Obs.Trace.point "mlp.train_mse" ~x:fe ~y:train_hist.(epoch);
+    Obs.Trace.point "mlp.lr" ~x:fe ~y:adam.Network.lr;
+    Obs.Telemetry.incr "mlp.epochs";
+    Obs.Telemetry.set_gauge "mlp.train_mse" train_hist.(epoch);
     match validation with
     | Some (xv, yv) ->
       val_hist.(epoch) <- Network.mse net ~x:xv ~y:yv;
-      Obs.Metrics.point "mlp.val_mse" ~x:fe ~y:val_hist.(epoch);
+      Obs.Trace.point "mlp.val_mse" ~x:fe ~y:val_hist.(epoch);
       Obs.Telemetry.set_gauge "mlp.val_mse" val_hist.(epoch)
     | None -> ()
   done;

@@ -19,7 +19,7 @@ let current_request () =
 let set_request id = Domain.DLS.set req_key (Option.value id ~default:0)
 
 let with_request ?id f =
-  if not (Trace.enabled () || Telemetry.enabled ()) then f ()
+  if not (Telemetry.enabled ()) then f ()
   else begin
     let outer = Domain.DLS.get req_key in
     let id =
@@ -29,52 +29,61 @@ let with_request ?id f =
     Fun.protect ~finally:(fun () -> Domain.DLS.set req_key outer) f
   end
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Float.max 0.0 (Unix.gettimeofday () -. t0))
+(* The span proper, once a sink is known to be open: trace event,
+   [<name>_s] histogram and flight-recorder entry all carry the one
+   duration it returns. *)
+let spanned ?meta name f =
+  let traced = Trace.enabled () in
+  let outer = Domain.DLS.get stack in
+  let rev_names = name :: outer in
+  Domain.DLS.set stack rev_names;
+  let start = Trace.now () in
+  let m0 = Trace.monotonic () in
+  let close ~ok =
+    (* Durations come off the raw monotonized clock so telemetry-only
+       runs (no trace sink, [Trace.now] pinned at 0) still time
+       correctly. *)
+    let dur = Float.max 0.0 (Trace.monotonic () -. m0) in
+    Domain.DLS.set stack outer;
+    let req = Domain.DLS.get req_key in
+    if traced then begin
+      let fields =
+        [ ("name", Json.String name);
+          ("path", Json.String (path_of rev_names));
+          ("start", Json.Float start);
+          ("dur", Json.Float dur) ]
+      in
+      let fields =
+        if req = 0 then fields else fields @ [ ("req", Json.Int req) ]
+      in
+      let fields = if ok then fields else fields @ [ ("error", Json.Bool true) ] in
+      let fields =
+        match meta with
+        | None -> fields
+        | Some m -> fields @ [ ("meta", Json.Obj (m ())) ]
+      in
+      Trace.emit "span" fields
+    end;
+    Telemetry.observe (name ^ "_s") dur;
+    Telemetry.Flight.record ~req
+      ~kind:(if ok then "span" else "span.error")
+      ~name:(path_of rev_names)
+      (Printf.sprintf "%.3f ms" (dur *. 1e3));
+    dur
+  in
+  match f () with
+  | v -> (v, close ~ok:true)
+  | exception e ->
+    ignore (close ~ok:false);
+    raise e
 
 let with_ ?meta name f =
-  let traced = Trace.enabled () in
-  if not (traced || Telemetry.enabled ()) then f ()
+  if not (Telemetry.enabled ()) then f () else fst (spanned ?meta name f)
+
+let with_dur ?meta name f =
+  if Telemetry.enabled () then spanned ?meta name f
   else begin
-    let outer = Domain.DLS.get stack in
-    let rev_names = name :: outer in
-    Domain.DLS.set stack rev_names;
-    let start = Trace.now () in
     let m0 = Trace.monotonic () in
-    let close ~ok =
-      (* Durations come off the raw monotonized clock so telemetry-only
-         runs (no trace sink, [Trace.now] pinned at 0) still time
-         correctly. *)
-      let dur = Float.max 0.0 (Trace.monotonic () -. m0) in
-      Domain.DLS.set stack outer;
-      let req = Domain.DLS.get req_key in
-      if traced then begin
-        let fields =
-          [ ("name", Json.String name);
-            ("path", Json.String (path_of rev_names));
-            ("start", Json.Float start);
-            ("dur", Json.Float dur) ]
-        in
-        let fields =
-          if req = 0 then fields else fields @ [ ("req", Json.Int req) ]
-        in
-        let fields = if ok then fields else fields @ [ ("error", Json.Bool true) ] in
-        let fields =
-          match meta with
-          | None -> fields
-          | Some m -> fields @ [ ("meta", Json.Obj (m ())) ]
-        in
-        Trace.emit "span" fields
-      end;
-      if Telemetry.enabled () then
-        Telemetry.Flight.record ~req
-          ~kind:(if ok then "span" else "span.error")
-          ~name:(path_of rev_names)
-          (Printf.sprintf "%.3f ms" (dur *. 1e3))
-    in
-    match f () with
-    | v -> close ~ok:true; v
-    | exception e -> close ~ok:false; raise e
+    let v = f () in
+    (v, Float.max 0.0 (Trace.monotonic () -. m0))
   end

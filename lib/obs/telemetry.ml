@@ -1,14 +1,16 @@
-(* Always-on serving telemetry: sharded lock-free counters and gauges,
-   log-bucketed mergeable histograms, a per-domain flight recorder, a
-   model-quality (predicted-vs-measured residual) channel, and a
-   periodic snapshot exporter (JSONL + Prometheus-style text).
+(* Always-on serving telemetry: the process's one registry of sharded
+   lock-free counters and gauges and log-bucketed mergeable histograms,
+   a per-domain flight recorder, a model-quality (predicted-vs-measured
+   residual) channel, and a periodic snapshot exporter (JSONL +
+   Prometheus-style text).
 
-   Design contract (mirrors Trace): when ISAAC_TELEMETRY is unset every
-   gated entry point reduces to one atomic-bool load. When enabled, the
-   hot path is a shard lookup plus one [Atomic.fetch_and_add] — no
-   mutex is ever taken on a counter bump or histogram observation, so
-   totals are exact for any domain count (fetch-and-add cannot lose
-   increments even when two domains collide on a shard). *)
+   Design contract: when neither ISAAC_TELEMETRY nor ISAAC_TRACE is set
+   every gated entry point reduces to two atomic-bool loads. When
+   enabled, the hot path is a shard lookup plus one
+   [Atomic.fetch_and_add] — no mutex is ever taken on a counter bump or
+   histogram observation, so totals are exact for any domain count
+   (fetch-and-add cannot lose increments even when two domains collide
+   on a shard). *)
 
 let shard_bits = 4
 let n_shards = 1 lsl shard_bits
@@ -32,8 +34,10 @@ let rec atomic_max_float a x =
 
 (* --- enabled flag (set by [start], read by every gated call) ----------- *)
 
+(* The registry collects while either sink is open: the exporter here or
+   a trace, which records the registry when it stops. *)
 let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
+let enabled () = Atomic.get enabled_flag || Trace.enabled ()
 
 (* --- counters ----------------------------------------------------------- *)
 
@@ -247,120 +251,77 @@ type model_cell = {
 
 (* --- registry ----------------------------------------------------------- *)
 
-module Registry = struct
-  type entity =
-    | C of Counter.t
-    | H of Histo.t
-    | G of Gauge.t
-    | M of model_cell
+type entity =
+  | C of Counter.t
+  | H of Histo.t
+  | G of Gauge.t
+  | M of model_cell
 
-  (* Copy-on-write table published through an [Atomic]: reads (the hot
-     path for string-keyed callers) are lock-free on an immutable
-     snapshot; inserts take the mutex, copy, and republish. *)
-  type t = {
-    tbl : (string, entity) Hashtbl.t Atomic.t;
-    lock : Mutex.t;
-  }
+(* The one process-wide registry, a copy-on-write table published
+   through an [Atomic]: lookups (the hot path for string-keyed callers)
+   are lock-free on an immutable snapshot; first use of a name takes the
+   mutex, copies and republishes. *)
+let registry : (string, entity) Hashtbl.t Atomic.t = Atomic.make (Hashtbl.create 64)
+let registry_lock = Mutex.create ()
 
-  let create () = { tbl = Atomic.make (Hashtbl.create 16); lock = Mutex.create () }
+let find_or name make =
+  match Hashtbl.find_opt (Atomic.get registry) name with
+  | Some e -> e
+  | None ->
+    Mutex.lock registry_lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock registry_lock)
+      (fun () ->
+        let cur = Atomic.get registry in
+        match Hashtbl.find_opt cur name with
+        | Some e -> e
+        | None ->
+          let e = make () in
+          let copy = Hashtbl.copy cur in
+          Hashtbl.add copy name e;
+          Atomic.set registry copy;
+          e)
 
-  let find_or reg name make =
-    match Hashtbl.find_opt (Atomic.get reg.tbl) name with
-    | Some e -> e
-    | None ->
-      Mutex.lock reg.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock reg.lock)
-        (fun () ->
-          let cur = Atomic.get reg.tbl in
-          match Hashtbl.find_opt cur name with
-          | Some e -> e
-          | None ->
-            let e = make () in
-            let copy = Hashtbl.copy cur in
-            Hashtbl.add copy name e;
-            Atomic.set reg.tbl copy;
-            e)
+let counter name =
+  match find_or name (fun () -> C (Counter.create ())) with
+  | C c -> c
+  | _ -> invalid_arg ("Telemetry: " ^ name ^ " is not a counter")
 
-  let counter reg name =
-    match find_or reg name (fun () -> C (Counter.create ())) with
-    | C c -> c
-    | _ -> invalid_arg ("Telemetry: " ^ name ^ " is not a counter")
+let histo name =
+  match find_or name (fun () -> H (Histo.create ())) with
+  | H h -> h
+  | _ -> invalid_arg ("Telemetry: " ^ name ^ " is not a histogram")
 
-  let histo reg name =
-    match find_or reg name (fun () -> H (Histo.create ())) with
-    | H h -> h
-    | _ -> invalid_arg ("Telemetry: " ^ name ^ " is not a histogram")
+let gauge name =
+  match find_or name (fun () -> G (Gauge.create ())) with
+  | G g -> g
+  | _ -> invalid_arg ("Telemetry: " ^ name ^ " is not a gauge")
 
-  let gauge reg name =
-    match find_or reg name (fun () -> G (Gauge.create ())) with
-    | G g -> g
-    | _ -> invalid_arg ("Telemetry: " ^ name ^ " is not a gauge")
+(* Registered entities of one kind, sorted by name. *)
+let entities kind =
+  Hashtbl.fold
+    (fun k v acc -> match kind v with Some x -> (k, x) :: acc | None -> acc)
+    (Atomic.get registry) []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let fold reg f acc =
-    let items =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) (Atomic.get reg.tbl) []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.fold_left (fun acc (k, v) -> f acc k v) acc items
-
-  let counters reg =
-    fold reg (fun acc k v -> match v with C c -> (k, c) :: acc | _ -> acc) []
-    |> List.rev
-
-  let histos reg =
-    fold reg (fun acc k v -> match v with H h -> (k, h) :: acc | _ -> acc) []
-    |> List.rev
-
-  let gauges reg =
-    fold reg (fun acc k v -> match v with G g -> (k, g) :: acc | _ -> acc) []
-    |> List.rev
-
-  let model_cells reg =
-    fold reg (fun acc _ v -> match v with M m -> m :: acc | _ -> acc) []
-    |> List.rev
-
-  let find_counter reg name =
-    match Hashtbl.find_opt (Atomic.get reg.tbl) name with
-    | Some (C c) -> Some c
-    | _ -> None
-
-  let clear reg =
-    Mutex.lock reg.lock;
-    Atomic.set reg.tbl (Hashtbl.create 16);
-    Mutex.unlock reg.lock
-
-  let reset_values reg =
-    fold reg
-      (fun () _ v ->
-        match v with
-        | C c -> Counter.reset c
-        | H h -> Histo.reset h
-        | G g -> Gauge.reset g
-        | M m ->
-          Atomic.set m.m_n 0;
-          Atomic.set m.m_abs_rel 0.0)
-      ()
-end
-
-(* --- global registry + named convenience sinks -------------------------- *)
-
-let global = Registry.create ()
-
-let counter name = Registry.counter global name
-let histo name = Registry.histo global name
-let gauge name = Registry.gauge global name
+let counters () = entities (function C c -> Some c | _ -> None)
+let histos () = entities (function H h -> Some h | _ -> None)
+let gauges () = entities (function G g -> Some g | _ -> None)
+let model_cells () = List.map snd (entities (function M m -> Some m | _ -> None))
 
 let add name n = if enabled () then Counter.add (counter name) n
 let incr name = add name 1
 let observe name v = if enabled () then Histo.observe (histo name) v
 let set_gauge name v = if enabled () then Gauge.set (gauge name) v
 
-let counter_value name = Option.map Counter.value (Registry.find_counter global name)
+let counter_value name =
+  match Hashtbl.find_opt (Atomic.get registry) name with
+  | Some (C c) -> Some (Counter.value c)
+  | _ -> None
 
 let gauge_value name =
-  match Hashtbl.find_opt (Atomic.get global.Registry.tbl) name with
-  | Some (Registry.G g) ->
+  match Hashtbl.find_opt (Atomic.get registry) name with
+  | Some (G g) ->
     let v = Gauge.value g in
     if Float.is_nan v then None else Some v
   | _ -> None
@@ -372,12 +333,12 @@ module Model = struct
 
   let cell ~op ~bucket =
     match
-      Registry.find_or global (key ~op ~bucket) (fun () ->
-          Registry.M
+      find_or (key ~op ~bucket) (fun () ->
+          M
             { cell_op = op; cell_bucket = bucket; m_n = Atomic.make 0;
               m_abs_rel = Atomic.make 0.0 })
     with
-    | Registry.M m -> m
+    | M m -> m
     | _ -> invalid_arg "Telemetry.Model: name collision"
 
   let record ~op ~bucket ~predicted ~measured =
@@ -399,13 +360,13 @@ module Model = struct
             (n + Atomic.get m.m_n, s +. Atomic.get m.m_abs_rel)
           else (n, s))
         (0, 0.0)
-        (Registry.model_cells global)
+        (model_cells ())
     in
     if n = 0 then None else Some (s /. float_of_int n)
 
   let ops () =
     List.sort_uniq compare
-      (List.map (fun m -> m.cell_op) (Registry.model_cells global))
+      (List.map (fun m -> m.cell_op) (model_cells ()))
 end
 
 (* --- flight recorder ---------------------------------------------------- *)
@@ -479,31 +440,29 @@ end
 
 let seq = Atomic.make 0
 
-let hist_json name (s : Histo.snapshot) =
-  ( name,
-    Json.Obj
-      [ ("count", Json.Int s.count);
-        ("sum", Json.Float s.sum);
-        ("min", Json.Float s.min_v);
-        ("max", Json.Float s.max_v);
-        ("mean", Json.Float (Histo.mean s));
-        ("p50", Json.Float (Histo.quantile s 0.50));
-        ("p90", Json.Float (Histo.quantile s 0.90));
-        ("p95", Json.Float (Histo.quantile s 0.95));
-        ("p99", Json.Float (Histo.quantile s 0.99)) ] )
+let hist_fields (s : Histo.snapshot) =
+  [ ("count", Json.Int s.count);
+    ("sum", Json.Float s.sum);
+    ("min", Json.Float s.min_v);
+    ("max", Json.Float s.max_v);
+    ("mean", Json.Float (Histo.mean s));
+    ("p50", Json.Float (Histo.quantile s 0.50));
+    ("p90", Json.Float (Histo.quantile s 0.90));
+    ("p95", Json.Float (Histo.quantile s 0.95));
+    ("p99", Json.Float (Histo.quantile s 0.99)) ]
 
 let snapshot_json () =
   let counters =
     List.map
       (fun (name, c) -> (name, Json.Int (Counter.value c)))
-      (Registry.counters global)
+      (counters ())
   in
   let gauges =
     List.filter_map
       (fun (name, g) ->
         let v = Gauge.value g in
         if Float.is_nan v then None else Some (name, Json.Float v))
-      (Registry.gauges global)
+      (gauges ())
   in
   let drift_gauges =
     List.filter_map
@@ -517,8 +476,8 @@ let snapshot_json () =
     List.filter_map
       (fun (name, h) ->
         let s = Histo.snapshot h in
-        if s.count = 0 then None else Some (hist_json name s))
-      (Registry.histos global)
+        if s.count = 0 then None else Some (name, Json.Obj (hist_fields s)))
+      (histos ())
   in
   let model =
     List.map
@@ -539,7 +498,7 @@ let snapshot_json () =
                             Json.Float
                               (Atomic.get m.m_abs_rel /. float_of_int n) ) ] )
               end)
-            (Registry.model_cells global)
+            (model_cells ())
         in
         ( op,
           Json.Obj
@@ -581,7 +540,7 @@ let prometheus () =
       let n = "isaac_" ^ sanitize name ^ "_total" in
       Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
       Buffer.add_string buf (Printf.sprintf "%s %d\n" n (Counter.value c)))
-    (Registry.counters global);
+    (counters ());
   let emit_gauge name v =
     let n = "isaac_" ^ sanitize name in
     Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
@@ -591,7 +550,7 @@ let prometheus () =
     (fun (name, g) ->
       let v = Gauge.value g in
       if not (Float.is_nan v) then emit_gauge name v)
-    (Registry.gauges global);
+    (gauges ());
   List.iter
     (fun op ->
       match Model.drift ~op with
@@ -614,7 +573,7 @@ let prometheus () =
           (Printf.sprintf "%s_sum %s\n" n (prom_float s.sum));
         Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.count)
       end)
-    (Registry.histos global);
+    (histos ());
   Buffer.contents buf
 
 (* --- exporter ----------------------------------------------------------- *)
@@ -721,8 +680,34 @@ let start ?(interval_s = 0.0) ~path () =
       end)
 
 let reset () =
-  Registry.reset_values global;
+  Hashtbl.iter
+    (fun _ -> function
+      | C c -> Counter.reset c
+      | H h -> Histo.reset h
+      | G g -> Gauge.reset g
+      | M m ->
+        Atomic.set m.m_n 0;
+        Atomic.set m.m_abs_rel 0.0)
+    (Atomic.get registry);
   Flight.clear ()
+
+(* A closing trace records the registry: one [counter] event per
+   non-zero counter and one [hist] event per non-empty histogram,
+   carrying the values a snapshot reports at that moment. *)
+let () =
+  Trace.at_stop (fun () ->
+      List.iter
+        (fun (name, c) ->
+          match Counter.value c with
+          | 0 -> ()
+          | v -> Trace.emit "counter" [ ("name", Json.String name); ("value", Json.Int v) ])
+        (counters ());
+      List.iter
+        (fun (name, h) ->
+          let s = Histo.snapshot h in
+          if s.count > 0 then
+            Trace.emit "hist" (("name", Json.String name) :: hist_fields s))
+        (histos ()))
 
 (* Honour ISAAC_TELEMETRY=path[,interval_seconds] as soon as any
    instrumented code touches this module, mirroring Trace/ISAAC_TRACE. *)

@@ -1,4 +1,5 @@
-(** Always-on serving telemetry, gated by [ISAAC_TELEMETRY].
+(** The process's one registry of counters, histograms and gauges, and
+    the always-on serving telemetry that exports it.
 
     Unlike {!Trace} (a per-run event log meant to be switched on for one
     diagnostic run), this module is designed to stay on in a resident
@@ -7,10 +8,15 @@
     periodically exports merged snapshots (JSONL via {!Json}, plus a
     Prometheus-style text file at [path ^ ".prom"]).
 
-    Set [ISAAC_TELEMETRY=path] to export one final snapshot at exit, or
-    [ISAAC_TELEMETRY=path,2.5] to also export every 2.5 seconds. When
-    the variable is unset, every gated entry point reduces to a single
-    atomic-bool load, mirroring the {!Trace} contract.
+    The registry collects while either sink is open. Set
+    [ISAAC_TELEMETRY=path] to export one final snapshot at exit, or
+    [ISAAC_TELEMETRY=path,2.5] to also export every 2.5 seconds. Under
+    [ISAAC_TRACE], the trace records the registry when it stops: one
+    [counter] event per non-zero counter and one [hist] event per
+    non-empty histogram, with the values a snapshot would report. The
+    registry is cumulative over the process, never reset by a trace.
+    With both variables unset, every gated entry point reduces to two
+    atomic-bool loads.
 
     Correctness notes (pinned by [test/test_telemetry.ml]):
     - counter totals are {e exact} for any domain count — increments go
@@ -23,8 +29,9 @@
       addition). *)
 
 val enabled : unit -> bool
-(** Whether telemetry is active. The one check every instrumented call
-    site performs first. *)
+(** Whether the registry is collecting: an exporter was started or a
+    {!Trace} sink is open. The one check every instrumented call site
+    performs first. *)
 
 val start : ?interval_s:float -> path:string -> unit -> unit
 (** Enable telemetry, appending JSONL snapshots to [path] (and writing
@@ -34,12 +41,14 @@ val start : ?interval_s:float -> path:string -> unit -> unit
     No-op if already started. Installs an [at_exit] {!stop}. *)
 
 val stop : unit -> unit
-(** Export one final snapshot, join the exporter domain, and disable
-    telemetry. No-op when disabled. Runs automatically [at_exit]. *)
+(** Export one final snapshot, join the exporter domain, and stop the
+    exporter ({!enabled} stays true while a trace is open). No-op when
+    no exporter runs. Runs automatically [at_exit]. *)
 
 val export_now : unit -> unit
-(** Write a snapshot immediately (no-op when disabled). Export errors
-    are reported on stderr, never raised into the instrumented caller. *)
+(** Write a snapshot immediately (no-op when no exporter runs). Export
+    errors are reported on stderr, never raised into the instrumented
+    caller. *)
 
 val reset : unit -> unit
 (** Zero every registered value (counters, histograms, gauges, model
@@ -125,36 +134,6 @@ module Gauge : sig
   val reset : t -> unit
 end
 
-(** A named collection of counters/histograms/gauges: lock-free
-    copy-on-write lookups, mutex-serialized first-use registration.
-    {!Metrics} keeps its trace-scoped values in a private registry so
-    its reset-on-flush lifecycle cannot disturb the global cumulative
-    telemetry; the string-keyed sinks below operate on the global one. *)
-module Registry : sig
-  type t
-
-  val create : unit -> t
-
-  val counter : t -> string -> Counter.t
-  (** Find or register. Raises [Invalid_argument] if [name] is already
-      registered as a different entity kind. *)
-
-  val histo : t -> string -> Histo.t
-  val gauge : t -> string -> Gauge.t
-  val find_counter : t -> string -> Counter.t option
-  val counters : t -> (string * Counter.t) list
-  (** Sorted by name; likewise below. *)
-
-  val histos : t -> (string * Histo.t) list
-  val gauges : t -> (string * Gauge.t) list
-
-  val clear : t -> unit
-  (** Drop every entity (names become unregistered). *)
-
-  val reset_values : t -> unit
-  (** Zero values, keeping handles valid. *)
-end
-
 (** Predicted-vs-measured model-quality channel. Call {!Model.record}
     whenever a prediction is checked against a real measurement (the
     search rebench stage does); drift per op surfaces in snapshots as
@@ -200,12 +179,15 @@ module Flight : sig
   val clear : unit -> unit
 end
 
-(** String-keyed convenience sinks over a global registry. Handle
-    lookup is lock-free on a copy-on-write table; first use of a name
-    takes a mutex once to register it. [add]/[incr]/[observe]/
-    [set_gauge] are gated on {!enabled}. *)
+(** String-keyed sinks over the registry. Handle lookup is lock-free on
+    a copy-on-write table; first use of a name takes a mutex once to
+    register it. [add]/[incr]/[observe]/[set_gauge] are gated on
+    {!enabled}. *)
 
 val counter : string -> Counter.t
+(** Find or register. Raises [Invalid_argument] if [name] is already
+    registered as a different kind; likewise {!histo} and {!gauge}. *)
+
 val histo : string -> Histo.t
 val gauge : string -> Gauge.t
 val add : string -> int -> unit

@@ -94,6 +94,12 @@ let write ~capped ev fields =
 
 let emit ev fields = write ~capped:true ev fields
 
+let point ?unit_ name ~x ~y =
+  if enabled () then
+    emit "point"
+      ([ ("series", Json.String name); ("x", Json.Float x); ("y", Json.Float y) ]
+      @ match unit_ with None -> [] | Some u -> [ ("unit", Json.String u) ])
+
 let stop () =
   Mutex.lock master;
   Fun.protect
@@ -103,7 +109,7 @@ let stop () =
       | None -> ()
       | Some s ->
         (* Finalizers run while the sink is still live so they can emit
-           (Metrics flushes its summary events here). *)
+           (Telemetry writes its counters and histograms here). *)
         List.iter (fun f -> f ()) (List.rev !finalizers);
         write ~capped:false "trace_end" [];
         Atomic.set on false;

@@ -1,11 +1,12 @@
 (** JSONL trace sink, gated by the [ISAAC_TRACE] environment variable.
 
     When [ISAAC_TRACE=file.jsonl] is set, every subsystem that calls into
-    {!Obs} appends one JSON object per line to that file; when it is
-    unset, every entry point in this library reduces to a single boolean
-    load, so instrumented hot paths cost nothing measurable (the
-    acceptance bound is < 2% on a full tuning run; the no-op test in
-    [test/test_obs.ml] pins this).
+    {!Obs} appends one JSON object per line to that file, and the
+    {!Telemetry} registry collects and is written into the trace when it
+    stops. When it and [ISAAC_TELEMETRY] are unset, every entry point in
+    this library reduces to one or two boolean loads, so instrumented
+    hot paths cost nothing measurable (the acceptance bound is < 2% on a
+    full tuning run; the no-op test in [test/test_obs.ml] pins this).
 
     Long-running processes can cap the file size with
     [ISAAC_TRACE_MAX_MB=N]: when an append would push the current file
@@ -35,13 +36,13 @@ val start : ?max_bytes:int -> path:string -> unit -> unit
     set; exposed for tests and embedders. *)
 
 val stop : unit -> unit
-(** Flush registered finalizers (metric summaries), append [trace_end]
-    (never rotating; see above), close the sink. No-op when disabled.
-    Runs automatically [at_exit]. *)
+(** Run registered finalizers (counter and histogram summaries), append
+    [trace_end] (never rotating; see above), close the sink. No-op when
+    disabled. Runs automatically [at_exit]. *)
 
 val at_stop : (unit -> unit) -> unit
 (** Register a finalizer to run inside {!stop} before the sink closes
-    (used by {!Metrics} to emit its summary events). *)
+    (used by {!Telemetry} to write its registry into the trace). *)
 
 val now : unit -> float
 (** Monotonized seconds since the trace started (0.0 when disabled). *)
@@ -55,6 +56,12 @@ val emit : string -> (string * Json.t) list -> unit
 (** [emit ev fields] appends [{"ev":ev,"ts":now(),...fields}] as one
     line. Thread-safe; no-op when disabled. Callers must ensure field
     names do not collide with ["ev"]/["ts"]. *)
+
+val point : ?unit_:string -> string -> x:float -> y:float -> unit
+(** [point series ~x ~y] emits one [point] event immediately (e.g.
+    per-epoch training loss, [x] = epoch). [unit_] annotates the y
+    axis (["mse"], ["s"], …). Series are low-volume by construction —
+    one point per epoch, not per sample. No-op when disabled. *)
 
 val read_file : string -> Json.t list
 (** Parse a trace file back into one value per line, skipping blank

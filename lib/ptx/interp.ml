@@ -56,28 +56,28 @@ let add_into ~into c =
   into.gst_transactions <- into.gst_transactions + c.gst_transactions;
   into.shared_transactions <- into.shared_transactions + c.shared_transactions
 
-(* Feed the per-run totals into the tracing subsystem (one call per
-   interpreted launch; a handful of no-ops when tracing is off). *)
+(* Feed the per-run totals into the telemetry registry (one call per
+   interpreted launch; a handful of no-ops when no sink is open). *)
 let obs_export c =
-  if Obs.Trace.enabled () then begin
-    Obs.Metrics.incr "interp.runs";
-    Obs.Metrics.add "interp.dyn.total" (total c);
-    Obs.Metrics.add "interp.dyn.ialu" c.ialu;
-    Obs.Metrics.add "interp.dyn.fma" c.fma;
-    Obs.Metrics.add "interp.dyn.fp_other" c.fp_other;
-    Obs.Metrics.add "interp.dyn.ld_global" c.ld_global;
-    Obs.Metrics.add "interp.dyn.st_global" c.st_global;
-    Obs.Metrics.add "interp.dyn.ld_shared" c.ld_shared;
-    Obs.Metrics.add "interp.dyn.st_shared" c.st_shared;
-    Obs.Metrics.add "interp.dyn.atom" c.atom;
-    Obs.Metrics.add "interp.dyn.bar_waits" c.bar;
-    Obs.Metrics.add "interp.dyn.branch" c.branch;
-    Obs.Metrics.add "interp.dyn.pred" c.pred;
-    Obs.Metrics.add "interp.dyn.mov" c.mov;
-    Obs.Metrics.add "interp.dyn.predicated_off" c.predicated_off;
-    Obs.Metrics.add "interp.txn.global_load" c.gld_transactions;
-    Obs.Metrics.add "interp.txn.global_store" c.gst_transactions;
-    Obs.Metrics.add "interp.txn.shared" c.shared_transactions
+  if Obs.Telemetry.enabled () then begin
+    Obs.Telemetry.incr "interp.runs";
+    Obs.Telemetry.add "interp.dyn.total" (total c);
+    Obs.Telemetry.add "interp.dyn.ialu" c.ialu;
+    Obs.Telemetry.add "interp.dyn.fma" c.fma;
+    Obs.Telemetry.add "interp.dyn.fp_other" c.fp_other;
+    Obs.Telemetry.add "interp.dyn.ld_global" c.ld_global;
+    Obs.Telemetry.add "interp.dyn.st_global" c.st_global;
+    Obs.Telemetry.add "interp.dyn.ld_shared" c.ld_shared;
+    Obs.Telemetry.add "interp.dyn.st_shared" c.st_shared;
+    Obs.Telemetry.add "interp.dyn.atom" c.atom;
+    Obs.Telemetry.add "interp.dyn.bar_waits" c.bar;
+    Obs.Telemetry.add "interp.dyn.branch" c.branch;
+    Obs.Telemetry.add "interp.dyn.pred" c.pred;
+    Obs.Telemetry.add "interp.dyn.mov" c.mov;
+    Obs.Telemetry.add "interp.dyn.predicated_off" c.predicated_off;
+    Obs.Telemetry.add "interp.txn.global_load" c.gld_transactions;
+    Obs.Telemetry.add "interp.txn.global_store" c.gst_transactions;
+    Obs.Telemetry.add "interp.txn.shared" c.shared_transactions
   end
 
 exception Trap of string

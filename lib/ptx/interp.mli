@@ -11,8 +11,8 @@
     The interpreter doubles as the reproduction's "hardware counter"
     source: it accumulates the dynamic instruction mix per category,
     warp-level global/shared memory transactions, barrier waits and
-    predicated-off issue slots, returned per-run and exported to the
-    {!Obs} trace (as [interp.*] counters) when [ISAAC_TRACE] is set.
+    predicated-off issue slots, returned per-run and counted in the
+    {!Obs.Telemetry} registry (as [interp.*] counters) while it collects.
     Tests cross-check the instruction mix against the static cost
     profiles the timing model consumes; DESIGN.md ("Observability")
     documents how each counter maps onto the cost terms of the paper's

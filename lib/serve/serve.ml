@@ -61,10 +61,7 @@ let load_slot ?cache_entries ?cache_bytes ~op path =
       | Error e -> Error (Util.Artifact.error_to_string ~path e)
       | Ok fp ->
         let device = device_of_name profile.device in
-        let engine =
-          Isaac.of_profile ?cache_entries ?cache_bytes ~metrics_prefix:"serve"
-            device profile
-        in
+        let engine = Isaac.of_profile ?cache_entries ?cache_bytes device profile in
         Ok { path; fp; engine = Atomic.make engine })
 
 let create ?cache_entries ?cache_bytes ?(reload_interval = 2.0) ?gemm_profile
@@ -144,7 +141,7 @@ let reload_slot t slot =
       else begin
         let engine =
           Isaac.of_profile ?cache_entries:t.cache_entries
-            ?cache_bytes:t.cache_bytes ~metrics_prefix:"serve" t.device profile
+            ?cache_bytes:t.cache_bytes t.device profile
         in
         Atomic.set slot.engine engine;
         slot.fp <- fp;
@@ -176,16 +173,23 @@ exception Bad_request of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
 
-let field_int ?default json name =
-  match Obs.Json.member name json with
-  | None -> (
-    match default with
-    | Some d -> d
-    | None -> bad "missing integer field %S" name)
-  | Some v -> (
-    match Obs.Json.to_int v with
-    | Some i -> i
-    | None -> bad "field %S must be an integer" name)
+(* Dimensions below [min] are rejected here, before they reach a
+   planner that would otherwise cache a plan for an empty problem or
+   trip a constructor's assertion. *)
+let field_int ?default ~min json name =
+  let i =
+    match Obs.Json.member name json with
+    | None -> (
+      match default with
+      | Some d -> d
+      | None -> bad "missing integer field %S" name)
+    | Some v -> (
+      match Obs.Json.to_int v with
+      | Some i -> i
+      | None -> bad "field %S must be an integer" name)
+  in
+  if i < min then bad "field %S must be >= %d, got %d" name min i;
+  i
 
 let field_bool ~default json name =
   match Obs.Json.member name json with
@@ -308,7 +312,8 @@ let handle_gemm t json ~id =
     Codegen.Gemm_params.input ~dtype:(field_dtype json)
       ~a_trans:(field_bool ~default:false json "a_trans")
       ~b_trans:(field_bool ~default:false json "b_trans")
-      (field_int json "m") (field_int json "n") (field_int json "k")
+      (field_int ~min:1 json "m") (field_int ~min:1 json "n")
+      (field_int ~min:1 json "k")
   in
   let engine = engine_for t `Gemm in
   let t0 = Unix.gettimeofday () in
@@ -320,11 +325,12 @@ let handle_gemm t json ~id =
 let handle_conv t json ~id =
   let input =
     Codegen.Conv_params.input ~dtype:(field_dtype json)
-      ~stride:(field_int ~default:1 json "stride")
-      ~pad:(field_int ~default:0 json "pad")
-      ~n:(field_int json "n") ~c:(field_int json "c") ~k:(field_int json "k")
-      ~p:(field_int json "p") ~q:(field_int json "q") ~r:(field_int json "r")
-      ~s:(field_int json "s") ()
+      ~stride:(field_int ~default:1 ~min:1 json "stride")
+      ~pad:(field_int ~default:0 ~min:0 json "pad")
+      ~n:(field_int ~min:1 json "n") ~c:(field_int ~min:1 json "c")
+      ~k:(field_int ~min:1 json "k") ~p:(field_int ~min:1 json "p")
+      ~q:(field_int ~min:1 json "q") ~r:(field_int ~min:1 json "r")
+      ~s:(field_int ~min:1 json "s") ()
   in
   let engine = engine_for t `Conv in
   let t0 = Unix.gettimeofday () in

@@ -11,17 +11,19 @@
     {b Protocol} (one JSON object per line, see DESIGN.md "Plan
     serving" for the full schema): requests carry [op] ∈ [ping], [stats],
     [reload], [gemm], [conv], [shutdown] plus an optional [id] echoed
-    back verbatim. Plan responses report [cache] ∈ ["hit"] / ["miss"] /
-    ["coalesced"], the request [latency_s], and the chosen kernel
-    configuration ([plan], [null] when no kernel is legal — that
-    negative result is cached too, so the retry is a hit).
+    back verbatim. Dimensions below 1, [stride] below 1 and [pad]
+    below 0 get an error reply naming the field. Plan responses report
+    [cache] ∈ ["hit"] / ["miss"] / ["coalesced"], the request
+    [latency_s], and the chosen kernel configuration ([plan], [null]
+    when no kernel is legal — that negative result is cached too, so
+    the retry is a hit).
 
     {b Telemetry}: [serve.requests] / [serve.coalesced] /
-    [serve.errors] / [serve.reloads] counters, a [serve.latency_s]
-    histogram, and [serve.evictions] from the underlying caches
-    (cache-hit ages land in the engine-level [plan.cache_hit_age_s]
-    histogram). [serve.requests] counts only plan ops — [ping] /
-    [stats] / [reload] probes don't pollute the load counters. *)
+    [serve.errors] / [serve.reloads] counters and a [serve.latency_s]
+    histogram; the engines count [plan.evictions] and histogram
+    cache-hit ages in [plan.cache_hit_age_s]. [serve.requests] counts
+    only plan ops — [ping] / [stats] / [reload] probes don't pollute
+    the load counters. *)
 
 type t
 

@@ -61,15 +61,15 @@ let conv_legal device input cfg_array =
    already-legal configuration and require a clean {!Ptx.Verify} report.
    Orders of magnitude cheaper than an interpreter run, and the only
    check that sees barrier divergence, shared races or OOB statically.
-   When tracing, every rejection is counted per diagnostic kind
-   ([verify.fail.<kind>]), so a trace shows *why* the static filter is
-   discarding configurations, not just how often. *)
+   While the registry collects, every rejection is counted per
+   diagnostic kind ([verify.fail.<kind>]), so a trace shows *why* the
+   static filter is discarding configurations, not just how often. *)
 let verified_clean report =
   let ok = Ptx.Verify.ok report in
-  if not ok && Obs.Trace.enabled () then
+  if not ok && Obs.Telemetry.enabled () then
     List.iter
       (fun (d : Ptx.Verify.diag) ->
-        Obs.Metrics.incr ("verify.fail." ^ Ptx.Verify.kind_name d.kind))
+        Obs.Telemetry.incr ("verify.fail." ^ Ptx.Verify.kind_name d.kind))
       report.Ptx.Verify.errors;
   ok
 
@@ -138,7 +138,7 @@ let checkpoint_payload ~op ~device_name ~n ~filled ~rng
 let restore_checkpoint ~op ~device_name ~n path (flog : Mlp.Tensor.t)
     (fraw : Mlp.Tensor.t) ys =
   let reject reason =
-    Obs.Metrics.incr "dataset.checkpoint_rejected";
+    Obs.Telemetry.incr "dataset.checkpoint_rejected";
     Log.warn (fun m -> m "%s: ignoring checkpoint (%s)" path reason);
     None
   in
@@ -192,7 +192,7 @@ let restore_checkpoint ~op ~device_name ~n path (flog : Mlp.Tensor.t)
                    <> filled
                 then reject "row count mismatch"
                 else begin
-                  Obs.Metrics.add "dataset.resumed_rows" filled;
+                  Obs.Telemetry.add "dataset.resumed_rows" filled;
                   Some (filled, rng)
                 end
               | exception _ -> reject "malformed row")))
@@ -201,7 +201,7 @@ let restore_checkpoint ~op ~device_name ~n path (flog : Mlp.Tensor.t)
 let write_checkpoint ~op ~device_name ~n ~filled ~rng path flog fraw ys =
   Util.Artifact.write ~path ~kind:checkpoint_kind ~version:checkpoint_version
     (checkpoint_payload ~op ~device_name ~n ~filled ~rng flog fraw ys);
-  Obs.Metrics.incr "dataset.checkpoints_written";
+  Obs.Telemetry.incr "dataset.checkpoints_written";
   (* Kill-resume smoke tests die right here, just after a durable
      checkpoint — the worst-case crash point resume must handle. *)
   Util.Faultsim.crash_point "gen_crash"
@@ -252,7 +252,7 @@ let generate_chunk ?checkpoint ~op ~noise ~sampler ~static_ok rng device ~n
          over-restricted [?dtypes]. Skip it rather than redrawing
          forever, and fail loudly once the whole chunk stops making
          progress. *)
-      Obs.Metrics.incr "dataset.skipped_inputs";
+      Obs.Telemetry.incr "dataset.skipped_inputs";
       incr skips;
       if !skips >= max_consecutive_skips then
         failwith
@@ -328,7 +328,6 @@ let generate_generic ?(domains = 1) ?static_ok ?checkpoint ~op ~noise ~sampler
       Array.blit cy 0 ys !row rows;
       row := !row + rows)
     chunks;
-  Obs.Metrics.add "dataset.samples" n;
   Obs.Telemetry.add "dataset.rows" n;
   { op; device = device.Gpu.Device.name; features_log = flog; features_raw = fraw;
     tflops = ys })
@@ -347,7 +346,6 @@ let config_event ~op ~phase cfg_array (m : Gpu.Executor.measurement) =
 
 let measure_gemm rng device input cfg_array ~noise =
   if Util.Faultsim.fire "bench_fail" then begin
-    Obs.Metrics.incr "dataset.bench_failures";
     Obs.Telemetry.incr "dataset.bench_failures";
     None
   end
@@ -361,7 +359,6 @@ let measure_gemm rng device input cfg_array ~noise =
 
 let measure_conv rng device input cfg_array ~noise =
   if Util.Faultsim.fire "bench_fail" then begin
-    Obs.Metrics.incr "dataset.bench_failures";
     Obs.Telemetry.incr "dataset.bench_failures";
     None
   end
@@ -436,7 +433,7 @@ let export_kernel_corpus ?dtypes ?(warmup = 2_000) ~op rng device ~n ~path =
     in
     match drawn with
     | None ->
-      Obs.Metrics.incr "dataset.skipped_inputs";
+      Obs.Telemetry.incr "dataset.skipped_inputs";
       incr skips;
       if !skips >= max_consecutive_skips then
         failwith
@@ -452,7 +449,7 @@ let export_kernel_corpus ?dtypes ?(warmup = 2_000) ~op rng device ~n ~path =
          fixed-width fields size a physical register file, and the
          canonical form is what the plan cache hashes. *)
       match Ptx.Encode.encode (Ptx.Regalloc.allocate (generate input cfg_array)) with
-      | Error _ -> Obs.Metrics.incr "dataset.kernel_encode_failures"
+      | Error _ -> Obs.Telemetry.incr "dataset.kernel_encode_failures"
       | Ok e ->
         let h = Ptx.Encode.hash e in
         if not (Hashtbl.mem seen h) then begin

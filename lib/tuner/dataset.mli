@@ -7,11 +7,11 @@
     interpolate input-dependence — the system never trains on the
     benchmark shapes themselves.
 
-    When [ISAAC_TRACE] is set, generation runs inside a
-    [dataset.generate] span and reports [dataset.samples],
-    per-diagnostic static-verifier rejections ([verify.fail.<kind>]) and
-    one [config] trace event per benchmarked configuration (see
-    DESIGN.md, "Observability"). *)
+    Generation runs inside a [dataset.generate] span. While the
+    {!Obs.Telemetry} registry collects, it counts [dataset.rows] and
+    per-diagnostic static-verifier rejections ([verify.fail.<kind>]);
+    under [ISAAC_TRACE] it also emits one [config] event per benchmarked
+    configuration (see DESIGN.md, "Observability"). *)
 
 type t = {
   op : [ `Gemm | `Conv ];

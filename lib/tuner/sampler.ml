@@ -26,8 +26,8 @@ let fit ?(alpha = alpha_default) ?(warmup = 10_000) rng space ~legal =
             cfg
         end
       done;
-      Obs.Metrics.add "sampler.warmup_draws" warmup;
-      Obs.Metrics.add "sampler.warmup_legal" !accepted;
+      Obs.Telemetry.add "sampler.warmup_draws" warmup;
+      Obs.Telemetry.add "sampler.warmup_legal" !accepted;
       { space; weights })
 
 let space t = t.space
@@ -46,12 +46,12 @@ let sample rng t =
 
 let sample_legal ?(max_tries = 1000) rng t ~legal =
   let rec go tries =
-    if tries = 0 then (Obs.Metrics.incr "sampler.exhausted"; None)
+    if tries = 0 then (Obs.Telemetry.incr "sampler.exhausted"; None)
     else
       let cfg = sample rng t in
-      if legal cfg then (Obs.Metrics.incr "sampler.accepted"; Some cfg)
+      if legal cfg then (Obs.Telemetry.incr "sampler.accepted"; Some cfg)
       else begin
-        Obs.Metrics.incr "sampler.rejected.legal";
+        Obs.Telemetry.incr "sampler.rejected.legal";
         go (tries - 1)
       end
   in
@@ -59,21 +59,21 @@ let sample_legal ?(max_tries = 1000) rng t ~legal =
 
 let sample_verified ?(max_tries = 1000) rng t ~legal ~verify =
   let rec go tries =
-    if tries = 0 then (Obs.Metrics.incr "sampler.exhausted"; None)
+    if tries = 0 then (Obs.Telemetry.incr "sampler.exhausted"; None)
     else
       let cfg = sample rng t in
       (* Legality is the cheap structural filter; the static verifier
          only runs on configurations that survive it. *)
       if not (legal cfg) then begin
-        Obs.Metrics.incr "sampler.rejected.legal";
+        Obs.Telemetry.incr "sampler.rejected.legal";
         go (tries - 1)
       end
       else if not (verify cfg) then begin
-        Obs.Metrics.incr "sampler.rejected.verify";
+        Obs.Telemetry.incr "sampler.rejected.verify";
         go (tries - 1)
       end
       else begin
-        Obs.Metrics.incr "sampler.accepted";
+        Obs.Telemetry.incr "sampler.accepted";
         Some cfg
       end
   in

@@ -11,8 +11,8 @@
     Table 1 reports the resulting acceptance rates; {!acceptance_rate}
     reproduces that measurement.
 
-    Under [ISAAC_TRACE], fitting reports a [sampler.fit] span and the
-    rejection loops count [sampler.accepted],
+    Fitting runs in a [sampler.fit] span, and while the {!Obs.Telemetry}
+    registry collects the rejection loops count [sampler.accepted],
     [sampler.rejected.legal]/[.verify] and [sampler.exhausted], so a
     trace shows the realized acceptance rate of any run. *)
 

@@ -84,16 +84,10 @@ let max_of a = Array.fold_left max a.(0) a
    GC slice) a doubling buffer in the major heap. *)
 type packed_enum = { packed : int array; count : int; visited : int }
 
-(* Serving telemetry: per-phase latency histograms (observed once per
-   completed search) and the model-quality channel fed by the rebench
-   stage, where every model prediction meets a real measurement. Inputs
-   are bucketed by FLOP magnitude so drift localizes to a size region
-   rather than washing out in a global average. *)
-let t_phase_hists =
-  List.map
-    (fun ph -> (ph, Obs.Telemetry.histo ("search." ^ ph ^ "_s")))
-    [ "enumerate"; "featurize"; "inference"; "argmax"; "rebench" ]
-
+(* The model-quality channel is fed by the rebench stage, where every
+   model prediction meets a real measurement. Inputs are bucketed by
+   FLOP magnitude so drift localizes to a size region rather than
+   washing out in a global average. *)
 let flops_bucket flops =
   if not (Float.is_finite flops) || flops <= 0.0 then "na"
   else Printf.sprintf "2^%d" (snd (Float.frexp flops) - 1)
@@ -334,13 +328,13 @@ let top_k_indices ~k pred =
    result is identical for any domain count. Row [row] is config
    [row * stride] in caller-facing order, featurized straight from its
    packed slot. *)
-let score_batched ~domains ~query profile e ~stride ~n =
+let score_batched ~domains ~query ~meta profile e ~stride ~n =
   (* Worker domains start with empty DLS — hand them the caller's
      request id so their spans/flight events correlate with the plan
      request that spawned them. *)
   let req = Obs.Span.current_request () in
   let x, t_feat =
-    Obs.Span.timed (fun () ->
+    Obs.Span.with_dur "search.featurize" (fun () ->
         let x = Mlp.Matrix.create n Features.dim in
         Util.Parallel.iter_ranges ~domains ~total:n (fun ~offset ~size ->
             Obs.Span.set_request req;
@@ -352,7 +346,7 @@ let score_batched ~domains ~query profile e ~stride ~n =
         x)
   in
   let pred, t_inf =
-    Obs.Span.timed (fun () ->
+    Obs.Span.with_dur ~meta "search.inference" (fun () ->
         if domains <= 1 then Profile.predict_std_matrix profile x
         else begin
           let out = Array.make n 0.0 in
@@ -375,10 +369,12 @@ let score_batched ~domains ~query profile e ~stride ~n =
    network one row at a time — the historical per-candidate path, kept
    as the differential reference the batched engine must match
    bit-for-bit. *)
-let score_scalar ~domains ~features_of profile cfgs =
-  let feats, t_feat = Obs.Span.timed (fun () -> Array.map features_of cfgs) in
+let score_scalar ~domains ~features_of ~meta profile cfgs =
+  let feats, t_feat =
+    Obs.Span.with_dur "search.featurize" (fun () -> Array.map features_of cfgs)
+  in
   let pred, t_inf =
-    Obs.Span.timed (fun () ->
+    Obs.Span.with_dur ~meta "search.inference" (fun () ->
         if domains <= 1 then Array.map (Profile.predict_std_one profile) feats
         else
           Util.Parallel.map_array ~domains (Profile.predict_std_one profile)
@@ -409,13 +405,12 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
     | None -> Util.Parallel.recommended_domains ()
   in
   let enum, t_enum =
-    Obs.Span.with_ "search.enumerate" (fun () ->
-        Obs.Span.timed (fun () ->
-            match engine with
-            | `Batched -> `Packed (legal_fast device)
-            | `Scalar ->
-              let all, visited = legal_ref device in
-              `Materialized (all, visited)))
+    Obs.Span.with_dur "search.enumerate" (fun () ->
+        match engine with
+        | `Batched -> `Packed (legal_fast device)
+        | `Scalar ->
+          let all, visited = legal_ref device in
+          `Materialized (all, visited))
   in
   let n_legal, n_visited =
     match enum with
@@ -424,36 +419,33 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
   in
   if n_legal = 0 then None
   else begin
+    let meta n () =
+      [ ("n_legal", Obs.Json.Int n_legal);
+        ("n_scored", Obs.Json.Int n);
+        ("domains", Obs.Json.Int domains);
+        ( "engine",
+          Obs.Json.String
+            (match engine with `Batched -> "batched" | `Scalar -> "scalar") ) ]
+    in
     (* The batched engine scores packed slots and builds config records
        for the top-k rows only. *)
-    let n, config_of_row, score =
+    let n, config_of_row, (pred, t_feat, t_inf) =
       match enum with
       | `Packed e ->
         let stride = subsample_stride ~cap e.count in
         let n = (e.count + stride - 1) / stride in
         ( n,
           (fun row -> packed_config e (row * stride)),
-          fun () -> score_batched ~domains ~query profile e ~stride ~n )
+          score_batched ~domains ~query ~meta:(meta n) profile e ~stride ~n )
       | `Materialized (all, _) ->
         let cfgs = subsample cap all in
-        ( Array.length cfgs,
+        let n = Array.length cfgs in
+        ( n,
           (fun row -> cfgs.(row)),
-          fun () -> score_scalar ~domains ~features_of profile cfgs )
-    in
-    let pred, t_feat, t_inf =
-      Obs.Span.with_ "search.score"
-        ~meta:(fun () ->
-          [ ("n_legal", Obs.Json.Int n_legal);
-            ("n_scored", Obs.Json.Int n);
-            ("domains", Obs.Json.Int domains);
-            ( "engine",
-              Obs.Json.String
-                (match engine with `Batched -> "batched" | `Scalar -> "scalar")
-            ) ])
-        score
+          score_scalar ~domains ~features_of ~meta:(meta n) profile cfgs )
     in
     let candidates, t_argmax =
-      Obs.Span.timed (fun () ->
+      Obs.Span.with_dur "search.argmax" (fun () ->
           Array.map
             (fun row ->
               { config = config_of_row row;
@@ -463,54 +455,37 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
     in
     (* Re-benchmark the short-list on the device and keep the fastest. *)
     let best, t_rebench =
-      Obs.Span.with_ "search.rebench"
+      Obs.Span.with_dur "search.rebench"
         ~meta:(fun () -> [ ("top_k", Obs.Json.Int (Array.length candidates)) ])
         (fun () ->
-          Obs.Span.timed (fun () ->
-              let best = ref None in
-              Array.iter
-                (fun cand ->
-                  match
-                    Gpu.Executor.measure_best_of ?noise rng device
-                      (cost cand.config)
-                  with
-                  | None -> ()
-                  | Some m ->
-                    (* Every rebench pairs a model prediction with a
-                       fresh measurement: feed the drift tracker. *)
-                    Obs.Telemetry.Model.record ~op
-                      ~bucket:(flops_bucket flops)
-                      ~predicted:cand.predicted_tflops ~measured:m.tflops;
-                    if Obs.Trace.enabled () then
-                      Obs.Trace.emit "config"
-                        [ ("phase", Obs.Json.String "rebench");
-                          ("config", Obs.Json.String (GP.describe cand.config));
-                          ( "predicted_tflops",
-                            Obs.Json.Float cand.predicted_tflops );
-                          ("tflops", Obs.Json.Float m.tflops);
-                          ("seconds", Obs.Json.Float m.seconds) ];
-                    (match !best with
-                     | Some (_, bm) when bm.Gpu.Executor.seconds <= m.seconds ->
-                       ()
-                     | _ -> best := Some (cand.config, m)))
-                candidates;
-              !best))
+          let best = ref None in
+          Array.iter
+            (fun cand ->
+              match
+                Gpu.Executor.measure_best_of ?noise rng device (cost cand.config)
+              with
+              | None -> ()
+              | Some m ->
+                (* Every rebench pairs a model prediction with a fresh
+                   measurement: feed the drift tracker. *)
+                Obs.Telemetry.Model.record ~op ~bucket:(flops_bucket flops)
+                  ~predicted:cand.predicted_tflops ~measured:m.tflops;
+                if Obs.Trace.enabled () then
+                  Obs.Trace.emit "config"
+                    [ ("phase", Obs.Json.String "rebench");
+                      ("config", Obs.Json.String (GP.describe cand.config));
+                      ("predicted_tflops", Obs.Json.Float cand.predicted_tflops);
+                      ("tflops", Obs.Json.Float m.tflops);
+                      ("seconds", Obs.Json.Float m.seconds) ];
+                (match !best with
+                 | Some (_, bm) when bm.Gpu.Executor.seconds <= m.seconds -> ()
+                 | _ -> best := Some (cand.config, m)))
+            candidates;
+          !best)
     in
     match best with
     | None -> None
     | Some (cfg, m) ->
-      let phases =
-        [ ("enumerate", t_enum); ("featurize", t_feat);
-          ("inference", t_inf); ("argmax", t_argmax);
-          ("rebench", t_rebench) ]
-      in
-      if Obs.Telemetry.enabled () then
-        List.iter
-          (fun (ph, t) ->
-            match List.assoc_opt ph t_phase_hists with
-            | Some h -> Obs.Telemetry.Histo.observe h t
-            | None -> ())
-          phases;
       Some
         { best = cfg;
           best_measurement = m;
@@ -518,7 +493,10 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
           n_legal;
           n_scored = n;
           n_visited;
-          phases }
+          phases =
+            [ ("enumerate", t_enum); ("featurize", t_feat);
+              ("inference", t_inf); ("argmax", t_argmax);
+              ("rebench", t_rebench) ] }
   end
 
 let exhaustive_gemm ?top_k ?cap ?noise ?domains ?engine rng device ~profile

@@ -27,10 +27,12 @@
     — asserted by differential tests and by the deterministic
     [plan_argmax_equal] bench check in CI.
 
-    Under [ISAAC_TRACE] the stages report as [search.enumerate],
-    [search.score] and [search.rebench] spans, and every re-benchmarked
-    candidate emits a [config] event carrying both its predicted and
-    measured TFLOPS — the data for studying model miscalibration on the
+    Each phase runs as one span, [search.<phase>] for the five phases
+    of {!result.phases}: its duration is the [phases] entry, the trace
+    event's [dur] and the one observation of the [search.<phase>_s]
+    histogram. Under [ISAAC_TRACE] every re-benchmarked candidate also
+    emits a [config] event carrying both its predicted and measured
+    TFLOPS — the data for studying model miscalibration on the
     short-list. *)
 
 type engine = [ `Batched | `Scalar ]
@@ -58,8 +60,8 @@ type result = {
       (legal-space construction), [featurize] (feature-matrix fill),
       [inference] (network forward), [argmax] (top-k selection,
       {!top_k_indices}, plus the k candidate records) and [rebench]
-      (on-device short-list timing). Surfaced by
-      [isaac_query --timing]. *)
+      (on-device short-list timing) — each the duration of the phase's
+      [search.<phase>] span. Surfaced by [isaac_query --timing]. *)
 }
 
 val top_k_indices : k:int -> float array -> int array

@@ -41,21 +41,51 @@ let test_plan_gemm () =
     Alcotest.(check bool) "positive speed" true (plan.measurement.tflops > 0.0);
     Alcotest.(check bool) "explored space" true (plan.n_legal > 1000)
 
-(* The [`Scalar] reference engine must plan the identical config, and
-   the default batched plan must carry the phase breakdown
-   [isaac_query --timing] prints. *)
 (* A fresh plan records the five search phases in pipeline order. The
    batched/scalar engine equality lives in test_tuner and in the
-   micro.plan_argmax_equal gate. *)
+   micro.plan_argmax_equal gate. With both sinks open, each phase time
+   is its [search.<phase>] span's duration bit for bit: the trace
+   event's [dur], and the sum of the [search.<phase>_s] histogram's one
+   observation. *)
 let test_plan_phases () =
   let engine = Lazy.force gemm_engine in
   let fresh = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
+  let trace = Filename.temp_file "isaac_phases" ".jsonl"
+  and tel = Filename.temp_file "isaac_phases_tel" ".jsonl" in
+  Obs.Telemetry.reset ();
+  Obs.Telemetry.start ~path:tel ();
+  Obs.Trace.start ~path:trace ();
   let plan = Option.get (Isaac.plan_gemm fresh (GP.input 640 128 640)) in
+  Obs.Trace.stop ();
+  Obs.Telemetry.stop ();
+  let spans =
+    List.filter
+      (fun e -> Obs.Json.member "ev" e = Some (Obs.Json.String "span"))
+      (Obs.Trace.read_file trace)
+  in
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ trace; tel; tel ^ ".prom" ];
   Alcotest.(check (list string)) "phase names"
     [ "enumerate"; "featurize"; "inference"; "argmax"; "rebench" ]
     (List.map fst plan.phases);
+  let bits = Int64.bits_of_float in
   List.iter
-    (fun (_, t) -> Alcotest.(check bool) "non-negative phase time" true (t >= 0.0))
+    (fun (phase, t) ->
+      Alcotest.(check bool) "non-negative phase time" true (t >= 0.0);
+      let name = "search." ^ phase in
+      (match
+         List.filter
+           (fun e -> Obs.Json.member "name" e = Some (Obs.Json.String name))
+           spans
+       with
+       | [ e ] ->
+         Alcotest.(check int64) (name ^ " span dur") (bits t)
+           (bits (Option.get (Option.bind (Obs.Json.member "dur" e) Obs.Json.to_float)))
+       | l -> Alcotest.failf "expected one %s span, got %d" name (List.length l));
+      let h = Obs.Telemetry.Histo.snapshot (Obs.Telemetry.histo (name ^ "_s")) in
+      Alcotest.(check int) (name ^ "_s observations") 1 h.count;
+      Alcotest.(check int64) (name ^ "_s sum") (bits t) (bits h.sum))
     plan.phases
 
 let test_plan_cache () =

@@ -1,8 +1,9 @@
 (* Observability layer: JSON round-trips, span nesting and JSONL
-   round-trip through a real sink, metric summaries, interpreter
-   counter correctness on a hand-written kernel with a known
-   instruction mix, zero-cost behaviour when ISAAC_TRACE is unset, and
-   the counter snapshot embedded in interpreter trap messages. *)
+   round-trip through a real sink, the telemetry registry recorded into
+   the trace, interpreter counter correctness on a hand-written kernel
+   with a known instruction mix, zero-cost behaviour when both sinks are
+   closed, and the counter snapshot embedded in interpreter trap
+   messages. *)
 
 open Ptx.Types
 module B = Ptx.Builder
@@ -62,7 +63,7 @@ let test_json_roundtrip () =
 
 let test_span_roundtrip () =
   let path = tmp_trace () in
-  Obs.Metrics.reset ();
+  Obs.Telemetry.reset ();
   Obs.Trace.start ~path ();
   Alcotest.(check bool) "enabled while open" true (Obs.Trace.enabled ());
   Obs.Span.with_ "a" (fun () ->
@@ -103,7 +104,7 @@ let test_span_roundtrip () =
 
 let test_span_error_flag () =
   let path = tmp_trace () in
-  Obs.Metrics.reset ();
+  Obs.Telemetry.reset ();
   Obs.Trace.start ~path ();
   (try Obs.Span.with_ "boom" (fun () -> failwith "x") with Failure _ -> ());
   Obs.Trace.stop ();
@@ -114,21 +115,21 @@ let test_span_error_flag () =
     Alcotest.(check bool) "error flag" true (J.member "error" sp = Some (J.Bool true))
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
-(* --- metrics ------------------------------------------------------------ *)
+(* --- registry summaries in the trace ------------------------------------- *)
 
 let test_metrics_flush () =
   let path = tmp_trace () in
-  Obs.Metrics.reset ();
+  Obs.Telemetry.reset ();
   Obs.Trace.start ~path ();
-  Obs.Metrics.incr "c.hits";
-  Obs.Metrics.add "c.hits" 4;
-  Obs.Metrics.add "c.other" 2;
+  Obs.Telemetry.incr "c.hits";
+  Obs.Telemetry.add "c.hits" 4;
+  Obs.Telemetry.add "c.other" 2;
   Alcotest.(check (option int)) "live value" (Some 5)
-    (Obs.Metrics.counter_value "c.hits");
+    (Obs.Telemetry.counter_value "c.hits");
   for i = 1 to 100 do
-    Obs.Metrics.observe "h.lat" (float_of_int i)
+    Obs.Telemetry.observe "h.lat" (float_of_int i)
   done;
-  Obs.Metrics.point "s.loss" ~x:0.0 ~y:1.5;
+  Obs.Trace.point "s.loss" ~x:0.0 ~y:1.5;
   Obs.Trace.stop ();
   let events = Obs.Trace.read_file path in
   Sys.remove path;
@@ -155,33 +156,31 @@ let test_metrics_flush () =
    | [ p ] ->
      Alcotest.(check (option string)) "series" (Some "s.loss") (str_field "series" p);
      Alcotest.(check (option (float 1e-9))) "y" (Some 1.5) (num_field "y" p)
-   | l -> Alcotest.failf "expected 1 point, got %d" (List.length l));
-  Alcotest.(check (option int)) "cleared after flush" None
-    (Obs.Metrics.counter_value "c.hits")
+   | l -> Alcotest.failf "expected 1 point, got %d" (List.length l))
 
 (* Hammer the live sink from several domains at once: every span and
-   metric call races against the others (and the final stop) for the
+   counter call races against the others (and the final stop) for the
    shared JSONL channel. Passes iff the file stays line-atomic — every
    line parses — and nothing is lost: the counter saw all 800 incrs and
    all 800 span events landed. *)
 let test_multi_domain_sink () =
   let path = tmp_trace () in
-  Obs.Metrics.reset ();
+  Obs.Telemetry.reset ();
   Obs.Trace.start ~path ();
   let n_domains = 4 and iters = 200 in
   let worker d () =
     for i = 1 to iters do
-      Obs.Metrics.incr "par.counter";
+      Obs.Telemetry.incr "par.counter";
       Obs.Span.with_
         (Printf.sprintf "work.%d" d)
-        (fun () -> Obs.Metrics.observe "par.lat" (float_of_int i))
+        (fun () -> Obs.Telemetry.observe "par.lat" (float_of_int i))
     done
   in
   let handles = List.init n_domains (fun d -> Domain.spawn (worker d)) in
   List.iter Domain.join handles;
   Alcotest.(check (option int)) "live counter saw every incr"
     (Some (n_domains * iters))
-    (Obs.Metrics.counter_value "par.counter");
+    (Obs.Telemetry.counter_value "par.counter");
   Obs.Trace.stop ();
   let events = Obs.Trace.read_file path (* raises if any line is torn *) in
   Sys.remove path;
@@ -197,12 +196,24 @@ let test_multi_domain_sink () =
        (Some (float_of_int (n_domains * iters)))
        (num_field "value" e)
    | None -> Alcotest.fail "par.counter not flushed");
-  (match events_of "hist" events with
+  (* Besides [par.lat], each worker's spans fill its own [work.<d>_s]
+     histogram. *)
+  let hist name =
+    List.filter (fun e -> str_field "name" e = Some name) (events_of "hist" events)
+  in
+  (match hist "par.lat" with
    | [ h ] ->
      Alcotest.(check (option (float 1e-9))) "hist count"
        (Some (float_of_int (n_domains * iters)))
        (num_field "count" h)
-   | l -> Alcotest.failf "expected 1 hist, got %d" (List.length l));
+   | l -> Alcotest.failf "expected 1 par.lat hist, got %d" (List.length l));
+  for d = 0 to n_domains - 1 do
+    match hist (Printf.sprintf "work.%d_s" d) with
+    | [ h ] ->
+      Alcotest.(check (option (float 1e-9))) "span hist count"
+        (Some (float_of_int iters)) (num_field "count" h)
+    | l -> Alcotest.failf "expected 1 work.%d_s hist, got %d" d (List.length l)
+  done;
   (* Emitting after stop is a silent no-op, not a crash on a closed
      channel. *)
   Obs.Trace.emit "late" [];
@@ -270,9 +281,8 @@ let test_interp_counters () =
         Alcotest.failf "summary misses %s: %s" needle s)
     [ "gld.txn=33"; "smem.txn=4"; "masked=16" ]
 
-(* Two warps: each warp coalesces independently, so a block of 64
-   threads doing a coalesced load costs 2 transactions, not 1. *)
-let test_interp_counters_two_warps () =
+(* OUT[tid] = IN[tid] over one block of 64 threads (two warps). *)
+let run_copy_kernel () =
   let b = B.create ~name:"warps" ~dtype:F64 in
   let inp = B.buf_param b "IN" in
   let out = B.buf_param b "OUT" in
@@ -280,12 +290,14 @@ let test_interp_counters_two_warps () =
   let f = B.fresh_f b in
   B.emit b (I.Ld_global (f, inp, Ireg tid));
   B.emit b (I.St_global (out, Ireg tid, Freg f));
-  let prog = B.finish b in
-  let c =
-    Ptx.Interp.run prog ~grid:(1, 1, 1) ~block:(64, 1, 1)
-      ~bufs:[ ("IN", Array.make 64 1.0); ("OUT", Array.make 64 0.0) ]
-      ~iargs:[]
-  in
+  Ptx.Interp.run (B.finish b) ~grid:(1, 1, 1) ~block:(64, 1, 1)
+    ~bufs:[ ("IN", Array.make 64 1.0); ("OUT", Array.make 64 0.0) ]
+    ~iargs:[]
+
+(* Two warps: each warp coalesces independently, so a block of 64
+   threads doing a coalesced load costs 2 transactions, not 1. *)
+let test_interp_counters_two_warps () =
+  let c = run_copy_kernel () in
   Alcotest.(check int) "gld" 2 c.Ptx.Interp.gld_transactions;
   Alcotest.(check int) "gst" 2 c.gst_transactions
 
@@ -310,12 +322,13 @@ let test_trap_snapshot () =
 let test_trace_rotation () =
   let path = tmp_trace () in
   let rotated = path ^ ".1" in
-  Obs.Metrics.reset ();
+  Obs.Telemetry.reset ();
   (* A cap of 4 KiB forces several rotations out of ~200 span events of
-     ~100 bytes each. *)
+     ~100 bytes each. The spans share one name, so the stop appends one
+     [rot_s] histogram summary, not one per span. *)
   Obs.Trace.start ~max_bytes:4096 ~path ();
   for i = 1 to 200 do
-    Obs.Span.with_ (Printf.sprintf "rot-%03d" i) (fun () -> ())
+    Obs.Span.with_ "rot" ~meta:(fun () -> [ ("i", J.Int i) ]) (fun () -> ())
   done;
   Obs.Trace.stop ();
   Alcotest.(check bool) "rotated file exists" true (Sys.file_exists rotated);
@@ -338,17 +351,19 @@ let test_trace_rotation () =
        (str_field "rotated_to" marker)
    | [] -> Alcotest.fail "no trace_rotate marker in live file");
   (* The newest span is in the live file, an older one only in .1. *)
-  let span_paths evs =
-    List.filter_map (fun e -> str_field "path" e) (events_of "span" evs)
+  let span_indices evs =
+    List.filter_map
+      (fun e -> Option.bind (J.member "meta" e) (J.member "i"))
+      (events_of "span" evs)
   in
   Alcotest.(check bool) "newest span live" true
-    (List.mem "rot-200" (span_paths live));
+    (List.mem (J.Int 200) (span_indices live));
   Alcotest.(check bool) "rotated file holds older spans" true
-    (span_paths old <> [])
+    (span_indices old <> [])
 
 let test_request_ids () =
   let path = tmp_trace () in
-  Obs.Metrics.reset ();
+  Obs.Telemetry.reset ();
   Obs.Trace.start ~path ();
   Alcotest.(check (option int)) "no request outside scope" None
     (Obs.Span.current_request ());
@@ -394,28 +409,79 @@ let test_read_file_partial () =
   Alcotest.(check int) "empty file events" 0 (List.length events);
   Alcotest.(check int) "empty file skips" 0 skipped
 
+(* With both sinks open the trace and the telemetry export report one
+   registry: every [counter] event the trace records at stop names a
+   counter of the final snapshot with the same value, and every [hist]
+   event a histogram with the same count and sum. *)
+let test_trace_matches_snapshot () =
+  let path = tmp_trace () and tel = tmp_trace () in
+  Obs.Telemetry.reset ();
+  Obs.Telemetry.start ~path:tel ();
+  Obs.Trace.start ~path ();
+  Obs.Telemetry.add "both.counter" 3;
+  Obs.Span.with_ "both.span" (fun () -> ignore (run_copy_kernel ()));
+  Obs.Trace.stop ();
+  Obs.Telemetry.stop ();
+  let events = Obs.Trace.read_file path in
+  let snapshot = List.hd (List.rev (Obs.Trace.read_file tel)) in
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; tel; tel ^ ".prom" ];
+  let in_snapshot section name =
+    match Option.bind (J.member section snapshot) (J.member name) with
+    | Some v -> v
+    | None -> Alcotest.failf "%s %s missing from the snapshot" section name
+  in
+  let counters = events_of "counter" events in
+  List.iter
+    (fun name ->
+      if not (List.exists (fun e -> str_field "name" e = Some name) counters) then
+        Alcotest.failf "trace lacks counter %s" name)
+    [ "both.counter"; "interp.runs"; "interp.dyn.total" ];
+  List.iter
+    (fun e ->
+      let name = Option.get (str_field "name" e) in
+      Alcotest.(check (option int)) ("counter " ^ name)
+        (Option.bind (J.member "value" e) J.to_int)
+        (J.to_int (in_snapshot "counters" name)))
+    counters;
+  let hists = events_of "hist" events in
+  Alcotest.(check bool) "span histogram recorded" true
+    (List.exists (fun e -> str_field "name" e = Some "both.span_s") hists);
+  List.iter
+    (fun e ->
+      let name = Option.get (str_field "name" e) in
+      let h = in_snapshot "hists" name in
+      List.iter
+        (fun field ->
+          Alcotest.(check (option (float 0.0))) (name ^ " " ^ field)
+            (num_field field e) (num_field field h))
+        [ "count"; "sum" ])
+    hists
+
 (* --- zero cost when disabled -------------------------------------------- *)
 
 let test_noop_when_disabled () =
-  (* The test runner never sets ISAAC_TRACE, and every test above closes
-     the sink it opens, so the layer must be off here. *)
+  (* The test runner sets neither ISAAC_TRACE nor ISAAC_TELEMETRY, and
+     every test above closes the sinks it opens, so the layer must be
+     off here. *)
   Alcotest.(check bool) "sink off" false (Obs.Trace.enabled ());
-  Obs.Metrics.reset ();
+  Alcotest.(check bool) "registry off" false (Obs.Telemetry.enabled ());
+  Obs.Telemetry.reset ();
   let iters = 200_000 in
-  let (), elapsed =
-    Obs.Span.timed (fun () ->
-        for i = 1 to iters do
-          Obs.Span.with_ "dead" (fun () -> ignore (Sys.opaque_identity i));
-          Obs.Metrics.incr "dead.counter";
-          Obs.Metrics.observe "dead.hist" 1.0
-        done)
-  in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to iters do
+    Obs.Span.with_ "dead" (fun () -> ignore (Sys.opaque_identity i));
+    Obs.Telemetry.incr "dead.counter";
+    Obs.Telemetry.observe "dead.hist" 1.0
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check (option int)) "nothing accumulated" None
-    (Obs.Metrics.counter_value "dead.counter");
+    (Obs.Telemetry.counter_value "dead.counter");
   Alcotest.(check string) "no open spans" "" (Obs.Span.current_path ());
   (* ~3 no-op calls per iteration; anything near a microsecond each would
      blow this generous bound and indicate the gate stopped being a
-     single boolean load. *)
+     pair of boolean loads. *)
   if elapsed > 2.0 then
     Alcotest.failf "disabled-path overhead too high: %.3fs for %d iters"
       elapsed iters
@@ -428,6 +494,7 @@ let () =
           quick "error flag" test_span_error_flag;
           quick "metrics flush" test_metrics_flush;
           quick "multi-domain emitters" test_multi_domain_sink;
+          quick "counters match the telemetry snapshot" test_trace_matches_snapshot;
           quick "size-capped rotation" test_trace_rotation;
           quick "request ids" test_request_ids;
           quick "partial reads" test_read_file_partial ] );

@@ -55,6 +55,18 @@ let handle_line srv line =
 
 let gemm_req = {|{"op":"gemm","id":1,"m":256,"n":64,"k":256}|}
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let error_of response =
+  Alcotest.(check (option bool)) ("not ok: " ^ response) (Some false)
+    (J.to_bool (field response "ok"));
+  Option.value ~default:"" (J.to_str (field response "error"))
+
 let test_ping_and_ids () =
   with_server (fun srv _ ->
       let r = handle_line srv {|{"op":"ping","id":42}|} in
@@ -87,12 +99,7 @@ let test_cold_then_warm () =
 
 let test_errors () =
   with_server (fun srv _ ->
-      let check_error line =
-        let r = handle_line srv line in
-        Alcotest.(check (option bool)) ("not ok: " ^ line) (Some false)
-          (J.to_bool (field r "ok"));
-        ignore (field r "error")
-      in
+      let check_error line = ignore (error_of (handle_line srv line)) in
       check_error "this is not json";
       check_error {|{"no_op_field":1}|};
       check_error {|{"op":"teleport"}|};
@@ -110,17 +117,9 @@ let test_bad_search_cap () =
         ~finally:(fun () -> Unix.putenv "ISAAC_SEARCH_CAP" "4000")
         (fun () ->
           Unix.putenv "ISAAC_SEARCH_CAP" "0";
-          let r = handle_line srv gemm_req in
-          Alcotest.(check (option bool)) "not ok" (Some false)
-            (J.to_bool (field r "ok"));
-          let msg = Option.value ~default:"" (J.to_str (field r "error")) in
+          let msg = error_of (handle_line srv gemm_req) in
           let knob = "ISAAC_SEARCH_CAP = 0" in
-          let n = String.length knob in
-          let rec mentions i =
-            i + n <= String.length msg
-            && (String.sub msg i n = knob || mentions (i + 1))
-          in
-          if not (mentions 0) then
+          if not (contains msg knob) then
             Alcotest.failf "error %S does not name %S" msg knob);
       expect_ok (handle_line srv gemm_req))
 
@@ -130,6 +129,24 @@ let stats_cache_entries srv =
   match J.member "entries" (field r "cache") with
   | Some (J.Int n) -> n
   | _ -> Alcotest.fail "stats lacks cache.entries"
+
+(* Dimensions below 1, a stride below 1 and a negative pad are refused
+   at the wire with an error naming the field, so no plan for an empty
+   problem is served or cached. *)
+let test_out_of_range_dims () =
+  with_server (fun srv _ ->
+      List.iter
+        (fun (line, name) ->
+          let msg = error_of (handle_line srv line) in
+          if not (contains msg (Printf.sprintf "%S" name)) then
+            Alcotest.failf "error %S does not name %S" msg name)
+        [ ({|{"op":"gemm","m":0,"n":64,"k":256}|}, "m");
+          ({|{"op":"gemm","m":-5,"n":64,"k":256}|}, "m");
+          ( {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"stride":0}|},
+            "stride" );
+          ({|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"pad":-1}|}, "pad")
+        ];
+      Alcotest.(check int) "nothing cached" 0 (stats_cache_entries srv))
 
 let test_stats () =
   with_server (fun srv _ ->
@@ -198,6 +215,7 @@ let () =
          slow "cold miss, warm hit, identical plan" test_cold_then_warm;
          slow "malformed requests" test_errors;
          slow "bad search cap names the knob" test_bad_search_cap;
+         slow "out-of-range dimensions name the field" test_out_of_range_dims;
          slow "stats endpoint" test_stats;
          slow "shutdown verdict" test_shutdown_verdict ]);
       ("hot reload",

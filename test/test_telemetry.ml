@@ -199,23 +199,19 @@ let test_gauge_and_registry () =
   T.Gauge.set g 1.5;
   T.Gauge.set g 2.5;
   Alcotest.(check (float 0.0)) "last write wins" 2.5 (T.Gauge.value g);
-  let reg = T.Registry.create () in
-  let c1 = T.Registry.counter reg "x" in
-  let c2 = T.Registry.counter reg "x" in
+  let c1 = T.counter "registry.x" in
+  let c2 = T.counter "registry.x" in
   Alcotest.(check bool) "same handle for same name" true (c1 == c2);
-  (match T.Registry.histo reg "x" with
+  (match T.histo "registry.x" with
   | (_ : H.t) -> Alcotest.fail "kind mismatch not rejected"
   | exception Invalid_argument _ -> ());
   T.Counter.add c1 7;
-  Alcotest.(check bool) "find_counter finds it" true
-    (match T.Registry.find_counter reg "x" with
-    | Some c -> T.Counter.value c = 7
-    | None -> false);
-  T.Registry.reset_values reg;
-  Alcotest.(check int) "reset_values keeps handle" 0 (T.Counter.value c1);
-  T.Registry.clear reg;
-  Alcotest.(check bool) "clear unregisters" true
-    (T.Registry.find_counter reg "x" = None)
+  Alcotest.(check (option int)) "counter_value finds it" (Some 7)
+    (T.counter_value "registry.x");
+  T.reset ();
+  Alcotest.(check int) "reset keeps handle" 0 (T.Counter.value c1);
+  Alcotest.(check bool) "reset handle still registered" true
+    (T.counter "registry.x" == c1)
 
 (* --- gating, model drift, flight recorder ------------------------------- *)
 
