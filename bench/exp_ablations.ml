@@ -70,8 +70,7 @@ let run_optimizers () =
         let objective cfg_array =
           if Tuner.Dataset.gemm_legal device input cfg_array then
             let f = Tuner.Features.gemm_features ~log:true input cfg_array in
-            let x = Mlp.Tensor.of_array ~rows:1 ~cols:Tuner.Features.dim f in
-            Some (Tuner.Profile.predict_std_batch profile x).(0)
+            Some (Tuner.Profile.predict_std_one profile f)
           else None
         in
         (* Measured speed of the config each optimizer settles on. *)
@@ -288,10 +287,10 @@ let run_schedule_features () =
             draw ()))
   in
   let dataset ~schedule dim =
-    let flog = Mlp.Tensor.create n dim and fraw = Mlp.Tensor.create n dim in
+    let flog = Mlp.Matrix.create n dim and fraw = Mlp.Matrix.create n dim in
     Array.iteri
       (fun row (input, cfg, _) ->
-        let put t f = Array.blit f 0 t.Mlp.Tensor.data (row * dim) dim in
+        let put t f = Array.iteri (Mlp.Matrix.set t row) f in
         put flog (Tuner.Features.gemm_features ~schedule ~log:true input cfg);
         put fraw (Tuner.Features.gemm_features ~schedule ~log:false input cfg))
       samples;

@@ -23,8 +23,8 @@ let tests () =
     Tuner.Features.gemm_features ~log:true linpack (GP.config_to_array linpack_cfg)
   in
   (* The search's scoring path: Network.predict_matrix over a Matrix
-     batch, the same forward_batch kernel Tuner.Search runs (the Tensor
-     path behind Network.predict is the training one). *)
+     batch, the same forward_batch kernel Tuner.Search runs (the
+     pure-OCaml forward behind Network.predict is the training one). *)
   let batch =
     let n = 256 in
     let x = Mlp.Matrix.create n Tuner.Features.dim in

@@ -11,7 +11,7 @@
    regression network at exhaustive-search batch sizes and compares the
    chosen kernels against the cuBLAS-like baseline, and (2) actually runs
    a small MLP forward pass through the ISAAC-planned kernels (via the
-   einsum front-end) and checks it against the CPU implementation.
+   einsum front-end) and checks it against the CPU reference GEMM.
 
    Run with:  dune exec examples/bootstrapping.exe *)
 
@@ -49,7 +49,7 @@ let () =
        layers);
 
   (* Forward pass of a real (random) relu MLP through the planned
-     kernels, executed as mini-PTX, vs the CPU tensor path. *)
+     kernels, executed as mini-PTX, vs the CPU reference GEMM. *)
   let b = 48 and sizes = [ 16; 32; 64; 1 ] in
   let mats =
     let rec pairs = function
@@ -82,9 +82,7 @@ let () =
   in
   let via_cpu =
     forward (fun act rows fan_in fan_out w ->
-        let a = Mlp.Tensor.of_array ~rows ~cols:fan_in act in
-        let wt = Mlp.Tensor.of_array ~rows:fan_in ~cols:fan_out w in
-        (Mlp.Tensor.matmul_nn a wt).data)
+        Codegen.Gemm.reference (GP.input rows fan_out fan_in) ~a:act ~b:w)
   in
   (* Bonus: the same layer with the relu fused into the kernel's store
      phase (the deep-learning epilogue), checked against the reference. *)
@@ -113,5 +111,6 @@ let () =
     via_isaac;
   Printf.printf
     "\nForward pass of a %d-sample batch through ISAAC-planned kernels:\n\
-    \  output[0] = %.6f, max |error| vs CPU tensor path = %.2e\n"
+    \  output[0] = %.6f, max |error| vs CPU reference = %.2e %s\n"
     b via_isaac.(0) !max_err
+    (if !max_err <= 1e-9 then "(matches)" else "(MISMATCH)")

@@ -1,12 +1,14 @@
 /* The kernel behind Mlp.Network.forward_batch: batched MLP inference
-   for the planning hot path (DESIGN.md "Planning hot path").
+   for the planning hot path (DESIGN.md "Planning hot path"). It reads
+   the network's own parameter vector in place (per layer: fan_out x
+   fan_in row-major weights, then fan_out biases).
 
    Float contract. Every output element is the ascending-k
-   single-accumulator dot product of Tensor.matmul_nt, then [+ bias],
-   then [if v < 0 then 0 else v] on hidden layers, exactly as
-   Network.predict computes it, so the results are bit-identical to
-   that reference. Two things make it fast without touching the
-   contract:
+   single-accumulator dot product, then [+ bias], then
+   [if v < 0 then 0 else v] on hidden layers, exactly as the OCaml
+   reference Network.predict computes it, so the results are
+   bit-identical to that reference. Two things make it fast without
+   touching the contract:
 
    - Output neurons are SIMD lanes. The weights are transposed once per
      call, so the weights of input k for all outputs of a layer are
@@ -72,7 +74,7 @@ dot_block(const struct layer *l, long v0, int nv, const vec *const *wrow,
   const vec zero = { 0.0, 0.0 };
   for (int v = 0; v < nv; v++) {
     vec y = acc[v] + l->bias[v0 + v];
-    /* v < 0 -> +0.0; -0.0 and NaN pass through, as in Tensor.relu_inplace. */
+    /* v < 0 -> +0.0; -0.0 and NaN pass through, as in Network.predict. */
     if (relu) y = (vec)((vec_mask)y & ~(y < zero));
     out[v0 + v] = y;
   }

@@ -19,8 +19,10 @@ let of_array ~rows ~cols a =
 let to_array t =
   Array.init (t.rows * t.cols) (fun i -> Bigarray.Array1.unsafe_get t.data i)
 
-let of_tensor (x : Tensor.t) =
-  of_array ~rows:x.Tensor.rows ~cols:x.Tensor.cols x.Tensor.data
+let copy t =
+  let c = create t.rows t.cols in
+  Bigarray.Array1.blit t.data c.data;
+  c
 
 let get t i j =
   assert (i >= 0 && i < t.rows && j >= 0 && j < t.cols);

@@ -1,18 +1,18 @@
-(** Unboxed row-major matrices over [Bigarray] storage — the batched
-    inference counterpart of {!Tensor}.
+(** Unboxed row-major matrices over [Bigarray] storage — the MLP's one
+    matrix type. Datasets, training minibatches and the planning path's
+    candidate batches are all [Matrix.t], and {!Network} keeps every
+    weight and bias in one {!storage} vector.
 
-    {!Tensor} keeps activations in OCaml [float array]s, which is ideal
-    for training (the GC understands them, gradients alias them) but
-    bounds-checked on every access. The planning hot path evaluates the
-    MLP over tens of thousands of candidate configurations per query, so
-    it stores the feature batch in a [Bigarray.Array1] of unboxed
-    doubles instead: rows can be sliced into zero-copy views for domain
-    fan-out, and the inference kernels in {!Network.forward_batch} walk
-    the storage with unchecked loads.
+    The planning hot path evaluates the MLP over tens of thousands of
+    candidate configurations per query. Bigarray storage lets rows be
+    sliced into zero-copy views for domain fan-out, lets the C kernel
+    behind {!Network.forward_batch} read the feature batch and the
+    parameters in place outside the OCaml heap, and lets OCaml loops
+    over it compile to unchecked loads.
 
-    Shape convention (same as {!Tensor}): a batch is [rows × cols] with
-    one configuration's feature vector per {e row}, stored row-major —
-    element [(i, j)] lives at linear index [i * cols + j]. *)
+    Shape convention: a batch is [rows × cols] with one configuration's
+    feature vector per {e row}, stored row-major — element [(i, j)]
+    lives at linear index [i * cols + j]. *)
 
 type storage =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -31,14 +31,14 @@ val of_array : rows:int -> cols:int -> float array -> t
     fresh Bigarray storage. *)
 
 val to_array : t -> float array
-(** Copy back out to a row-major [float array] (for tests and for
-    callers that hand results to {!Tensor}-based code). *)
+(** Copy back out to a row-major [float array]. *)
 
-val of_tensor : Tensor.t -> t
-(** Copy a {!Tensor} batch into Bigarray storage, preserving shape. *)
+val copy : t -> t
+(** Deep copy into fresh storage — for callers that standardize a
+    dataset in place without touching the original. *)
 
 val get : t -> int -> int -> float
-(** [get m i j] is element [(i, j)]. Bounds-checked; the inference
+(** [get m i j] is element [(i, j)]. Bounds-checked; the network's
     kernels use unchecked access internally instead. *)
 
 val set : t -> int -> int -> float -> unit

@@ -1,109 +1,112 @@
-type layer = {
-  w : Tensor.t;          (* out × in *)
-  b : float array;       (* out *)
-  (* Adam first/second moments *)
-  mw : Tensor.t;
-  vw : Tensor.t;
-  mb : float array;
-  vb : float array;
-}
+module A = Bigarray.Array1
 
+(* Every weight and bias lives in one flat vector, in the layout the C
+   kernel reads: per layer, fan_out × fan_in row-major weights, then
+   fan_out biases. The gradient and Adam's two moments are vectors of
+   the same layout, so one loop updates them all. *)
 type t = {
-  layers : layer array;
   arch : int array;
-  mutable step : int;   (* Adam timestep *)
+  params : Matrix.storage;
+  grad : Matrix.storage;   (* last minibatch's loss gradient *)
+  m : Matrix.storage;      (* Adam first moment *)
+  v : Matrix.storage;      (* Adam second moment *)
+  mutable step : int;      (* Adam timestep *)
 }
 
+let zeros n = (Matrix.create n 1).Matrix.data
+
+(* Lengths of the flat vector's segments in order: each layer's weights,
+   then its biases. The serialization writes one line per segment. *)
+let segments arch =
+  List.concat
+    (List.init (Array.length arch - 1) (fun i ->
+         [ arch.(i) * arch.(i + 1); arch.(i + 1) ]))
+
+let of_params arch params step =
+  let n = A.dim params in
+  { arch; params; grad = zeros n; m = zeros n; v = zeros n; step }
+
+(* He-normal weights, N(0, sqrt(2 / fan_in)) — the standard choice for
+   relu networks — and zero biases. *)
 let create rng ~sizes =
   assert (Array.length sizes >= 2);
   assert (sizes.(Array.length sizes - 1) = 1);
-  let layers =
-    Array.init
-      (Array.length sizes - 1)
-      (fun i ->
-        let fan_in = sizes.(i) and fan_out = sizes.(i + 1) in
-        { w = Tensor.random_he rng fan_out fan_in;
-          b = Array.make fan_out 0.0;
-          mw = Tensor.create fan_out fan_in;
-          vw = Tensor.create fan_out fan_in;
-          mb = Array.make fan_out 0.0;
-          vb = Array.make fan_out 0.0 })
-  in
-  { layers; arch = Array.copy sizes; step = 0 }
+  let params = zeros (List.fold_left ( + ) 0 (segments sizes)) in
+  let off = ref 0 in
+  for i = 0 to Array.length sizes - 2 do
+    let fan_in = sizes.(i) and fan_out = sizes.(i + 1) in
+    let sigma = sqrt (2.0 /. float_of_int fan_in) in
+    for k = !off to !off + (fan_in * fan_out) - 1 do
+      A.unsafe_set params k (sigma *. Util.Rng.gaussian rng)
+    done;
+    off := !off + ((fan_in + 1) * fan_out)
+  done;
+  of_params (Array.copy sizes) params 0
 
 let sizes t = Array.copy t.arch
 
-let num_weights t =
-  Array.fold_left
-    (fun acc l -> acc + (l.w.Tensor.rows * l.w.Tensor.cols) + Array.length l.b)
-    0 t.layers
+let num_weights t = A.dim t.params
 
 let is_finite t =
-  Array.for_all
-    (fun l ->
-      Array.for_all Float.is_finite l.w.Tensor.data
-      && Array.for_all Float.is_finite l.b)
-    t.layers
+  let rec from k = k = A.dim t.params || (Float.is_finite t.params.{k} && from (k + 1)) in
+  from 0
 
-(* Forward pass keeping pre-activations (z) and activations (a) of every
-   layer for backprop. *)
-let forward t x =
-  let n = Array.length t.layers in
-  let zs = Array.make n x and activations = Array.make (n + 1) x in
-  for i = 0 to n - 1 do
-    let l = t.layers.(i) in
-    let z = Tensor.matmul_nt activations.(i) l.w in
-    Tensor.add_row_inplace z l.b;
-    zs.(i) <- z;
-    let a = if i = n - 1 then z else begin
-        let a = Tensor.copy z in
-        Tensor.relu_inplace a;
-        a
-      end
-    in
-    activations.(i + 1) <- a
+let check_input name t (x : Matrix.t) =
+  if x.cols <> t.arch.(0) || A.dim x.data < x.rows * x.cols then
+    invalid_arg (name ^ ": input width")
+
+(* The pure-OCaml forward pass, the reference the C kernel must match:
+   the activations of every layer, input first, hidden layers after
+   relu. Per element: the ascending-k single-accumulator dot product,
+   then [+ bias], then [v < 0 -> 0] on hidden layers. *)
+let forward t (x : Matrix.t) =
+  check_input "Network.predict" t x;
+  let layers = Array.length t.arch - 1 and rows = x.rows in
+  let p = t.params in
+  let acts = Array.make (layers + 1) x in
+  let w0 = ref 0 in
+  for i = 0 to layers - 1 do
+    let fan_in = t.arch.(i) and fan_out = t.arch.(i + 1) in
+    let b0 = !w0 + (fan_in * fan_out) and relu = i < layers - 1 in
+    let a = acts.(i).data and z = Matrix.create rows fan_out in
+    let zd = z.data in
+    for r = 0 to rows - 1 do
+      let abase = r * fan_in and zbase = r * fan_out in
+      for j = 0 to fan_out - 1 do
+        let wbase = !w0 + (j * fan_in) in
+        let acc = ref 0.0 in
+        for k = 0 to fan_in - 1 do
+          acc := !acc +. (A.unsafe_get a (abase + k) *. A.unsafe_get p (wbase + k))
+        done;
+        let v = !acc +. A.unsafe_get p (b0 + j) in
+        A.unsafe_set zd (zbase + j) (if relu && v < 0.0 then 0.0 else v)
+      done
+    done;
+    acts.(i + 1) <- z;
+    w0 := b0 + fan_out
   done;
-  (zs, activations)
+  acts
 
 let predict t x =
-  let _, activations = forward t x in
-  let out = activations.(Array.length t.layers) in
-  assert (out.Tensor.cols = 1);
-  Array.copy out.Tensor.data
+  let out = (forward t x).(Array.length t.arch - 1) in
+  assert (out.Matrix.cols = 1);
+  Matrix.to_array out
 
 let predict_one t features =
-  let x = Tensor.of_array ~rows:1 ~cols:(Array.length features) features in
-  (predict t x).(0)
+  (predict t (Matrix.of_array ~rows:1 ~cols:(Array.length features) features)).(0)
 
-(* Batched inference over Bigarray storage, the planning hot path. The
-   kernel is C (forward_stubs.c): output neurons as SIMD lanes over
-   weights transposed once per call, skipping exact-zero inputs when a
-   layer's weights are all finite. Per output element the arithmetic is
-   the same single-accumulator ascending-k dot product as
-   Tensor.matmul_nt followed by the same [+ bias] and [< 0 -> 0] relu,
-   so the result is bit-identical to [predict] on the same rows. The
-   weights and biases are copied into one Bigarray per call so the
-   kernel can run outside the OCaml heap with the runtime lock
-   released. *)
+(* Batched inference, the planning hot path: the C kernel
+   (forward_stubs.c) reads the parameter vector and the batch in place,
+   outside the OCaml heap, with the runtime lock released. Its output is
+   bit-identical to [predict] on the same rows. *)
 external forward_stub :
   int array -> Matrix.storage -> Matrix.storage -> int -> Matrix.storage -> unit
   = "isaac_mlp_forward_batch"
 
 let forward_batch t ~input =
-  let rows = input.Matrix.rows in
-  if input.Matrix.cols <> t.arch.(0) then
-    invalid_arg "Network.forward_batch: input width";
-  let params =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (num_weights t)
-  in
-  let off = ref 0 in
-  let put a =
-    Array.iteri (fun i v -> Bigarray.Array1.unsafe_set params (!off + i) v) a;
-    off := !off + Array.length a
-  in
-  Array.iter (fun l -> put l.w.Tensor.data; put l.b) t.layers;
-  let out = Matrix.create rows t.arch.(Array.length t.arch - 1) in
-  forward_stub t.arch params input.Matrix.data rows out.Matrix.data;
+  check_input "Network.forward_batch" t input;
+  let out = Matrix.create input.Matrix.rows t.arch.(Array.length t.arch - 1) in
+  forward_stub t.arch t.params input.Matrix.data input.Matrix.rows out.Matrix.data;
   out
 
 let predict_matrix t x =
@@ -115,112 +118,131 @@ type adam = { lr : float; beta1 : float; beta2 : float; epsilon : float }
 
 let default_adam = { lr = 1e-3; beta1 = 0.9; beta2 = 0.999; epsilon = 1e-8 }
 
-let adam_update opt ~step ~m ~v ~g ~theta =
-  let n = Array.length theta in
-  let bc1 = 1.0 -. (opt.beta1 ** float_of_int step) in
-  let bc2 = 1.0 -. (opt.beta2 ** float_of_int step) in
-  for i = 0 to n - 1 do
-    m.(i) <- (opt.beta1 *. m.(i)) +. ((1.0 -. opt.beta1) *. g.(i));
-    v.(i) <- (opt.beta2 *. v.(i)) +. ((1.0 -. opt.beta2) *. g.(i) *. g.(i));
-    let mhat = m.(i) /. bc1 and vhat = v.(i) /. bc2 in
-    theta.(i) <- theta.(i) -. (opt.lr *. mhat /. (sqrt vhat +. opt.epsilon))
-  done
+(* Fill [t.grad] with the MSE gradient of a minibatch whose activations
+   are [acts], walking the layers back to front from the pre-update
+   parameters; returns the summed squared error. Per element the
+   accumulation order is that of a plain matrix product: batch rows
+   ascending for the weight and bias gradients, output units ascending
+   for the delta passed down, skipping zero deltas except in the bias
+   sum. *)
+let backprop t acts y =
+  let layers = Array.length t.arch - 1 in
+  let rows = acts.(0).Matrix.rows in
+  let p = t.params and g = t.grad in
+  let out = acts.(layers).Matrix.data in
+  let loss = ref 0.0 in
+  let delta = ref (Matrix.create rows 1) in
+  for r = 0 to rows - 1 do
+    let d = A.unsafe_get out r -. y.(r) in
+    loss := !loss +. (d *. d);
+    A.unsafe_set !delta.data r (2.0 *. d /. float_of_int rows)
+  done;
+  A.fill g 0.0;
+  let b0 = ref (A.dim p) in
+  for i = layers - 1 downto 0 do
+    let fan_in = t.arch.(i) and fan_out = t.arch.(i + 1) in
+    let bias = !b0 - fan_out in
+    let w0 = bias - (fan_in * fan_out) in
+    let d = !delta.data and a = acts.(i).data in
+    (* Layer i-1's delta; the input layer needs none. *)
+    let prev = Matrix.create rows (if i > 0 then fan_in else 0) in
+    let pd = prev.data in
+    for r = 0 to rows - 1 do
+      let dbase = r * fan_out and abase = r * fan_in in
+      for j = 0 to fan_out - 1 do
+        let dv = A.unsafe_get d (dbase + j) in
+        A.unsafe_set g (bias + j) (A.unsafe_get g (bias + j) +. dv);
+        if dv <> 0.0 then begin
+          let wbase = w0 + (j * fan_in) in
+          for k = 0 to fan_in - 1 do
+            A.unsafe_set g (wbase + k)
+              (A.unsafe_get g (wbase + k) +. (dv *. A.unsafe_get a (abase + k)))
+          done;
+          if i > 0 then
+            for k = 0 to fan_in - 1 do
+              A.unsafe_set pd (abase + k)
+                (A.unsafe_get pd (abase + k) +. (dv *. A.unsafe_get p (wbase + k)))
+            done
+        end
+      done;
+      (* Layer i-1's output is relu(z), and relu(z) <= 0 exactly when
+         z <= 0 (NaN fails both), so the activation masks the delta
+         where z would. *)
+      if i > 0 then
+        for k = abase to abase + fan_in - 1 do
+          if A.unsafe_get a k <= 0.0 then A.unsafe_set pd k 0.0
+        done
+    done;
+    delta := prev;
+    b0 := w0
+  done;
+  !loss
 
 let train_batch t opt ~x ~y =
-  let batch = x.Tensor.rows in
-  assert (Array.length y = batch);
-  let n = Array.length t.layers in
-  let zs, activations = forward t x in
-  let out = activations.(n) in
-  (* MSE and its gradient on the linear output. *)
-  let loss = ref 0.0 in
-  let delta = Tensor.create batch 1 in
-  for i = 0 to batch - 1 do
-    let d = out.Tensor.data.(i) -. y.(i) in
-    loss := !loss +. (d *. d);
-    delta.Tensor.data.(i) <- 2.0 *. d /. float_of_int batch
-  done;
+  let rows = x.Matrix.rows in
+  assert (Array.length y = rows);
+  let loss = backprop t (forward t x) y in
   t.step <- t.step + 1;
-  let delta = ref delta in
-  for i = n - 1 downto 0 do
-    let l = t.layers.(i) in
-    let dw = Tensor.matmul_tn !delta activations.(i) in
-    let db = Tensor.col_sums !delta in
-    if i > 0 then begin
-      let d_prev = Tensor.matmul_nn !delta l.w in
-      Tensor.relu_mask_inplace d_prev zs.(i - 1);
-      delta := d_prev
-    end;
-    adam_update opt ~step:t.step ~m:l.mw.Tensor.data ~v:l.vw.Tensor.data
-      ~g:dw.Tensor.data ~theta:l.w.Tensor.data;
-    adam_update opt ~step:t.step ~m:l.mb ~v:l.vb ~g:db ~theta:l.b
+  let bc1 = 1.0 -. (opt.beta1 ** float_of_int t.step) in
+  let bc2 = 1.0 -. (opt.beta2 ** float_of_int t.step) in
+  let p = t.params and g = t.grad and m = t.m and v = t.v in
+  for k = 0 to A.dim p - 1 do
+    let gk = A.unsafe_get g k in
+    let mk = (opt.beta1 *. A.unsafe_get m k) +. ((1.0 -. opt.beta1) *. gk) in
+    let vk = (opt.beta2 *. A.unsafe_get v k) +. ((1.0 -. opt.beta2) *. gk *. gk) in
+    A.unsafe_set m k mk;
+    A.unsafe_set v k vk;
+    let mhat = mk /. bc1 and vhat = vk /. bc2 in
+    A.unsafe_set p k (A.unsafe_get p k -. (opt.lr *. mhat /. (sqrt vhat +. opt.epsilon)))
   done;
-  !loss /. float_of_int batch
+  loss /. float_of_int rows
 
-let mse t ~x ~y =
-  let pred = predict t x in
-  Util.Stats.mse pred y
+let mse t ~x ~y = Util.Stats.mse (predict t x) y
 
 let copy t =
-  { layers =
-      Array.map
-        (fun l ->
-          { w = Tensor.copy l.w; b = Array.copy l.b; mw = Tensor.copy l.mw;
-            vw = Tensor.copy l.vw; mb = Array.copy l.mb; vb = Array.copy l.vb })
-        t.layers;
-    arch = Array.copy t.arch;
-    step = t.step }
+  let dup a =
+    let c = zeros (A.dim a) in
+    A.blit a c;
+    c
+  in
+  { t with arch = Array.copy t.arch; params = dup t.params; grad = dup t.grad;
+           m = dup t.m; v = dup t.v }
 
 let save_buf buf t =
-  Buffer.add_string buf (Printf.sprintf "mlp %d\n" (Array.length t.arch));
-  Array.iter (fun s -> Buffer.add_string buf (Printf.sprintf "%d " s)) t.arch;
-  Buffer.add_string buf (Printf.sprintf "\n%d\n" t.step);
-  Array.iter
-    (fun l ->
-      Array.iter
-        (fun v -> Buffer.add_string buf (Printf.sprintf "%.17g " v))
-        l.w.Tensor.data;
+  Printf.bprintf buf "mlp %d\n" (Array.length t.arch);
+  Array.iter (Printf.bprintf buf "%d ") t.arch;
+  Printf.bprintf buf "\n%d\n" t.step;
+  let off = ref 0 in
+  List.iter
+    (fun len ->
+      for k = !off to !off + len - 1 do
+        Printf.bprintf buf "%.17g " (A.unsafe_get t.params k)
+      done;
       Buffer.add_char buf '\n';
-      Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%.17g " v)) l.b;
-      Buffer.add_char buf '\n')
-    t.layers
+      off := !off + len)
+    (segments t.arch)
 
-let save t oc =
-  let buf = Buffer.create 4096 in
-  save_buf buf t;
-  Buffer.output_buffer oc buf
-
+(* Every segment's line is parsed and length-checked before the
+   parameter vector is allocated, so the allocation is bounded by the
+   payload, whatever widths the header claims. *)
 let load_from line =
-  let header = line () in
-  let arch_len = Scanf.sscanf header "mlp %d" Fun.id in
-  let arch =
-    let parts =
-      String.split_on_char ' ' (String.trim (line ())) |> List.map int_of_string
-    in
-    assert (List.length parts = arch_len);
-    Array.of_list parts
-  in
+  let arch_len = Scanf.sscanf (line ()) "mlp %d" Fun.id in
+  let words l = List.filter (( <> ) "") (String.split_on_char ' ' (String.trim l)) in
+  let arch = Array.of_list (List.map int_of_string (words (line ()))) in
+  if Array.length arch <> arch_len then
+    failwith (Printf.sprintf "mlp: %d layer widths, expected %d" (Array.length arch) arch_len);
   let step = int_of_string (String.trim (line ())) in
-  let floats_of_line l =
-    String.split_on_char ' ' (String.trim l)
-    |> List.filter (fun s -> s <> "")
-    |> List.map float_of_string
-    |> Array.of_list
+  let values =
+    List.mapi
+      (fun s len ->
+        let v = List.map float_of_string (words (line ())) in
+        if List.length v <> len then
+          failwith
+            (Printf.sprintf "mlp layer %d %s: %d values, expected %d" (s / 2)
+               (if s mod 2 = 0 then "weights" else "biases") (List.length v) len);
+        v)
+      (segments arch)
   in
-  let layers =
-    Array.init (arch_len - 1) (fun i ->
-        let fan_in = arch.(i) and fan_out = arch.(i + 1) in
-        let wdata = floats_of_line (line ()) in
-        assert (Array.length wdata = fan_in * fan_out);
-        let b = floats_of_line (line ()) in
-        assert (Array.length b = fan_out);
-        { w = Tensor.of_array ~rows:fan_out ~cols:fan_in wdata;
-          b;
-          mw = Tensor.create fan_out fan_in;
-          vw = Tensor.create fan_out fan_in;
-          mb = Array.make fan_out 0.0;
-          vb = Array.make fan_out 0.0 })
-  in
-  { layers; arch; step }
-
-let load ic = load_from (fun () -> input_line ic)
+  let params = zeros (List.fold_left ( + ) 0 (segments arch)) in
+  List.iteri (A.set params) (List.concat values);
+  of_params arch params step

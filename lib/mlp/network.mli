@@ -5,6 +5,12 @@
     models are full of maximums (Eq. 2–3) — and the output layer is
     linear. Training minimizes mean squared error with Adam.
 
+    Every weight and bias lives in one flat {!Matrix.storage} vector —
+    per layer, [fan_out × fan_in] row-major weights, then [fan_out]
+    biases — which training updates in place and the C kernel behind
+    {!forward_batch} reads in place. The loss gradient and Adam's two
+    moments are vectors of the same layout.
+
     The caller is responsible for feature transformation; the paper's key
     finding (§5.2) that inputs must be passed through a logarithm lives in
     {!Tuner.Features}, and Table 2 reproduces the degradation without
@@ -13,22 +19,26 @@
 type t
 
 val create : Util.Rng.t -> sizes:int array -> t
-(** [create rng ~sizes] with [sizes = [|inputs; hidden...; 1|]]. *)
+(** [create rng ~sizes] with [sizes = [|inputs; hidden...; 1|]]:
+    He-normal weights, zero biases. *)
 
 val sizes : t -> int array
 (** Layer widths as passed to {!create}: [[|inputs; hidden...; 1|]]. *)
 
 val num_weights : t -> int
 (** Total trainable parameters (weights + biases), as reported in
-    Table 2's "#weights" column. *)
+    Table 2's "#weights" column — the length of the parameter vector. *)
 
 val is_finite : t -> bool
 (** [true] when every weight and bias is finite. A network that fails
     this predicts NaN or infinity, so {!Tuner.Profile.load} rejects
     it. *)
 
-val predict : t -> Tensor.t -> float array
-(** Batch forward pass: (batch × inputs) → batch predictions. *)
+val predict : t -> Matrix.t -> float array
+(** Batch forward pass in pure OCaml: (batch × inputs) → batch
+    predictions. This is the reference {!forward_batch} must match bit
+    for bit, and the forward half of {!train_batch}. Raises
+    [Invalid_argument] if the input width is not the network's. *)
 
 val predict_one : t -> float array -> float
 (** Single-sample convenience: wraps the features in a 1-row batch and
@@ -37,23 +47,24 @@ val predict_one : t -> float array -> float
     differential reference for {!forward_batch}. *)
 
 val forward_batch : t -> input:Matrix.t -> Matrix.t
-(** Batched forward pass over unboxed {!Matrix} storage: [input] is
-    (batch × inputs), one feature vector per row; the result is
-    (batch × outputs), one row of network outputs per input row. This
-    is the planning hot path that scores tens of thousands of candidate
-    configurations per query ({!Tuner.Search}). The kernel is C: output
-    neurons are 128-bit SIMD lanes over weights transposed once per
-    call, exact-zero inputs are skipped when every weight of the layer
-    is finite, and the OCaml runtime lock is released while it runs, so
-    other domains keep collecting. It is reentrant: domains may run it
-    on disjoint {!Matrix.sub_rows} views at once.
+(** Batched forward pass: [input] is (batch × inputs), one feature
+    vector per row; the result is (batch × outputs), one row of network
+    outputs per input row. This is the planning hot path that scores
+    tens of thousands of candidate configurations per query
+    ({!Tuner.Search}). The kernel is C and reads the network's parameter
+    vector in place: output neurons are 128-bit SIMD lanes over weights
+    transposed once per call, exact-zero inputs are skipped when every
+    weight of the layer is finite, and the OCaml runtime lock is
+    released while it runs, so other domains keep collecting. It is
+    reentrant: domains may run it on disjoint {!Matrix.sub_rows} views
+    at once.
 
     Float contract: per element the arithmetic (ascending-[k]
     single-accumulator dot product, then bias add, then relu) is
-    identical to {!predict}'s {!Tensor} pipeline, so outputs are
-    bit-equal to the scalar path on the same rows, for any batch size
-    and any input values, zeros of either sign included. The
-    differential tests in [test/test_mlp.ml] assert exact equality.
+    identical to {!predict}'s, so outputs are bit-equal to the scalar
+    path on the same rows, for any batch size and any input values,
+    zeros of either sign included. The differential tests in
+    [test/test_mlp.ml] assert exact equality.
 
     Raises [Invalid_argument] if [input]'s width is not the network's
     input width. *)
@@ -72,28 +83,29 @@ type adam = {
 val default_adam : adam
 (** lr 1e-3, β₁ 0.9, β₂ 0.999, ε 1e-8 — the standard Adam settings. *)
 
-val train_batch : t -> adam -> x:Tensor.t -> y:float array -> float
+val train_batch : t -> adam -> x:Matrix.t -> y:float array -> float
 (** One optimizer step on a minibatch; returns the batch MSE before the
-    update. *)
+    update. Backpropagation fills the whole gradient from the
+    pre-update parameters, then one Adam pass updates every weight and
+    bias. *)
 
-val mse : t -> x:Tensor.t -> y:float array -> float
-(** Evaluation loss on a dataset (no update). *)
+val mse : t -> x:Matrix.t -> y:float array -> float
+(** Evaluation loss of {!predict} on a dataset (no update). *)
 
 val copy : t -> t
-(** Deep copy (weights and optimizer state). *)
-
-val save : t -> out_channel -> unit
-(** Write the plain-text serialization (architecture then weights) used
-    by the profile cache. *)
-
-val load : in_channel -> t
-(** Read back what {!save} wrote. *)
+(** Deep copy (parameters and optimizer state). *)
 
 val save_buf : Buffer.t -> t -> unit
-(** Append the same serialization to a buffer — how {!Tuner.Profile}
-    embeds the weights in a checksummed {!Util.Artifact} payload. *)
+(** Append the plain-text serialization — architecture, Adam step, then
+    one line of weights and one of biases per layer — to a buffer: how
+    {!Tuner.Profile} embeds the network in a checksummed
+    {!Util.Artifact} payload. *)
 
 val load_from : (unit -> string) -> t
-(** Read the serialization from a line producer (raising [End_of_file]
-    when out of lines). Raises on malformed input — callers reading
-    checksummed artifacts translate that into an [Error]. *)
+(** Read {!save_buf}'s serialization from a line producer (raising
+    [End_of_file] when out of lines). Every line is parsed and
+    length-checked before the parameter vector is allocated. Raises
+    [Failure] naming the layer when a line's length does not match the
+    header's widths, and raises on other malformed input — callers
+    reading checksummed artifacts translate that into an [Error]. The
+    optimizer moments start at zero. *)

@@ -3,32 +3,36 @@ type history = {
   epoch_val_mse : float array;
 }
 
+(* Row [r] of [src] into row [i] of [dst]. *)
+let blit_row (src : Matrix.t) r (dst : Matrix.t) i =
+  for j = 0 to src.cols - 1 do
+    dst.data.{(i * dst.cols) + j} <- src.data.{(r * src.cols) + j}
+  done
+
 let rows x idx =
-  let cols = x.Tensor.cols in
-  let out = Tensor.create (List.length idx) cols in
-  List.iteri
-    (fun i r ->
-      Array.blit x.Tensor.data (r * cols) out.Tensor.data (i * cols) cols)
-    idx;
+  let out = Matrix.create (List.length idx) x.Matrix.cols in
+  List.iteri (fun i r -> blit_row x r out i) idx;
   out
 
 let fit ?(batch_size = 64) ?(epochs = 20) ?(adam = Network.default_adam) ?validation
     rng net ~x ~y =
-  let n = x.Tensor.rows in
+  let n = x.Matrix.rows in
   assert (Array.length y = n);
+  if n < 1 then invalid_arg (Printf.sprintf "Train.fit: %d training rows" n);
+  (* Fewer rows than one batch train as one batch of all of them. *)
+  let batch_size = min batch_size n in
   Obs.Span.with_ "mlp.fit"
     ~meta:(fun () ->
       [ ("epochs", Obs.Json.Int epochs);
         ("batch_size", Obs.Json.Int batch_size);
         ("n", Obs.Json.Int n) ])
     (fun () ->
-  let cols = x.Tensor.cols in
   let order = Array.init n (fun i -> i) in
   let train_hist = Array.make epochs 0.0 in
   let val_hist =
     match validation with Some _ -> Array.make epochs 0.0 | None -> [||]
   in
-  let xb = Tensor.create batch_size cols in
+  let xb = Matrix.create batch_size x.Matrix.cols in
   let yb = Array.make batch_size 0.0 in
   for epoch = 0 to epochs - 1 do
     Util.Rng.shuffle rng order;
@@ -37,14 +41,14 @@ let fit ?(batch_size = 64) ?(epochs = 20) ?(adam = Network.default_adam) ?valida
     while !i + batch_size <= n do
       for j = 0 to batch_size - 1 do
         let r = order.(!i + j) in
-        Array.blit x.Tensor.data (r * cols) xb.Tensor.data (j * cols) cols;
+        blit_row x r xb j;
         yb.(j) <- y.(r)
       done;
       loss_sum := !loss_sum +. Network.train_batch net adam ~x:xb ~y:yb;
       incr batches;
       i := !i + batch_size
     done;
-    train_hist.(epoch) <- (if !batches = 0 then Float.nan else !loss_sum /. float_of_int !batches);
+    train_hist.(epoch) <- !loss_sum /. float_of_int !batches;
     let fe = float_of_int epoch in
     Obs.Trace.point "mlp.train_mse" ~x:fe ~y:train_hist.(epoch);
     Obs.Trace.point "mlp.lr" ~x:fe ~y:adam.Network.lr;
@@ -60,7 +64,7 @@ let fit ?(batch_size = 64) ?(epochs = 20) ?(adam = Network.default_adam) ?valida
   { epoch_train_mse = train_hist; epoch_val_mse = val_hist })
 
 let split rng ~test_fraction ~x ~y =
-  let n = x.Tensor.rows in
+  let n = x.Matrix.rows in
   let order = Array.to_list (Util.Rng.permutation rng n) in
   let n_test = int_of_float (Float.round (float_of_int n *. test_fraction)) in
   let n_test = max 1 (min (n - 1) n_test) in

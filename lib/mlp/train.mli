@@ -10,22 +10,25 @@ val fit :
   ?batch_size:int ->
   ?epochs:int ->
   ?adam:Network.adam ->
-  ?validation:Tensor.t * float array ->
+  ?validation:Matrix.t * float array ->
   Util.Rng.t ->
   Network.t ->
-  x:Tensor.t ->
+  x:Matrix.t ->
   y:float array ->
   history
-(** Shuffled minibatch Adam training (defaults: batch 64, 20 epochs). *)
+(** Shuffled minibatch Adam training (defaults: batch 64, 20 epochs).
+    Each epoch takes one step per full batch of shuffled rows; with
+    fewer rows than [batch_size] it takes one step on all of them.
+    Raises [Invalid_argument] when [x] has no rows. *)
 
 val split :
   Util.Rng.t ->
   test_fraction:float ->
-  x:Tensor.t ->
+  x:Matrix.t ->
   y:float array ->
-  (Tensor.t * float array) * (Tensor.t * float array)
+  (Matrix.t * float array) * (Matrix.t * float array)
 (** Random train/test split; the paper's Table 2 measures MSE "on a fixed
     set of data-points separate from the samples used for training". *)
 
-val rows : Tensor.t -> int list -> Tensor.t
-(** Extract a row subset in the given order. *)
+val rows : Matrix.t -> int list -> Matrix.t
+(** Copy a row subset, in the given order, into a fresh matrix. *)

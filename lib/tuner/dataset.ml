@@ -8,8 +8,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type t = {
   op : [ `Gemm | `Conv ];
   device : string;
-  features_log : Mlp.Tensor.t;
-  features_raw : Mlp.Tensor.t;
+  features_log : Mlp.Matrix.t;
+  features_raw : Mlp.Matrix.t;
   tflops : float array;
 }
 
@@ -111,7 +111,7 @@ let checkpoint_version = 1
 let op_str = function `Gemm -> "gemm" | `Conv -> "conv"
 
 let checkpoint_payload ~op ~device_name ~n ~filled ~rng
-    (flog : Mlp.Tensor.t) (fraw : Mlp.Tensor.t) ys =
+    flog fraw ys =
   let dim = Features.dim in
   let buf = Buffer.create ((filled * (2 * dim + 1) * 26) + 128) in
   Buffer.add_string buf (Printf.sprintf "op %s\n" (op_str op));
@@ -121,11 +121,11 @@ let checkpoint_payload ~op ~device_name ~n ~filled ~rng
   for i = 0 to filled - 1 do
     for j = 0 to dim - 1 do
       Buffer.add_string buf
-        (Printf.sprintf "%.17g " flog.Mlp.Tensor.data.((i * dim) + j))
+        (Printf.sprintf "%.17g " (Mlp.Matrix.get flog i j))
     done;
     for j = 0 to dim - 1 do
       Buffer.add_string buf
-        (Printf.sprintf "%.17g " fraw.Mlp.Tensor.data.((i * dim) + j))
+        (Printf.sprintf "%.17g " (Mlp.Matrix.get fraw i j))
     done;
     Buffer.add_string buf (Printf.sprintf "%.17g\n" ys.(i))
   done;
@@ -135,8 +135,7 @@ let checkpoint_payload ~op ~device_name ~n ~filled ~rng
    (different op/device/chunk size, malformed rows) rejects the file and
    the chunk restarts from scratch — stale checkpoints must never leak
    rows into a differently-shaped run. *)
-let restore_checkpoint ~op ~device_name ~n path (flog : Mlp.Tensor.t)
-    (fraw : Mlp.Tensor.t) ys =
+let restore_checkpoint ~op ~device_name ~n path flog fraw ys =
   let reject reason =
     Obs.Telemetry.incr "dataset.checkpoint_rejected";
     Log.warn (fun m -> m "%s: ignoring checkpoint (%s)" path reason);
@@ -176,9 +175,8 @@ let restore_checkpoint ~op ~device_name ~n path (flog : Mlp.Tensor.t)
                 if List.length fields <> (2 * dim) + 1 then failwith "width";
                 List.iteri
                   (fun j v ->
-                    if j < dim then flog.Mlp.Tensor.data.((i * dim) + j) <- v
-                    else if j < 2 * dim then
-                      fraw.Mlp.Tensor.data.((i * dim) + (j - dim)) <- v
+                    if j < dim then Mlp.Matrix.set flog i j v
+                    else if j < 2 * dim then Mlp.Matrix.set fraw i (j - dim) v
                     else ys.(i) <- v)
                   fields
               in
@@ -215,8 +213,8 @@ let max_consecutive_skips = 100
 let generate_chunk ?checkpoint ~op ~noise ~sampler ~static_ok rng device ~n
     ~random_input ~legal ~features ~measure =
   let dim = Features.dim in
-  let flog = Mlp.Tensor.create n dim in
-  let fraw = Mlp.Tensor.create n dim in
+  let flog = Mlp.Matrix.create n dim in
+  let fraw = Mlp.Matrix.create n dim in
   let ys = Array.make n 0.0 in
   let device_name = device.Gpu.Device.name in
   let rng, start =
@@ -266,8 +264,8 @@ let generate_chunk ?checkpoint ~op ~noise ~sampler ~static_ok rng device ~n
       let i = !filled in
       let fl = features ~log:true input cfg_array in
       let fr = features ~log:false input cfg_array in
-      Array.blit fl 0 flog.Mlp.Tensor.data (i * dim) dim;
-      Array.blit fr 0 fraw.Mlp.Tensor.data (i * dim) dim;
+      Array.iteri (Mlp.Matrix.set flog i) fl;
+      Array.iteri (Mlp.Matrix.set fraw i) fr;
       ys.(i) <- tflops;
       incr filled;
       (match checkpoint with
@@ -316,15 +314,18 @@ let generate_generic ?(domains = 1) ?static_ok ?checkpoint ~op ~noise ~sampler
        try Sys.remove (chunk_path path chunk) with Sys_error _ -> ()
      done
    | None -> ());
-  let flog = Mlp.Tensor.create n dim in
-  let fraw = Mlp.Tensor.create n dim in
+  let flog = Mlp.Matrix.create n dim in
+  let fraw = Mlp.Matrix.create n dim in
   let ys = Array.make n 0.0 in
   let row = ref 0 in
   List.iter
     (fun (cl, cr, cy) ->
       let rows = Array.length cy in
-      Array.blit cl.Mlp.Tensor.data 0 flog.Mlp.Tensor.data (!row * dim) (rows * dim);
-      Array.blit cr.Mlp.Tensor.data 0 fraw.Mlp.Tensor.data (!row * dim) (rows * dim);
+      let blit (src : Mlp.Matrix.t) dst =
+        Bigarray.Array1.blit src.data (Mlp.Matrix.sub_rows dst ~off:!row ~len:rows).data
+      in
+      blit cl flog;
+      blit cr fraw;
       Array.blit cy 0 ys !row rows;
       row := !row + rows)
     chunks;

@@ -16,8 +16,8 @@
 type t = {
   op : [ `Gemm | `Conv ];
   device : string;
-  features_log : Mlp.Tensor.t;   (** n × {!Features.dim}, log-transformed *)
-  features_raw : Mlp.Tensor.t;   (** same rows without the log (ablation) *)
+  features_log : Mlp.Matrix.t;   (** n × {!Features.dim}, log-transformed *)
+  features_raw : Mlp.Matrix.t;   (** same rows without the log (ablation) *)
   tflops : float array;
 }
 

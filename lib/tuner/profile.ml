@@ -13,33 +13,38 @@ let default_arch = [| 32; 64; 32 |]
 (* Per-feature z-scoring, fitted on the training set. Both the log and
    raw feature variants get it, so Table 2's ablation isolates the log
    transform itself (as in the paper) rather than raw-scale blow-up. *)
-let fit_feature_scaler (x : Mlp.Tensor.t) =
-  let d = x.Mlp.Tensor.cols and n = x.Mlp.Tensor.rows in
+let fit_feature_scaler (x : Mlp.Matrix.t) =
+  let d = x.cols and n = x.rows in
   let mean = Array.make d 0.0 and std = Array.make d 0.0 in
   for i = 0 to n - 1 do
     for j = 0 to d - 1 do
-      mean.(j) <- mean.(j) +. Mlp.Tensor.get x i j
+      mean.(j) <- mean.(j) +. Mlp.Matrix.get x i j
     done
   done;
   Array.iteri (fun j v -> mean.(j) <- v /. float_of_int n) mean;
   for i = 0 to n - 1 do
     for j = 0 to d - 1 do
-      let dv = Mlp.Tensor.get x i j -. mean.(j) in
+      let dv = Mlp.Matrix.get x i j -. mean.(j) in
       std.(j) <- std.(j) +. (dv *. dv)
     done
   done;
   Array.iteri (fun j v -> std.(j) <- Float.max 1e-6 (sqrt (v /. float_of_int n))) std;
   (mean, std)
 
-let standardize ~feat_mean ~feat_std (x : Mlp.Tensor.t) =
-  let d = x.Mlp.Tensor.cols and n = x.Mlp.Tensor.rows in
-  let out = Mlp.Tensor.create n d in
+(* (x - mean) / std per feature, in place. Walks rows in storage order
+   (row-major) so the pass is a single sequential sweep. *)
+let standardize ~feat_mean ~feat_std (x : Mlp.Matrix.t) =
+  let d = x.cols and n = x.rows in
+  assert (Array.length feat_mean = d && Array.length feat_std = d);
+  let data = x.data in
   for i = 0 to n - 1 do
+    let base = i * d in
     for j = 0 to d - 1 do
-      Mlp.Tensor.set out i j ((Mlp.Tensor.get x i j -. feat_mean.(j)) /. feat_std.(j))
+      Bigarray.Array1.unsafe_set data (base + j)
+        ((Bigarray.Array1.unsafe_get data (base + j) -. Array.unsafe_get feat_mean j)
+         /. Array.unsafe_get feat_std j)
     done
-  done;
-  out
+  done
 
 let features_of t (ds : Dataset.t) =
   if t.log_features then ds.features_log else ds.features_raw
@@ -48,54 +53,30 @@ let train ?(arch = default_arch) ?(epochs = 20) ?(log_features = true) rng
     (ds : Dataset.t) =
   let scaler = Features.fit_target_scaler ds.tflops in
   let y = Array.map (Features.target scaler) ds.tflops in
-  let x_raw = if log_features then ds.features_log else ds.features_raw in
-  let feat_mean, feat_std = fit_feature_scaler x_raw in
-  let x = standardize ~feat_mean ~feat_std x_raw in
+  let x = Mlp.Matrix.copy (if log_features then ds.features_log else ds.features_raw) in
+  let feat_mean, feat_std = fit_feature_scaler x in
+  standardize ~feat_mean ~feat_std x;
   (* Input width follows the dataset (16 paper features, or 19 in the
      schedule-extended ablation). *)
-  let sizes = Array.concat [ [| x_raw.Mlp.Tensor.cols |]; arch; [| 1 |] ] in
+  let sizes = Array.concat [ [| x.cols |]; arch; [| 1 |] ] in
   let net = Mlp.Network.create rng ~sizes in
   let (_ : Mlp.Train.history) = Mlp.Train.fit ~epochs rng net ~x ~y in
   { op = ds.op; device = ds.device; net; scaler; log_features; feat_mean; feat_std }
 
-let predict_std_batch t x =
-  Mlp.Network.predict t.net (standardize ~feat_mean:t.feat_mean ~feat_std:t.feat_std x)
-
-let predict_std_one t features =
-  let x = Mlp.Tensor.of_array ~rows:1 ~cols:(Array.length features) features in
-  (predict_std_batch t x).(0)
-
-(* Same (x - mean) / std arithmetic as [standardize], applied in place
-   on Bigarray storage — the batched scorer fills a fresh matrix per
-   query, so there is nothing to preserve. Walks rows in storage order
-   (row-major) so the pass is a single sequential sweep. *)
-let standardize_matrix_inplace t (x : Mlp.Matrix.t) =
-  let d = x.Mlp.Matrix.cols and n = x.Mlp.Matrix.rows in
-  assert (Array.length t.feat_mean = d);
-  let data = x.Mlp.Matrix.data in
-  let mean = t.feat_mean and std = t.feat_std in
-  for i = 0 to n - 1 do
-    let base = i * d in
-    for j = 0 to d - 1 do
-      Bigarray.Array1.unsafe_set data (base + j)
-        ((Bigarray.Array1.unsafe_get data (base + j) -. Array.unsafe_get mean j)
-         /. Array.unsafe_get std j)
-    done
-  done
-
 let predict_std_matrix t x =
-  standardize_matrix_inplace t x;
+  standardize ~feat_mean:t.feat_mean ~feat_std:t.feat_std x;
   Mlp.Network.predict_matrix t.net x
 
-let mse t (ds : Dataset.t) =
-  let x = features_of t ds in
-  let y = Array.map (Features.target t.scaler) ds.tflops in
-  let pred = predict_std_batch t x in
-  Util.Stats.mse pred y
+let predict_std_one t features =
+  let x = Mlp.Matrix.of_array ~rows:1 ~cols:(Array.length features) features in
+  standardize ~feat_mean:t.feat_mean ~feat_std:t.feat_std x;
+  (Mlp.Network.predict t.net x).(0)
 
-let predict_tflops t features =
-  let x = Mlp.Tensor.of_array ~rows:1 ~cols:(Array.length features) features in
-  Features.untarget t.scaler (predict_std_batch t x).(0)
+let mse t (ds : Dataset.t) =
+  let y = Array.map (Features.target t.scaler) ds.tflops in
+  Util.Stats.mse (predict_std_matrix t (Mlp.Matrix.copy (features_of t ds))) y
+
+let predict_tflops t features = Features.untarget t.scaler (predict_std_one t features)
 
 (* Artifact versions 1–2 were the pre-checksum [isaac-profile v1/v2]
    text files; version 3 is the same v2 body carried in a checksummed
@@ -148,11 +129,11 @@ let of_payload path payload =
   let feat_std = floats_of_line (next ()) in
   if Array.length feat_mean <> Features.dim || Array.length feat_std <> Features.dim
   then failwith (path ^ ": bad feature scaler");
-  let net = Mlp.Network.load_from next in
+  let bad msg = failwith (path ^ ": " ^ msg) in
+  let net = try Mlp.Network.load_from next with Failure msg -> bad msg in
   (* Reject what parses but cannot plan: a shape the search's feature
      matrix does not fit, or a non-finite value that turns every
      prediction into NaN and the argmax into noise. *)
-  let bad msg = failwith (path ^ ": " ^ msg) in
   let sizes = Mlp.Network.sizes net in
   if sizes.(0) <> Features.dim then
     bad (Printf.sprintf "network input width %d, expected %d" sizes.(0)

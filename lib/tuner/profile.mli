@@ -31,30 +31,29 @@ val train :
 
 val mse : t -> Dataset.t -> float
 (** Cross-validation MSE of the profile on a held-out dataset, in the
-    standardized log space Table 2 reports. *)
+    standardized log space Table 2 reports. Scores a standardized copy
+    of the dataset's features through {!predict_std_matrix}; the
+    dataset is not modified. *)
 
 val predict_tflops : t -> float array -> float
 (** Model prediction for a feature vector, in TFLOPS. *)
 
-val predict_std_batch : t -> Mlp.Tensor.t -> float array
-(** Batch prediction in the standardized log-target space (what the
-    exhaustive search ranks by). Rows are un-standardized feature
-    vectors matching [log_features]. *)
-
 val predict_std_one : t -> float array -> float
-(** One feature vector through feature standardization and the network,
-    in the standardized log-target space — the scalar planning path
+(** One feature vector through feature standardization and the
+    network's pure-OCaml forward pass ({!Mlp.Network.predict}), in the
+    standardized log-target space — the scalar planning path
     ({!Search}'s [`Scalar] engine scores one candidate at a time with
     this). *)
 
 val predict_std_matrix : t -> Mlp.Matrix.t -> float array
-(** Batched counterpart of {!predict_std_one} over unboxed
-    {!Mlp.Matrix} storage, one un-standardized feature row per
-    candidate. {b Mutates its argument}: the matrix is standardized in
-    place before {!Mlp.Network.forward_batch} runs over it (callers
-    fill a fresh matrix per query). Per row the arithmetic is identical
-    to the scalar path, so predictions are bit-equal to
-    {!predict_std_one} on the same features. *)
+(** Batched counterpart of {!predict_std_one}, one un-standardized
+    feature row (matching [log_features]) per candidate, in the
+    standardized log-target space the exhaustive search ranks by.
+    {b Mutates its argument}: the matrix is standardized in place
+    before {!Mlp.Network.forward_batch} runs over it (callers fill a
+    fresh matrix per query). Per row the arithmetic is identical to the
+    scalar path, so predictions are bit-equal to {!predict_std_one} on
+    the same features. *)
 
 val save : t -> string -> unit
 (** Persist through {!Util.Artifact.write} (kind ["isaac-profile"]):

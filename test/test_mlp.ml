@@ -1,74 +1,197 @@
-(* Tests for the MLP library: tensor algebra against naive references,
-   training dynamics, and serialization. *)
+(* Tests for the MLP library: the tensor algebra of the forward and
+   backward passes against naive references, the forward pass against
+   hand-computed values, backpropagation against finite differences,
+   training dynamics, serialization, and the batched C kernel's float
+   contract. *)
 
 let quick name f = Alcotest.test_case name `Quick f
 
 let rng = Util.Rng.create 1234
 
 let random_mat rows cols =
-  let t = Mlp.Tensor.create rows cols in
-  Array.iteri (fun i _ -> t.Mlp.Tensor.data.(i) <- Util.Rng.gaussian rng) t.Mlp.Tensor.data;
-  t
+  Mlp.Matrix.of_array ~rows ~cols
+    (Array.init (rows * cols) (fun _ -> Util.Rng.gaussian rng))
 
+(* The network type is abstract, so tests read and set its parameters
+   through the text serialization: a 3-line header (width count,
+   widths, Adam step), then per layer one line of row-major weights and
+   one of biases. [params] lists every weight and bias in that flat
+   order; [with_params net p] is a fresh network with [net]'s header and
+   the parameters [p]. *)
+let serialized net =
+  let buf = Buffer.create 4096 in
+  Mlp.Network.save_buf buf net;
+  String.split_on_char '\n' (Buffer.contents buf)
+
+let load_lines lines =
+  let rest = ref lines in
+  Mlp.Network.load_from (fun () ->
+      match !rest with [] -> raise End_of_file | l :: tl -> rest := tl; l)
+
+let params net =
+  List.filteri (fun i _ -> i >= 3) (serialized net)
+  |> List.concat_map (fun l ->
+         List.map float_of_string
+           (List.filter (( <> ) "") (String.split_on_char ' ' l)))
+  |> Array.of_list
+
+let step net = int_of_string (String.trim (List.nth (serialized net) 2))
+
+let with_params net p =
+  let sizes = Mlp.Network.sizes net in
+  let off = ref 0 in
+  let line len =
+    let l = String.concat " " (List.init len (fun k -> Printf.sprintf "%.17g" p.(!off + k))) in
+    off := !off + len;
+    l
+  in
+  let body =
+    List.concat
+      (List.init (Array.length sizes - 1) (fun i ->
+           let w = line (sizes.(i) * sizes.(i + 1)) in
+           [ w; line sizes.(i + 1) ]))
+  in
+  load_lines (List.filteri (fun i _ -> i < 3) (serialized net) @ body)
+
+(* --- tensor ------------------------------------------------------------- *)
+
+(* The matrix algebra inside [Network]'s forward and backward passes,
+   each product, bias add and relu observed through the public calls on
+   networks whose parameters are set by hand. *)
+
+let net_with sizes p = with_params (Mlp.Network.create (Util.Rng.create 0) ~sizes) p
+
+(* Row-major [m × n] product of [get_a : m × k] and [get_b : k × n]. *)
 let naive_mm ~m ~n ~k get_a get_b =
-  let out = Mlp.Tensor.create m n in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
+  Array.init (m * n) (fun ij ->
+      let i = ij / n and j = ij mod n in
       let acc = ref 0.0 in
       for l = 0 to k - 1 do
         acc := !acc +. (get_a i l *. get_b l j)
       done;
-      Mlp.Tensor.set out i j !acc
-    done
-  done;
-  out
+      !acc)
 
-let check_close name a b =
-  assert (a.Mlp.Tensor.rows = b.Mlp.Tensor.rows && a.Mlp.Tensor.cols = b.Mlp.Tensor.cols);
+let check_close name want got =
   Array.iteri
     (fun i v ->
-      if Float.abs (v -. b.Mlp.Tensor.data.(i)) > 1e-9 then
-        Alcotest.failf "%s: element %d differs: %g vs %g" name i v b.Mlp.Tensor.data.(i))
-    a.Mlp.Tensor.data
+      if Float.abs (v -. got.(i)) > 1e-9 then
+        Alcotest.failf "%s: element %d differs: %g vs %g" name i v got.(i))
+    want
 
+(* An Adam step with no momentum (beta1 = beta2 = 0) and lr = epsilon =
+   2^500, far above any gradient here, moves each parameter by
+   lr * g / (|g| + epsilon) = g exactly. So the parameters before the
+   step minus those after are the gradient backpropagation computed, up
+   to the rounding of p - g. *)
+let gradient net ~x ~y =
+  let big = Float.ldexp 1.0 500 in
+  let probe = { Mlp.Network.lr = big; beta1 = 0.0; beta2 = 0.0; epsilon = big } in
+  let before = params net in
+  ignore (Mlp.Network.train_batch net probe ~x ~y);
+  Array.map2 ( -. ) before (params net)
+
+(* The output delta of a batch: d(MSE)/d(prediction). *)
+let output_delta net x y =
+  let rows = float_of_int x.Mlp.Matrix.rows in
+  Array.map2 (fun p t -> 2.0 *. (p -. t) /. rows) (Mlp.Network.predict net x) y
+
+let gaussians r n = Array.init n (fun _ -> Util.Rng.gaussian r)
+
+(* Forward: a (5 × 7) batch times the transpose of a (4 × 7) weight
+   matrix, one linear network per weight row. *)
 let test_matmul_nt () =
-  let a = random_mat 5 7 and b = random_mat 4 7 in
-  let got = Mlp.Tensor.matmul_nt a b in
-  let want =
-    naive_mm ~m:5 ~n:4 ~k:7 (Mlp.Tensor.get a) (fun l j -> Mlp.Tensor.get b j l)
+  let r = Util.Rng.create 41 in
+  let a = Mlp.Matrix.of_array ~rows:5 ~cols:7 (gaussians r 35) in
+  let b = gaussians r 28 in
+  let cols =
+    Array.init 4 (fun j ->
+        let row_j = Array.append (Array.sub b (j * 7) 7) [| 0. |] in
+        Mlp.Network.predict (net_with [| 7; 1 |] row_j) a)
   in
-  check_close "nt" got want
+  check_close "nt"
+    (naive_mm ~m:5 ~n:4 ~k:7 (Mlp.Matrix.get a) (fun l j -> b.((j * 7) + l)))
+    (Array.init 20 (fun ij -> cols.(ij mod 4).(ij / 4)))
 
+(* Backward: the delta a layer passes down is its own delta times its
+   weights. A 5-3-4-1 network on the 5 × 5 identity batch with every
+   relu active, so the first layer's weight gradient is that delta,
+   transposed. *)
 let test_matmul_nn () =
-  let a = random_mat 5 7 and b = random_mat 7 4 in
-  check_close "nn" (Mlp.Tensor.matmul_nn a b)
-    (naive_mm ~m:5 ~n:4 ~k:7 (Mlp.Tensor.get a) (Mlp.Tensor.get b))
+  let r = Util.Rng.create 42 in
+  let pos n = Array.init n (fun _ -> 0.5 +. Util.Rng.uniform r) in
+  let w2 = pos 12 and w3 = gaussians r 4 in
+  let net =
+    net_with [| 5; 3; 4; 1 |]
+      (Array.concat [ pos 15; Array.make 3 0.5; w2; Array.make 4 0.5; w3; [| 0. |] ])
+  in
+  let x =
+    Mlp.Matrix.of_array ~rows:5 ~cols:5 (Array.init 25 (fun i -> if i mod 6 = 0 then 1. else 0.))
+  in
+  let y = gaussians r 5 in
+  let d = output_delta net x y in
+  let g = gradient net ~x ~y in
+  check_close "nn"
+    (naive_mm ~m:5 ~n:3 ~k:4 (fun row i -> d.(row) *. w3.(i)) (fun i j -> w2.((i * 3) + j)))
+    (Array.init 15 (fun rj -> g.(((rj mod 3) * 5) + (rj / 3))))
 
+(* Backward: a layer's weight gradient is the transpose of its input
+   batch times its delta. A 5-4-1 network on a 7-row batch, hidden
+   biases high enough that every relu is active. *)
 let test_matmul_tn () =
-  let a = random_mat 7 5 and b = random_mat 7 4 in
-  check_close "tn" (Mlp.Tensor.matmul_tn a b)
-    (naive_mm ~m:5 ~n:4 ~k:7 (fun i l -> Mlp.Tensor.get a l i) (Mlp.Tensor.get b))
+  let r = Util.Rng.create 43 in
+  let w2 = gaussians r 4 in
+  let net =
+    net_with [| 5; 4; 1 |] (Array.concat [ gaussians r 20; Array.make 4 100.; w2; [| 0. |] ])
+  in
+  let x = Mlp.Matrix.of_array ~rows:7 ~cols:5 (gaussians r 35) in
+  let y = gaussians r 7 in
+  let d = output_delta net x y in
+  let g = gradient net ~x ~y in
+  check_close "tn"
+    (naive_mm ~m:4 ~n:5 ~k:7 (fun j row -> d.(row) *. w2.(j)) (Mlp.Matrix.get x))
+    (Array.sub g 0 20)
 
+(* Forward: hidden-layer relu, through a 1-1-1 identity network. *)
 let test_relu () =
-  let t = Mlp.Tensor.of_array ~rows:1 ~cols:4 [| -1.0; 0.0; 2.0; -3.0 |] in
-  Mlp.Tensor.relu_inplace t;
-  Alcotest.(check (array (float 0.0))) "relu" [| 0.0; 0.0; 2.0; 0.0 |] t.Mlp.Tensor.data
+  let net = net_with [| 1; 1; 1 |] [| 1.; 0.; 1.; 0. |] in
+  let x = Mlp.Matrix.of_array ~rows:4 ~cols:1 [| -1.0; 0.0; 2.0; -3.0 |] in
+  Alcotest.(check (array (float 0.0))) "relu" [| 0.0; 0.0; 2.0; 0.0 |]
+    (Mlp.Network.predict net x)
 
+(* Backward: the hidden delta is zeroed where the pre-activation is
+   <= 0. Hidden pre-activations [-1; 0.5; 0; 3] and an incoming delta of
+   9 on every unit, read off the hidden weights' and biases' gradients. *)
 let test_relu_mask () =
-  let z = Mlp.Tensor.of_array ~rows:1 ~cols:4 [| -1.0; 0.5; 0.0; 3.0 |] in
-  let d = Mlp.Tensor.of_array ~rows:1 ~cols:4 [| 9.0; 9.0; 9.0; 9.0 |] in
-  Mlp.Tensor.relu_mask_inplace d z;
-  Alcotest.(check (array (float 0.0))) "mask" [| 0.0; 9.0; 0.0; 9.0 |] d.Mlp.Tensor.data
+  let net =
+    net_with [| 1; 4; 1 |] [| -1.0; 0.5; 0.0; 3.0; 0.; 0.; 0.; 0.; 1.; 1.; 1.; 1.; 0. |]
+  in
+  (* prediction 3.5 against target -1: output delta 2 * 4.5 = 9 *)
+  let g = gradient net ~x:(Mlp.Matrix.of_array ~rows:1 ~cols:1 [| 1. |]) ~y:[| -1. |] in
+  Alcotest.(check (array (float 0.0))) "weights" [| 0.0; 9.0; 0.0; 9.0 |] (Array.sub g 0 4);
+  Alcotest.(check (array (float 0.0))) "biases" [| 0.0; 9.0; 0.0; 9.0 |] (Array.sub g 4 4)
 
+(* Backward: a layer's bias gradient is the column sums of its delta.
+   Two rows whose output deltas are 1 and 2 reach hidden units with
+   output weights [1; 2; 3]: hidden deltas [[1, 2, 3]; [2, 4, 6]]. *)
 let test_col_sums () =
-  let t = Mlp.Tensor.of_array ~rows:2 ~cols:3 [| 1.; 2.; 3.; 4.; 5.; 6. |] in
-  Alcotest.(check (array (float 1e-12))) "col sums" [| 5.; 7.; 9. |]
-    (Mlp.Tensor.col_sums t)
+  let net = net_with [| 1; 3; 1 |] [| 1.; 1.; 1.; 0.; 0.; 0.; 1.; 2.; 3.; 0. |] in
+  let x = Mlp.Matrix.of_array ~rows:2 ~cols:1 [| 1.; 1. |] in
+  (* both rows predict 6 *)
+  let g = gradient net ~x ~y:[| 5.; 4. |] in
+  Alcotest.(check (array (float 0.0))) "hidden biases" [| 3.; 6.; 9. |] (Array.sub g 3 3);
+  Alcotest.(check (float 0.0)) "output bias" 3. g.(9)
 
+(* Forward: the bias row is added to every row of the product. Identity
+   hidden weights and biases [10; 20], read out one unit at a time. *)
 let test_add_row () =
-  let t = Mlp.Tensor.of_array ~rows:2 ~cols:2 [| 1.; 2.; 3.; 4. |] in
-  Mlp.Tensor.add_row_inplace t [| 10.; 20. |];
-  Alcotest.(check (array (float 0.0))) "bias" [| 11.; 22.; 13.; 24. |] t.Mlp.Tensor.data
+  let x = Mlp.Matrix.of_array ~rows:2 ~cols:2 [| 1.; 2.; 3.; 4. |] in
+  let unit readout =
+    let hidden = [| 1.; 0.; 0.; 1.; 10.; 20. |] in
+    Mlp.Network.predict (net_with [| 2; 2; 1 |] (Array.append hidden readout)) x
+  in
+  let u0 = unit [| 1.; 0.; 0. |] and u1 = unit [| 0.; 1.; 0. |] in
+  Alcotest.(check (array (float 0.0))) "bias" [| 11.; 22.; 13.; 24. |]
+    [| u0.(0); u1.(0); u0.(1); u1.(1) |]
 
 (* --- network ------------------------------------------------------------ *)
 
@@ -82,13 +205,79 @@ let test_predict_shape () =
   let x = random_mat 10 3 in
   Alcotest.(check int) "10 outputs" 10 (Array.length (Mlp.Network.predict net x))
 
+(* The flat layout, by hand: a 2-2-1 network whose hidden layer is
+   [[1, -2]; [3, 4]] with biases [0.5; -100] (unit 1 is dead), and whose
+   output layer is [2, 7] with bias 1. *)
+let test_predict_by_hand () =
+  let net =
+    with_params (Mlp.Network.create rng ~sizes:[| 2; 2; 1 |])
+      [| 1.; -2.; 3.; 4.; 0.5; -100.; 2.; 7.; 1. |]
+  in
+  let x = Mlp.Matrix.of_array ~rows:3 ~cols:2 [| 1.; 0.; 0.; 1.; 2.; 0.25 |] in
+  (* hidden unit 0: relu(x0 - 2 x1 + 0.5); output: 2 h0 + 1 *)
+  Alcotest.(check (array (float 0.0))) "hand-computed" [| 4.; 1.; 5. |]
+    (Mlp.Network.predict net x)
+
+(* Backpropagation against central differences of [Network.mse]. On a
+   fresh network one Adam step moves each parameter by about
+   -lr * sign(g), so every parameter with a clearly non-zero gradient
+   must move against it, and one with an exactly zero gradient (the
+   weights and bias of a dead relu unit, and the weights reading its
+   output) must not move. *)
+let test_train_batch_finite_differences () =
+  let r = Util.Rng.create 31 in
+  let fresh = Mlp.Network.create r ~sizes:[| 3; 6; 5; 1 |] in
+  let p = params fresh in
+  (* Non-zero biases (parameters 18-23, 54-58 and 64), so no
+     pre-activation sits exactly on relu's kink, where the two
+     one-sided derivatives differ. Then hidden unit 2 of layer 0 never
+     fires: its bias is parameter 20. *)
+  List.iter
+    (fun k -> p.(k) <- 0.1 *. Util.Rng.gaussian r)
+    (List.init 6 (( + ) 18) @ List.init 5 (( + ) 54) @ [ 64 ]);
+  p.(20) <- -100.0;
+  let net = with_params fresh p in
+  let x = Mlp.Matrix.of_array ~rows:8 ~cols:3 (Array.init 24 (fun _ -> Util.Rng.gaussian r)) in
+  let y = Array.init 8 (fun _ -> Util.Rng.gaussian r) in
+  let h = 1e-5 in
+  let fd =
+    Array.mapi
+      (fun k v ->
+        let at dv =
+          let q = Array.copy p in
+          q.(k) <- v +. dv;
+          Mlp.Network.mse (with_params net q) ~x ~y
+        in
+        (at h -. at (-.h)) /. (2.0 *. h))
+      p
+  in
+  ignore (Mlp.Network.train_batch net Mlp.Network.default_adam ~x ~y);
+  let moved = params net in
+  let dead = ref 0 and live = ref 0 in
+  Array.iteri
+    (fun k g ->
+      let delta = moved.(k) -. p.(k) in
+      if g = 0.0 then begin
+        incr dead;
+        if delta <> 0.0 then Alcotest.failf "parameter %d: zero gradient, moved by %g" k delta
+      end
+      else if Float.abs g > 1e-6 then begin
+        incr live;
+        if not (delta *. g < 0.0) then
+          Alcotest.failf "parameter %d: gradient %g, moved by %g" k g delta
+      end)
+    fd;
+  (* the dead unit's 3 input weights, its bias and 5 output weights *)
+  Alcotest.(check bool) "dead unit's 9 parameters seen" true (!dead >= 9);
+  Alcotest.(check bool) "most parameters checked" true (!live >= 40)
+
 let test_training_descends () =
   let net = Mlp.Network.create rng ~sizes:[| 2; 16; 1 |] in
   (* Fit y = x0 + 2*x1 on a fixed batch: loss must fall monotonically on
      average. *)
   let n = 64 in
   let x = random_mat n 2 in
-  let y = Array.init n (fun i -> Mlp.Tensor.get x i 0 +. (2.0 *. Mlp.Tensor.get x i 1)) in
+  let y = Array.init n (fun i -> Mlp.Matrix.get x i 0 +. (2.0 *. Mlp.Matrix.get x i 1)) in
   let adam = Mlp.Network.default_adam in
   let first = Mlp.Network.train_batch net adam ~x ~y in
   for _ = 1 to 300 do
@@ -103,7 +292,7 @@ let test_fit_linear_function () =
   let n = 512 in
   let x = random_mat n 2 in
   let y = Array.init n (fun i ->
-      let a = Mlp.Tensor.get x i 0 and b = Mlp.Tensor.get x i 1 in
+      let a = Mlp.Matrix.get x i 0 and b = Mlp.Matrix.get x i 1 in
       Float.max a b)
   in
   let (_ : Mlp.Train.history) =
@@ -122,19 +311,11 @@ let test_history_shape () =
 
 let test_save_load_roundtrip () =
   let net = Mlp.Network.create rng ~sizes:[| 4; 8; 4; 1 |] in
-  let path = Filename.temp_file "mlp" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      Mlp.Network.save net oc;
-      close_out oc;
-      let ic = open_in path in
-      let net2 = Mlp.Network.load ic in
-      close_in ic;
-      let x = random_mat 7 4 in
-      Alcotest.(check (array (float 1e-12))) "same predictions"
-        (Mlp.Network.predict net x) (Mlp.Network.predict net2 x))
+  let net2 = load_lines (serialized net) in
+  Alcotest.(check (list string)) "same serialization" (serialized net) (serialized net2);
+  let x = random_mat 7 4 in
+  Alcotest.(check (array (float 0.0))) "same predictions"
+    (Mlp.Network.predict net x) (Mlp.Network.predict net2 x)
 
 (* --- batched forward (Matrix path) --------------------------------------- *)
 
@@ -153,7 +334,7 @@ let test_matrix_sub_rows_shares_storage () =
   Alcotest.(check (float 0.0)) "write visible in parent" 99.0 (Mlp.Matrix.get m 2 2)
 
 (* The float contract of the planning hot path: the batched Bigarray
-   forward must be bit-equal to the Tensor pipeline — exact zero
+   forward must be bit-equal to the OCaml reference — exact zero
    tolerance — for any batch size, including 1 and the widths that
    leave a partly filled SIMD vector or accumulator block. *)
 let test_forward_batch_matches_predict () =
@@ -164,7 +345,7 @@ let test_forward_batch_matches_predict () =
         (fun batch ->
           let x = random_mat batch sizes.(0) in
           let want = Mlp.Network.predict net x in
-          let got = Mlp.Network.predict_matrix net (Mlp.Matrix.of_tensor x) in
+          let got = Mlp.Network.predict_matrix net x in
           Alcotest.(check (array (float 0.0)))
             (Printf.sprintf "bit-equal at batch=%d" batch)
             want got)
@@ -174,10 +355,10 @@ let test_forward_batch_matches_predict () =
 let test_forward_batch_rows_match_scalar () =
   let net = Mlp.Network.create rng ~sizes:[| 16; 32; 64; 32; 1 |] in
   let x = random_mat 37 16 in
-  let batch = Mlp.Network.predict_matrix net (Mlp.Matrix.of_tensor x) in
+  let batch = Mlp.Network.predict_matrix net x in
   Array.iteri
     (fun r p ->
-      let row = Array.init 16 (fun j -> Mlp.Tensor.get x r j) in
+      let row = Array.init 16 (fun j -> Mlp.Matrix.get x r j) in
       Alcotest.(check (float 0.0)) "row = scalar path"
         (Mlp.Network.predict_one net row) p)
     batch
@@ -195,7 +376,7 @@ let same_bits want got =
 (* Inputs the kernel special-cases: exact zeros of both signs (skipped)
    and whole zero rows, mixed with Gaussian values. *)
 let zeroish_inputs r ~rows ~cols =
-  let x = Mlp.Tensor.create rows cols in
+  let x = Mlp.Matrix.create rows cols in
   for i = 0 to rows - 1 do
     let zero_row = Util.Rng.int r 8 = 0 in
     for j = 0 to cols - 1 do
@@ -207,7 +388,7 @@ let zeroish_inputs r ~rows ~cols =
           | 2 -> -0.0
           | _ -> Util.Rng.gaussian r
       in
-      Mlp.Tensor.set x i j v
+      Mlp.Matrix.set x i j v
     done
   done;
   x
@@ -226,12 +407,12 @@ let trained_net r sizes =
    matrix whose other rows are garbage, against [predict] on the rows
    alone. *)
 let view_matches_predict r net x ~off =
-  let rows = x.Mlp.Tensor.rows and cols = x.Mlp.Tensor.cols in
+  let rows = x.Mlp.Matrix.rows and cols = x.Mlp.Matrix.cols in
   let big = Mlp.Matrix.create (off + rows + 2) cols in
   for i = 0 to off + rows + 1 do
     for j = 0 to cols - 1 do
       let v =
-        if i >= off && i < off + rows then Mlp.Tensor.get x (i - off) j
+        if i >= off && i < off + rows then Mlp.Matrix.get x (i - off) j
         else Util.Rng.gaussian r
       in
       Mlp.Matrix.set big i j v
@@ -263,26 +444,6 @@ let test_forward_batch_wide_input () =
            ~off:3))
     [ 0; 1; 9; 40 ]
 
-(* Set weights through the text serialization (the network type is
-   abstract): [(layer, index, value)] replaces that layer's weight. *)
-let with_weights net edits =
-  let buf = Buffer.create 4096 in
-  Mlp.Network.save_buf buf net;
-  let lines = Array.of_list (String.split_on_char '\n' (Buffer.contents buf)) in
-  List.iter
-    (fun (layer, index, value) ->
-      let line = 3 + (2 * layer) in
-      let words =
-        Array.of_list
-          (List.filter (( <> ) "") (String.split_on_char ' ' lines.(line)))
-      in
-      words.(index) <- value;
-      lines.(line) <- String.concat " " (Array.to_list words))
-    edits;
-  let rest = ref (Array.to_list lines) in
-  Mlp.Network.load_from (fun () ->
-      match !rest with [] -> raise End_of_file | l :: tl -> rest := tl; l)
-
 (* With a non-finite weight a zero input no longer contributes an exact
    zero (0 * inf and 0 * nan are NaN), so the kernel must not skip zeros
    in that layer: NaN must land exactly where [predict] puts it. An inf
@@ -293,8 +454,10 @@ let test_forward_batch_nonfinite_weights () =
   let base = trained_net r [| 5; 9; 6; 1 |] in
   let x = zeroish_inputs r ~rows:40 ~cols:5 in
   List.iter
-    (fun (name, edits, mixed) ->
-      let net = with_weights base edits in
+    (fun (name, k, value, mixed) ->
+      let p = params base in
+      p.(k) <- value;
+      let net = with_params base p in
       Alcotest.(check bool) (name ^ ": not finite") false (Mlp.Network.is_finite net);
       let want = Mlp.Network.predict net x in
       Alcotest.(check bool) (name ^ ": some NaN") true (Array.exists Float.is_nan want);
@@ -302,14 +465,16 @@ let test_forward_batch_nonfinite_weights () =
         (Array.exists (fun v -> not (Float.is_nan v)) want);
       Alcotest.(check bool) (name ^ ": NaN positions and other bits match") true
         (view_matches_predict r net x ~off:1))
-    [ ("inf weight", [ (0, 7, "inf") ], true); ("nan weight", [ (1, 30, "nan") ], false) ]
+    (* parameter 84 is layer 1's weight 30, after layer 0's 45 weights
+       and 9 biases *)
+    [ ("inf weight", 7, Float.infinity, true); ("nan weight", 84, Float.nan, false) ]
 
 let test_split () =
   let x = random_mat 100 3 in
   let y = Array.init 100 float_of_int in
   let (xt, yt), (xv, yv) = Mlp.Train.split rng ~test_fraction:0.2 ~x ~y in
-  Alcotest.(check int) "train rows" 80 xt.Mlp.Tensor.rows;
-  Alcotest.(check int) "test rows" 20 xv.Mlp.Tensor.rows;
+  Alcotest.(check int) "train rows" 80 xt.Mlp.Matrix.rows;
+  Alcotest.(check int) "test rows" 20 xv.Mlp.Matrix.rows;
   Alcotest.(check int) "train labels" 80 (Array.length yt);
   Alcotest.(check int) "test labels" 20 (Array.length yv);
   (* disjoint and exhaustive *)
@@ -317,12 +482,27 @@ let test_split () =
   Array.sort compare all;
   Array.iteri (fun i v -> Alcotest.(check (float 0.0)) "partition" (float_of_int i) v) all
 
+(* Fewer rows than one batch train as one batch of all of them: one
+   Adam step per epoch. No rows at all is rejected. *)
+let test_fit_fewer_rows_than_a_batch () =
+  let r = Util.Rng.create 5 in
+  let net = Mlp.Network.create r ~sizes:[| 2; 4; 1 |] in
+  let before = params net in
+  let x = random_mat 10 2 and y = Array.init 10 float_of_int in
+  let h = Mlp.Train.fit ~epochs:3 r net ~x ~y in
+  Alcotest.(check int) "one step per epoch" 3 (step net);
+  Alcotest.(check bool) "finite epoch losses" true
+    (Array.for_all Float.is_finite h.epoch_train_mse);
+  Alcotest.(check bool) "weights moved" true (params net <> before);
+  Alcotest.check_raises "no rows" (Invalid_argument "Train.fit: 0 training rows")
+    (fun () -> ignore (Mlp.Train.fit r net ~x:(Mlp.Matrix.create 0 2) ~y:[||]))
+
 let prop_copy_independent =
   QCheck.Test.make ~name:"network copy is deep" QCheck.unit (fun () ->
       let rng = Util.Rng.create 3 in
       let net = Mlp.Network.create rng ~sizes:[| 2; 4; 1 |] in
       let copy = Mlp.Network.copy net in
-      let x = Mlp.Tensor.of_array ~rows:1 ~cols:2 [| 1.0; 2.0 |] in
+      let x = Mlp.Matrix.of_array ~rows:1 ~cols:2 [| 1.0; 2.0 |] in
       let before = (Mlp.Network.predict copy x).(0) in
       ignore (Mlp.Network.train_batch net Mlp.Network.default_adam ~x ~y:[| 5.0 |]);
       (Mlp.Network.predict copy x).(0) = before)
@@ -340,6 +520,8 @@ let () =
       ("network",
        [ quick "num weights" test_num_weights;
          quick "predict shape" test_predict_shape;
+         quick "predict by hand" test_predict_by_hand;
+         quick "train_batch vs finite differences" test_train_batch_finite_differences;
          quick "training descends" test_training_descends;
          Alcotest.test_case "fits max()" `Slow test_fit_linear_function;
          quick "history shape" test_history_shape;
@@ -353,4 +535,6 @@ let () =
          quick "input width 640" test_forward_batch_wide_input;
          quick "non-finite weights" test_forward_batch_nonfinite_weights;
          QCheck_alcotest.to_alcotest prop_forward_batch_bit_equal ]);
-      ("train", [ quick "split" test_split ]) ]
+      ("train",
+       [ quick "split" test_split;
+         quick "fewer rows than a batch" test_fit_fewer_rows_than_a_batch ]) ]

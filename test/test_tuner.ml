@@ -186,13 +186,13 @@ let test_dataset_generation () =
   let r = rng () in
   let ds = Tuner.Dataset.generate_gemm r Gpu.Device.gtx980ti ~n:50 in
   Alcotest.(check int) "size" 50 (Tuner.Dataset.size ds);
-  Alcotest.(check int) "feature rows" 50 ds.features_log.Mlp.Tensor.rows;
+  Alcotest.(check int) "feature rows" 50 ds.features_log.Mlp.Matrix.rows;
   Array.iter
     (fun v -> Alcotest.(check bool) "positive tflops" true (v > 0.0))
     ds.tflops;
   Array.iter
     (fun v -> Alcotest.(check bool) "finite features" true (Float.is_finite v))
-    ds.features_log.Mlp.Tensor.data
+    (Mlp.Matrix.to_array ds.features_log)
 
 let test_dataset_parallel_generation () =
   (* Multi-domain generation must produce the right count and the same
@@ -367,7 +367,10 @@ let profile_defects =
     ("rejects an infinite target scaler", "target scaler",
      profile_payload ~scaler:"1e999 1.5" ());
     ("rejects a zero feature std", "feature std", profile_payload ~std:"0" ());
-    ("rejects a nan feature std", "feature std", profile_payload ~std:"nan" ()) ]
+    ("rejects a nan feature std", "feature std", profile_payload ~std:"nan" ());
+    (* an empty first weight leaves layer 0's line one value short *)
+    ("rejects a short weight line", "layer 0 weights: 63 values, expected 64",
+     profile_payload ~weight:"" ()) ]
 
 let test_search_returns_legal () =
   let r = rng () in
