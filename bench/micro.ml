@@ -24,7 +24,8 @@ let tests () =
   in
   (* The search's scoring path: Network.predict_matrix over a Matrix
      batch, the same forward_batch kernel Tuner.Search runs (the
-     pure-OCaml forward behind Network.predict is the training one). *)
+     pure-OCaml forward behind Network.predict is the reference it
+     must match, and the scalar planner's). *)
   let batch =
     let n = 256 in
     let x = Mlp.Matrix.create n Tuner.Features.dim in
@@ -32,6 +33,16 @@ let tests () =
       (fun j v -> for i = 0 to n - 1 do Mlp.Matrix.set x i j v done)
       feats;
     x
+  in
+  (* One minibatch step of Profile.train's network, on a copy so the
+     inference rows keep their weights, with a batch drawn from its own
+     generator so the other rows' inputs stay as they were. *)
+  let train_net = Mlp.Network.copy net in
+  let train_x, train_y =
+    let r = Util.Rng.create 64 in
+    ( Mlp.Matrix.of_array ~rows:64 ~cols:Tuner.Features.dim
+        (Array.init (64 * Tuner.Features.dim) (fun _ -> Util.Rng.gaussian r)),
+      Array.init 64 (fun _ -> Util.Rng.gaussian r) )
   in
   let small = GP.input 32 32 32 in
   let small_cfg =
@@ -46,6 +57,11 @@ let tests () =
       (Staged.stage (fun () -> ignore (Mlp.Network.predict_one net feats)));
     Test.make ~name:"fig5: MLP inference (batch 256)"
       (Staged.stage (fun () -> ignore (Mlp.Network.predict_matrix net batch)));
+    Test.make ~name:"table2: MLP train step (batch 64)"
+      (Staged.stage (fun () ->
+           ignore
+             (Mlp.Network.train_batch train_net Mlp.Network.default_adam ~x:train_x
+                ~y:train_y)));
     Test.make ~name:"table3: occupancy calculation"
       (Staged.stage (fun () ->
            ignore

@@ -1,10 +1,13 @@
-/* The kernel behind Mlp.Network.forward_batch: batched MLP inference
-   for the planning hot path (DESIGN.md "Planning hot path"). It reads
-   the network's own parameter vector in place (per layer: fan_out x
-   fan_in row-major weights, then fan_out biases).
+/* The kernels behind Mlp.Network.forward_batch (batched MLP inference
+   for the planning hot path, DESIGN.md "Planning hot path") and
+   Mlp.Network.train_batch (one minibatch step of training, DESIGN.md
+   "MLP storage and training"). Both read the network's own parameter
+   vector in place (per layer: fan_out x fan_in row-major weights, then
+   fan_out biases); training also updates it, the gradient and Adam's
+   two moments, vectors of the same layout, in place.
 
-   Float contract. Every output element is the ascending-k
-   single-accumulator dot product, then [+ bias], then
+   Float contract of the forward pass. Every output element is the
+   ascending-k single-accumulator dot product, then [+ bias], then
    [if v < 0 then 0 else v] on hidden layers, exactly as the OCaml
    reference Network.predict computes it, so the results are
    bit-identical to that reference. Two things make it fast without
@@ -23,16 +26,23 @@
      layer skips zeros only when every one of its weights is finite. The
      check runs on every call because training updates weights in place.
 
-   The kernel keeps no state between calls and sizes its scratch memory
-   to the network, so it is reentrant. Every operand lives outside the
-   OCaml heap (Bigarrays and malloc), so it releases the runtime lock
-   while it computes: other domains' stop-the-world collections need not
-   wait for it. */
+   Float contract of the training step: per element, the arithmetic and
+   its order are those of the OCaml reference Network.train_batch_ref,
+   so the loss, gradient, moments and parameters are bit-identical to
+   it. See isaac_mlp_train_batch.
+
+   The kernels keep no state between calls and size their scratch
+   memory to the network and batch, so they are reentrant. Every operand
+   they read while computing lives outside the OCaml heap (Bigarrays and
+   malloc), so they release the runtime lock while they compute: other
+   domains' stop-the-world collections need not wait for them. */
 
 #define CAML_NAME_SPACE
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 #include <caml/mlvalues.h>
+#include <caml/alloc.h>
 #include <caml/memory.h>
 #include <caml/fail.h>
 #include <caml/bigarray.h>
@@ -56,27 +66,49 @@ struct layer {
   int skip_zeros;   /* every weight of the layer is finite */
 };
 
-/* Output vectors [v0, v0 + nv) of one row, from the row's kept inputs:
-   xs[t] is input value t broadcast to both lanes, wrow[t] its row of
-   transposed weights. [nv] is a constant at every call site, so the
-   accumulators stay in registers. */
+/* Output vectors [v0, v0 + nv) of one row: the sum over t ascending of
+   xs[t] * rows[t][v] from +0.0, then [+ bias] unless [bias] is NULL,
+   then relu if [relu] is set. In the forward pass xs[t] is kept input t
+   broadcast to both lanes and rows[t] its row of transposed weights.
+   [nv] is a constant at every call site, so the accumulators stay in
+   registers. */
 static inline __attribute__((always_inline)) void
-dot_block(const struct layer *l, long v0, int nv, const vec *const *wrow,
-          const vec *xs, long n, int relu, vec *out)
+dot_block(long v0, int nv, const vec *const *rows, const vec *xs, long n,
+          const vec *bias, int relu, vec *out)
 {
   vec acc[BLOCK];
   for (int v = 0; v < nv; v++) acc[v] = (vec){ 0.0, 0.0 };
   for (long t = 0; t < n; t++) {
     const vec x = xs[t];
-    const vec *w = wrow[t] + v0;
+    const vec *w = rows[t] + v0;
     for (int v = 0; v < nv; v++) acc[v] += x * w[v];
   }
   const vec zero = { 0.0, 0.0 };
   for (int v = 0; v < nv; v++) {
-    vec y = acc[v] + l->bias[v0 + v];
+    vec y = acc[v];
+    if (bias) y += bias[v0 + v];
     /* v < 0 -> +0.0; -0.0 and NaN pass through, as in Network.predict. */
     if (relu) y = (vec)((vec_mask)y & ~(y < zero));
     out[v0 + v] = y;
+  }
+}
+
+/* dot_block over output vectors [0, nvec). */
+static void dot_rows(long nvec, const vec *const *rows, const vec *xs, long n,
+                     const vec *bias, int relu, vec *out)
+{
+  long v0 = 0;
+  for (; v0 + BLOCK <= nvec; v0 += BLOCK)
+    dot_block(v0, BLOCK, rows, xs, n, bias, relu, out);
+  switch (nvec - v0) {
+  case 7: dot_block(v0, 7, rows, xs, n, bias, relu, out); break;
+  case 6: dot_block(v0, 6, rows, xs, n, bias, relu, out); break;
+  case 5: dot_block(v0, 5, rows, xs, n, bias, relu, out); break;
+  case 4: dot_block(v0, 4, rows, xs, n, bias, relu, out); break;
+  case 3: dot_block(v0, 3, rows, xs, n, bias, relu, out); break;
+  case 2: dot_block(v0, 2, rows, xs, n, bias, relu, out); break;
+  case 1: dot_block(v0, 1, rows, xs, n, bias, relu, out); break;
+  default: break;
   }
 }
 
@@ -93,19 +125,7 @@ static void layer_row(const struct layer *l, const double *in, int relu,
     xs[n] = (vec){ x, x };
     n += (x != 0.0) | keep_all;
   }
-  long v0 = 0;
-  for (; v0 + BLOCK <= l->nvec; v0 += BLOCK)
-    dot_block(l, v0, BLOCK, wrow, xs, n, relu, out);
-  switch (l->nvec - v0) {
-  case 7: dot_block(l, v0, 7, wrow, xs, n, relu, out); break;
-  case 6: dot_block(l, v0, 6, wrow, xs, n, relu, out); break;
-  case 5: dot_block(l, v0, 5, wrow, xs, n, relu, out); break;
-  case 4: dot_block(l, v0, 4, wrow, xs, n, relu, out); break;
-  case 3: dot_block(l, v0, 3, wrow, xs, n, relu, out); break;
-  case 2: dot_block(l, v0, 2, wrow, xs, n, relu, out); break;
-  case 1: dot_block(l, v0, 1, wrow, xs, n, relu, out); break;
-  default: break;
-  }
+  dot_rows(nvec, wrow, xs, n, l->bias, relu, out);
 }
 
 /* Transpose and lane-pad every layer's weights and bias from [params]
@@ -196,4 +216,243 @@ value isaac_mlp_forward_batch(value v_widths, value v_params, value v_input,
 
   free(ls); free(wt); free(wrow);
   CAMLreturn(Val_unit);
+}
+
+/* Training. The forward pass above runs unchanged and keeps every
+   layer's activations; the backward pass reuses dot_rows without bias
+   or relu: each gradient element is a sum of products accumulated in
+   one SIMD lane, from +0.0, over a list of kept terms in a fixed
+   order. */
+
+/* train(widths, params, grad, m, v, x, rows, y, hyper): one Adam step
+   on the minibatch of [rows] rows of [x] with targets [y]; [hyper] is
+   [| lr; beta1; beta2; epsilon; 1 - beta1^step; 1 - beta2^step |].
+   Returns the summed squared error before the update.
+
+   Every per-element order is the OCaml reference's
+   (Network.train_batch_ref):
+   - forward: the inference kernel above, whose outputs are bit-equal
+     to the reference's, activations of every layer kept;
+   - output delta: 2 (out - y) / rows; the loss sums (out - y)^2 over
+     rows ascending;
+   - weight gradients: rows ascending, skipping rows whose delta is
+     zero (0 * inf would be NaN);
+   - bias gradients: rows ascending, no skip;
+   - delta passed down: output units ascending, skipping zero deltas,
+     then zeroed where the activation is <= 0;
+   - Adam: the reference's expression for every parameter.
+   Rows, units and parameters are independent lanes, so vectorising
+   across them changes no element's arithmetic. Activations and deltas
+   are stored in rows of lane-padded vectors, so every product reads
+   aligned vectors; pad lanes are never read back. */
+
+/* Width i of the network, input first: its lane-padded vector count,
+   its activations (rows x nv vectors) and, for hidden widths, layer i's
+   weights row-major and lane-padded, which the delta passed down from
+   width i + 1 reads. */
+struct width {
+  long nv;
+  vec *act;
+  vec *wp;
+};
+
+value isaac_mlp_train_batch(value v_widths, value v_params, value v_grad,
+                            value v_m, value v_v, value v_x, value v_rows,
+                            value v_y, value v_hyper)
+{
+  CAMLparam5(v_widths, v_params, v_grad, v_m, v_v);
+  CAMLxparam4(v_x, v_rows, v_y, v_hyper);
+  const long nlayers = (long)Wosize_val(v_widths) - 1;
+  const long rows = Long_val(v_rows);
+  if (nlayers < 1)
+    caml_invalid_argument("Network.train_batch: shape");
+  long params_len = 0, wt_vecs = 0, wp_vecs = 0, act_vecs = 0;
+  long max_width = rows, max_vec = 0;
+  for (long i = 0; i <= nlayers; i++) {
+    const long w = Long_val(Field(v_widths, i));
+    if (w < 1)
+      caml_invalid_argument("Network.train_batch: layer width");
+    const long nvec = (w + LANES - 1) / LANES;
+    act_vecs += nvec;
+    if (w > max_width) max_width = w;
+    if (nvec > max_vec) max_vec = nvec;
+    if (i < nlayers) {
+      const long j_n = Long_val(Field(v_widths, i + 1));
+      params_len += w * j_n + j_n;
+      wt_vecs += (w + 1) * ((j_n + LANES - 1) / LANES);
+      if (i > 0) wp_vecs += j_n * nvec;
+    }
+  }
+  const long in_w = Long_val(Field(v_widths, 0));
+  if (Long_val(Field(v_widths, nlayers)) != 1)
+    caml_invalid_argument("Network.train_batch: output width");
+  if (rows < 1)
+    caml_invalid_argument("Network.train_batch: x has no rows");
+  if ((long)caml_array_length(v_y) != rows)
+    caml_invalid_argument("Network.train_batch: y length");
+  if (caml_array_length(v_hyper) != 6)
+    caml_invalid_argument("Network.train_batch: hyperparameters");
+  if (Caml_ba_array_val(v_params)->dim[0] != params_len
+      || Caml_ba_array_val(v_grad)->dim[0] != params_len
+      || Caml_ba_array_val(v_m)->dim[0] != params_len
+      || Caml_ba_array_val(v_v)->dim[0] != params_len
+      || Caml_ba_array_val(v_x)->dim[0] < rows * in_w)
+    caml_invalid_argument("Network.train_batch: operand size");
+
+  /* Vectors: every width's activations and padded weights; the forward
+     pass's transposed weights; two delta buffers; broadcast terms; one
+     gradient row; the targets. */
+  const long vecs = rows * act_vecs + wp_vecs + wt_vecs + 2 * rows * max_vec
+                    + max_width + max_vec + (rows + LANES - 1) / LANES;
+  struct layer *ls = malloc(nlayers * sizeof *ls);
+  struct width *ws = malloc((nlayers + 1) * sizeof *ws);
+  const vec **rowp = malloc(max_width * sizeof *rowp);
+  vec *buf = aligned_alloc(sizeof(vec), vecs * sizeof(vec));
+  if (ls == NULL || ws == NULL || rowp == NULL || buf == NULL) {
+    free(ls); free(ws); free(rowp); free(buf);
+    caml_raise_out_of_memory();
+  }
+  vec *next = buf;
+  for (long i = 0; i <= nlayers; i++) {
+    const long w = Long_val(Field(v_widths, i));
+    ws[i].nv = (w + LANES - 1) / LANES;
+    ws[i].act = next;
+    next += rows * ws[i].nv;
+    ws[i].wp = NULL;
+    if (i > 0 && i < nlayers) {
+      ws[i].wp = next;
+      next += Long_val(Field(v_widths, i + 1)) * ws[i].nv;
+    }
+  }
+  for (long i = 0; i < nlayers; i++) {
+    ls[i].fan_in = Long_val(Field(v_widths, i));
+    ls[i].fan_out = Long_val(Field(v_widths, i + 1));
+    ls[i].nvec = ws[i + 1].nv;
+  }
+  vec *wt = next; next += wt_vecs;
+  vec *delta = next; next += rows * max_vec;
+  vec *down = next; next += rows * max_vec;
+  vec *xs = next; next += max_width;
+  vec *grow = next; next += max_vec;
+  /* [y] is an OCaml float array, which a collection may move once the
+     lock is released: copy it, and the hyperparameters, first. */
+  double *y = (double *)next;
+  for (long r = 0; r < rows; r++) y[r] = Double_array_field(v_y, r);
+  const double lr = Double_array_field(v_hyper, 0);
+  const double beta1 = Double_array_field(v_hyper, 1);
+  const double beta2 = Double_array_field(v_hyper, 2);
+  const double eps = Double_array_field(v_hyper, 3);
+  const double bc1 = Double_array_field(v_hyper, 4);
+  const double bc2 = Double_array_field(v_hyper, 5);
+  double *params = Caml_ba_data_val(v_params);
+  double *grad = Caml_ba_data_val(v_grad);
+  double *m = Caml_ba_data_val(v_m);
+  double *v = Caml_ba_data_val(v_v);
+  const double *x = Caml_ba_data_val(v_x);
+
+  caml_release_runtime_system();
+
+  /* Forward, keeping activations. The input is copied into lane-padded
+     rows (pad lanes zero) so the backward pass reads it as vectors. */
+  pack_layers(ls, nlayers, params, wt);
+  for (long r = 0; r < rows; r++) {
+    double *in = (double *)(ws[0].act + r * ws[0].nv);
+    memcpy(in, x + r * in_w, in_w * sizeof(double));
+    for (long k = in_w; k < ws[0].nv * LANES; k++) in[k] = 0.0;
+    for (long i = 0; i < nlayers; i++) {
+      vec *out = ws[i + 1].act + r * ws[i + 1].nv;
+      layer_row(&ls[i], in, i < nlayers - 1, rowp, xs, out);
+      in = (double *)out;
+    }
+  }
+
+  /* Output delta and loss. */
+  double loss = 0.0;
+  for (long r = 0; r < rows; r++) {
+    const double d = ((const double *)(ws[nlayers].act + r * ws[nlayers].nv))[0] - y[r];
+    loss += d * d;
+    ((double *)(delta + r * ws[nlayers].nv))[0] = 2.0 * d / (double)rows;
+  }
+
+  /* Row-major, lane-padded weights for the delta passed down. */
+  {
+    const double *p = params;
+    for (long i = 0; i < nlayers; i++) {
+      const long k_n = ls[i].fan_in, j_n = ls[i].fan_out;
+      if (ws[i].wp != NULL)
+        for (long j = 0; j < j_n; j++) {
+          double *row = (double *)(ws[i].wp + j * ws[i].nv);
+          memcpy(row, p + j * k_n, k_n * sizeof(double));
+          for (long k = k_n; k < ws[i].nv * LANES; k++) row[k] = 0.0;
+        }
+      p += k_n * j_n + j_n;
+    }
+  }
+
+  /* Backward, last layer first. */
+  memset(grad, 0, params_len * sizeof(double));
+  long b0 = params_len;
+  for (long i = nlayers - 1; i >= 0; i--) {
+    const long k_n = ls[i].fan_in, j_n = ls[i].fan_out;
+    const long nin = ws[i].nv, nout = ws[i + 1].nv;
+    const long bias = b0 - j_n, w0 = bias - k_n * j_n;
+    const double *d = (const double *)delta;
+    for (long r = 0; r < rows; r++)
+      for (long j = 0; j < j_n; j++)
+        grad[bias + j] += d[r * nout * LANES + j];
+    for (long j = 0; j < j_n; j++) {
+      long n = 0;
+      for (long r = 0; r < rows; r++) {
+        const double dv = d[r * nout * LANES + j];
+        rowp[n] = ws[i].act + r * nin;
+        xs[n] = (vec){ dv, dv };
+        n += dv != 0.0;
+      }
+      dot_rows(nin, rowp, xs, n, NULL, 0, grow);
+      memcpy(grad + w0 + j * k_n, grow, k_n * sizeof(double));
+    }
+    if (i > 0) {
+      for (long r = 0; r < rows; r++) {
+        long n = 0;
+        for (long j = 0; j < j_n; j++) {
+          const double dv = d[r * nout * LANES + j];
+          rowp[n] = ws[i].wp + j * nin;
+          xs[n] = (vec){ dv, dv };
+          n += dv != 0.0;
+        }
+        vec *dr = down + r * nin;
+        dot_rows(nin, rowp, xs, n, NULL, 0, dr);
+        /* Layer i-1's output is relu(z), which is <= 0 exactly where
+           z is (NaN fails both), so the activation masks the delta. */
+        const double *a = (const double *)(ws[i].act + r * nin);
+        double *dd = (double *)dr;
+        for (long k = 0; k < k_n; k++)
+          if (a[k] <= 0.0) dd[k] = 0.0;
+      }
+      vec *t = delta; delta = down; down = t;
+    }
+    b0 = w0;
+  }
+
+  /* Adam. */
+  for (long k = 0; k < params_len; k++) {
+    const double g = grad[k];
+    const double mk = beta1 * m[k] + (1.0 - beta1) * g;
+    const double vk = beta2 * v[k] + (1.0 - beta2) * g * g;
+    m[k] = mk;
+    v[k] = vk;
+    params[k] = params[k] - lr * (mk / bc1) / (sqrt(vk / bc2) + eps);
+  }
+
+  caml_acquire_runtime_system();
+
+  free(ls); free(ws); free(rowp); free(buf);
+  CAMLreturn(caml_copy_double(loss));
+}
+
+value isaac_mlp_train_batch_byte(value *argv, int argn)
+{
+  (void)argn;
+  return isaac_mlp_train_batch(argv[0], argv[1], argv[2], argv[3], argv[4],
+                               argv[5], argv[6], argv[7], argv[8]);
 }

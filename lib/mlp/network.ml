@@ -178,13 +178,22 @@ let backprop t acts y =
   done;
   !loss
 
-let train_batch t opt ~x ~y =
-  let rows = x.Matrix.rows in
-  assert (Array.length y = rows);
+let check_batch t (x : Matrix.t) y =
+  check_input "Network.train_batch" t x;
+  if x.rows < 1 then invalid_arg "Network.train_batch: x has no rows";
+  if Array.length y <> x.rows then invalid_arg "Network.train_batch: y length"
+
+(* Adam's bias corrections for the step about to be taken. *)
+let bias_corrections t opt =
+  let step = float_of_int (t.step + 1) in
+  (1.0 -. (opt.beta1 ** step), 1.0 -. (opt.beta2 ** step))
+
+(* The pure-OCaml training step, the reference the C step must match. *)
+let train_batch_ref t opt ~x ~y =
+  check_batch t x y;
   let loss = backprop t (forward t x) y in
+  let bc1, bc2 = bias_corrections t opt in
   t.step <- t.step + 1;
-  let bc1 = 1.0 -. (opt.beta1 ** float_of_int t.step) in
-  let bc2 = 1.0 -. (opt.beta2 ** float_of_int t.step) in
   let p = t.params and g = t.grad and m = t.m and v = t.v in
   for k = 0 to A.dim p - 1 do
     let gk = A.unsafe_get g k in
@@ -195,7 +204,22 @@ let train_batch t opt ~x ~y =
     let mhat = mk /. bc1 and vhat = vk /. bc2 in
     A.unsafe_set p k (A.unsafe_get p k -. (opt.lr *. mhat /. (sqrt vhat +. opt.epsilon)))
   done;
-  loss /. float_of_int rows
+  loss /. float_of_int x.rows
+
+(* The training step: forward, backward and Adam in one C call
+   (forward_stubs.c), bit-identical to [train_batch_ref]. *)
+external train_stub :
+  int array -> Matrix.storage -> Matrix.storage -> Matrix.storage -> Matrix.storage ->
+  Matrix.storage -> int -> float array -> float array -> float
+  = "isaac_mlp_train_batch_byte" "isaac_mlp_train_batch"
+
+let train_batch t opt ~x ~y =
+  check_batch t x y;
+  let bc1, bc2 = bias_corrections t opt in
+  let hyper = [| opt.lr; opt.beta1; opt.beta2; opt.epsilon; bc1; bc2 |] in
+  let loss = train_stub t.arch t.params t.grad t.m t.v x.Matrix.data x.rows y hyper in
+  t.step <- t.step + 1;
+  loss /. float_of_int x.rows
 
 let mse t ~x ~y = Util.Stats.mse (predict t x) y
 

@@ -7,9 +7,11 @@
 
     Every weight and bias lives in one flat {!Matrix.storage} vector —
     per layer, [fan_out × fan_in] row-major weights, then [fan_out]
-    biases — which training updates in place and the C kernel behind
-    {!forward_batch} reads in place. The loss gradient and Adam's two
-    moments are vectors of the same layout.
+    biases — which the C kernels behind {!forward_batch} and
+    {!train_batch} read in place, and the latter updates in place. The
+    loss gradient and Adam's two moments are vectors of the same
+    layout. Each kernel has a pure-OCaml reference it matches bit for
+    bit: {!predict} and {!train_batch_ref}.
 
     The caller is responsible for feature transformation; the paper's key
     finding (§5.2) that inputs must be passed through a logarithm lives in
@@ -37,7 +39,7 @@ val is_finite : t -> bool
 val predict : t -> Matrix.t -> float array
 (** Batch forward pass in pure OCaml: (batch × inputs) → batch
     predictions. This is the reference {!forward_batch} must match bit
-    for bit, and the forward half of {!train_batch}. Raises
+    for bit, and the forward half of {!train_batch_ref}. Raises
     [Invalid_argument] if the input width is not the network's. *)
 
 val predict_one : t -> float array -> float
@@ -87,7 +89,31 @@ val train_batch : t -> adam -> x:Matrix.t -> y:float array -> float
 (** One optimizer step on a minibatch; returns the batch MSE before the
     update. Backpropagation fills the whole gradient from the
     pre-update parameters, then one Adam pass updates every weight and
-    bias. *)
+    bias. The step is one C call (the kernel behind {!forward_batch},
+    extended with a backward pass and Adam) that reads and updates the
+    parameter, gradient and moment vectors in place, with the OCaml
+    runtime lock released; [y] is copied out of the OCaml heap first.
+
+    Float contract: the loss, gradient, moments and parameters are
+    bit-identical to {!train_batch_ref}'s on the same network and batch,
+    NaN positions and signed zeros included. The forward pass is
+    {!forward_batch}'s, whose outputs equal {!predict}'s; backward,
+    weight gradients sum batch rows in ascending order skipping zero
+    deltas, bias gradients sum every row in ascending order, and the
+    delta passed down sums output units in ascending order skipping zero
+    deltas, then is zeroed where the activation is [<= 0]. The
+    differential tests in [test/test_mlp.ml] assert exact equality.
+
+    Raises [Invalid_argument] naming the operand when [x] has no rows,
+    [y]'s length is not [x]'s row count, or [x]'s width is not the
+    network's input width; the network is then left unchanged. *)
+
+val train_batch_ref : t -> adam -> x:Matrix.t -> y:float array -> float
+(** {!train_batch} in pure OCaml: {!predict}'s forward pass, the
+    backward pass and Adam loop written out element by element. This is
+    the reference the C step must match bit for bit, kept for the tests
+    as [Ptx.Interp_ref] is for the interpreter; the library never calls
+    it. Same arguments, result and errors as {!train_batch}. *)
 
 val mse : t -> x:Matrix.t -> y:float array -> float
 (** Evaluation loss of {!predict} on a dataset (no update). *)

@@ -17,7 +17,9 @@ let rows x idx =
 let fit ?(batch_size = 64) ?(epochs = 20) ?(adam = Network.default_adam) ?validation
     rng net ~x ~y =
   let n = x.Matrix.rows in
-  assert (Array.length y = n);
+  if batch_size < 1 then invalid_arg (Printf.sprintf "Train.fit: batch_size %d" batch_size);
+  if epochs < 0 then invalid_arg (Printf.sprintf "Train.fit: epochs %d" epochs);
+  if Array.length y <> n then invalid_arg "Train.fit: y length";
   if n < 1 then invalid_arg (Printf.sprintf "Train.fit: %d training rows" n);
   (* Fewer rows than one batch train as one batch of all of them. *)
   let batch_size = min batch_size n in

@@ -19,7 +19,9 @@ val fit :
 (** Shuffled minibatch Adam training (defaults: batch 64, 20 epochs).
     Each epoch takes one step per full batch of shuffled rows; with
     fewer rows than [batch_size] it takes one step on all of them.
-    Raises [Invalid_argument] when [x] has no rows. *)
+    Raises [Invalid_argument] naming the argument when [batch_size] is
+    below 1, [epochs] is negative, [y]'s length is not [x]'s row count,
+    or [x] has no rows. *)
 
 val split :
   Util.Rng.t ->

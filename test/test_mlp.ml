@@ -1,8 +1,9 @@
 (* Tests for the MLP library: the tensor algebra of the forward and
    backward passes against naive references, the forward pass against
    hand-computed values, backpropagation against finite differences,
-   training dynamics, serialization, and the batched C kernel's float
-   contract. *)
+   training dynamics, serialization, and the float contracts of the C
+   kernels: batched inference against [predict], the training step
+   against [train_batch_ref]. *)
 
 let quick name f = Alcotest.test_case name `Quick f
 
@@ -52,6 +53,30 @@ let with_params net p =
            [ w; line sizes.(i + 1) ]))
   in
   load_lines (List.filteri (fun i _ -> i < 3) (serialized net) @ body)
+
+(* Bit equality that also tells -0.0 from +0.0; NaN matches NaN in
+   position only, since a NaN's payload is not part of the contract. *)
+let same_bits want got =
+  Array.length want = Array.length got
+  && Array.for_all2
+       (fun a b ->
+         if Float.is_nan a then Float.is_nan b
+         else Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       want got
+
+(* [steps] consecutive steps of the C [train_batch] on one deep copy of
+   [net] and of [train_batch_ref] on another: the losses and every
+   parameter must agree bit for bit after each step. The later steps
+   also compare Adam's moments and step count, which they read. *)
+let steps_match_ref ?(steps = 3) net x y =
+  let adam = Mlp.Network.default_adam in
+  let c = Mlp.Network.copy net and r = Mlp.Network.copy net in
+  List.for_all
+    (fun _ ->
+      let loss_c = Mlp.Network.train_batch c adam ~x ~y in
+      let loss_r = Mlp.Network.train_batch_ref r adam ~x ~y in
+      same_bits [| loss_r |] [| loss_c |] && same_bits (params r) (params c))
+    (List.init steps Fun.id)
 
 (* --- tensor ------------------------------------------------------------- *)
 
@@ -239,6 +264,8 @@ let test_train_batch_finite_differences () =
   let net = with_params fresh p in
   let x = Mlp.Matrix.of_array ~rows:8 ~cols:3 (Array.init 24 (fun _ -> Util.Rng.gaussian r)) in
   let y = Array.init 8 (fun _ -> Util.Rng.gaussian r) in
+  Alcotest.(check bool) "C step = reference, dead unit included" true
+    (steps_match_ref net x y);
   let h = 1e-5 in
   let fd =
     Array.mapi
@@ -363,16 +390,6 @@ let test_forward_batch_rows_match_scalar () =
         (Mlp.Network.predict_one net row) p)
     batch
 
-(* Bit equality that also tells -0.0 from +0.0; NaN matches NaN in
-   position only, since a NaN's payload is not part of the contract. *)
-let same_bits want got =
-  Array.length want = Array.length got
-  && Array.for_all2
-       (fun a b ->
-         if Float.is_nan a then Float.is_nan b
-         else Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-       want got
-
 (* Inputs the kernel special-cases: exact zeros of both signs (skipped)
    and whole zero rows, mixed with Gaussian values. *)
 let zeroish_inputs r ~rows ~cols =
@@ -432,6 +449,19 @@ let prop_forward_batch_bit_equal =
       let net = trained_net r sizes in
       view_matches_predict r net (zeroish_inputs r ~rows:batch ~cols:inputs) ~off)
 
+(* The training step's float contract: three consecutive C steps against
+   the OCaml reference on random widths, depths and batch sizes. *)
+let prop_train_batch_bit_equal =
+  QCheck.Test.make ~name:"train_batch bit-equals train_batch_ref" ~count:60
+    QCheck.(triple (int_range 1 70) (int_range 1 130) (int_range 0 10_000))
+    (fun (inputs, batch, seed) ->
+      let r = Util.Rng.create (1 + seed) in
+      let hidden = Array.init (1 + (seed mod 3)) (fun _ -> 1 + Util.Rng.int r 70) in
+      let sizes = Array.concat [ [| inputs |]; hidden; [| 1 |] ] in
+      let net = trained_net r sizes in
+      let x = zeroish_inputs r ~rows:batch ~cols:inputs in
+      steps_match_ref net x (Array.init batch (fun _ -> Util.Rng.gaussian r)))
+
 let test_forward_batch_wide_input () =
   let r = Util.Rng.create 600 in
   let net = trained_net r [| 640; 70; 33; 1 |] in
@@ -464,10 +494,43 @@ let test_forward_batch_nonfinite_weights () =
       Alcotest.(check bool) (name ^ ": some not NaN") mixed
         (Array.exists (fun v -> not (Float.is_nan v)) want);
       Alcotest.(check bool) (name ^ ": NaN positions and other bits match") true
-        (view_matches_predict r net x ~off:1))
+        (view_matches_predict r net x ~off:1);
+      (* The training step on the same rows with the first one all
+         zero: 0 * inf is NaN, so no zero may be skipped there. *)
+      let xz = Mlp.Matrix.copy x in
+      for j = 0 to 4 do Mlp.Matrix.set xz 0 j 0.0 done;
+      Alcotest.(check bool) (name ^ ": C step = reference, zero row included") true
+        (steps_match_ref net xz (Array.init 40 float_of_int)))
     (* parameter 84 is layer 1's weight 30, after layer 0's 45 weights
        and 9 biases *)
     [ ("inf weight", 7, Float.infinity, true); ("nan weight", 84, Float.nan, false) ]
+
+(* Zero deltas are skipped, not multiplied: 0 * inf is NaN. In each
+   network the reference keeps the first weight finite only because of
+   a skip, so a C step that multiplied instead would put NaN there.
+   - Weight gradient: a 1-2-1 network on the rows [inf; -1]. In row 0
+     hidden unit 0 reads -inf and is dead, so its delta is 0 against
+     the activation inf; row 1 gives its weight a finite gradient.
+   - Delta passed down: a 1-2-2-1 network whose second layer has weight
+     -inf. Hidden unit 0 of that layer is dead in every row, and its
+     zero delta meets the -inf weight on the way down. *)
+let test_zero_deltas_skipped () =
+  List.iter
+    (fun (name, sizes, p, inputs) ->
+      let net = net_with sizes p in
+      let rows = Array.length inputs in
+      let x = Mlp.Matrix.of_array ~rows ~cols:1 inputs in
+      let y = Array.make rows 0.0 in
+      let r = Mlp.Network.copy net in
+      ignore (Mlp.Network.train_batch_ref r Mlp.Network.default_adam ~x ~y);
+      Alcotest.(check bool) (name ^ ": reference keeps the first weight finite") true
+        (Float.is_finite (params r).(0));
+      Alcotest.(check bool) (name ^ ": C step = reference") true (steps_match_ref net x y))
+    [ ("weight gradient", [| 1; 2; 1 |], [| -1.; 1.; 0.; 0.; 1.; 1.; 0. |],
+       [| Float.infinity; -1.0 |]);
+      ("delta passed down", [| 1; 2; 2; 1 |],
+       [| 1.; 1.; 0.; 0.; Float.neg_infinity; 0.; 1.; 1.; 0.; 0.; 1.; 1.; 0. |],
+       [| 0.5; 2.0 |]) ]
 
 let test_split () =
   let x = random_mat 100 3 in
@@ -496,6 +559,40 @@ let test_fit_fewer_rows_than_a_batch () =
   Alcotest.(check bool) "weights moved" true (params net <> before);
   Alcotest.check_raises "no rows" (Invalid_argument "Train.fit: 0 training rows")
     (fun () -> ignore (Mlp.Train.fit r net ~x:(Mlp.Matrix.create 0 2) ~y:[||]))
+
+(* Argument holes: each raises [Invalid_argument] naming the argument,
+   and a rejected step leaves the network as it was. *)
+let test_fit_batch_size_zero () =
+  let r = Util.Rng.create 6 in
+  let net = Mlp.Network.create r ~sizes:[| 2; 4; 1 |] in
+  Alcotest.check_raises "batch_size 0" (Invalid_argument "Train.fit: batch_size 0")
+    (fun () ->
+      ignore (Mlp.Train.fit ~batch_size:0 r net ~x:(random_mat 10 2) ~y:(Array.make 10 0.0)))
+
+let test_fit_negative_epochs () =
+  let r = Util.Rng.create 7 in
+  let net = Mlp.Network.create r ~sizes:[| 2; 4; 1 |] in
+  Alcotest.check_raises "epochs -1" (Invalid_argument "Train.fit: epochs -1") (fun () ->
+      ignore (Mlp.Train.fit ~epochs:(-1) r net ~x:(random_mat 10 2) ~y:(Array.make 10 0.0)))
+
+let test_train_batch_no_rows () =
+  let net = trained_net (Util.Rng.create 8) [| 2; 4; 1 |] in
+  let before = serialized net in
+  List.iter
+    (fun (name, step) ->
+      Alcotest.check_raises name (Invalid_argument "Network.train_batch: x has no rows")
+        (fun () -> ignore (step net Mlp.Network.default_adam ~x:(Mlp.Matrix.create 0 2) ~y:[||]));
+      Alcotest.(check (list string)) (name ^ ": network unchanged") before (serialized net))
+    [ ("train_batch", Mlp.Network.train_batch); ("train_batch_ref", Mlp.Network.train_batch_ref) ]
+
+let test_train_batch_width () =
+  let net = trained_net (Util.Rng.create 9) [| 2; 4; 1 |] in
+  List.iter
+    (fun (name, step) ->
+      Alcotest.check_raises name (Invalid_argument "Network.train_batch: input width")
+        (fun () ->
+          ignore (step net Mlp.Network.default_adam ~x:(random_mat 4 3) ~y:(Array.make 4 0.0))))
+    [ ("train_batch", Mlp.Network.train_batch); ("train_batch_ref", Mlp.Network.train_batch_ref) ]
 
 let prop_copy_independent =
   QCheck.Test.make ~name:"network copy is deep" QCheck.unit (fun () ->
@@ -534,7 +631,13 @@ let () =
          quick "rows match scalar path" test_forward_batch_rows_match_scalar;
          quick "input width 640" test_forward_batch_wide_input;
          quick "non-finite weights" test_forward_batch_nonfinite_weights;
-         QCheck_alcotest.to_alcotest prop_forward_batch_bit_equal ]);
+         quick "zero deltas skipped" test_zero_deltas_skipped;
+         QCheck_alcotest.to_alcotest prop_forward_batch_bit_equal;
+         QCheck_alcotest.to_alcotest prop_train_batch_bit_equal ]);
       ("train",
        [ quick "split" test_split;
-         quick "fewer rows than a batch" test_fit_fewer_rows_than_a_batch ]) ]
+         quick "fewer rows than a batch" test_fit_fewer_rows_than_a_batch;
+         quick "batch_size 0" test_fit_batch_size_zero;
+         quick "negative epochs" test_fit_negative_epochs;
+         quick "train_batch on no rows" test_train_batch_no_rows;
+         quick "train_batch input width" test_train_batch_width ]) ]
