@@ -158,14 +158,13 @@ let run_energy () =
   let rows =
     List.map
       (fun (name, input) ->
-        let configs = Tuner.Search.legal_gemm_configs device input in
         let scored =
           List.filter_map
             (fun cfg ->
               Option.map
                 (fun (r : Gpu.Perf_model.report) -> (cfg, r))
                 (Gpu.Perf_model.predict device (GP.cost input cfg)))
-            configs
+            (Array.to_list (Tuner.Search.legal_gemm_config_array device input))
         in
         let best_by f =
           List.fold_left

@@ -174,55 +174,38 @@ let plan_seed_base = 0x15aac
 let request_rng tag input =
   Util.Rng.create (plan_seed_base lxor Hashtbl.hash (tag, input))
 
-let plan_gemm_with_status t (i : GP.input) =
+(* One planning request: a cache lookup whose miss runs the §6 search
+   under a [plan] span and hashes the winner's kernel. [op] names the
+   span and, with the input, seeds the request's generator. *)
+let plan_with_status t cache ~op ~search ~generate i =
   Obs.Span.with_request (fun () ->
       let t0 = if Obs.Telemetry.enabled () then Unix.gettimeofday () else 0.0 in
       let plan, outcome, age_s =
-        Plan_cache.find_or_compute t.gemm_cache i ~weight:plan_weight
-          (fun () ->
+        Plan_cache.find_or_compute cache i ~weight:plan_weight (fun () ->
             let result =
               Obs.Span.with_ "plan"
-                ~meta:(fun () -> [ ("op", Obs.Json.String "gemm") ])
+                ~meta:(fun () -> [ ("op", Obs.Json.String op) ])
                 (fun () ->
-                  Tuner.Search.exhaustive_gemm (request_rng "gemm" i) t.device
-                    ~profile:t.profile i)
+                  search (request_rng op i) t.device ~profile:t.profile i)
             in
             Option.map
               (fun r ->
-                let kernel_hash =
-                  hash_of_config Codegen.Gemm.generate i r.Tuner.Search.best
-                in
+                let kernel_hash = hash_of_config generate i r.Tuner.Search.best in
                 plan_of_result ~kernel_hash r)
               result)
       in
       record_outcome ~t0 ~age_s outcome;
       (plan, outcome))
+
+let plan_gemm_with_status t (i : GP.input) =
+  plan_with_status t t.gemm_cache ~op:"gemm" ~generate:Codegen.Gemm.generate i
+    ~search:(fun rng -> Tuner.Search.exhaustive_gemm rng)
 
 let plan_gemm t i = fst (plan_gemm_with_status t i)
 
 let plan_conv_with_status t (i : CP.input) =
-  Obs.Span.with_request (fun () ->
-      let t0 = if Obs.Telemetry.enabled () then Unix.gettimeofday () else 0.0 in
-      let plan, outcome, age_s =
-        Plan_cache.find_or_compute t.conv_cache i ~weight:plan_weight
-          (fun () ->
-            let result =
-              Obs.Span.with_ "plan"
-                ~meta:(fun () -> [ ("op", Obs.Json.String "conv") ])
-                (fun () ->
-                  Tuner.Search.exhaustive_conv (request_rng "conv" i) t.device
-                    ~profile:t.profile i)
-            in
-            Option.map
-              (fun r ->
-                let kernel_hash =
-                  hash_of_config Codegen.Conv.generate i r.Tuner.Search.best
-                in
-                plan_of_result ~kernel_hash r)
-              result)
-      in
-      record_outcome ~t0 ~age_s outcome;
-      (plan, outcome))
+  plan_with_status t t.conv_cache ~op:"conv" ~generate:Codegen.Conv.generate i
+    ~search:(fun rng -> Tuner.Search.exhaustive_conv rng)
 
 let plan_conv t i = fst (plan_conv_with_status t i)
 

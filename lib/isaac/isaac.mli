@@ -97,8 +97,8 @@ val device : t -> Gpu.Device.t
 val plan_gemm : t -> Codegen.Gemm_params.input -> plan option
 (** Runtime inference for a GEMM input. Results are cached per input, so
     repeated calls are free (the paper's filesystem cache). The search
-    runs {!Tuner.Search.exhaustive_gemm} with its defaults: the batched
-    scoring engine and the paper's top-100 re-benchmark.
+    runs {!Tuner.Search.exhaustive_gemm} with its defaults, including
+    the paper's top-100 re-benchmark.
 
     Concurrency-safe: lookups are lock-free, and N domains racing a
     cold input trigger exactly one search (the rest park on it and

@@ -44,9 +44,7 @@ val predict : t -> Matrix.t -> float array
 
 val predict_one : t -> float array -> float
 (** Single-sample convenience: wraps the features in a 1-row batch and
-    runs {!predict}. This is the {e scalar} planning path — one network
-    evaluation per candidate configuration — retained as the
-    differential reference for {!forward_batch}. *)
+    runs {!predict}, one network evaluation per call. *)
 
 val forward_batch : t -> input:Matrix.t -> Matrix.t
 (** Batched forward pass: [input] is (batch × inputs), one feature
@@ -63,8 +61,8 @@ val forward_batch : t -> input:Matrix.t -> Matrix.t
 
     Float contract: per element the arithmetic (ascending-[k]
     single-accumulator dot product, then bias add, then relu) is
-    identical to {!predict}'s, so outputs are bit-equal to the scalar
-    path on the same rows, for any batch size and any input values,
+    identical to {!predict}'s, so outputs are bit-equal to it on the
+    same rows, for any batch size and any input values,
     zeros of either sign included. The differential tests in
     [test/test_mlp.ml] assert exact equality.
 

@@ -1754,7 +1754,7 @@ let run ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
     in
     phases ()
   in
-  let exec_chunk ~offset ~size =
+  let exec_chunk ~chunk:_ ~offset ~size =
     let ctx = mk_ctx () in
     for b = offset to offset + size - 1 do
       exec_block ctx (b mod gx) (b / gx mod gy) (b / (gx * gy))
@@ -1776,10 +1776,7 @@ let run ?(max_dynamic = 200_000_000) ?domains (p : Program.t) ~grid
     if has_atomics then 1 else max 1 (min d n_blocks)
   in
   let shards =
-    if n_domains <= 1 then [ exec_chunk ~offset:0 ~size:n_blocks ]
-    else
-      Util.Parallel.run_chunks_offsets ~domains:n_domains ~total:n_blocks
-        (fun ~chunk:_ ~offset ~size -> exec_chunk ~offset ~size)
+    Util.Parallel.run_chunks ~domains:n_domains ~total:n_blocks exec_chunk
   in
   let counters = zero_counters () in
   List.iter (fun shard -> add_into ~into:counters shard) shards;

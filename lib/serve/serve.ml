@@ -243,7 +243,17 @@ let respond_plan ~id ~op ~latency_s (plan, outcome) =
       ( "plan",
         match plan with Some p -> json_of_plan p | None -> Obs.Json.Null ) ]
 
+(* Error messages can quote request strings (an unknown [op] or
+   [dtype]), so a hostile request could otherwise grow its own reply
+   without bound. *)
+let max_error_bytes = 256
+
 let respond_error ~id msg =
+  let n = String.length msg in
+  let msg =
+    if n <= max_error_bytes then msg
+    else Printf.sprintf "%s... (%d bytes)" (String.sub msg 0 max_error_bytes) n
+  in
   Obs.Json.Obj
     [ ("id", id); ("ok", Obs.Json.Bool false);
       ("error", Obs.Json.String msg) ]

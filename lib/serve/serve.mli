@@ -47,8 +47,10 @@ val handle : t -> string -> string * [ `Continue | `Stop ]
 (** Process one request line, returning the one-line JSON response and
     whether the transport should keep going ([`Stop] only for the
     [shutdown] op). Never raises: malformed requests produce an
-    [{"ok":false,"error":..}] response. Safe to call from multiple
-    domains. *)
+    [{"ok":false,"error":..}] response whose message is cut to its
+    first 256 bytes plus the original length, so quoting a request
+    string cannot grow the reply without bound. Safe to call from
+    multiple domains. *)
 
 val maybe_reload : ?force:bool -> t -> int
 (** Re-check the profile files' {!Util.Artifact.fingerprint}s and swap

@@ -303,7 +303,7 @@ let generate_generic ?(domains = 1) ?static_ok ?checkpoint ~op ~noise ~sampler
     Option.map (fun (path, every) -> (chunk_path path chunk, every)) checkpoint
   in
   let chunks =
-    Util.Parallel.run_chunks ~domains ~total:n (fun ~chunk ~size ->
+    Util.Parallel.run_chunks ~domains ~total:n (fun ~chunk ~offset:_ ~size ->
         generate_chunk ?checkpoint:(chunk_checkpoint chunk) ~op ~noise ~sampler
           ~static_ok rngs.(chunk) device ~n:size ~random_input ~legal ~features
           ~measure)

@@ -41,9 +41,8 @@ val predict_tflops : t -> float array -> float
 val predict_std_one : t -> float array -> float
 (** One feature vector through feature standardization and the
     network's pure-OCaml forward pass ({!Mlp.Network.predict}), in the
-    standardized log-target space — the scalar planning path
-    ({!Search}'s [`Scalar] engine scores one candidate at a time with
-    this). *)
+    standardized log-target space: the reference that
+    {!predict_std_matrix}, and so {!Search}'s scoring, must match. *)
 
 val predict_std_matrix : t -> Mlp.Matrix.t -> float array
 (** Batched counterpart of {!predict_std_one}, one un-standardized
@@ -51,9 +50,10 @@ val predict_std_matrix : t -> Mlp.Matrix.t -> float array
     standardized log-target space the exhaustive search ranks by.
     {b Mutates its argument}: the matrix is standardized in place
     before {!Mlp.Network.forward_batch} runs over it (callers fill a
-    fresh matrix per query). Per row the arithmetic is identical to the
-    scalar path, so predictions are bit-equal to {!predict_std_one} on
-    the same features. *)
+    fresh matrix per query). Per row the arithmetic is identical to
+    {!predict_std_one}'s, so predictions are bit-equal to it on the
+    same features; the reference planner in [test_tuner] relies on
+    this. *)
 
 val save : t -> string -> unit
 (** Persist through {!Util.Artifact.write} (kind ["isaac-profile"]):

@@ -1,8 +1,6 @@
 module GP = Codegen.Gemm_params
 module CP = Codegen.Conv_params
 
-type engine = [ `Batched | `Scalar ]
-
 type candidate = {
   config : GP.config;
   predicted_tflops : float;
@@ -14,7 +12,6 @@ type result = {
   candidates : candidate array;
   n_legal : int;
   n_scored : int;
-  n_visited : int;
   phases : (string * float) list;
 }
 
@@ -82,7 +79,7 @@ let max_of a = Array.fold_left max a.(0) a
    because the walk itself is a few percent of the cost of repeatedly
    growing (allocate + zero + copy, each large enough to pace a major
    GC slice) a doubling buffer in the major heap. *)
-type packed_enum = { packed : int array; count : int; visited : int }
+type packed_enum = { packed : int array; count : int }
 
 (* The model-quality channel is fed by the rebench stage, where every
    model prediction meets a real measurement. Inputs are bucketed by
@@ -213,7 +210,7 @@ let legal_configs_fast_packed device (i : GP.input) =
       Array.unsafe_set buf (o + 8) vec;
       Array.unsafe_set buf (o + 9) db;
       incr n);
-  { packed = buf; count = total; visited = total }
+  { packed = buf; count = total }
 
 (* Config [j] in the caller-facing (reverse grid) order lives at packed
    slot [count - 1 - j]. *)
@@ -224,57 +221,42 @@ let packed_config e j =
     nl = p.(o + 4); u = p.(o + 5); kl = p.(o + 6); kg = p.(o + 7);
     vec = p.(o + 8); db = p.(o + 9) }
 
-let legal_configs_fast device (i : GP.input) =
-  let e = legal_configs_fast_packed device i in
-  (Array.init e.count (packed_config e), e.visited)
-
-(* Reference enumeration: one unpruned pass over the whole space, with
-   legality decided by building the full cost record — the original
-   semantics, retained as the [`Scalar] engine and as the differential
-   baseline for the pruned path. *)
-let legal_configs_reference ~structurally_legal ~cost device =
-  let buf = ref [||] and n = ref 0 and visited = ref 0 in
-  Config_space.iter Config_space.gemm (fun arr ->
-      incr visited;
-      let cfg = GP.config_of_array arr in
-      if structurally_legal cfg && Gpu.Executor.legal device (cost cfg) then
-        grow_push buf n cfg);
-  (rev_of !buf !n, !visited)
-
 let legal_gemm_config_array device (i : GP.input) =
-  fst (legal_configs_fast device i)
+  let e = legal_configs_fast_packed device i in
+  Array.init e.count (packed_config e)
 
 (* CONV legality is GEMM legality of the implicit-GEMM view:
    [CP.structurally_legal] delegates to it, and [CP.cost] keeps the base
    record's per-block resource fields untouched. *)
 let legal_conv_config_array device (i : CP.input) =
-  fst (legal_configs_fast device (CP.gemm_input i))
+  legal_gemm_config_array device (CP.gemm_input i)
+
+(* Reference enumeration: one unpruned pass over the whole space, with
+   legality decided by building the full cost record — the original
+   semantics, the differential baseline for the pruned walk. *)
+let legal_configs_reference ~structurally_legal ~cost device =
+  let buf = ref [||] and n = ref 0 in
+  Config_space.iter Config_space.gemm (fun arr ->
+      let cfg = GP.config_of_array arr in
+      if structurally_legal cfg && Gpu.Executor.legal device (cost cfg) then
+        grow_push buf n cfg);
+  rev_of !buf !n
 
 let legal_gemm_config_array_ref device (i : GP.input) =
-  fst
-    (legal_configs_reference device
-       ~structurally_legal:(fun c -> GP.structurally_legal i c)
-       ~cost:(fun c -> GP.cost i c))
+  legal_configs_reference device
+    ~structurally_legal:(fun c -> GP.structurally_legal i c)
+    ~cost:(fun c -> GP.cost i c)
 
 let legal_conv_config_array_ref device (i : CP.input) =
-  fst
-    (legal_configs_reference device
-       ~structurally_legal:(fun c -> CP.structurally_legal i c)
-       ~cost:(fun c -> CP.cost i c))
-
-let legal_gemm_configs device i = Array.to_list (legal_gemm_config_array device i)
+  legal_configs_reference device
+    ~structurally_legal:(fun c -> CP.structurally_legal i c)
+    ~cost:(fun c -> CP.cost i c)
 
 let default_cap () = Util.Env_config.int "ISAAC_SEARCH_CAP" 60_000
 
-(* Deterministic subsample preserving order: every [stride]-th item,
-   where the stride is ceil(n/cap) beyond the cap and 1 within it. *)
+(* Beyond the cap, every [stride]-th legal config is scored, where the
+   stride is ceil(n/cap); within it, all of them. *)
 let subsample_stride ~cap n = if n <= cap then 1 else (n + cap - 1) / cap
-
-let subsample cap items =
-  let n = Array.length items in
-  let stride = subsample_stride ~cap n in
-  if stride = 1 then items
-  else Array.init ((n + stride - 1) / stride) (fun i -> items.(i * stride))
 
 (* Ranking of scored rows: descending [Float.compare] of the
    predictions, ties to the lower row, so NaN ranks last and the two
@@ -322,69 +304,15 @@ let top_k_indices ~k pred =
   end;
   heap
 
-(* Batched scoring: fill one shared feature matrix through the per-query
-   featurization cache, standardize + forward it as matrix-matrix work,
-   fanning row ranges across domains. Rows are independent, so the
-   result is identical for any domain count. Row [row] is config
-   [row * stride] in caller-facing order, featurized straight from its
-   packed slot. *)
-let score_batched ~domains ~query ~meta profile e ~stride ~n =
-  (* Worker domains start with empty DLS — hand them the caller's
-     request id so their spans/flight events correlate with the plan
-     request that spawned them. *)
-  let req = Obs.Span.current_request () in
-  let x, t_feat =
-    Obs.Span.with_dur "search.featurize" (fun () ->
-        let x = Mlp.Matrix.create n Features.dim in
-        Util.Parallel.iter_ranges ~domains ~total:n (fun ~offset ~size ->
-            Obs.Span.set_request req;
-            for row = offset to offset + size - 1 do
-              Features.fill_packed query e.packed
-                ~slot:(e.count - 1 - (row * stride))
-                x ~row
-            done);
-        x)
-  in
-  let pred, t_inf =
-    Obs.Span.with_dur ~meta "search.inference" (fun () ->
-        if domains <= 1 then Profile.predict_std_matrix profile x
-        else begin
-          let out = Array.make n 0.0 in
-          let chunks =
-            Util.Parallel.run_chunks_offsets ~domains ~total:n
-              (fun ~chunk:_ ~offset ~size ->
-                Obs.Span.set_request req;
-                let sub = Mlp.Matrix.sub_rows x ~off:offset ~len:size in
-                (offset, Profile.predict_std_matrix profile sub))
-          in
-          List.iter
-            (fun (off, p) -> Array.blit p 0 out off (Array.length p))
-            chunks;
-          out
-        end)
-  in
-  (pred, t_feat, t_inf)
-
-(* Scalar scoring: re-featurize every candidate from scratch and run the
-   network one row at a time — the historical per-candidate path, kept
-   as the differential reference the batched engine must match
-   bit-for-bit. *)
-let score_scalar ~domains ~features_of ~meta profile cfgs =
-  let feats, t_feat =
-    Obs.Span.with_dur "search.featurize" (fun () -> Array.map features_of cfgs)
-  in
-  let pred, t_inf =
-    Obs.Span.with_dur ~meta "search.inference" (fun () ->
-        if domains <= 1 then Array.map (Profile.predict_std_one profile) feats
-        else
-          Util.Parallel.map_array ~domains (Profile.predict_std_one profile)
-            feats)
-  in
-  (pred, t_feat, t_inf)
-
-let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
-    ?(top_k = 100) ?cap ?noise ?domains ?(engine = `Batched) rng device
-    ~profile =
+(* The §6 pipeline, one span per phase. Scoring never materializes the
+   scored set: row [row] is config [row * stride] in caller-facing
+   order, featurized straight from its packed slot into one shared
+   feature matrix through the per-query featurization cache, then
+   standardized and forwarded as matrix-matrix work. Both fan row ranges
+   across domains; rows are independent, so the result is identical for
+   any domain count. Config records are built for the top-k rows only. *)
+let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
+    ?domains rng device ~profile =
   let at_least_one what v =
     if v < 1 then
       invalid_arg
@@ -404,54 +332,61 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
     | Some d -> d
     | None -> Util.Parallel.recommended_domains ()
   in
-  let enum, t_enum =
+  let e, t_enum =
     Obs.Span.with_dur "search.enumerate" (fun () ->
-        match engine with
-        | `Batched -> `Packed (legal_fast device)
-        | `Scalar ->
-          let all, visited = legal_ref device in
-          `Materialized (all, visited))
+        legal_configs_fast_packed device gemm_view)
   in
-  let n_legal, n_visited =
-    match enum with
-    | `Packed e -> (e.count, e.visited)
-    | `Materialized (all, visited) -> (Array.length all, visited)
-  in
-  if n_legal = 0 then None
+  if e.count = 0 then None
   else begin
-    let meta n () =
-      [ ("n_legal", Obs.Json.Int n_legal);
-        ("n_scored", Obs.Json.Int n);
-        ("domains", Obs.Json.Int domains);
-        ( "engine",
-          Obs.Json.String
-            (match engine with `Batched -> "batched" | `Scalar -> "scalar") ) ]
+    let stride = subsample_stride ~cap e.count in
+    let n = (e.count + stride - 1) / stride in
+    (* Worker domains start with empty DLS — hand them the caller's
+       request id so their spans/flight events correlate with the plan
+       request that spawned them. *)
+    let req = Obs.Span.current_request () in
+    let x, t_feat =
+      Obs.Span.with_dur "search.featurize" (fun () ->
+          let x = Mlp.Matrix.create n Features.dim in
+          let (_ : unit list) =
+            Util.Parallel.run_chunks ~domains ~total:n
+              (fun ~chunk:_ ~offset ~size ->
+                Obs.Span.set_request req;
+                for row = offset to offset + size - 1 do
+                  Features.fill_packed query e.packed
+                    ~slot:(e.count - 1 - (row * stride))
+                    x ~row
+                done)
+          in
+          x)
     in
-    (* The batched engine scores packed slots and builds config records
-       for the top-k rows only. *)
-    let n, config_of_row, (pred, t_feat, t_inf) =
-      match enum with
-      | `Packed e ->
-        let stride = subsample_stride ~cap e.count in
-        let n = (e.count + stride - 1) / stride in
-        ( n,
-          (fun row -> packed_config e (row * stride)),
-          score_batched ~domains ~query ~meta:(meta n) profile e ~stride ~n )
-      | `Materialized (all, _) ->
-        let cfgs = subsample cap all in
-        let n = Array.length cfgs in
-        ( n,
-          (fun row -> cfgs.(row)),
-          score_scalar ~domains ~features_of ~meta:(meta n) profile cfgs )
+    let pred, t_inf =
+      Obs.Span.with_dur "search.inference"
+        ~meta:(fun () ->
+          [ ("n_legal", Obs.Json.Int e.count); ("n_scored", Obs.Json.Int n);
+            ("domains", Obs.Json.Int domains) ])
+        (fun () ->
+          match
+            Util.Parallel.run_chunks ~domains ~total:n
+              (fun ~chunk:_ ~offset ~size ->
+                Obs.Span.set_request req;
+                Profile.predict_std_matrix profile
+                  (Mlp.Matrix.sub_rows x ~off:offset ~len:size))
+          with
+          | [ pred ] -> pred
+          | chunks -> Array.concat chunks)
     in
     let candidates, t_argmax =
       Obs.Span.with_dur "search.argmax" (fun () ->
           Array.map
             (fun row ->
-              { config = config_of_row row;
+              { config = packed_config e (row * stride);
                 predicted_tflops =
                   Features.untarget profile.Profile.scaler pred.(row) })
             (top_k_indices ~k:top_k pred))
+    in
+    let flops =
+      2.0 *. float_of_int gemm_view.GP.m *. float_of_int gemm_view.n
+      *. float_of_int gemm_view.k
     in
     (* Re-benchmark the short-list on the device and keep the fastest. *)
     let best, t_rebench =
@@ -490,44 +425,26 @@ let exhaustive ~op ~flops ~legal_fast ~legal_ref ~query ~features_of ~cost
         { best = cfg;
           best_measurement = m;
           candidates;
-          n_legal;
+          n_legal = e.count;
           n_scored = n;
-          n_visited;
           phases =
             [ ("enumerate", t_enum); ("featurize", t_feat);
               ("inference", t_inf); ("argmax", t_argmax);
               ("rebench", t_rebench) ] }
   end
 
-let exhaustive_gemm ?top_k ?cap ?noise ?domains ?engine rng device ~profile
+let exhaustive_gemm ?top_k ?cap ?noise ?domains rng device ~profile
     (i : GP.input) =
-  let log = profile.Profile.log_features in
-  exhaustive ?top_k ?cap ?noise ?domains ?engine rng device ~profile ~op:"gemm"
-    ~flops:(2.0 *. float_of_int i.m *. float_of_int i.n *. float_of_int i.k)
-    ~legal_fast:(fun d -> legal_configs_fast_packed d i)
-    ~legal_ref:(fun d ->
-      legal_configs_reference d
-        ~structurally_legal:(fun c -> GP.structurally_legal i c)
-        ~cost:(fun c -> GP.cost i c))
-    ~query:(Features.gemm_query ~log i)
-    ~features_of:(fun cfg ->
-      Features.gemm_features ~log i (GP.config_to_array cfg))
+  exhaustive ?top_k ?cap ?noise ?domains rng device ~profile ~op:"gemm"
+    ~gemm_view:i
+    ~query:(Features.gemm_query ~log:profile.Profile.log_features i)
     ~cost:(fun cfg -> GP.cost i cfg)
 
-let exhaustive_conv ?top_k ?cap ?noise ?domains ?engine rng device ~profile
+let exhaustive_conv ?top_k ?cap ?noise ?domains rng device ~profile
     (i : CP.input) =
-  let log = profile.Profile.log_features in
-  let gi = CP.gemm_input i in
-  exhaustive ?top_k ?cap ?noise ?domains ?engine rng device ~profile ~op:"conv"
-    ~flops:(2.0 *. float_of_int gi.m *. float_of_int gi.n *. float_of_int gi.k)
-    ~legal_fast:(fun d -> legal_configs_fast_packed d (CP.gemm_input i))
-    ~legal_ref:(fun d ->
-      legal_configs_reference d
-        ~structurally_legal:(fun c -> CP.structurally_legal i c)
-        ~cost:(fun c -> CP.cost i c))
-    ~query:(Features.conv_query ~log i)
-    ~features_of:(fun cfg ->
-      Features.conv_features ~log i (GP.config_to_array cfg))
+  exhaustive ?top_k ?cap ?noise ?domains rng device ~profile ~op:"conv"
+    ~gemm_view:(CP.gemm_input i)
+    ~query:(Features.conv_query ~log:profile.Profile.log_features i)
     ~cost:(fun cfg -> CP.cost i cfg)
 
 let oracle_gemm device (i : GP.input) =

@@ -7,25 +7,23 @@
     candidates on the device "to smooth out the inherent noise of our
     predictive model".
 
-    Two scoring engines implement the same pipeline (see DESIGN.md,
-    "Planning hot path"):
+    One pipeline implements it (see DESIGN.md, "Planning hot path"):
+    bound-pruned lattice enumeration whose surviving leaves are exactly
+    the legal set (the deepest pruning levels check every legality
+    conjunct), per-query featurization caching ({!Features.query}), and
+    one matrix-matrix network evaluation per layer over the whole
+    candidate batch ({!Mlp.Network.forward_batch}), fanned across
+    domains.
 
-    - [`Batched] (the default): bound-pruned lattice enumeration whose
-      surviving leaves are exactly the legal set (the deepest pruning
-      levels check every legality conjunct), per-query featurization caching
-      ({!Features.query}), and one matrix-matrix network evaluation per
-      layer over the whole candidate batch ({!Mlp.Network.forward_batch}),
-      fanned across domains.
-    - [`Scalar]: the historical reference — unpruned enumeration with
-      full cost-record legality, per-candidate featurization and one
-      network evaluation per candidate.
-
-    Float contract: the two engines compute bit-identical predictions
-    (same enumeration order, same feature values, same accumulation
-    order in the network), so they rank candidates identically, consume
-    the rebench [rng] identically, and return the {e same chosen config}
-    — asserted by differential tests and by the deterministic
-    [plan_argmax_equal] bench check in CI.
+    Float contract: the pipeline is bit-identical to composing this
+    library's reference components — {!legal_gemm_config_array_ref},
+    {!Features.gemm_features}, {!Profile.predict_std_one} (the
+    pure-OCaml {!Mlp.Network.predict}) and a stable sort by descending
+    prediction — each held to its fast counterpart by its own
+    differential test. [test_tuner] composes them into a reference
+    planner and requires {!exhaustive_gemm} and {!exhaustive_conv} to
+    return its chosen config, measurement, candidates and predictions
+    bit for bit.
 
     Each phase runs as one span, [search.<phase>] for the five phases
     of {!result.phases}: its duration is the [phases] entry, the trace
@@ -34,11 +32,6 @@
     emits a [config] event carrying both its predicted and measured
     TFLOPS — the data for studying model miscalibration on the
     short-list. *)
-
-type engine = [ `Batched | `Scalar ]
-(** Which scoring engine {!exhaustive_gemm}/{!exhaustive_conv} run.
-    Both return identical results; [`Scalar] exists as the differential
-    reference and for planning-latency comparisons. *)
 
 type candidate = {
   config : Codegen.Gemm_params.config;
@@ -49,12 +42,13 @@ type result = {
   best : Codegen.Gemm_params.config;
   best_measurement : Gpu.Executor.measurement;
   candidates : candidate array;   (** top-k by model prediction, ranked *)
-  n_legal : int;                  (** size of the legal space searched *)
-  n_scored : int;                 (** configurations scored by the model *)
-  n_visited : int;                (** lattice leaves materialized by the
-                                      enumerator: the full grid for
-                                      [`Scalar], the post-pruning survivors
-                                      (= the legal set) for [`Batched] *)
+  n_legal : int;                  (** size of the legal space: the
+                                      leaves the pruned enumeration
+                                      emits *)
+  n_scored : int;                 (** configurations scored by the model:
+                                      all [n_legal], or every
+                                      [ceil (n_legal / cap)]-th beyond
+                                      the cap *)
   phases : (string * float) list;
   (** wall-clock seconds per pipeline phase, in order: [enumerate]
       (legal-space construction), [featurize] (feature-matrix fill),
@@ -79,9 +73,9 @@ val legal_gemm_config_array :
 (** All fully legal configurations for this input, enumerated in a single
     bound-pruned pass over the space (reverse grid order, matching what
     the historical list API produced; identical to
-    {!legal_gemm_config_array_ref} element-for-element). This is what
-    {!exhaustive_gemm}'s [`Batched] engine and {!oracle_gemm} consume
-    internally. *)
+    {!legal_gemm_config_array_ref} element-for-element). {!exhaustive_gemm}
+    walks the same enumeration without building the records;
+    {!oracle_gemm} consumes this array. *)
 
 val legal_conv_config_array :
   Gpu.Device.t -> Codegen.Conv_params.input -> Codegen.Gemm_params.config array
@@ -93,24 +87,18 @@ val legal_gemm_config_array_ref :
   Gpu.Device.t -> Codegen.Gemm_params.input -> Codegen.Gemm_params.config array
 (** Reference enumeration — one unpruned pass over the whole grid with
     legality decided by building each candidate's full cost record. The
-    [`Scalar] engine uses this; the differential tests assert it equals
-    {!legal_gemm_config_array} exactly. *)
+    differential tests assert it equals {!legal_gemm_config_array}
+    exactly, and the test-side reference planner enumerates with it. *)
 
 val legal_conv_config_array_ref :
   Gpu.Device.t -> Codegen.Conv_params.input -> Codegen.Gemm_params.config array
 (** CONV analogue of {!legal_gemm_config_array_ref}. *)
-
-val legal_gemm_configs :
-  Gpu.Device.t -> Codegen.Gemm_params.input -> Codegen.Gemm_params.config list
-(** [Array.to_list] of {!legal_gemm_config_array}, kept for callers that
-    want a list. *)
 
 val exhaustive_gemm :
   ?top_k:int ->
   ?cap:int ->
   ?noise:float ->
   ?domains:int ->
-  ?engine:engine ->
   Util.Rng.t ->
   Gpu.Device.t ->
   profile:Profile.t ->
@@ -118,9 +106,13 @@ val exhaustive_gemm :
   result option
 (** Full §6 pipeline. [top_k] defaults to 100 (as in the paper); [cap]
     (default 60000, env ISAAC_SEARCH_CAP) bounds how many legal
-    configurations are scored — beyond it a deterministic subsample is
-    scored instead, trading the global-optimum guarantee for latency
-    exactly like shrinking the paper's "specified search range".
+    configurations are scored — beyond it every [ceil (n_legal / cap)]-th
+    legal configuration is scored instead, trading the global-optimum
+    guarantee for latency exactly like shrinking the paper's "specified
+    search range". The top [top_k] scored configurations, ranked by
+    descending prediction with ties to the earlier one, are
+    re-benchmarked in rank order with [rng]; a later candidate replaces
+    the best only if strictly faster.
     Raises [Invalid_argument] naming the parameter ([top_k], [cap], or
     [ISAAC_SEARCH_CAP] when the cap came from the environment) if
     either is below 1.
@@ -128,16 +120,14 @@ val exhaustive_gemm :
     shipped here). [domains > 1] spreads featurization and model scoring
     over OCaml 5 domains; it defaults to
     [Util.Parallel.recommended_domains ()], so ISAAC_DOMAINS governs it.
-    [engine] defaults to [`Batched]. Results are identical for any
-    [domains] and either [engine] (given equal [rng] state). Features
-    follow the profile's [log_features] flag. *)
+    Results are identical for any [domains] (given equal [rng] state).
+    Features follow the profile's [log_features] flag. *)
 
 val exhaustive_conv :
   ?top_k:int ->
   ?cap:int ->
   ?noise:float ->
   ?domains:int ->
-  ?engine:engine ->
   Util.Rng.t ->
   Gpu.Device.t ->
   profile:Profile.t ->

@@ -11,16 +11,6 @@ let chunk_sizes ~domains ~total =
   List.init domains (fun i -> base + if i < extra then 1 else 0)
 
 let run_chunks ~domains ~total f =
-  if domains <= 1 || total <= 1 then [ f ~chunk:0 ~size:total ]
-  else begin
-    let sizes = chunk_sizes ~domains ~total in
-    let handles =
-      List.mapi (fun chunk size -> Domain.spawn (fun () -> f ~chunk ~size)) sizes
-    in
-    List.map Domain.join handles
-  end
-
-let run_chunks_offsets ~domains ~total f =
   if domains <= 1 || total <= 1 then [ f ~chunk:0 ~offset:0 ~size:total ]
   else begin
     let sizes = chunk_sizes ~domains ~total in
@@ -41,29 +31,4 @@ let run_chunks_offsets ~domains ~total f =
        after the call returns could still be mutating shared state. *)
     let results = List.map Domain.join handles in
     List.map (function Ok v -> v | Error e -> raise e) results
-  end
-
-let iter_ranges ~domains ~total f =
-  let (_ : unit list) =
-    run_chunks_offsets ~domains ~total (fun ~chunk:_ ~offset ~size ->
-        f ~offset ~size)
-  in
-  ()
-
-let map_array ~domains f arr =
-  let total = Array.length arr in
-  if domains <= 1 || total < 2 * domains then Array.map f arr
-  else begin
-    let sizes = chunk_sizes ~domains ~total in
-    let offsets =
-      let acc = ref 0 in
-      List.map (fun s -> let o = !acc in acc := o + s; o) sizes
-    in
-    let handles =
-      List.map2
-        (fun offset size ->
-          Domain.spawn (fun () -> Array.init size (fun i -> f arr.(offset + i))))
-        offsets sizes
-    in
-    Array.concat (List.map Domain.join handles)
   end

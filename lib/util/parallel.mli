@@ -1,10 +1,11 @@
-(** Multicore fan-out helpers built directly on OCaml 5 [Domain].
+(** Multicore fan-out built directly on OCaml 5 [Domain].
 
     The tuner's two hot loops — benchmarking tens of thousands of
     sampled kernels (§4) and scoring the legal space through the MLP at
-    runtime (§6) — are embarrassingly parallel; these helpers spread them
-    across domains. Work functions must be thread-safe (the tuner's are:
-    they share only immutable models and per-domain PRNGs).
+    runtime (§6) — are embarrassingly parallel, as is the interpreter's
+    grid of independent CTAs; {!run_chunks} spreads them across domains.
+    Work functions must be thread-safe (the tuner's are: they share only
+    immutable models and per-domain PRNGs).
 
     Results are deterministic for a fixed (seed, domain-count) pair. *)
 
@@ -12,31 +13,19 @@ val recommended_domains : unit -> int
 (** [ISAAC_DOMAINS] env override, else [Domain.recommended_domain_count],
     capped at 8. *)
 
-val map_array : domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]: the input is split into [domains] contiguous
-    chunks, one domain each. [domains <= 1] degrades to plain map. *)
-
-val run_chunks : domains:int -> total:int -> (chunk:int -> size:int -> 'a) -> 'a list
-(** [run_chunks ~domains ~total f] splits [total] work items into
-    [domains] contiguous chunks and runs [f ~chunk ~size] per chunk in
-    its own domain, returning results in chunk order. *)
-
-val run_chunks_offsets :
+val run_chunks :
   domains:int ->
   total:int ->
   (chunk:int -> offset:int -> size:int -> 'a) ->
   'a list
-(** Like {!run_chunks} but also hands each worker the starting [offset]
-    of its contiguous chunk in item space, and joins {e every} spawned
-    domain before re-raising the first worker exception (in chunk
-    order) — no worker outlives the call, even on failure. Used by the
-    interpreter's grid fan-out, where a trap in one chunk must not leave
-    other domains racing on the output buffers. *)
+(** [run_chunks ~domains ~total f] splits [total] work items into
+    [domains] contiguous chunks and runs [f ~chunk ~offset ~size] per
+    chunk in its own domain, where [offset] is the chunk's first item;
+    results come back in chunk order. [domains <= 1] or [total <= 1]
+    runs [f ~chunk:0 ~offset:0 ~size:total] on the calling domain.
 
-val iter_ranges :
-  domains:int -> total:int -> (offset:int -> size:int -> unit) -> unit
-(** [iter_ranges ~domains ~total f] runs [f] over contiguous
-    [offset, size) ranges covering [0, total), one domain per range, and
-    joins them all (exceptions propagate as in {!run_chunks_offsets}).
-    For side-effecting workers that write disjoint slices of a shared
-    buffer — the batched planner fills its feature matrix this way. *)
+    Every spawned domain is joined before the first worker exception
+    (in chunk order) is re-raised, so no worker outlives the call, even
+    on failure: a trap in one interpreter chunk cannot leave others
+    racing on the output buffers, and a failed dataset chunk cannot
+    leave its siblings generating and writing checkpoints. *)

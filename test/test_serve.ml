@@ -109,6 +109,25 @@ let test_errors () =
       (* no conv profile was loaded *)
       check_error {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3}|})
 
+(* Error replies quote request strings only up to a bound: a 100 kB
+   [op] or [dtype] still gets a short reply that names its error. *)
+let test_long_strings_bounded () =
+  with_server (fun srv _ ->
+      let long = String.make 100_000 'x' in
+      List.iter
+        (fun (line, what) ->
+          let response = handle_line srv line in
+          let msg = error_of response in
+          if not (contains msg what) then
+            Alcotest.failf "error %S does not name %S" msg what;
+          if String.length response >= 1024 then
+            Alcotest.failf "%d-byte reply to a long %s" (String.length response)
+              what)
+        [ (Printf.sprintf {|{"op":"%s"}|} long, "unknown op");
+          ( Printf.sprintf {|{"op":"gemm","m":256,"n":64,"k":256,"dtype":"%s"}|}
+              long,
+            "unknown dtype" ) ])
+
 (* A bad ISAAC_SEARCH_CAP fails the plan request with an error reply
    that names the knob; with the knob restored the daemon plans again. *)
 let test_bad_search_cap () =
@@ -214,6 +233,7 @@ let () =
        [ slow "ping + id echo" test_ping_and_ids;
          slow "cold miss, warm hit, identical plan" test_cold_then_warm;
          slow "malformed requests" test_errors;
+         slow "bounded error replies" test_long_strings_bounded;
          slow "bad search cap names the knob" test_bad_search_cap;
          slow "out-of-range dimensions name the field" test_out_of_range_dims;
          slow "stats endpoint" test_stats;

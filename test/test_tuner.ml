@@ -399,14 +399,13 @@ let test_search_beats_median_kernel () =
     Option.get
       (Tuner.Search.exhaustive_gemm ~top_k:50 ~cap:20000 r device ~profile input)
   in
-  let configs = Tuner.Search.legal_gemm_configs device input in
   let tflops =
     List.filter_map
       (fun c ->
         Option.map
           (fun (rep : Gpu.Perf_model.report) -> rep.tflops)
           (Gpu.Perf_model.predict device (GP.cost input c)))
-      configs
+      (Array.to_list (Tuner.Search.legal_gemm_config_array device input))
   in
   let median = Util.Stats.median (Array.of_list tflops) in
   Alcotest.(check bool) "beats median" true
@@ -496,6 +495,8 @@ let prop_top_k_is_stable_sort_prefix =
 
 (* --- pruned enumeration vs reference ------------------------------------- *)
 
+let gemm_name (i : GP.input) = Printf.sprintf "gemm %dx%dx%d" i.m i.n i.k
+
 let check_config_arrays name (want : GP.config array) (got : GP.config array) =
   Alcotest.(check int) (name ^ ": same count") (Array.length want)
     (Array.length got);
@@ -534,7 +535,7 @@ let test_pruned_legal_sets_match_reference () =
   List.iter
     (fun (device, input) ->
       check_config_arrays
-        (Printf.sprintf "gemm %dx%dx%d" input.GP.m input.GP.n input.GP.k)
+        (gemm_name input)
         (Tuner.Search.legal_gemm_config_array_ref device input)
         (Tuner.Search.legal_gemm_config_array device input))
     cases
@@ -550,9 +551,98 @@ let test_pruned_conv_legal_matches_reference () =
       CP.input ~n:1 ~c:3 ~k:64 ~p:112 ~q:112 ~r:7 ~s:7 ~stride:2 ~pad:3
         ~dtype:Ptx.Types.F16 () ]
 
-(* The two scoring engines must pick bit-identical plans: same legal set,
-   same predictions, same sort, same rebench rng consumption. Batched
-   runs with 3 domains to also cross engine equality with
+(* --- reference planner ------------------------------------------------------ *)
+
+(* The §6 pipeline composed from the library's reference components,
+   each held to its fast counterpart by its own differential test: the
+   unpruned enumeration, every [stride]-th config beyond the cap,
+   per-config featurization and the pure-OCaml network, a stable sort by
+   descending prediction, and the rebench loop, where a later candidate
+   replaces the best only if strictly faster. It shares no ranking code
+   with [Search]. *)
+let reference_plan ~top_k ~cap ~legal:all ~features ~cost rng device ~profile =
+  let n_legal = Array.length all in
+  let stride = if n_legal <= cap then 1 else (n_legal + cap - 1) / cap in
+  let scored =
+    Array.init ((n_legal + stride - 1) / stride) (fun i -> all.(i * stride))
+  in
+  let pred =
+    Array.map
+      (fun c ->
+        Tuner.Profile.predict_std_one profile (features (GP.config_to_array c)))
+      scored
+  in
+  let order = Array.init (Array.length scored) Fun.id in
+  Array.stable_sort (fun a b -> Float.compare pred.(b) pred.(a)) order;
+  let candidates =
+    Array.map
+      (fun row ->
+        { Tuner.Search.config = scored.(row);
+          predicted_tflops =
+            Tuner.Features.untarget profile.Tuner.Profile.scaler pred.(row) })
+      (Array.sub order 0 (min top_k (Array.length order)))
+  in
+  let best = ref None in
+  Array.iter
+    (fun (c : Tuner.Search.candidate) ->
+      match (Gpu.Executor.measure_best_of rng device (cost c.config), !best) with
+      | Some m, Some (_, (b : Gpu.Executor.measurement))
+        when b.seconds <= m.seconds -> ()
+      | Some m, _ -> best := Some (c.config, m)
+      | None, _ -> ())
+    candidates;
+  Option.map
+    (fun (best, best_measurement) ->
+      { Tuner.Search.best; best_measurement; candidates; n_legal;
+        n_scored = Array.length scored; phases = [] })
+    !best
+
+let reference_gemm_plan ~top_k ~cap rng device ~profile i =
+  let log = profile.Tuner.Profile.log_features in
+  reference_plan ~top_k ~cap rng device ~profile
+    ~legal:(Tuner.Search.legal_gemm_config_array_ref device i)
+    ~features:(Tuner.Features.gemm_features ~log i) ~cost:(GP.cost i)
+
+let bits = Int64.bits_of_float
+
+(* [got] must be [want] bit for bit: the chosen config and its
+   measurement, every candidate in order with its prediction, and the
+   legal and scored counts. *)
+let check_same_plan name (want : Tuner.Search.result option)
+    (got : Tuner.Search.result option) =
+  match (want, got) with
+  | None, None -> ()
+  | Some _, None | None, Some _ ->
+    Alcotest.failf "%s: exactly one of planner and reference found a plan" name
+  | Some w, Some g ->
+    let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
+    let check_bits what a b =
+      Alcotest.(check int64) (name ^ ": " ^ what) (bits a) (bits b)
+    in
+    if not (GP.equal_config w.best g.best) then
+      Alcotest.failf "%s: best %s, reference %s" name (GP.describe g.best)
+        (GP.describe w.best);
+    check_bits "measured tflops" w.best_measurement.tflops
+      g.best_measurement.tflops;
+    check_bits "measured seconds" w.best_measurement.seconds
+      g.best_measurement.seconds;
+    check_int "n_legal" w.n_legal g.n_legal;
+    check_int "n_scored" w.n_scored g.n_scored;
+    check_int "candidates" (Array.length w.candidates)
+      (Array.length g.candidates);
+    Array.iteri
+      (fun i (c : Tuner.Search.candidate) ->
+        let r = w.candidates.(i) in
+        if not (GP.equal_config r.config c.config) then
+          Alcotest.failf "%s: candidate %d is %s, reference %s" name i
+            (GP.describe c.config) (GP.describe r.config);
+        check_bits (Printf.sprintf "candidate %d prediction" i)
+          r.predicted_tflops c.predicted_tflops)
+      g.candidates
+
+(* The planner must pick the reference plan bit for bit: same legal set,
+   same predictions, same ranking, same rebench rng consumption. It runs
+   with 3 domains to also cross reference equality with
    domain-invariance. *)
 let test_engines_choose_identical_plans () =
   let r = rng () in
@@ -560,32 +650,18 @@ let test_engines_choose_identical_plans () =
   let profile = tiny_profile r device in
   List.iter
     (fun input ->
-      let run engine domains =
-        let r = Util.Rng.create 77 in
-        Option.get
-          (Tuner.Search.exhaustive_gemm ~top_k:10 ~cap:5000 ~domains ~engine r
-             device ~profile input)
+      let got =
+        Tuner.Search.exhaustive_gemm ~top_k:10 ~cap:5000 ~domains:3
+          (Util.Rng.create 77) device ~profile input
       in
-      let b = run `Batched 3 and s = run `Scalar 1 in
-      Alcotest.(check bool) "same best config" true (GP.equal_config b.best s.best);
-      Alcotest.(check int) "same n_legal" s.n_legal b.n_legal;
-      Alcotest.(check int) "same n_scored" s.n_scored b.n_scored;
-      Alcotest.(check (float 0.0)) "bit-equal measurement"
-        s.best_measurement.tflops b.best_measurement.tflops;
-      Alcotest.(check int) "same top-k" (Array.length s.candidates)
-        (Array.length b.candidates);
-      Array.iteri
-        (fun i (c : Tuner.Search.candidate) ->
-          Alcotest.(check bool) "same candidate" true
-            (GP.equal_config c.config s.candidates.(i).config);
-          Alcotest.(check (float 0.0)) "bit-equal prediction"
-            s.candidates.(i).predicted_tflops c.predicted_tflops)
-        b.candidates;
-      Alcotest.(check bool) "pruning visits fewer leaves" true
-        (b.n_visited < s.n_visited);
+      let want =
+        reference_gemm_plan ~top_k:10 ~cap:5000 (Util.Rng.create 77) device
+          ~profile input
+      in
+      check_same_plan (gemm_name input) want got;
       Alcotest.(check (list string)) "phase names"
         [ "enumerate"; "featurize"; "inference"; "argmax"; "rebench" ]
-        (List.map fst b.phases))
+        (List.map fst (Option.get got).phases))
     [ GP.input 512 512 512; GP.input ~b_trans:true 2560 16 2560 ]
 
 let test_engines_choose_identical_conv_plans () =
@@ -594,24 +670,19 @@ let test_engines_choose_identical_conv_plans () =
   let ds = Tuner.Dataset.generate_conv r device ~n:800 in
   let profile = Tuner.Profile.train ~arch:[| 32; 32 |] ~epochs:10 r ds in
   let input = CP.input ~n:2 ~c:16 ~k:32 ~p:8 ~q:8 ~r:3 ~s:3 () in
-  let run engine =
-    let r = Util.Rng.create 78 in
-    Option.get
-      (Tuner.Search.exhaustive_conv ~top_k:10 ~cap:5000 ~engine r device
-         ~profile input)
-  in
-  let b = run `Batched and s = run `Scalar in
-  Alcotest.(check bool) "same best config" true (GP.equal_config b.best s.best);
-  Alcotest.(check (float 0.0)) "bit-equal measurement" s.best_measurement.tflops
-    b.best_measurement.tflops
+  let log = profile.log_features in
+  check_same_plan "conv"
+    (reference_plan ~top_k:10 ~cap:5000 (Util.Rng.create 78) device ~profile
+       ~legal:(Tuner.Search.legal_conv_config_array_ref device input)
+       ~features:(Tuner.Features.conv_features ~log input) ~cost:(CP.cost input))
+    (Tuner.Search.exhaustive_conv ~top_k:10 ~cap:5000 (Util.Rng.create 78) device
+       ~profile input)
 
-(* Pruning can never change the argmax: over randomly drawn lattices
-   (shape, dtype, layout, device), the bound-pruned batched search and
-   the full-grid scalar reference must pick the identical plan — same
-   best config and a bit-equal re-benchmarked measurement. Each case is
-   expensive (the reference walks all 806k grid leaves), so the count
-   stays small; the legal-set differential above covers many more
-   lattices per second and implies this property. *)
+(* Pruning can never change the plan: over randomly drawn lattices
+   (shape, dtype, layout, device), the planner and the full-grid
+   reference must pick the identical plan. Each case is expensive (the
+   reference walks all 806k grid leaves), so the count stays small; the
+   legal-set differential above covers many more lattices per second. *)
 let prop_pruning_never_changes_argmax =
   let profile =
     lazy (tiny_profile (Util.Rng.create 31415) Gpu.Device.gtx980ti)
@@ -631,18 +702,14 @@ let prop_pruning_never_changes_argmax =
       let device =
         if Util.Rng.bool r then Gpu.Device.gtx980ti else Gpu.Device.p100
       in
-      let run engine =
-        (* Fresh rng per engine: identical rebench draws. *)
-        Tuner.Search.exhaustive_gemm ~top_k:5 ~cap:2000 ~domains:1 ~engine
-          (Util.Rng.create 55) device ~profile:(Lazy.force profile) input
-      in
-      match (run `Batched, run `Scalar) with
-      | None, None -> true
-      | Some b, Some s ->
-        GP.equal_config b.best s.best
-        && b.n_legal = s.n_legal
-        && b.best_measurement.tflops = s.best_measurement.tflops
-      | _ -> false)
+      let profile = Lazy.force profile in
+      (* Fresh rng per planner: identical rebench draws. *)
+      check_same_plan (gemm_name input)
+        (reference_gemm_plan ~top_k:5 ~cap:2000 (Util.Rng.create 55) device
+           ~profile input)
+        (Tuner.Search.exhaustive_gemm ~top_k:5 ~cap:2000 ~domains:1
+           (Util.Rng.create 55) device ~profile input);
+      true)
 
 let () =
   Alcotest.run "tuner"

@@ -178,34 +178,65 @@ let test_env_parsing () =
 
 (* --- parallel ----------------------------------------------------------- *)
 
+(* Each chunk writes its own slice of a shared array: together they
+   must equal a plain map for any domain count. *)
 let test_parallel_map_equiv () =
   let arr = Array.init 1000 (fun i -> i) in
   let f x = (x * x) + 1 in
   List.iter
     (fun domains ->
+      let out = Array.make (Array.length arr) 0 in
+      let (_ : unit list) =
+        Util.Parallel.run_chunks ~domains ~total:(Array.length arr)
+          (fun ~chunk:_ ~offset ~size ->
+            for i = offset to offset + size - 1 do
+              out.(i) <- f arr.(i)
+            done)
+      in
       Alcotest.(check (array int))
         (Printf.sprintf "map with %d domains" domains)
-        (Array.map f arr)
-        (Util.Parallel.map_array ~domains f arr))
+        (Array.map f arr) out)
     [ 1; 2; 4; 7 ]
 
 let test_parallel_chunks () =
   let chunks =
-    Util.Parallel.run_chunks ~domains:4 ~total:10 (fun ~chunk ~size -> (chunk, size))
+    Util.Parallel.run_chunks ~domains:4 ~total:10 (fun ~chunk ~offset ~size ->
+        (chunk, offset, size))
   in
-  Alcotest.(check (list (pair int int))) "chunk sizes"
-    [ (0, 3); (1, 3); (2, 2); (3, 2) ] chunks;
+  Alcotest.(check (list (triple int int int))) "chunk offsets and sizes"
+    [ (0, 0, 3); (1, 3, 3); (2, 6, 2); (3, 8, 2) ] chunks;
   let total =
-    List.fold_left (fun acc (_, s) -> acc + s)
+    List.fold_left (fun acc s -> acc + s)
       0
-      (Util.Parallel.run_chunks ~domains:3 ~total:100 (fun ~chunk ~size -> (chunk, size)))
+      (Util.Parallel.run_chunks ~domains:3 ~total:100
+         (fun ~chunk:_ ~offset:_ ~size -> size))
   in
   Alcotest.(check int) "sizes sum to total" 100 total
 
 let test_parallel_degenerate () =
-  Alcotest.(check int) "single domain" 1
-    (List.length (Util.Parallel.run_chunks ~domains:1 ~total:50 (fun ~chunk:_ ~size -> size)));
+  Alcotest.(check (list (triple int int int))) "single domain: one chunk"
+    [ (0, 0, 50) ]
+    (Util.Parallel.run_chunks ~domains:1 ~total:50 (fun ~chunk ~offset ~size ->
+         (chunk, offset, size)));
   Alcotest.(check bool) "recommended >= 1" true (Util.Parallel.recommended_domains () >= 1)
+
+(* A failing chunk must not leave its siblings running after the call
+   returns: chunk 0 raises at once while chunk 1 is still working, and
+   the exception may surface only after chunk 1 has finished. *)
+let test_parallel_failure_joins_siblings () =
+  let finished = Atomic.make false in
+  (match
+     Util.Parallel.run_chunks ~domains:2 ~total:2 (fun ~chunk ~offset:_ ~size:_ ->
+         if chunk = 0 then failwith "chunk 0"
+         else begin
+           Unix.sleepf 0.2;
+           Atomic.set finished true
+         end)
+   with
+   | _ -> Alcotest.fail "the chunk failure was swallowed"
+   | exception Failure msg -> Alcotest.(check string) "first failure" "chunk 0" msg);
+  Alcotest.(check bool) "sibling finished before the raise" true
+    (Atomic.get finished)
 
 let () =
   Alcotest.run "util"
@@ -232,4 +263,6 @@ let () =
       ("parallel",
        [ quick "map equivalence" test_parallel_map_equiv;
          quick "chunking" test_parallel_chunks;
-         quick "degenerate" test_parallel_degenerate ]) ]
+         quick "degenerate" test_parallel_degenerate;
+         quick "failing chunk joins its siblings"
+           test_parallel_failure_joins_siblings ]) ]
