@@ -53,12 +53,12 @@ let with_sched cost program =
   | Ok t -> Gpu.Kernel_cost.with_sched cost t.Ptx.Scoreboard.summary
   | Error _ -> cost
 
-(* The plan cache's kernel identity (packed-encoding hash of the
+(* A served plan's kernel identity (packed-encoding hash of the
    register-allocated kernel), carried on each sample so outliers can be
-   joined back to the exact kernel binary. *)
+   matched against the plans that serve the same kernel. *)
 let hash_of program =
-  match Ptx.Encode.hash_program (Ptx.Regalloc.allocate program) with
-  | Ok h -> Some h
+  match Ptx.Encode.encode (Ptx.Regalloc.allocate program) with
+  | Ok e -> Some (Ptx.Encode.hash e)
   | Error _ -> None
 
 let gemm_samples rng input =

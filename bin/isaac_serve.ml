@@ -92,14 +92,12 @@ let serve_socket srv path workers =
   (try Unix.close listener with Unix.Unix_error _ -> ());
   if Sys.file_exists path then try Unix.unlink path with Sys_error _ -> ()
 
-let run gemm_profile conv_profile socket workers cache_entries cache_bytes
-    reload_interval =
+let run gemm_profile conv_profile socket workers cache_entries reload_interval =
   (* A client vanishing mid-response must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   match
-    Serve.create ?cache_entries ?cache_bytes ~reload_interval
-      ?gemm_profile ?conv_profile ()
+    Serve.create ?cache_entries ~reload_interval ?gemm_profile ?conv_profile ()
   with
   | Error msg ->
     prerr_endline ("isaac_serve: " ^ msg);
@@ -137,11 +135,6 @@ let cmd =
              ~doc:"Max resident plans per op cache (LRU eviction beyond; \
                    unbounded by default).")
   in
-  let cache_bytes =
-    Arg.(value & opt (some int) None
-         & info [ "cache-bytes" ]
-             ~doc:"Max estimated plan-cache bytes per op cache.")
-  in
   let reload_interval =
     Arg.(value & opt float 2.0
          & info [ "reload-interval" ]
@@ -152,6 +145,6 @@ let cmd =
     (Cmd.info "isaac_serve"
        ~doc:"Resident plan-serving daemon over a sharded coalescing cache")
     Term.(const run $ gemm_profile $ conv_profile $ socket $ workers
-          $ cache_entries $ cache_bytes $ reload_interval)
+          $ cache_entries $ reload_interval)
 
 let () = exit (Cmd.eval cmd)

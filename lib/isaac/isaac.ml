@@ -11,14 +11,6 @@ type plan = {
   kernel_hash : int64 option;
 }
 
-(* Resident size estimate for the cache's byte budget: the config, the
-   measurement (with its nested report), the phase list and the boxing
-   around them. Precision is irrelevant — this is a budget knob, not an
-   allocator. *)
-let plan_weight = function
-  | None -> 64
-  | Some p -> 512 + (32 * List.length p.phases)
-
 type t = {
   profile : Tuner.Profile.t;
   device : Gpu.Device.t;
@@ -74,7 +66,7 @@ let record_outcome ~t0 ~age_s = function
   | Plan_cache.Miss -> record_plan_miss ~t0
   | Plan_cache.Coalesced -> record_plan_coalesced ~t0
 
-let of_profile ?cache_entries ?cache_bytes device (profile : Tuner.Profile.t) =
+let of_profile ?cache_entries device (profile : Tuner.Profile.t) =
   if profile.device <> device.Gpu.Device.name then
     invalid_arg
       (Printf.sprintf "Isaac.of_profile: profile tuned on %s, device is %s"
@@ -82,10 +74,8 @@ let of_profile ?cache_entries ?cache_bytes device (profile : Tuner.Profile.t) =
   { profile; device;
     rng = Util.Rng.create 0x15aac;
     load_rng = Util.Rng.create 0x10ad5;
-    gemm_cache =
-      Plan_cache.create ?max_entries:cache_entries ?max_bytes:cache_bytes ();
-    conv_cache =
-      Plan_cache.create ?max_entries:cache_entries ?max_bytes:cache_bytes () }
+    gemm_cache = Plan_cache.create ?max_entries:cache_entries ();
+    conv_cache = Plan_cache.create ?max_entries:cache_entries () }
 
 let tune ?samples ?(epochs = 20) ?arch ?dtypes ?(noise = Gpu.Executor.default_noise)
     ?domains ?checkpoint rng device ~op () =
@@ -129,21 +119,19 @@ let tune ?samples ?(epochs = 20) ?arch ?dtypes ?(noise = Gpu.Executor.default_no
 let profile t = t.profile
 let device t = t.device
 
-(* The packed-encoding hash is the plan's kernel identity: O(1) equality
-   for the serving cache and the dedup key of the v3 artifact's kernel
-   corpus. Kernels are register-allocated before encoding — the packed
-   format's fixed-width register fields assume physical numbering, and
-   the canonical form also dedups kernels that differ only in virtual
-   register names. Computed once per cache miss; encoding failures (a
-   kernel outgrowing the fixed-width fields even post-allocation)
-   degrade to [None] rather than failing the plan. *)
-let encode_kernel generate input config =
-  match Ptx.Encode.encode (Ptx.Regalloc.allocate (generate input config)) with
-  | Ok e -> Some e
-  | Error _ -> None
-
+(* The packed-encoding hash is the plan's kernel identity: O(1)
+   equality, written on each plans-file line and re-derived on load.
+   Kernels are register-allocated before encoding — the packed format's
+   fixed-width register fields assume physical numbering, and the
+   canonical form also gives kernels that differ only in virtual
+   register names one hash. Computed once per cache miss and once per
+   loaded line; encoding failures (a kernel outgrowing the fixed-width
+   fields even post-allocation) degrade to [None] rather than failing
+   the plan. *)
 let hash_of_config generate input config =
-  Option.map Ptx.Encode.hash (encode_kernel generate input config)
+  match Ptx.Encode.encode (Ptx.Regalloc.allocate (generate input config)) with
+  | Ok e -> Some (Ptx.Encode.hash e)
+  | Error _ -> None
 
 let plan_of_result ~kernel_hash (r : Tuner.Search.result) =
   let predicted =
@@ -181,7 +169,7 @@ let plan_with_status t cache ~op ~search ~generate i =
   Obs.Span.with_request (fun () ->
       let t0 = if Obs.Telemetry.enabled () then Unix.gettimeofday () else 0.0 in
       let plan, outcome, age_s =
-        Plan_cache.find_or_compute cache i ~weight:plan_weight (fun () ->
+        Plan_cache.find_or_compute cache i (fun () ->
             let result =
               Obs.Span.with_ "plan"
                 ~meta:(fun () -> [ ("op", Obs.Json.String op) ])
@@ -316,37 +304,28 @@ let config_fields (c : GP.config) =
    version 2 is the same line format inside a checksummed
    {!Util.Artifact} envelope, with the device recorded on the first
    payload line (and actually validated on load). Version 3 appends
-   [@ <hash>] — the {!Ptx.Encode} kernel identity — to each plan line
-   and writes the deduplicated packed kernels to a sibling corpus
-   ([path ^ ".kernels"], kind {!Ptx.Encode.corpus_kind}): the plans file
-   stays human-greppable text while the kernels ship as dense binaries,
-   deduplicated across (op, shape) entries that lower to the same code. *)
+   [@ <hash>], the plan's {!Ptx.Encode} kernel identity, to each plan
+   line. No kernel is stored: the (input, configuration) pair
+   determines it, so [load_plans] regenerates each line's kernel and
+   checks the stored hash against it. *)
 let plans_kind = "isaac-plans"
 let plans_version = 3
 
-let corpus_path path = path ^ ".kernels"
+let hash_suffix = function
+  | Some h -> " @ " ^ Ptx.Encode.hash_hex h
+  | None -> ""
 
 let save_plans t path =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "device %s\n" t.device.Gpu.Device.name);
-  (* Collected in cache-iteration order; [Encode.save_corpus] dedups by
-     hash, so shapes sharing a kernel cost one corpus entry. *)
-  let kernels = ref [] in
-  let pack generate input config =
-    match encode_kernel generate input config with
-    | Some e ->
-      kernels := e :: !kernels;
-      Printf.sprintf " @ %s" (Ptx.Encode.hash_hex (Ptx.Encode.hash e))
-    | None -> ""
-  in
   Plan_cache.iter t.gemm_cache (fun (i : GP.input) plan ->
       match plan with
       | Some p ->
         Buffer.add_string buf
           (Printf.sprintf "gemm %d %d %d %s %b %b : %s%s\n" i.m i.n i.k
              (dtype_tag i.dtype) i.a_trans i.b_trans (config_fields p.config)
-             (pack Codegen.Gemm.generate i p.config))
+             (hash_suffix p.kernel_hash))
       | None -> ());
   Plan_cache.iter t.conv_cache (fun (i : CP.input) plan ->
       match plan with
@@ -354,10 +333,8 @@ let save_plans t path =
         Buffer.add_string buf
           (Printf.sprintf "conv %d %d %d %d %d %d %d %d %d %s : %s%s\n" i.n
              i.c i.k i.p i.q i.r i.s i.stride i.pad (dtype_tag i.dtype)
-             (config_fields p.config)
-             (pack Codegen.Conv.generate i p.config))
+             (config_fields p.config) (hash_suffix p.kernel_hash))
       | None -> ());
-  Ptx.Encode.save_corpus ~path:(corpus_path path) (List.rev !kernels);
   Util.Artifact.write ~path ~kind:plans_kind ~version:plans_version
     (Buffer.contents buf)
 
@@ -475,79 +452,49 @@ let load_plans t path =
            with a warning rather than aborting the load. *)
         let entries = ref [] and skipped = ref 0 in
         List.iteri
-          (fun lineno line ->
+          (fun i line ->
+            let lineno = i + 2 in
             if String.trim line <> "" then
               match parse_plan_line line with
-              | Some e -> entries := e :: !entries
+              | Some e -> entries := (lineno, e) :: !entries
               | None ->
                 incr skipped;
                 Obs.Telemetry.incr "plans.skipped_lines";
                 Log.warn (fun m ->
-                    m "%s:%d: skipping malformed plan line" path (lineno + 2)))
+                    m "%s:%d: skipping malformed plan line" path lineno))
           rest;
         let entries = List.rev !entries in
-        (* The packed-kernel companion is advisory: plan lines are
-           authoritative, but when the corpus is present every referenced
-           hash must resolve to a (hash-verified) packed kernel, and a
-           stale reference is skipped rather than served. A missing
-           corpus (v2 caches, or a copied-without-sibling file) loads
-           with hashes taken on faith from the plan lines. *)
-        let corpus_hashes =
-          let cpath = corpus_path path in
-          if not (Sys.file_exists cpath) then None
-          else
-            match Ptx.Encode.load_corpus ~path:cpath with
-            | Ok kernels ->
-              let set = Hashtbl.create 16 in
-              List.iter
-                (fun k -> Hashtbl.replace set (Ptx.Encode.hash k) ())
-                kernels;
-              Some set
-            | Error e ->
-              Obs.Telemetry.incr "plans.corpus_load_failures";
-              Log.warn (fun m ->
-                  m "%s: ignoring unreadable kernel corpus (%s)" cpath e);
-              None
-        in
-        let resolves hash =
-          match (hash, corpus_hashes) with
-          | Some h, Some set ->
-            let ok = Hashtbl.mem set h in
-            if not ok then begin
-              Obs.Telemetry.incr "plans.kernel_unresolved";
-              Log.warn (fun m ->
-                  m "%s: plan references kernel %s absent from corpus; \
-                     skipping" path (Ptx.Encode.hash_hex h))
-            end;
-            ok
-          | _ -> true
-        in
+        (* A stored hash must be the hash of the kernel the line's
+           (input, config) pair generates: a mismatch means the line
+           does not describe the kernel this build would serve, so it
+           is skipped. A line without a hash (v2) takes the re-derived
+           one, so every loaded plan carries the hash of the kernel it
+           runs. *)
         let installed = ref 0 in
+        let install cache ~legal ~cost ~generate lineno input cfg stored =
+          if not (legal input cfg) then incr skipped
+          else
+            let kernel_hash = hash_of_config generate input cfg in
+            match stored with
+            | Some h when Some h <> kernel_hash ->
+              incr skipped;
+              Log.warn (fun m ->
+                  m "%s:%d: stored kernel hash %s is not the hash of the \
+                     kernel this line generates; skipping"
+                    path lineno (Ptx.Encode.hash_hex h))
+            | _ ->
+              let plan = plan_of_config t ~kernel_hash (cost input cfg) cfg in
+              if Plan_cache.insert cache input plan then incr installed
+        in
         List.iter
-          (fun entry ->
+          (fun (lineno, entry) ->
             match entry with
             | Gemm_entry (input, cfg, hash) ->
-              if GP.structurally_legal input cfg && resolves hash then begin
-                let plan =
-                  plan_of_config t ~kernel_hash:hash (GP.cost input cfg) cfg
-                in
-                if
-                  Plan_cache.insert t.gemm_cache input
-                    ~weight:(plan_weight plan) plan
-                then incr installed
-              end
-              else incr skipped
+              install t.gemm_cache ~legal:GP.structurally_legal ~cost:GP.cost
+                ~generate:Codegen.Gemm.generate lineno input cfg hash
             | Conv_entry (input, cfg, hash) ->
-              if CP.structurally_legal input cfg && resolves hash then begin
-                let plan =
-                  plan_of_config t ~kernel_hash:hash (CP.cost input cfg) cfg
-                in
-                if
-                  Plan_cache.insert t.conv_cache input
-                    ~weight:(plan_weight plan) plan
-                then incr installed
-              end
-              else incr skipped)
+              install t.conv_cache ~legal:CP.structurally_legal ~cost:CP.cost
+                ~generate:Codegen.Conv.generate lineno input cfg hash)
           entries;
         Ok (!installed, !skipped)
       end)

@@ -45,11 +45,12 @@ type plan = {
       {!load_plans} cache file, which skip the search entirely. Shown by
       [isaac_query --timing]. *)
   kernel_hash : int64 option;
-  (** {!Ptx.Encode.hash} of the generated kernel — the O(1) identity
-      under which the plan cache dedups kernels across (op, shape)
-      entries and the v3 artifact references its packed-kernel corpus.
-      [None] when the kernel exceeds the fixed-width encoding fields
-      (never for generated Table 4/5 kernels). *)
+  (** {!Ptx.Encode.hash} of the register-allocated generated kernel: an
+      O(1) kernel identity, served on the wire and written on each
+      {!save_plans} line. Plans for different inputs that generate the
+      same kernel carry equal hashes. [None] when the kernel exceeds the
+      fixed-width encoding fields (never for generated Table 4/5
+      kernels). *)
 }
 
 val tune :
@@ -78,18 +79,13 @@ val tune :
     {!Tuner.Dataset.generate_gemm}/[generate_conv] so a killed tuning run
     can resume its dataset generation where it left off. *)
 
-val of_profile :
-  ?cache_entries:int ->
-  ?cache_bytes:int ->
-  Gpu.Device.t ->
-  Tuner.Profile.t ->
-  t
+val of_profile : ?cache_entries:int -> Gpu.Device.t -> Tuner.Profile.t -> t
 (** Wrap a previously saved profile. Raises [Invalid_argument] if the
-    profile was tuned for a different device. [cache_entries] /
-    [cache_bytes] bound each per-op plan cache (LRU eviction beyond
-    them; unbounded by default — library users typically plan a handful
-    of shapes, while the serving daemon passes explicit budgets).
-    Evictions count as [plan.evictions] in {!Obs.Telemetry}. *)
+    profile was tuned for a different device. [cache_entries] bounds
+    each per-op plan cache (LRU eviction beyond it; unbounded by
+    default — library users typically plan a handful of shapes, while
+    the serving daemon can pass a budget). Evictions count as
+    [plan.evictions] in {!Obs.Telemetry}. *)
 
 val profile : t -> Tuner.Profile.t
 val device : t -> Gpu.Device.t
@@ -151,12 +147,9 @@ val save_plans : t -> string -> unit
     "cached on the filesystem" so later runs skip the search. Written
     through {!Util.Artifact.write} (kind ["isaac-plans"], version 3):
     atomic and checksummed, so a crash mid-save leaves the previous
-    cache intact. Each plan line carries the kernel's {!Ptx.Encode}
-    hash, and the packed kernels themselves — deduplicated across
-    (op, shape) entries by that hash — are written to a sibling binary
-    corpus at [path ^ ".kernels"] ({!Ptx.Encode.save_corpus}), keeping
-    the plans file greppable text while the kernel payload ships in the
-    dense wire format (several times smaller than kernel source). *)
+    cache intact. Each plan line is greppable text: the input, the
+    configuration and the plan's [kernel_hash]. No kernel is written;
+    the (input, configuration) pair regenerates it. *)
 
 val load_plans : t -> string -> (int * int, string) result
 (** Pre-seed the plan cache from a file written by {!save_plans}: each
@@ -164,17 +157,16 @@ val load_plans : t -> string -> (int * int, string) result
     search) using a dedicated RNG, so loading never perturbs subsequent
     [plan_*] searches. The whole file is validated (checksum) and parsed
     before any cache mutation — a corrupt file returns [Error] and
-    leaves the cache untouched. Individual malformed lines and entries
-    whose configuration is no longer legal are skipped rather than
-    aborting the load — counted in the [plans.skipped_lines] metric
-    {e and} returned to the caller, so a partially-stale file is
-    detectable without scraping metrics.
-    Version 2 caches (no kernel hashes) still load. When the sibling
-    packed-kernel corpus exists, every referenced hash must resolve to a
-    hash-verified corpus entry; stale references are skipped (counted in
-    [plans.kernel_unresolved]), and an unreadable corpus is ignored with
-    a warning ([plans.corpus_load_failures]) since the plan lines are
-    authoritative. [Ok (installed, skipped)] is the number of plans
-    installed and the number of lines dropped. *)
+    leaves the cache untouched. Individual lines are skipped with a
+    warning rather than aborting the load: malformed lines (also
+    counted in the [plans.skipped_lines] metric), lines whose
+    configuration is no longer legal, and lines whose stored hash is
+    not the hash of the kernel their (input, configuration) pair
+    generates. Each line's hash is re-derived by regenerating its
+    kernel, so a loaded plan's [kernel_hash] is always that of the
+    kernel it runs; version 2 lines (no hash) take the re-derived one.
+    [Ok (installed, skipped)] is the number of plans installed and the
+    number of lines dropped, so a partially-stale file is detectable
+    without scraping metrics. *)
 
 val clear_cache : t -> unit

@@ -7,8 +7,8 @@
 
    Design:
 
-   - Keys hash onto [shards] (a power of two, default 16) independent
-     shards, so writers on different shards never contend.
+   - Keys hash onto 16 independent shards, so writers on different
+     shards never contend.
    - Each shard publishes an immutable snapshot of its table through an
      [Atomic.t]. Readers do one [Atomic.get] and a Hashtbl lookup on a
      table that is never mutated after publication — the read path takes
@@ -42,7 +42,6 @@ let outcome_name = function
 type 'v entry = {
   value : 'v;
   inserted_at : float;
-  weight : int;
   last_access : int Atomic.t;
 }
 
@@ -67,54 +66,40 @@ type stats = {
   coalesced : int;
   evictions : int;
   entries : int;
-  bytes : int;
 }
 
 type ('k, 'v) t = {
   shards : ('k, 'v) shard array;
-  mask : int;
   max_entries : int option;
-  max_bytes : int option;
   clock : unit -> float;
   tick : int Atomic.t;
   n_entries : int Atomic.t;
-  n_bytes : int Atomic.t;
   c_hits : int Atomic.t;
   c_misses : int Atomic.t;
   c_coalesced : int Atomic.t;
   c_evictions : int Atomic.t;
 }
 
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
+(* A power of two: [shard_of] masks the key's hash. *)
+let n_shards = 16
 
-let create ?(shards = 16) ?max_entries ?max_bytes
-    ?(clock = Unix.gettimeofday) () =
-  if shards < 1 then invalid_arg "Plan_cache.create: shards must be >= 1";
+let create ?max_entries ?(clock = Unix.gettimeofday) () =
   (match max_entries with
    | Some m when m < 1 -> invalid_arg "Plan_cache.create: max_entries must be >= 1"
    | _ -> ());
-  (match max_bytes with
-   | Some m when m < 1 -> invalid_arg "Plan_cache.create: max_bytes must be >= 1"
-   | _ -> ());
-  let shards = next_pow2 shards in
   { shards =
-      Array.init shards (fun _ ->
+      Array.init n_shards (fun _ ->
           { lock = Mutex.create (); table = Atomic.make (Hashtbl.create 8) });
-    mask = shards - 1;
     max_entries;
-    max_bytes;
     clock;
     tick = Atomic.make 0;
     n_entries = Atomic.make 0;
-    n_bytes = Atomic.make 0;
     c_hits = Atomic.make 0;
     c_misses = Atomic.make 0;
     c_coalesced = Atomic.make 0;
     c_evictions = Atomic.make 0 }
 
-let shard_of t k = t.shards.((Hashtbl.hash k) land t.mask)
+let shard_of t k = t.shards.(Hashtbl.hash k land (n_shards - 1))
 
 let next_tick t = Atomic.fetch_and_add t.tick 1
 
@@ -131,16 +116,12 @@ let touch t e = Atomic.set e.last_access (next_tick t)
 (* --- eviction ---------------------------------------------------------- *)
 
 let over_budget t =
-  (match t.max_entries with
-   | Some m -> Atomic.get t.n_entries > m
-   | None -> false)
-  || (match t.max_bytes with
-      | Some m -> Atomic.get t.n_bytes > m
-      | None -> false)
+  match t.max_entries with
+  | Some m -> Atomic.get t.n_entries > m
+  | None -> false
 
-let record_eviction t weight =
+let record_eviction t =
   Atomic.decr t.n_entries;
-  ignore (Atomic.fetch_and_add t.n_bytes (-weight));
   Atomic.incr t.c_evictions;
   Obs.Telemetry.incr "plan.evictions"
 
@@ -178,7 +159,7 @@ let rec evict_until_within_budget t =
         | _ -> false
       in
       Mutex.unlock shard.lock;
-      if removed then record_eviction t e.weight;
+      if removed then record_eviction t;
       evict_until_within_budget t
   end
 
@@ -227,7 +208,7 @@ let resolve p state =
   Condition.broadcast p.pc;
   Mutex.unlock p.pm
 
-let find_or_compute t k ~weight f =
+let find_or_compute t k f =
   let shard = shard_of t k in
   match Hashtbl.find_opt (Atomic.get shard.table) k with
   | Some (Ready e) -> hit t e
@@ -255,14 +236,12 @@ let find_or_compute t k ~weight f =
         let e =
           { value = v;
             inserted_at = t.clock ();
-            weight = weight v;
             last_access = Atomic.make (next_tick t) }
         in
         Mutex.lock shard.lock;
         mutate shard (fun table -> Hashtbl.replace table k (Ready e));
         Mutex.unlock shard.lock;
         Atomic.incr t.n_entries;
-        ignore (Atomic.fetch_and_add t.n_bytes e.weight);
         Atomic.incr t.c_misses;
         resolve p (Done v);
         evict_until_within_budget t;
@@ -279,12 +258,11 @@ let find_or_compute t k ~weight f =
 
 (* --- direct insertion (plan-cache preloading) --------------------------- *)
 
-let insert t k ~weight v =
+let insert t k v =
   let shard = shard_of t k in
   let e =
     { value = v;
       inserted_at = t.clock ();
-      weight;
       last_access = Atomic.make (next_tick t) }
   in
   Mutex.lock shard.lock;
@@ -296,14 +274,12 @@ let insert t k ~weight v =
          own (equivalent) result — racing it would orphan the waiters'
          slot. *)
       false
-    | Some (Ready old) ->
+    | Some (Ready _) ->
       mutate shard (fun table -> Hashtbl.replace table k (Ready e));
-      ignore (Atomic.fetch_and_add t.n_bytes (weight - old.weight));
       true
     | None ->
       mutate shard (fun table -> Hashtbl.replace table k (Ready e));
       Atomic.incr t.n_entries;
-      ignore (Atomic.fetch_and_add t.n_bytes weight);
       true
   in
   Mutex.unlock shard.lock;
@@ -327,24 +303,20 @@ let clear t =
       Atomic.set shard.table (Hashtbl.create 8);
       Mutex.unlock shard.lock)
     t.shards;
-  Atomic.set t.n_entries 0;
-  Atomic.set t.n_bytes 0
+  Atomic.set t.n_entries 0
 
 let length t = Atomic.get t.n_entries
-let bytes t = Atomic.get t.n_bytes
 
 let stats t =
   { hits = Atomic.get t.c_hits;
     misses = Atomic.get t.c_misses;
     coalesced = Atomic.get t.c_coalesced;
     evictions = Atomic.get t.c_evictions;
-    entries = Atomic.get t.n_entries;
-    bytes = Atomic.get t.n_bytes }
+    entries = Atomic.get t.n_entries }
 
 let merge_stats a b =
   { hits = a.hits + b.hits;
     misses = a.misses + b.misses;
     coalesced = a.coalesced + b.coalesced;
     evictions = a.evictions + b.evictions;
-    entries = a.entries + b.entries;
-    bytes = a.bytes + b.bytes }
+    entries = a.entries + b.entries }

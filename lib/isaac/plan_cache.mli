@@ -3,24 +3,24 @@
     The concurrency substrate of {!Isaac}'s plan cache and the
     [isaac_serve] daemon. Three properties matter to its users:
 
-    - {b Lock-free reads.} Keys hash onto 16 (configurable, rounded up
-      to a power of two) shards; each shard publishes an immutable
-      snapshot of its table through an [Atomic.t], so a cache hit is
-      one atomic load plus a hash lookup — no mutex, safe from any
-      number of domains. Writers (misses, evictions, inserts) serialize
-      per shard on a mutex and publish a fresh snapshot.
+    - {b Lock-free reads.} Keys hash onto 16 shards; each shard
+      publishes an immutable snapshot of its table through an
+      [Atomic.t], so a cache hit is one atomic load plus a hash lookup
+      — no mutex, safe from any number of domains. Writers (misses,
+      evictions, inserts) serialize per shard on a mutex and publish a
+      fresh snapshot.
     - {b Request coalescing.} N concurrent {!find_or_compute} misses on
       the same key run the computation exactly once: the first arrival
       plans, the others park on the in-flight slot and receive the
       identical value (reported as [Coalesced]). If the computation
       raises, waiters re-raise the same exception and the slot is
       removed so a later request can retry.
-    - {b LRU eviction under a budget.} When [max_entries] and/or
-      [max_bytes] (caller-estimated weights) are exceeded, the globally
-      least-recently-used entry is evicted — exact LRU ordered by a
-      global access tick, O(entries) scan per eviction (plans are
-      hundreds of bytes and planning runs are milliseconds; the scan is
-      noise). Evictions bump [plan.evictions] in {!Obs.Telemetry}.
+    - {b LRU eviction under an entry budget.} Beyond [max_entries]
+      resident entries, the globally least-recently-used entry is
+      evicted — exact LRU across all shards, ordered by a global access
+      tick, O(entries) scan per eviction (planning runs are
+      milliseconds; the scan is noise). Evictions bump
+      [plan.evictions] in {!Obs.Telemetry}.
 
     {b Clock caveat.} Entry timestamps come from the injectable [clock]
     (default [Unix.gettimeofday]) — {e wall} time, not a monotonic
@@ -55,20 +55,11 @@ type stats = {
   coalesced : int;
   evictions : int;
   entries : int;  (** resident entries (in-flight slots excluded) *)
-  bytes : int;    (** sum of resident entry weights *)
 }
 
-val create :
-  ?shards:int ->
-  ?max_entries:int ->
-  ?max_bytes:int ->
-  ?clock:(unit -> float) ->
-  unit ->
-  ('k, 'v) t
-(** [shards] defaults to 16 and is rounded up to a power of two (use 1
-    in tests that assert exact LRU order across all keys). Omitted
-    budgets are unbounded. [clock] is injectable for age/eviction
-    tests. *)
+val create : ?max_entries:int -> ?clock:(unit -> float) -> unit -> ('k, 'v) t
+(** Without [max_entries] the cache is unbounded; below 1 it raises
+    [Invalid_argument]. [clock] is injectable for age tests. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lock-free lookup; refreshes the entry's recency on hit. [None] for
@@ -79,15 +70,13 @@ val mem : ('k, 'v) t -> 'k -> bool
 (** Lock-free; [true] only for resident (Ready) entries. Does not
     refresh recency. *)
 
-val find_or_compute :
-  ('k, 'v) t -> 'k -> weight:('v -> int) -> (unit -> 'v) -> 'v * outcome * float
-(** [find_or_compute t k ~weight f] returns [(value, outcome, age_s)]:
-    the cached value and its clamped-non-negative age on [Hit], or the
+val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * outcome * float
+(** [find_or_compute t k f] returns [(value, outcome, age_s)]: the
+    cached value and its clamped-non-negative age on [Hit], or the
     just-computed value and age 0 on [Miss]/[Coalesced]. The
-    computation runs with no cache locks held. [weight v] estimates the
-    entry's resident size in bytes for the [max_bytes] budget. *)
+    computation runs with no cache locks held. *)
 
-val insert : ('k, 'v) t -> 'k -> weight:int -> 'v -> bool
+val insert : ('k, 'v) t -> 'k -> 'v -> bool
 (** Direct installation (plan-cache preloading from disk). Replaces a
     resident entry; returns [false] without installing when a
     computation for the key is in flight (the in-flight run will
@@ -105,7 +94,6 @@ val clear : ('k, 'v) t -> unit
     quiesce first, as the CLI and tests do). *)
 
 val length : ('k, 'v) t -> int
-val bytes : ('k, 'v) t -> int
 
 val stats : ('k, 'v) t -> stats
 

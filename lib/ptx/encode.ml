@@ -332,9 +332,11 @@ let decode t =
   with Dec msg -> Error (Printf.sprintf "%s: decode: %s" t.name msg)
 
 (* ------------------------------------------------------------------ *)
-(* Wire format                                                        *)
+(* Byte stream: the size metric and the hash input                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The leading version byte is part of every hash: dropping or changing
+   it would change every kernel identity. *)
 let format_version = 1
 
 let dtype_tag = function F16 -> 0 | F32 -> 1 | F64 -> 2
@@ -370,8 +372,7 @@ let serialize ~semantic t =
   Array.iter (add_str16 b) t.spool;
   Buffer.contents b
 
-let to_bytes t = serialize ~semantic:false t
-let byte_size t = String.length (to_bytes t)
+let byte_size t = String.length (serialize ~semantic:false t)
 
 let fnv64 s =
   let h = ref 0xcbf29ce484222325L in
@@ -383,67 +384,6 @@ let fnv64 s =
 
 let hash t = fnv64 (serialize ~semantic:true t)
 let hash_hex h = Printf.sprintf "%016Lx" h
-
-let hash_program ?lat p =
-  match encode ?lat p with Ok t -> Ok (hash t) | Error e -> Error e
-
-exception Rd of string
-
-let of_bytes s =
-  let pos = ref 0 in
-  let need n what =
-    if !pos + n > String.length s then
-      raise (Rd (Printf.sprintf "truncated packed kernel (%s at byte %d)" what !pos))
-  in
-  let u8 what = need 1 what; let v = Char.code s.[!pos] in incr pos; v in
-  let u16 what = need 2 what; let v = String.get_uint16_le s !pos in pos := !pos + 2; v in
-  let i32 what =
-    need 4 what;
-    let v = Int32.to_int (String.get_int32_le s !pos) in
-    pos := !pos + 4;
-    v
-  in
-  let i64 what = need 8 what; let v = String.get_int64_le s !pos in pos := !pos + 8; v in
-  let str16 what =
-    let n = u16 what in
-    need n what;
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  try
-    let v = u8 "version" in
-    if v <> format_version then
-      raise (Rd (Printf.sprintf "unsupported packed-kernel format version %d" v));
-    let dtype =
-      match u8 "dtype" with
-      | 0 -> F16 | 1 -> F32 | 2 -> F64
-      | n -> raise (Rd (Printf.sprintf "bad dtype tag %d" n))
-    in
-    let name = str16 "name" in
-    let buf_params = Array.init (u8 "buf count") (fun _ -> str16 "buf param") in
-    let int_params = Array.init (u8 "int count") (fun _ -> str16 "int param") in
-    let shared_words = i32 "shared words" in
-    let shared_int_words = i32 "shared int words" in
-    let n_fregs = u16 "fregs" in
-    let n_iregs = u16 "iregs" in
-    let n_pregs = u16 "pregs" in
-    let n_words = i32 "word count" in
-    if n_words < 0 || n_words > 1_000_000 then
-      raise (Rd (Printf.sprintf "implausible instruction count %d" n_words));
-    let words = Array.init n_words (fun _ -> Int64.to_int (i64 "word")) in
-    let ctrl = Array.init n_words (fun _ -> u8 "ctrl") in
-    let ipool = Array.init (u16 "int pool") (fun _ -> Int64.to_int (i64 "int const")) in
-    let fpool =
-      Array.init (u16 "float pool") (fun _ -> Int64.float_of_bits (i64 "float const"))
-    in
-    let spool = Array.init (u16 "string pool") (fun _ -> str16 "label") in
-    if !pos <> String.length s then
-      raise (Rd (Printf.sprintf "%d trailing bytes" (String.length s - !pos)));
-    Ok
-      { name; dtype; buf_params; int_params; shared_words; shared_int_words;
-        n_fregs; n_iregs; n_pregs; words; ctrl; ipool; fpool; spool }
-  with Rd msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Dump                                                               *)
@@ -508,76 +448,3 @@ let dump t =
         (field_describe t ((w lsr sh_src2) land 0xfff)))
     t.words;
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Kernel-corpus artifacts                                            *)
-(* ------------------------------------------------------------------ *)
-
-let corpus_kind = "isaac-packed-kernels"
-let corpus_version = 1
-
-let save_corpus ?fsync ~path kernels =
-  let seen = Hashtbl.create 16 in
-  let uniq =
-    List.filter
-      (fun k ->
-        let h = hash k in
-        if Hashtbl.mem seen h then false
-        else begin
-          Hashtbl.add seen h ();
-          true
-        end)
-      kernels
-  in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "kernels %d\n" (List.length uniq);
-  List.iter
-    (fun k ->
-      let bytes = to_bytes k in
-      Printf.bprintf b "kernel %s %d\n" (hash_hex (hash k)) (String.length bytes);
-      Buffer.add_string b bytes;
-      Buffer.add_char b '\n')
-    uniq;
-  Util.Artifact.write ?fsync ~path ~kind:corpus_kind ~version:corpus_version
-    (Buffer.contents b)
-
-let load_corpus ~path =
-  match Util.Artifact.read ~path ~kind:corpus_kind ~max_version:corpus_version with
-  | Error e -> Error (Util.Artifact.error_to_string ~path e)
-  | Ok (_version, payload) -> (
-    let pos = ref 0 in
-    let line () =
-      match String.index_from_opt payload !pos '\n' with
-      | None -> Error "truncated corpus (missing newline)"
-      | Some nl ->
-        let l = String.sub payload !pos (nl - !pos) in
-        pos := nl + 1;
-        Ok l
-    in
-    let ( let* ) = Result.bind in
-    let* header = line () in
-    let* count =
-      try Scanf.sscanf header "kernels %d" (fun n -> Ok n)
-      with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-        Error "bad corpus header"
-    in
-    let rec go acc remaining =
-      if remaining = 0 then Ok (List.rev acc)
-      else
-        let* entry = line () in
-        let* h, n =
-          try Scanf.sscanf entry "kernel %s %d" (fun h n -> Ok (h, n))
-          with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-            Error "bad corpus entry header"
-        in
-        if !pos + n + 1 > String.length payload then Error "truncated corpus entry"
-        else begin
-          let bytes = String.sub payload !pos n in
-          pos := !pos + n + 1;
-          let* k = of_bytes bytes in
-          if hash_hex (hash k) <> h then
-            Error (Printf.sprintf "corpus entry hash mismatch (%s)" k.name)
-          else go (k :: acc) (remaining - 1)
-        end
-    in
-    go [] count)

@@ -32,7 +32,6 @@ type t = {
   gemm : slot option;
   conv : slot option;
   cache_entries : int option;
-  cache_bytes : int option;
   reload_lock : Mutex.t;
   mutable last_reload_check : float;  (* guarded by [reload_lock] *)
   reload_interval : float;
@@ -47,7 +46,7 @@ let device_of_name name =
   | Some d -> d
   | None -> failwith ("profile tuned on unknown device " ^ name)
 
-let load_slot ?cache_entries ?cache_bytes ~op path =
+let load_slot ?cache_entries ~op path =
   match Tuner.Profile.load path with
   | Error msg -> Error msg
   | Ok profile ->
@@ -61,18 +60,18 @@ let load_slot ?cache_entries ?cache_bytes ~op path =
       | Error e -> Error (Util.Artifact.error_to_string ~path e)
       | Ok fp ->
         let device = device_of_name profile.device in
-        let engine = Isaac.of_profile ?cache_entries ?cache_bytes device profile in
+        let engine = Isaac.of_profile ?cache_entries device profile in
         Ok { path; fp; engine = Atomic.make engine })
 
-let create ?cache_entries ?cache_bytes ?(reload_interval = 2.0) ?gemm_profile
-    ?conv_profile () =
+let create ?cache_entries ?(reload_interval = 2.0) ?gemm_profile ?conv_profile
+    () =
   match (gemm_profile, conv_profile) with
   | None, None -> Error "no profile given: need a GEMM and/or CONV profile"
   | _ -> (
     let load op = function
       | None -> Ok None
       | Some path ->
-        Result.map Option.some (load_slot ?cache_entries ?cache_bytes ~op path)
+        Result.map Option.some (load_slot ?cache_entries ~op path)
     in
     match load `Gemm gemm_profile with
     | Error e -> Error e
@@ -98,7 +97,6 @@ let create ?cache_entries ?cache_bytes ?(reload_interval = 2.0) ?gemm_profile
             gemm;
             conv;
             cache_entries;
-            cache_bytes;
             reload_lock = Mutex.create ();
             last_reload_check = Unix.gettimeofday ();
             reload_interval;
@@ -140,8 +138,7 @@ let reload_slot t slot =
         false)
       else begin
         let engine =
-          Isaac.of_profile ?cache_entries:t.cache_entries
-            ?cache_bytes:t.cache_bytes t.device profile
+          Isaac.of_profile ?cache_entries:t.cache_entries t.device profile
         in
         Atomic.set slot.engine engine;
         slot.fp <- fp;
@@ -173,6 +170,12 @@ exception Bad_request of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
 
+(* Replies quote request strings: every reply echoes the [id], and an
+   error message can quote an unknown [op] or [dtype]. Each quote is
+   bounded, so a hostile request cannot grow its own reply without
+   bound. *)
+let max_quoted_bytes = 256
+
 (* Dimensions below [min] are rejected here, before they reach a
    planner that would otherwise cache a plan for an empty problem or
    trip a constructor's assertion. *)
@@ -190,6 +193,15 @@ let field_int ?default ~min json name =
   in
   if i < min then bad "field %S must be >= %d, got %d" name min i;
   i
+
+let field_id json =
+  match Obs.Json.member "id" json with
+  | None -> Obs.Json.Null
+  | Some ((Obs.Json.Null | Obs.Json.Int _ | Obs.Json.Float _) as v) -> v
+  | Some (Obs.Json.String s as v) when String.length s <= max_quoted_bytes -> v
+  | Some _ ->
+    bad "field \"id\" must be a number, null or a string of at most %d bytes"
+      max_quoted_bytes
 
 let field_bool ~default json name =
   match Obs.Json.member name json with
@@ -243,16 +255,11 @@ let respond_plan ~id ~op ~latency_s (plan, outcome) =
       ( "plan",
         match plan with Some p -> json_of_plan p | None -> Obs.Json.Null ) ]
 
-(* Error messages can quote request strings (an unknown [op] or
-   [dtype]), so a hostile request could otherwise grow its own reply
-   without bound. *)
-let max_error_bytes = 256
-
 let respond_error ~id msg =
   let n = String.length msg in
   let msg =
-    if n <= max_error_bytes then msg
-    else Printf.sprintf "%s... (%d bytes)" (String.sub msg 0 max_error_bytes) n
+    if n <= max_quoted_bytes then msg
+    else Printf.sprintf "%s... (%d bytes)" (String.sub msg 0 max_quoted_bytes) n
   in
   Obs.Json.Obj
     [ ("id", id); ("ok", Obs.Json.Bool false);
@@ -264,14 +271,12 @@ let json_of_cache_stats (s : Isaac.Plan_cache.stats) =
       ("misses", Obs.Json.Int s.misses);
       ("coalesced", Obs.Json.Int s.coalesced);
       ("evictions", Obs.Json.Int s.evictions);
-      ("entries", Obs.Json.Int s.entries);
-      ("bytes", Obs.Json.Int s.bytes) ]
+      ("entries", Obs.Json.Int s.entries) ]
 
 let stats_response t ~id =
   let cache =
     let zero : Isaac.Plan_cache.stats =
-      { hits = 0; misses = 0; coalesced = 0; evictions = 0; entries = 0;
-        bytes = 0 }
+      { hits = 0; misses = 0; coalesced = 0; evictions = 0; entries = 0 }
     in
     let add acc = function
       | None -> acc
@@ -356,7 +361,7 @@ let handle t line =
       try Obs.Json.of_string line
       with Obs.Json.Parse_error msg -> bad "parse error: %s" msg
     in
-    (match Obs.Json.member "id" json with Some v -> id := v | None -> ());
+    id := field_id json;
     let op =
       match Option.bind (Obs.Json.member "op" json) Obs.Json.to_str with
       | Some op -> op

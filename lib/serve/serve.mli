@@ -11,7 +11,9 @@
     {b Protocol} (one JSON object per line, see DESIGN.md "Plan
     serving" for the full schema): requests carry [op] ∈ [ping], [stats],
     [reload], [gemm], [conv], [shutdown] plus an optional [id] echoed
-    back verbatim. Dimensions below 1, [stride] below 1 and [pad]
+    back verbatim. The [id] must be a number, [null] or a string of at
+    most 256 bytes; any other [id] gets an error reply naming the field
+    with ["id":null]. Dimensions below 1, [stride] below 1 and [pad]
     below 0 get an error reply naming the field. Plan responses report
     [cache] ∈ ["hit"] / ["miss"] / ["coalesced"], the request
     [latency_s], and the chosen kernel configuration ([plan], [null]
@@ -29,7 +31,6 @@ type t
 
 val create :
   ?cache_entries:int ->
-  ?cache_bytes:int ->
   ?reload_interval:float ->
   ?gemm_profile:string ->
   ?conv_profile:string ->
@@ -37,8 +38,8 @@ val create :
   (t, string) result
 (** Load the given profile files (at least one required; both must
     target the same device) and build the resident engines.
-    [cache_entries] / [cache_bytes] bound each per-op plan cache (LRU
-    beyond them). [reload_interval] (default 2s) rate-limits the
+    [cache_entries] bounds each per-op plan cache (LRU beyond it;
+    unbounded by default). [reload_interval] (default 2s) rate-limits the
     on-request hot-reload fingerprint checks. *)
 
 val device : t -> Gpu.Device.t
@@ -48,8 +49,8 @@ val handle : t -> string -> string * [ `Continue | `Stop ]
     whether the transport should keep going ([`Stop] only for the
     [shutdown] op). Never raises: malformed requests produce an
     [{"ok":false,"error":..}] response whose message is cut to its
-    first 256 bytes plus the original length, so quoting a request
-    string cannot grow the reply without bound. Safe to call from
+    first 256 bytes plus the original length; with the [id] bound,
+    no request string can grow its reply without bound. Safe to call from
     multiple domains. *)
 
 val maybe_reload : ?force:bool -> t -> int

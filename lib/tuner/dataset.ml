@@ -57,7 +57,7 @@ let conv_legal device input cfg_array =
   CP.structurally_legal input cfg
   && Gpu.Executor.legal device (CP.cost input cfg)
 
-(* Static-verifier oracles (tentpole wiring): generate the kernel for an
+(* Static-verifier oracles: generate the kernel for an
    already-legal configuration and require a clean {!Ptx.Verify} report.
    Orders of magnitude cheaper than an interpreter run, and the only
    check that sees barrier divergence, shared races or OOB statically.
@@ -210,7 +210,7 @@ let write_checkpoint ~op ~device_name ~n ~filled ~rng path flog fraw ys =
    effectively empty and looping further would never terminate. *)
 let max_consecutive_skips = 100
 
-let generate_chunk ?checkpoint ~op ~noise ~sampler ~static_ok rng device ~n
+let generate_chunk ?checkpoint ~op ~noise ~sampler rng device ~n
     ~random_input ~legal ~features ~measure =
   let dim = Features.dim in
   let flog = Mlp.Matrix.create n dim in
@@ -230,14 +230,7 @@ let generate_chunk ?checkpoint ~op ~noise ~sampler ~static_ok rng device ~n
   while !filled < n do
     let input = random_input rng in
     let measured =
-      let draw =
-        let legal c = legal device input c in
-        match static_ok with
-        | None -> Sampler.sample_legal rng sampler ~legal
-        | Some ok ->
-          Sampler.sample_verified rng sampler ~legal ~verify:(fun c -> ok input c)
-      in
-      match draw with
+      match Sampler.sample_legal rng sampler ~legal:(legal device input) with
       | None -> None
       | Some cfg_array ->
         Option.map
@@ -287,15 +280,14 @@ let chunk_path path chunk = Printf.sprintf "%s.chunk%d" path chunk
    durable state, and the deterministic chunk-order merge makes the
    final dataset bitwise-identical to an uninterrupted run. Chunk files
    are removed once the merge completes. *)
-let generate_generic ?(domains = 1) ?static_ok ?checkpoint ~op ~noise ~sampler
+let generate_generic ?(domains = 1) ?checkpoint ~op ~noise ~sampler
     rng device ~n ~random_input ~legal ~features ~measure () =
   Obs.Span.with_ "dataset.generate"
     ~meta:(fun () ->
       [ ("op", Obs.Json.String (match op with `Gemm -> "gemm" | `Conv -> "conv"));
         ("n", Obs.Json.Int n);
         ("domains", Obs.Json.Int domains);
-        ("checkpointed", Obs.Json.Bool (checkpoint <> None));
-        ("verified", Obs.Json.Bool (static_ok <> None)) ])
+        ("checkpointed", Obs.Json.Bool (checkpoint <> None)) ])
     (fun () ->
   let dim = Features.dim in
   let rngs = Array.init (max 1 domains) (fun _ -> Util.Rng.split rng) in
@@ -305,8 +297,7 @@ let generate_generic ?(domains = 1) ?static_ok ?checkpoint ~op ~noise ~sampler
   let chunks =
     Util.Parallel.run_chunks ~domains ~total:n (fun ~chunk ~offset:_ ~size ->
         generate_chunk ?checkpoint:(chunk_checkpoint chunk) ~op ~noise ~sampler
-          ~static_ok rngs.(chunk) device ~n:size ~random_input ~legal ~features
-          ~measure)
+          rngs.(chunk) device ~n:size ~random_input ~legal ~features ~measure)
   in
   (match checkpoint with
    | Some (path, _) ->
@@ -372,23 +363,21 @@ let measure_conv rng device input cfg_array ~noise =
   | _ -> None
 
 let generate_gemm ?(domains = 1) ?dtypes ?(noise = Gpu.Executor.default_noise)
-    ?sampler ?(verify = false) ?checkpoint rng device ~n =
+    ?sampler ?checkpoint rng device ~n =
   let sampler =
     match sampler with Some s -> s | None -> fit_gemm_sampler ?dtypes rng device
   in
-  let static_ok = if verify then Some gemm_static_ok else None in
-  generate_generic ~domains ?static_ok ?checkpoint ~op:`Gemm ~noise ~sampler rng
+  generate_generic ~domains ?checkpoint ~op:`Gemm ~noise ~sampler rng
     device ~n
     ~random_input:(random_gemm_input ?dtypes)
     ~legal:gemm_legal ~features:(fun ~log i c -> Features.gemm_features ~log i c) ~measure:measure_gemm ()
 
 let generate_conv ?(domains = 1) ?dtypes ?(noise = Gpu.Executor.default_noise)
-    ?sampler ?(verify = false) ?checkpoint rng device ~n =
+    ?sampler ?checkpoint rng device ~n =
   let sampler =
     match sampler with Some s -> s | None -> fit_conv_sampler ?dtypes rng device
   in
-  let static_ok = if verify then Some conv_static_ok else None in
-  generate_generic ~domains ?static_ok ?checkpoint ~op:`Conv ~noise ~sampler rng
+  generate_generic ~domains ?checkpoint ~op:`Conv ~noise ~sampler rng
     device ~n
     ~random_input:(random_conv_input ?dtypes)
     ~legal:conv_legal ~features:(fun ~log i c -> Features.conv_features ~log i c) ~measure:measure_conv ()
@@ -400,63 +389,3 @@ let throughput_probe rng device ~n =
   let (_ : t) = generate_gemm rng device ~n in
   let dt = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
   float_of_int n /. dt
-
-(* --- packed-kernel corpus export ---------------------------------- *)
-
-let export_kernel_corpus ?dtypes ?(warmup = 2_000) ~op rng device ~n ~path =
-  let sampler, random_input, legal, generate =
-    match op with
-    | `Gemm ->
-      ( fit_gemm_sampler ~warmup ?dtypes rng device,
-        (fun rng -> `G (random_gemm_input ?dtypes rng)),
-        (fun input c ->
-          match input with `G i -> gemm_legal device i c | `C _ -> false),
-        fun input c ->
-          match input with
-          | `G i -> Codegen.Gemm.generate i (GP.config_of_array c)
-          | `C _ -> assert false )
-    | `Conv ->
-      ( fit_conv_sampler ~warmup ?dtypes rng device,
-        (fun rng -> `C (random_conv_input ?dtypes rng)),
-        (fun input c ->
-          match input with `C i -> conv_legal device i c | `G _ -> false),
-        fun input c ->
-          match input with
-          | `C i -> Codegen.Conv.generate i (GP.config_of_array c)
-          | `G _ -> assert false )
-  in
-  let kernels = ref [] and seen = Hashtbl.create 64 in
-  let accepted = ref 0 and skips = ref 0 in
-  while !accepted < n do
-    let input = random_input rng in
-    let drawn =
-      Sampler.sample_legal rng sampler ~legal:(fun c -> legal input c)
-    in
-    match drawn with
-    | None ->
-      Obs.Telemetry.incr "dataset.skipped_inputs";
-      incr skips;
-      if !skips >= max_consecutive_skips then
-        failwith
-          (Printf.sprintf
-             "Dataset.export_kernel_corpus: no legal configuration in %d \
-              consecutive input draws — the restricted configuration space \
-              appears to be empty"
-             !skips)
-    | Some cfg_array -> (
-      skips := 0;
-      incr accepted;
-      (* Encode the register-allocated kernel: the packed format's
-         fixed-width fields size a physical register file, and the
-         canonical form is what the plan cache hashes. *)
-      match Ptx.Encode.encode (Ptx.Regalloc.allocate (generate input cfg_array)) with
-      | Error _ -> Obs.Telemetry.incr "dataset.kernel_encode_failures"
-      | Ok e ->
-        let h = Ptx.Encode.hash e in
-        if not (Hashtbl.mem seen h) then begin
-          Hashtbl.add seen h ();
-          kernels := e :: !kernels
-        end)
-  done;
-  Ptx.Encode.save_corpus ~path (List.rev !kernels);
-  Hashtbl.length seen

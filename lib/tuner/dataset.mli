@@ -8,10 +8,11 @@
     benchmark shapes themselves.
 
     Generation runs inside a [dataset.generate] span. While the
-    {!Obs.Telemetry} registry collects, it counts [dataset.rows] and
-    per-diagnostic static-verifier rejections ([verify.fail.<kind>]);
-    under [ISAAC_TRACE] it also emits one [config] event per benchmarked
-    configuration (see DESIGN.md, "Observability"). *)
+    {!Obs.Telemetry} registry collects, it counts [dataset.rows], and
+    the static oracles ({!gemm_static_ok}, {!conv_static_ok}) count
+    per-diagnostic verifier rejections ([verify.fail.<kind>]); under
+    [ISAAC_TRACE] generation also emits one [config] event per
+    benchmarked configuration (see DESIGN.md, "Observability"). *)
 
 type t = {
   op : [ `Gemm | `Conv ];
@@ -69,7 +70,6 @@ val generate_gemm :
   ?dtypes:Ptx.Types.dtype list ->
   ?noise:float ->
   ?sampler:Sampler.t ->
-  ?verify:bool ->
   ?checkpoint:string * int ->
   Util.Rng.t ->
   Gpu.Device.t ->
@@ -78,8 +78,7 @@ val generate_gemm :
 (** Generate [n] measured samples. A pre-fitted sampler can be supplied
     to skip the warm-up. [domains > 1] fans the benchmarking loop out
     over OCaml 5 domains (deterministic for fixed seed and domain
-    count). [verify] (default false) additionally gates every accepted
-    configuration on the static verifier ({!gemm_static_ok}).
+    count).
 
     [checkpoint = (path, every_n)] makes the expensive benchmarking loop
     resumable: each domain atomically persists its partial chunk to
@@ -104,7 +103,6 @@ val generate_conv :
   ?dtypes:Ptx.Types.dtype list ->
   ?noise:float ->
   ?sampler:Sampler.t ->
-  ?verify:bool ->
   ?checkpoint:string * int ->
   Util.Rng.t ->
   Gpu.Device.t ->
@@ -119,23 +117,3 @@ val throughput_probe :
     simulated device beats by construction; reported for completeness).
     Measured in wall-clock time, so multi-domain runs are not credited
     with their summed CPU time. *)
-
-val export_kernel_corpus :
-  ?dtypes:Ptx.Types.dtype list ->
-  ?warmup:int ->
-  op:[ `Gemm | `Conv ] ->
-  Util.Rng.t ->
-  Gpu.Device.t ->
-  n:int ->
-  path:string ->
-  int
-(** Sample [n] legal (input, configuration) pairs exactly as dataset
-    generation does, lower each to its kernel, and persist the
-    register-allocated kernels in {!Ptx.Encode}'s packed binary corpus
-    format at [path] (kind ["isaac-packed-kernels"], deduplicated by
-    kernel hash — the same identity the plan cache uses, so a dataset's
-    kernel population can be joined against served plans). Kernels that
-    exceed the fixed-width encoding even post-allocation are counted in
-    [dataset.kernel_encode_failures] and skipped. Returns the number of
-    distinct kernels written. Deterministic given the rng; raises
-    [Failure] like [generate_*] when the restricted space is empty. *)

@@ -6,12 +6,7 @@ let () = Unix.putenv "ISAAC_SEARCH_CAP" "4000"
 
 let slow name f = Alcotest.test_case name `Slow f
 
-(* save_plans writes a sibling packed-kernel corpus next to the plans
-   file; tests must clean up both. *)
-let remove_plans path =
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".kernels" ]
+let remove_plans path = if Sys.file_exists path then Sys.remove path
 
 module GP = Codegen.Gemm_params
 module CP = Codegen.Conv_params
@@ -333,11 +328,11 @@ let test_load_plans_does_not_perturb_planning () =
       Alcotest.(check (float 1e-12)) "same measurement"
         without_load.measurement.tflops with_load.measurement.tflops)
 
-(* v3 plan caches: every plan line carries the Ptx.Encode kernel hash,
-   the sibling corpus holds the (deduplicated, hash-verified) packed
-   kernels, loaded plans carry the hash back, and a plan referencing a
-   kernel absent from the corpus is skipped rather than served. *)
-let test_plan_cache_kernel_corpus () =
+(* Loading re-derives each line's kernel hash from its (input, config)
+   pair: a saved line carries the plan's hash and loads with it, a
+   line whose only fault is a stored hash of another kernel is skipped,
+   and a line without a hash (v2) takes the re-derived one. *)
+let test_plan_cache_rederives_kernel_hash () =
   let engine = Lazy.force gemm_engine in
   Isaac.clear_cache engine;
   let input = GP.input 256 256 256 in
@@ -347,50 +342,44 @@ let test_plan_cache_kernel_corpus () =
     | Some h -> h
     | None -> Alcotest.fail "fresh plan has no kernel hash"
   in
+  let device_line = "device " ^ (Isaac.device engine).Gpu.Device.name in
+  let line suffix =
+    Printf.sprintf "gemm 256 256 256 f32 false false : %s%s"
+      (String.concat " "
+         (List.map string_of_int
+            (Array.to_list (GP.config_to_array plan.config))))
+      suffix
+  in
   let path = Filename.temp_file "isaac_plans" ".txt" in
   Fun.protect
     ~finally:(fun () -> remove_plans path)
     (fun () ->
       Isaac.save_plans engine path;
-      (* The sibling corpus exists and contains exactly the plan's kernel. *)
-      let kernels =
-        match Ptx.Encode.load_corpus ~path:(path ^ ".kernels") with
-        | Ok ks -> ks
-        | Error e -> Alcotest.fail e
+      (match Util.Artifact.read ~path ~kind:"isaac-plans" ~max_version:3 with
+       | Ok (_, payload) ->
+         Alcotest.(check string) "saved line carries the plan's hash"
+           (String.concat "\n"
+              [ device_line; line (" @ " ^ Ptx.Encode.hash_hex h); "" ])
+           payload
+       | Error e -> Alcotest.fail (Util.Artifact.error_to_string ~path e));
+      let load ~what suffix ~installed =
+        Util.Artifact.write ~path ~kind:"isaac-plans" ~version:3
+          (device_line ^ "\n" ^ line suffix ^ "\n");
+        let e = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
+        (match Isaac.load_plans e path with
+         | Ok (n, skipped) ->
+           Alcotest.(check (pair int int)) (what ^ ": installed, skipped")
+             (installed, 1 - installed) (n, skipped)
+         | Error msg -> Alcotest.fail msg);
+        if installed = 1 then
+          Alcotest.(check (option int64)) (what ^ ": loaded plan's hash")
+            (Some h) (Option.get (Isaac.plan_gemm e input)).Isaac.kernel_hash
       in
-      Alcotest.(check (list string)) "corpus holds the plan's kernel"
-        [ Ptx.Encode.hash_hex h ]
-        (List.map (fun k -> Ptx.Encode.hash_hex (Ptx.Encode.hash k)) kernels);
-      (* Loading threads the hash back into the cached plan. *)
-      let fresh () = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
-      let engine2 = fresh () in
-      (match Isaac.load_plans engine2 path with
-       | Ok (n, _) -> Alcotest.(check int) "plan installed" 1 n
-       | Error e -> Alcotest.fail e);
-      let reloaded = Option.get (Isaac.plan_gemm engine2 input) in
-      Alcotest.(check bool) "hash survives the round trip" true
-        (reloaded.Isaac.kernel_hash = Some h);
-      (* A plan line whose hash is not in the corpus must be skipped. *)
-      let payload =
-        match Util.Artifact.read ~path ~kind:"isaac-plans" ~max_version:3 with
-        | Ok (_, p) -> p
-        | Error e -> Alcotest.fail (Util.Artifact.error_to_string ~path e)
-      in
-      let stale =
-        payload
-        ^ Printf.sprintf "gemm 128 128 128 f32 false false : %s @ %s\n"
-            (String.concat " "
-               (List.map string_of_int
-                  (Array.to_list (GP.config_to_array plan.config))))
-            (Ptx.Encode.hash_hex (Int64.lognot h))
-      in
-      Util.Artifact.write ~path ~kind:"isaac-plans" ~version:3 stale;
-      let engine3 = fresh () in
-      match Isaac.load_plans engine3 path with
-      | Ok (n, skipped) ->
-        Alcotest.(check int) "stale kernel reference skipped" 1 n;
-        Alcotest.(check int) "skip reported to the caller" 1 skipped
-      | Error e -> Alcotest.fail e)
+      load ~what:"stored hash" (" @ " ^ Ptx.Encode.hash_hex h) ~installed:1;
+      load ~what:"wrong hash"
+        (" @ " ^ Ptx.Encode.hash_hex (Int64.lognot h))
+        ~installed:0;
+      load ~what:"no hash" "" ~installed:1)
 
 (* Satellite of the serving PR: the plan cache must be safe to hammer
    from several domains at once, run exactly one search per distinct
@@ -500,7 +489,7 @@ let () =
          slow "rejects garbage" test_plan_cache_rejects_garbage;
          slow "detects corruption" test_plan_cache_detects_corruption;
          slow "skips malformed lines" test_plan_cache_skips_malformed_lines;
-         slow "kernel hashes + packed corpus" test_plan_cache_kernel_corpus;
+         slow "stored kernel hash is re-derived" test_plan_cache_rederives_kernel_hash;
          slow "load does not perturb planning" test_load_plans_does_not_perturb_planning ]);
       ("concurrency",
        [ slow "multi-domain hammer, 1 vs 4 domains" test_multi_domain_hammer;

@@ -5,16 +5,14 @@
 
 module PC = Isaac.Plan_cache
 
-let weight1 _ = 1
-
 let test_basic_hit_miss () =
   let c = PC.create () in
-  let v, outcome, age = PC.find_or_compute c 1 ~weight:weight1 (fun () -> "a") in
+  let v, outcome, age = PC.find_or_compute c 1 (fun () -> "a") in
   Alcotest.(check string) "computed value" "a" v;
   Alcotest.(check bool) "first request misses" true (outcome = PC.Miss);
   Alcotest.(check (float 0.0)) "miss age is zero" 0.0 age;
   let v2, outcome2, age2 =
-    PC.find_or_compute c 1 ~weight:weight1 (fun () -> Alcotest.fail "recomputed")
+    PC.find_or_compute c 1 (fun () -> Alcotest.fail "recomputed")
   in
   Alcotest.(check string) "cached value" "a" v2;
   Alcotest.(check bool) "second request hits" true (outcome2 = PC.Hit);
@@ -29,23 +27,21 @@ let test_basic_hit_miss () =
 
 let test_insert_and_clear () =
   let c = PC.create () in
-  Alcotest.(check bool) "insert installs" true (PC.insert c "k" ~weight:7 "v");
+  Alcotest.(check bool) "insert installs" true (PC.insert c "k" "v");
   Alcotest.(check (option string)) "inserted visible" (Some "v") (PC.find c "k");
-  Alcotest.(check int) "weight accounted" 7 (PC.bytes c);
-  Alcotest.(check bool) "replace installs" true (PC.insert c "k" ~weight:3 "w");
+  Alcotest.(check bool) "replace installs" true (PC.insert c "k" "w");
   Alcotest.(check (option string)) "replaced" (Some "w") (PC.find c "k");
-  Alcotest.(check int) "byte delta applied" 3 (PC.bytes c);
   Alcotest.(check int) "still one entry" 1 (PC.length c);
   PC.clear c;
   Alcotest.(check int) "cleared" 0 (PC.length c);
-  Alcotest.(check int) "bytes reset" 0 (PC.bytes c);
   Alcotest.(check (option string)) "gone" None (PC.find c "k")
 
-(* Exact LRU with a single shard: reading an old entry rescues it; the
-   true least-recently-used entry goes first. *)
+(* Exact LRU across all 16 shards: reading an old entry rescues it; the
+   true least-recently-used entry goes first, whichever shard holds
+   it. *)
 let test_lru_eviction_order () =
-  let c = PC.create ~shards:1 ~max_entries:3 () in
-  let put k = ignore (PC.find_or_compute c k ~weight:weight1 (fun () -> k)) in
+  let c = PC.create ~max_entries:3 () in
+  let put k = ignore (PC.find_or_compute c k (fun () -> k)) in
   put 1; put 2; put 3;
   (* touch 1 so 2 becomes the LRU *)
   ignore (PC.find c 1);
@@ -59,31 +55,17 @@ let test_lru_eviction_order () =
   Alcotest.(check bool) "next LRU (3) evicted" true (not (PC.mem c 3));
   Alcotest.(check int) "two evictions" 2 (PC.stats c).evictions
 
-let test_byte_budget () =
-  let c = PC.create ~shards:1 ~max_bytes:100 () in
-  let put k w = ignore (PC.find_or_compute c k ~weight:(fun _ -> w) (fun () -> k)) in
-  put 1 40; put 2 40;
-  Alcotest.(check int) "under budget" 80 (PC.bytes c);
-  put 3 40;
-  (* 120 > 100: evict LRU (1) -> 80 *)
-  Alcotest.(check bool) "oldest evicted" true (not (PC.mem c 1));
-  Alcotest.(check int) "back under budget" 80 (PC.bytes c);
-  (* one huge entry evicts everything else but stays itself *)
-  put 4 99;
-  Alcotest.(check bool) "big entry resident" true (PC.mem c 4);
-  Alcotest.(check bool) "budget respected" true (PC.bytes c <= 100)
-
 (* An entry older than the (injected) clock's current time: a backwards
    step must clamp the served age at 0, never go negative. *)
 let test_age_clamped_on_backwards_clock () =
   let now = ref 1000.0 in
   let c = PC.create ~clock:(fun () -> !now) () in
-  ignore (PC.find_or_compute c 1 ~weight:weight1 (fun () -> "v"));
+  ignore (PC.find_or_compute c 1 (fun () -> "v"));
   now := 1010.0;
-  let _, _, age = PC.find_or_compute c 1 ~weight:weight1 (fun () -> "v") in
+  let _, _, age = PC.find_or_compute c 1 (fun () -> "v") in
   Alcotest.(check (float 1e-9)) "forward clock: real age" 10.0 age;
   now := 900.0;
-  let _, outcome, age = PC.find_or_compute c 1 ~weight:weight1 (fun () -> "v") in
+  let _, outcome, age = PC.find_or_compute c 1 (fun () -> "v") in
   Alcotest.(check bool) "still a hit" true (outcome = PC.Hit);
   Alcotest.(check (float 0.0)) "backwards clock: age clamped at 0" 0.0 age
 
@@ -98,7 +80,7 @@ let test_coalescing_races () =
     List.init 8 (fun _ ->
         Domain.spawn (fun () ->
             while not (Atomic.get go) do Domain.cpu_relax () done;
-            PC.find_or_compute c "key" ~weight:weight1 (fun () ->
+            PC.find_or_compute c "key" (fun () ->
                 Atomic.incr computes;
                 (* widen the race window so waiters really park *)
                 Unix.sleepf 0.02;
@@ -121,12 +103,12 @@ let test_coalescing_races () =
 let test_failed_compute_retries () =
   let c = PC.create () in
   let boom = Failure "planner exploded" in
-  (match PC.find_or_compute c 1 ~weight:weight1 (fun () -> raise boom) with
+  (match PC.find_or_compute c 1 (fun () -> raise boom) with
    | _ -> Alcotest.fail "expected the computation's exception"
    | exception Failure msg ->
      Alcotest.(check string) "original exception" "planner exploded" msg);
   Alcotest.(check bool) "no residue" true (not (PC.mem c 1));
-  let v, outcome, _ = PC.find_or_compute c 1 ~weight:weight1 (fun () -> "ok") in
+  let v, outcome, _ = PC.find_or_compute c 1 (fun () -> "ok") in
   Alcotest.(check string) "retry succeeds" "ok" v;
   Alcotest.(check bool) "retry is a fresh miss" true (outcome = PC.Miss)
 
@@ -137,14 +119,14 @@ let test_insert_respects_pending () =
   let release = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
-        PC.find_or_compute c 1 ~weight:weight1 (fun () ->
+        PC.find_or_compute c 1 (fun () ->
             Atomic.set started true;
             while not (Atomic.get release) do Domain.cpu_relax () done;
             "computed"))
   in
   while not (Atomic.get started) do Domain.cpu_relax () done;
   Alcotest.(check bool) "insert refused while pending" false
-    (PC.insert c 1 ~weight:1 "preloaded");
+    (PC.insert c 1 "preloaded");
   Atomic.set release true;
   let v, _, _ = Domain.join d in
   Alcotest.(check string) "in-flight run published its result" "computed" v;
@@ -154,7 +136,7 @@ let test_insert_respects_pending () =
 let test_iter_and_merge_stats () =
   let c = PC.create () in
   List.iter
-    (fun k -> ignore (PC.find_or_compute c k ~weight:weight1 (fun () -> 10 * k)))
+    (fun k -> ignore (PC.find_or_compute c k (fun () -> 10 * k)))
     [ 1; 2; 3 ];
   let seen = ref [] in
   PC.iter c (fun k v -> seen := (k, v) :: !seen);
@@ -164,8 +146,8 @@ let test_iter_and_merge_stats () =
   let s = PC.stats c in
   let m = PC.merge_stats s s in
   Alcotest.(check (list int)) "merge is field-wise sum"
-    [ 2 * s.hits; 2 * s.misses; 2 * s.entries; 2 * s.bytes ]
-    [ m.hits; m.misses; m.entries; m.bytes ]
+    [ 2 * s.hits; 2 * s.misses; 2 * s.entries ]
+    [ m.hits; m.misses; m.entries ]
 
 let () =
   Alcotest.run "plan_cache"
@@ -174,8 +156,7 @@ let () =
          Alcotest.test_case "insert + clear" `Quick test_insert_and_clear;
          Alcotest.test_case "iter + merge_stats" `Quick test_iter_and_merge_stats ]);
       ("eviction",
-       [ Alcotest.test_case "exact LRU order" `Quick test_lru_eviction_order;
-         Alcotest.test_case "byte budget" `Quick test_byte_budget ]);
+       [ Alcotest.test_case "exact LRU order" `Quick test_lru_eviction_order ]);
       ("clock",
        [ Alcotest.test_case "age clamped on backwards step" `Quick
            test_age_clamped_on_backwards_clock ]);

@@ -363,26 +363,26 @@ let test_disasm_roundtrip_markers () =
 
 
 
-(* --- assembler round-trip -------------------------------------------------- *)
+(* --- packed-encoding round-trip ------------------------------------------- *)
 
 let roundtrip_program name p =
-  let text = Ptx.Disasm.program p in
-  match Ptx.Asm.parse text with
-  | Error e -> Alcotest.failf "%s: parse failed: %s" name e
-  | Ok q ->
-    if q <> p then begin
-      (* Locate the first difference for a useful message. *)
-      Array.iteri
-        (fun i instr ->
-          if i < Array.length q.body && q.body.(i) <> instr then
-            Alcotest.failf "%s: instruction %d differs:\n  %s\n  %s" name i
-              (Ptx.Disasm.instr p.dtype instr)
-              (Ptx.Disasm.instr q.dtype q.body.(i)))
-        p.body;
-      Alcotest.failf "%s: metadata differs" name
-    end
-
-let test_roundtrip_vadd () = roundtrip_program "vadd" (vector_add 8)
+  match Ptx.Encode.encode p with
+  | Error e -> Alcotest.failf "%s: encode failed: %s" name e
+  | Ok enc -> (
+    match Ptx.Encode.decode enc with
+    | Error e -> Alcotest.failf "%s: decode failed: %s" name e
+    | Ok q ->
+      if q <> p then begin
+        (* Locate the first difference for a useful message. *)
+        Array.iteri
+          (fun i instr ->
+            if i < Array.length q.body && q.body.(i) <> instr then
+              Alcotest.failf "%s: instruction %d differs:\n  %s\n  %s" name i
+                (Ptx.Disasm.instr p.dtype instr)
+                (Ptx.Disasm.instr q.dtype q.body.(i)))
+          p.body;
+        Alcotest.failf "%s: metadata differs" name
+      end)
 
 let test_roundtrip_handmade () =
   (* Exercise every instruction kind in one kernel. *)
@@ -437,52 +437,6 @@ let test_roundtrip_f16 () =
   B.emit b (I.St_global (c_slot, Iimm 0, Fimm 0.333251953125));
   roundtrip_program "f16 program" (B.finish b)
 
-let test_parse_rejects_garbage () =
-  List.iter
-    (fun text ->
-      match Ptx.Asm.parse text with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted garbage: %s" text)
-    [ "not ptx at all";
-      ".visible .entry x (  // dtype=f99\n)\n{ // 0 fregs, 0 iregs, 0 pregs, 0 shared words, 0 shared int words\n  ret\n}";
-      ".visible .entry x (  // dtype=f32\n)\n{ // 0 fregs, 0 iregs, 0 pregs, 0 shared words, 0 shared int words\n  frobnicate %r1\n}";
-      (* undefined label must fail validation *)
-      ".visible .entry x (  // dtype=f32\n)\n{ // 0 fregs, 0 iregs, 0 pregs, 0 shared words, 0 shared int words\n  bra nowhere\n  ret\n}" ]
-
-let prop_asm_roundtrip_generated =
-  QCheck.Test.make ~name:"assembler roundtrips random generated kernels" ~count:40
-    QCheck.(quad (int_range 1 40) (int_range 1 40) (int_range 1 64) (int_range 0 3))
-    (fun (m, n, k, variant) ->
-      let open Codegen.Gemm_params in
-      let c =
-        match variant with
-        | 0 -> { ms = 2; ns = 2; ks = 1; ml = 16; nl = 16; u = 8; kl = 1; kg = 1; vec = 1; db = 1 }
-        | 1 -> { ms = 2; ns = 2; ks = 2; ml = 16; nl = 16; u = 8; kl = 2; kg = 1; vec = 1; db = 1 }
-        | 2 -> { ms = 4; ns = 2; ks = 1; ml = 16; nl = 8; u = 8; kl = 1; kg = 2; vec = 1; db = 1 }
-        | _ -> { ms = 1; ns = 4; ks = 1; ml = 8; nl = 16; u = 4; kl = 1; kg = 1; vec = 1; db = 1 }
-      in
-      let i = input m n k in
-      QCheck.assume (structurally_legal i c);
-      QCheck.assume (c.kg = 1 || (k + c.kg - 1) / c.kg >= c.u);
-      let p = Codegen.Gemm.generate i c in
-      match Ptx.Asm.parse (Ptx.Disasm.program p) with
-      | Ok q -> q = p
-      | Error _ -> false)
-
-let test_parsed_program_runs () =
-  let p = vector_add 8 in
-  let q = Ptx.Asm.parse_exn (Ptx.Disasm.program p) in
-  let a = Array.init 8 float_of_int in
-  let b = Array.init 8 (fun i -> float_of_int (100 * i)) in
-  let c = Array.make 8 0.0 in
-  let (_ : Ptx.Interp.counters) =
-    Ptx.Interp.run q ~grid:(1, 1, 1) ~block:(8, 1, 1)
-      ~bufs:[ ("A", a); ("B", b); ("C", c) ] ~iargs:[]
-  in
-  Array.iteri
-    (fun i v -> Alcotest.(check (float 0.0)) "sum" (float_of_int (101 * i)) v)
-    c
-
 
 let () =
   Alcotest.run "ptx"
@@ -513,10 +467,6 @@ let () =
        [ quick "static counts" test_analysis_counts;
          quick "between_labels result paths" test_between_labels_result;
          quick "disasm markers" test_disasm_roundtrip_markers ]);
-      ("assembler",
-       [ quick "roundtrip vadd" test_roundtrip_vadd;
-         quick "roundtrip kitchen sink" test_roundtrip_handmade;
-         quick "roundtrip f16" test_roundtrip_f16;
-         quick "rejects garbage" test_parse_rejects_garbage;
-         QCheck_alcotest.to_alcotest prop_asm_roundtrip_generated;
-         quick "parsed program runs" test_parsed_program_runs ]) ]
+      ("encoding",
+       [ quick "roundtrip kitchen sink" test_roundtrip_handmade;
+         quick "roundtrip f16" test_roundtrip_f16 ]) ]

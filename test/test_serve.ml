@@ -128,6 +128,42 @@ let test_long_strings_bounded () =
               long,
             "unknown dtype" ) ])
 
+(* Every reply echoes the request [id], so only a number, null or a
+   string of at most 256 bytes is accepted. Any other [id] gets a short
+   error reply that names the field and carries a null [id]; bounded
+   ids still echo verbatim, error replies included. *)
+let test_id_bounded () =
+  with_server (fun srv _ ->
+      let long = String.make 100_000 'x' in
+      List.iter
+        (fun line ->
+          let response = handle_line srv line in
+          let msg = error_of response in
+          if not (contains msg {|"id"|}) then
+            Alcotest.failf "error %S does not name \"id\"" msg;
+          Alcotest.(check string) "id replaced by null" "null"
+            (J.to_string (field response "id"));
+          if String.length response >= 1024 then
+            Alcotest.failf "%d-byte reply to an oversized id"
+              (String.length response))
+        [ Printf.sprintf {|{"op":"ping","id":"%s"}|} long;
+          Printf.sprintf {|{"op":"teleport","id":"%s"}|} long;
+          Printf.sprintf {|{"op":"ping","id":"%s"}|} (String.make 257 'y');
+          {|{"op":"ping","id":{"nested":1}}|};
+          {|{"op":"ping","id":[1,2]}|};
+          {|{"op":"ping","id":true}|} ];
+      let at_bound = Printf.sprintf "%S" (String.make 256 'z') in
+      List.iter
+        (fun (op, id) ->
+          let response =
+            handle_line srv (Printf.sprintf {|{"op":"%s","id":%s}|} op id)
+          in
+          Alcotest.(check string) (op ^ " echoes id " ^ id) id
+            (J.to_string (field response "id")))
+        [ ("ping", "42"); ("ping", "-7"); ("ping", {|"req-1"|});
+          ("ping", "null"); ("ping", at_bound); ("teleport", "42");
+          ("teleport", {|"req-2"|}) ])
+
 (* A bad ISAAC_SEARCH_CAP fails the plan request with an error reply
    that names the knob; with the knob restored the daemon plans again. *)
 let test_bad_search_cap () =
@@ -234,6 +270,7 @@ let () =
          slow "cold miss, warm hit, identical plan" test_cold_then_warm;
          slow "malformed requests" test_errors;
          slow "bounded error replies" test_long_strings_bounded;
+         slow "request id bounded" test_id_bounded;
          slow "bad search cap names the knob" test_bad_search_cap;
          slow "out-of-range dimensions name the field" test_out_of_range_dims;
          slow "stats endpoint" test_stats;

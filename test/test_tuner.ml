@@ -214,31 +214,6 @@ let test_dataset_conv_generation () =
   Alcotest.(check int) "size" 30 (Tuner.Dataset.size ds);
   Alcotest.(check bool) "tagged conv" true (ds.op = `Conv)
 
-(* The packed-kernel companion of a dataset: sampled kernels land in a
-   hash-verified Ptx.Encode corpus, every entry decodes back to a valid
-   program, and the reported count matches the (deduplicated) file. *)
-let test_dataset_kernel_corpus_export () =
-  let path = Filename.temp_file "isaac_kernels" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let distinct =
-        Tuner.Dataset.export_kernel_corpus ~warmup:500 ~op:`Gemm
-          (Util.Rng.create 31) Gpu.Device.gtx980ti ~n:20 ~path
-      in
-      Alcotest.(check bool) "some kernels written" true (distinct > 0);
-      match Ptx.Encode.load_corpus ~path with
-      | Error e -> Alcotest.fail e
-      | Ok kernels ->
-        Alcotest.(check int) "count matches file" distinct
-          (List.length kernels);
-        List.iter
-          (fun k ->
-            match Ptx.Encode.decode k with
-            | Ok _ -> ()
-            | Error e -> Alcotest.failf "corpus kernel undecodable: %s" e)
-          kernels)
-
 let test_legality_split () =
   (* gemm_legal must match structural && device legality. *)
   let r = rng () in
@@ -731,7 +706,6 @@ let () =
        [ quick "gemm generation" test_dataset_generation;
          quick "conv generation" test_dataset_conv_generation;
          quick "parallel generation" test_dataset_parallel_generation;
-         quick "kernel corpus export" test_dataset_kernel_corpus_export;
          quick "legality consistency" test_legality_split ]);
       ("profile validation",
        quick "valid handmade profile plans" test_handmade_profile_plans
