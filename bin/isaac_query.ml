@@ -60,10 +60,15 @@ let run profile_path conv explain timing m n k dtype a_trans b_trans cn cc ckf
   in
   let device = device_of_name profile.device in
   let engine = Isaac.of_profile device profile in
+  (* A dimension above Gemm_params.max_dim is refused by name. *)
+  let checked make =
+    try make () with Invalid_argument msg -> prerr_endline msg; exit 2
+  in
   if conv then begin
     let input =
-      Codegen.Conv_params.input ~dtype ~n:cn ~c:cc ~k:ckf ~p:cpq ~q:cpq ~r:crs_
-        ~s:crs_ ()
+      checked (fun () ->
+          Codegen.Conv_params.input ~dtype ~n:cn ~c:cc ~k:ckf ~p:cpq ~q:cpq ~r:crs_
+            ~s:crs_ ())
     in
     if explain then print_string (Isaac.explain_conv engine input)
     else begin
@@ -77,7 +82,9 @@ let run profile_path conv explain timing m n k dtype a_trans b_trans cn cc ckf
     end
   end
   else begin
-    let input = Codegen.Gemm_params.input ~dtype ~a_trans ~b_trans m n k in
+    let input =
+      checked (fun () -> Codegen.Gemm_params.input ~dtype ~a_trans ~b_trans m n k)
+    in
     if explain then print_string (Isaac.explain_gemm engine input)
     else begin
       Printf.printf "GEMM %dx%dx%d %c%c (%s) on %s\n" m n k

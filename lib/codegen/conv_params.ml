@@ -11,8 +11,27 @@ type input = {
   dtype : Ptx.Types.dtype;
 }
 
+let check_dim = Gemm_params.check_dim "Conv_params.input"
+
+(* The implicit GEMM's extents must fit [Gemm_params.max_dim] too. The
+   product of positive factors, each already at most [max_dim], is
+   taken factor by factor and saturates above it, so it never
+   overflows. *)
+let times a b =
+  if a > Gemm_params.max_dim / b then Gemm_params.max_dim + 1 else a * b
+
+let check_product names x y z =
+  if x >= 1 && y >= 1 && z >= 1 && times (times x y) z > Gemm_params.max_dim then
+    invalid_arg
+      (Printf.sprintf "Conv_params.input: %s is above %d" names Gemm_params.max_dim)
+
 let input ?(dtype = Ptx.Types.F32) ?(stride = 1) ?(pad = 0) ~n ~c ~k ~p ~q ~r ~s () =
   assert (stride >= 1 && pad >= 0);
+  check_dim "n" n; check_dim "c" c; check_dim "k" k; check_dim "p" p;
+  check_dim "q" q; check_dim "r" r; check_dim "s" s;
+  check_dim "stride" stride; check_dim "pad" pad;
+  check_product {|"n" * "p" * "q"|} n p q;
+  check_product {|"c" * "r" * "s"|} c r s;
   { n; c; k; p; q; r; s; stride; pad; dtype }
 
 (* Input spatial extents, from the output size, filter, stride and

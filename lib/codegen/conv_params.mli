@@ -38,6 +38,9 @@ val input :
   ?stride:int ->
   ?pad:int ->
   n:int -> c:int -> k:int -> p:int -> q:int -> r:int -> s:int -> unit -> input
+(** Raises [Invalid_argument] naming the first field above
+    {!Gemm_params.max_dim}, or the factors of an implicit-GEMM extent,
+    n·p·q or c·r·s, whose product is (checked without overflow). *)
 
 val h : input -> int
 (** Input height: (P−1)·stride + R − 2·pad. *)

@@ -24,7 +24,20 @@ type bounds_mode = Predicated | Branch | Unchecked
 
 type epilogue = Plain | Relu | Bias | Bias_relu
 
+(* The largest dimension [cost] takes: 2^31 - 1, the [int] range of
+   cuBLAS and cuDNN. [cost] multiplies grid extents in OCaml ints
+   ([ceil_div], the grid product), which a larger dimension would wrap
+   into a nonsense plan. *)
+let max_dim = 0x7fff_ffff
+
+let check_dim fn name v =
+  if v > max_dim then
+    invalid_arg (Printf.sprintf "%s: %S = %d is above %d" fn name v max_dim)
+
 let input ?(dtype = Ptx.Types.F32) ?(a_trans = false) ?(b_trans = false) m n k =
+  check_dim "Gemm_params.input" "m" m;
+  check_dim "Gemm_params.input" "n" n;
+  check_dim "Gemm_params.input" "k" k;
   { m; n; k; dtype; a_trans; b_trans }
 
 let values_ms = [| 1; 2; 4; 8 |]

@@ -45,9 +45,20 @@ type bounds_mode =
     grid-level reduction split cannot carry a nonlinear epilogue). *)
 type epilogue = Plain | Relu | Bias | Bias_relu
 
+val max_dim : int
+(** 2{^31} − 1, the largest dimension {!cost} takes: the [int] range of
+    cuBLAS and cuDNN. Above it the cost model's int arithmetic (grid
+    extents and their product) would wrap. *)
+
+val check_dim : string -> string -> int -> unit
+(** [check_dim fn name v] raises [Invalid_argument], naming [fn] and the
+    quoted [name], when [v] is above {!max_dim}. *)
+
 val input : ?dtype:Ptx.Types.dtype -> ?a_trans:bool -> ?b_trans:bool ->
   int -> int -> int -> input
-(** [input m n k] with fp32 non-transposed defaults. *)
+(** [input m n k] with fp32 non-transposed defaults. Raises
+    [Invalid_argument] naming the first of [m], [n], [k] above
+    {!max_dim}. *)
 
 val values_ms : int array
 val values_ns : int array

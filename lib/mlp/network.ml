@@ -95,19 +95,40 @@ let predict t x =
 let predict_one t features =
   (predict t (Matrix.of_array ~rows:1 ~cols:(Array.length features) features)).(0)
 
-(* Batched inference, the planning hot path: the C kernel
-   (forward_stubs.c) reads the parameter vector and the batch in place,
-   outside the OCaml heap, with the runtime lock released. Its output is
-   bit-identical to [predict] on the same rows. *)
-external forward_stub :
-  int array -> Matrix.storage -> Matrix.storage -> int -> Matrix.storage -> unit
-  = "isaac_mlp_forward_batch"
+(* The C kernels (forward_stubs.c) are compiled once per vector width;
+   the widest one the running CPU supports is chosen here, once, while
+   the module initialises and before any domain can call a kernel. *)
+external widest_lanes : unit -> int = "isaac_mlp_widest_lanes"
 
-let forward_batch t ~input =
+external compiled_lanes_stub : unit -> int array = "isaac_mlp_compiled_lanes"
+
+let lanes = widest_lanes ()
+
+let compiled_lanes = Array.to_list (compiled_lanes_stub ())
+
+let check_lanes name l =
+  if not (List.mem l compiled_lanes && l <= lanes) then
+    invalid_arg (Printf.sprintf "%s: %d lanes not supported by this CPU" name l)
+
+(* Batched inference, the planning hot path: the C kernel reads the
+   parameter vector and the batch in place, outside the OCaml heap, with
+   the runtime lock released. Its output is bit-identical to [predict]
+   on the same rows, at every width. *)
+external forward_stub :
+  int -> int array -> Matrix.storage -> Matrix.storage -> int -> Matrix.storage -> unit
+  = "isaac_mlp_forward_batch_byte" "isaac_mlp_forward_batch"
+
+let forward_at lanes t ~input =
   check_input "Network.forward_batch" t input;
   let out = Matrix.create input.Matrix.rows t.arch.(Array.length t.arch - 1) in
-  forward_stub t.arch t.params input.Matrix.data input.Matrix.rows out.Matrix.data;
+  forward_stub lanes t.arch t.params input.Matrix.data input.Matrix.rows out.Matrix.data;
   out
+
+let forward_batch t ~input = forward_at lanes t ~input
+
+let forward_batch_at ~lanes t ~input =
+  check_lanes "Network.forward_batch_at" lanes;
+  forward_at lanes t ~input
 
 let predict_matrix t x =
   let out = forward_batch t ~input:x in
@@ -209,17 +230,25 @@ let train_batch_ref t opt ~x ~y =
 (* The training step: forward, backward and Adam in one C call
    (forward_stubs.c), bit-identical to [train_batch_ref]. *)
 external train_stub :
-  int array -> Matrix.storage -> Matrix.storage -> Matrix.storage -> Matrix.storage ->
-  Matrix.storage -> int -> float array -> float array -> float
+  int -> int array -> Matrix.storage -> Matrix.storage -> Matrix.storage ->
+  Matrix.storage -> Matrix.storage -> int -> float array -> float array -> float
   = "isaac_mlp_train_batch_byte" "isaac_mlp_train_batch"
 
-let train_batch t opt ~x ~y =
+let train_at lanes t opt ~x ~y =
   check_batch t x y;
   let bc1, bc2 = bias_corrections t opt in
   let hyper = [| opt.lr; opt.beta1; opt.beta2; opt.epsilon; bc1; bc2 |] in
-  let loss = train_stub t.arch t.params t.grad t.m t.v x.Matrix.data x.rows y hyper in
+  let loss =
+    train_stub lanes t.arch t.params t.grad t.m t.v x.Matrix.data x.rows y hyper
+  in
   t.step <- t.step + 1;
   loss /. float_of_int x.rows
+
+let train_batch t opt ~x ~y = train_at lanes t opt ~x ~y
+
+let train_batch_at ~lanes t opt ~x ~y =
+  check_lanes "Network.train_batch_at" lanes;
+  train_at lanes t opt ~x ~y
 
 let mse t ~x ~y = Util.Stats.mse (predict t x) y
 

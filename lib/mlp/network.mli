@@ -52,19 +52,20 @@ val forward_batch : t -> input:Matrix.t -> Matrix.t
     outputs per input row. This is the planning hot path that scores
     tens of thousands of candidate configurations per query
     ({!Tuner.Search}). The kernel is C and reads the network's parameter
-    vector in place: output neurons are 128-bit SIMD lanes over weights
-    transposed once per call, exact-zero inputs are skipped when every
-    weight of the layer is finite, and the OCaml runtime lock is
-    released while it runs, so other domains keep collecting. It is
-    reentrant: domains may run it on disjoint {!Matrix.sub_rows} views
-    at once.
+    vector in place: output neurons are the lanes of SIMD vectors of
+    {!lanes} doubles over weights transposed once per call, exact-zero
+    inputs are skipped when every weight of the layer is finite, and
+    the OCaml runtime lock is released while it runs, so other domains
+    keep collecting. It is reentrant: domains may run it on disjoint
+    {!Matrix.sub_rows} views at once.
 
     Float contract: per element the arithmetic (ascending-[k]
     single-accumulator dot product, then bias add, then relu) is
     identical to {!predict}'s, so outputs are bit-equal to it on the
     same rows, for any batch size and any input values,
-    zeros of either sign included. The differential tests in
-    [test/test_mlp.ml] assert exact equality.
+    zeros of either sign included, at every vector width. The
+    differential tests in [test/test_mlp.ml] assert exact equality at
+    every width the CPU supports ({!forward_batch_at}).
 
     Raises [Invalid_argument] if [input]'s width is not the network's
     input width. *)
@@ -88,9 +89,11 @@ val train_batch : t -> adam -> x:Matrix.t -> y:float array -> float
     update. Backpropagation fills the whole gradient from the
     pre-update parameters, then one Adam pass updates every weight and
     bias. The step is one C call (the kernel behind {!forward_batch},
-    extended with a backward pass and Adam) that reads and updates the
-    parameter, gradient and moment vectors in place, with the OCaml
-    runtime lock released; [y] is copied out of the OCaml heap first.
+    extended with a backward pass and Adam, at the same {!lanes}) that
+    reads and updates the parameter, gradient and moment vectors in
+    place, with the OCaml runtime lock released; [y] is copied out of
+    the OCaml heap first. A lane is one gradient element or parameter,
+    so the width changes no element's arithmetic.
 
     Float contract: the loss, gradient, moments and parameters are
     bit-identical to {!train_batch_ref}'s on the same network and batch,
@@ -100,7 +103,8 @@ val train_batch : t -> adam -> x:Matrix.t -> y:float array -> float
     deltas, bias gradients sum every row in ascending order, and the
     delta passed down sums output units in ascending order skipping zero
     deltas, then is zeroed where the activation is [<= 0]. The
-    differential tests in [test/test_mlp.ml] assert exact equality.
+    differential tests in [test/test_mlp.ml] assert exact equality at
+    every width the CPU supports ({!train_batch_at}).
 
     Raises [Invalid_argument] naming the operand when [x] has no rows,
     [y]'s length is not [x]'s row count, or [x]'s width is not the
@@ -112,6 +116,36 @@ val train_batch_ref : t -> adam -> x:Matrix.t -> y:float array -> float
     the reference the C step must match bit for bit, kept for the tests
     as [Ptx.Interp_ref] is for the interpreter; the library never calls
     it. Same arguments, result and errors as {!train_batch}. *)
+
+val lanes : int
+(** Doubles per SIMD vector in the kernels behind {!forward_batch} and
+    {!train_batch}: 4 (AVX2) or 2 (SSE2 on x86-64, NEON on arm64). The
+    C source is compiled once per width for its own target, so the
+    build needs no [-march] flag; this is the widest width the running
+    CPU supports, chosen once when the program starts. No flag,
+    variable or argument selects another, and plans and profiles do
+    not depend on it. [search.inference] spans record it. *)
+
+val compiled_lanes : int list
+(** Every width the kernels are compiled for on this architecture,
+    ascending, read from the C kernel table. The running CPU supports
+    those up to {!lanes}; each holds the same code at its own vector
+    width. *)
+
+val forward_batch_at : lanes:int -> t -> input:Matrix.t -> Matrix.t
+(** {!forward_batch} through the kernel compiled for [lanes] doubles
+    per vector instead of {!lanes}. Kept for the tests, as
+    {!train_batch_ref} is, so that they hold every width the CPU
+    supports to {!predict}; the library never calls it. Raises
+    [Invalid_argument] when [lanes] is not in {!compiled_lanes} or is
+    above {!lanes} (a width the CPU lacks would fault on an illegal
+    instruction). *)
+
+val train_batch_at :
+  lanes:int -> t -> adam -> x:Matrix.t -> y:float array -> float
+(** {!train_batch} through the kernel compiled for [lanes] doubles per
+    vector, kept for the tests like {!forward_batch_at}, with the same
+    [Invalid_argument]. *)
 
 val mse : t -> x:Matrix.t -> y:float array -> float
 (** Evaluation loss of {!predict} on a dataset (no update). *)

@@ -160,9 +160,13 @@ let parse_number cur =
     | Some f -> Float f
     | None -> fail cur "bad number %s" text
   else
+    (* An integer is an [Int] only in the form [string_of_int] prints
+       (no leading zero, no "-0"), so that it prints back as it was
+       written; "-0" and "007" are read as floats. *)
+    let first_digit = if text.[0] = '-' then 1 else 0 in
     match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> (
+    | Some i when text.[first_digit] <> '0' || String.equal text "0" -> Int i
+    | _ -> (
       match float_of_string_opt text with
       | Some f -> Float f
       | None -> fail cur "bad number %s" text)

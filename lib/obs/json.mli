@@ -29,8 +29,11 @@ exception Parse_error of string
 (** Raised by {!of_string} with a position-annotated message. *)
 
 val of_string : string -> t
-(** Parse one JSON value; trailing garbage is a {!Parse_error}. Numbers
-    without [.], [e] or [E] parse as {!Int}, everything else as
+(** Parse one JSON value; trailing garbage is a {!Parse_error}. A
+    number parses as {!Int} when it is written exactly as
+    [string_of_int] prints an OCaml [int] (no [.], [e], [E], leading
+    zero or [-0], and within the 63-bit range), so an {!Int}
+    prints back as it was written; every other number parses as
     {!Float}. *)
 
 val member : string -> t -> t option

@@ -194,13 +194,25 @@ let field_int ?default ~min json name =
   if i < min then bad "field %S must be >= %d, got %d" name min i;
   i
 
+(* [Gemm_params.input] and [Conv_params.input] reject a dimension, or a
+   CONV's implicit-GEMM extent, above [Gemm_params.max_dim], the
+   largest the cost model takes; their message names the field, and the
+   request gets it as its error, so no plan is cached. *)
+let checked_input make = try make () with Invalid_argument msg -> bad "%s" msg
+
+(* Only an integer that parsed as one is echoed: the JSON reader keeps
+   every other number as a float (a fraction, an exponent, an integer
+   beyond OCaml's 63-bit range, or one not written as [string_of_int]
+   prints it, such as -0 or 007), which would not print back as sent. *)
 let field_id json =
   match Obs.Json.member "id" json with
   | None -> Obs.Json.Null
-  | Some ((Obs.Json.Null | Obs.Json.Int _ | Obs.Json.Float _) as v) -> v
+  | Some ((Obs.Json.Null | Obs.Json.Int _) as v) -> v
   | Some (Obs.Json.String s as v) when String.length s <= max_quoted_bytes -> v
   | Some _ ->
-    bad "field \"id\" must be a number, null or a string of at most %d bytes"
+    bad
+      "field \"id\" must be null, a string of at most %d bytes or an integer \
+       in [-2^62, 2^62) with no fraction, exponent, leading zero or -0"
       max_quoted_bytes
 
 let field_bool ~default json name =
@@ -324,11 +336,12 @@ let record_request t outcome latency_s =
 
 let handle_gemm t json ~id =
   let input =
-    Codegen.Gemm_params.input ~dtype:(field_dtype json)
-      ~a_trans:(field_bool ~default:false json "a_trans")
-      ~b_trans:(field_bool ~default:false json "b_trans")
-      (field_int ~min:1 json "m") (field_int ~min:1 json "n")
-      (field_int ~min:1 json "k")
+    checked_input (fun () ->
+        Codegen.Gemm_params.input ~dtype:(field_dtype json)
+          ~a_trans:(field_bool ~default:false json "a_trans")
+          ~b_trans:(field_bool ~default:false json "b_trans")
+          (field_int ~min:1 json "m") (field_int ~min:1 json "n")
+          (field_int ~min:1 json "k"))
   in
   let engine = engine_for t `Gemm in
   let t0 = Unix.gettimeofday () in
@@ -339,13 +352,14 @@ let handle_gemm t json ~id =
 
 let handle_conv t json ~id =
   let input =
-    Codegen.Conv_params.input ~dtype:(field_dtype json)
-      ~stride:(field_int ~default:1 ~min:1 json "stride")
-      ~pad:(field_int ~default:0 ~min:0 json "pad")
-      ~n:(field_int ~min:1 json "n") ~c:(field_int ~min:1 json "c")
-      ~k:(field_int ~min:1 json "k") ~p:(field_int ~min:1 json "p")
-      ~q:(field_int ~min:1 json "q") ~r:(field_int ~min:1 json "r")
-      ~s:(field_int ~min:1 json "s") ()
+    checked_input (fun () ->
+        Codegen.Conv_params.input ~dtype:(field_dtype json)
+          ~stride:(field_int ~default:1 ~min:1 json "stride")
+          ~pad:(field_int ~default:0 ~min:0 json "pad")
+          ~n:(field_int ~min:1 json "n") ~c:(field_int ~min:1 json "c")
+          ~k:(field_int ~min:1 json "k") ~p:(field_int ~min:1 json "p")
+          ~q:(field_int ~min:1 json "q") ~r:(field_int ~min:1 json "r")
+          ~s:(field_int ~min:1 json "s") ())
   in
   let engine = engine_for t `Conv in
   let t0 = Unix.gettimeofday () in

@@ -11,10 +11,16 @@
     {b Protocol} (one JSON object per line, see DESIGN.md "Plan
     serving" for the full schema): requests carry [op] ∈ [ping], [stats],
     [reload], [gemm], [conv], [shutdown] plus an optional [id] echoed
-    back verbatim. The [id] must be a number, [null] or a string of at
-    most 256 bytes; any other [id] gets an error reply naming the field
-    with ["id":null]. Dimensions below 1, [stride] below 1 and [pad]
-    below 0 get an error reply naming the field. Plan responses report
+    back verbatim. The [id] must be [null], a string of at most 256
+    bytes or an integer in OCaml's [int] range written as
+    [string_of_int] prints it (no fraction, exponent, leading zero or
+    [-0]); any other [id], other numbers included, gets an error
+    reply naming the field with ["id":null]. Dimensions below 1,
+    [stride] below 1, [pad] below 0, any of them above
+    {!Codegen.Gemm_params.max_dim} (2{^31} − 1, the [int] range of
+    cuBLAS), and a CONV whose implicit GEMM has [n·p·q] or [c·r·s]
+    above that bound get an error reply naming the field, so no plan
+    is cached for them. Plan responses report
     [cache] ∈ ["hit"] / ["miss"] / ["coalesced"], the request
     [latency_s], and the chosen kernel configuration ([plan], [null]
     when no kernel is legal — that negative result is cached too, so

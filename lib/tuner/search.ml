@@ -363,7 +363,8 @@ let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
       Obs.Span.with_dur "search.inference"
         ~meta:(fun () ->
           [ ("n_legal", Obs.Json.Int e.count); ("n_scored", Obs.Json.Int n);
-            ("domains", Obs.Json.Int domains) ])
+            ("domains", Obs.Json.Int domains);
+            ("lanes", Obs.Json.Int Mlp.Network.lanes) ])
         (fun () ->
           match
             Util.Parallel.run_chunks ~domains ~total:n

@@ -142,6 +142,43 @@ let test_bank_conflicts_change_shared_cost () =
       r.shared_seconds
   | _ -> Alcotest.fail "predict returned None"
 
+(* The constructors refuse what the cost model's int arithmetic cannot
+   take: a dimension above [GP.max_dim], or a CONV whose implicit-GEMM
+   extent passes it, even where the product overflows an OCaml int.
+   The message names the field. [GP.max_dim] itself is accepted, and
+   its cost stays finite and positive. *)
+let test_inputs_bounded () =
+  let rejects name make =
+    match make () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument msg ->
+      let quoted = Printf.sprintf "%S" name in
+      let n = String.length quoted in
+      let rec names i =
+        i + n <= String.length msg && (String.sub msg i n = quoted || names (i + 1))
+      in
+      if not (names 0) then Alcotest.failf "error %S does not name %S" msg name
+  in
+  let big = GP.max_dim + 1 and huge = (1 lsl 62) - 1 in
+  rejects "m" (fun () -> GP.input big 64 64);
+  rejects "n" (fun () -> GP.input 64 huge 64);
+  rejects "k" (fun () -> GP.input 64 64 big);
+  let conv ?(stride = 1) ?(n = 1) ?(c = 8) ?(k = 8) ?(p = 4) ?(r = 3) () =
+    CP.input ~stride ~n ~c ~k ~p ~q:p ~r ~s:r ()
+  in
+  rejects "k" (fun () -> conv ~k:big ());
+  rejects "stride" (fun () -> conv ~stride:big ());
+  rejects "q" (fun () -> conv ~n:GP.max_dim ~p:GP.max_dim ());
+  rejects "r" (fun () -> conv ~c:65536 ~r:256 ());
+  let input = GP.input GP.max_dim GP.max_dim GP.max_dim in
+  let cfg = { GP.ms = 4; ns = 4; ks = 1; ml = 64; nl = 64; u = 8; kl = 1;
+              kg = 1; vec = 1; db = 1 } in
+  Alcotest.(check bool) "legal at the bound" true (GP.structurally_legal input cfg);
+  let c = GP.cost input cfg in
+  Alcotest.(check bool) "cost positive at the bound" true
+    (c.useful_flops > 0.0 && Float.is_finite c.useful_flops
+     && Gpu.Kernel_cost.grid_blocks c > 0)
+
 let () =
   Alcotest.run "cost-model"
     [ ("invariants (300 random legal pairs)",
@@ -157,4 +194,5 @@ let () =
          quick "fp16x2 packing" test_fp16_packs;
          quick "conv = gemm view + gather" test_conv_cost_matches_gemm_view;
          quick "bank conflicts change shared cost"
-           test_bank_conflicts_change_shared_cost ]) ]
+           test_bank_conflicts_change_shared_cost;
+         quick "inputs bounded by max_dim" test_inputs_bounded ]) ]

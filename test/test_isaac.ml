@@ -41,7 +41,9 @@ let test_plan_gemm () =
    micro.plan_argmax_equal gate. With both sinks open, each phase time
    is its [search.<phase>] span's duration bit for bit: the trace
    event's [dur], and the sum of the [search.<phase>_s] histogram's one
-   observation. *)
+   observation. The trace also shows which MLP kernel body scored the
+   plan: the [search.inference] span's meta carries [lanes], the width
+   the library chose, beside its row counts and domains. *)
 let test_plan_phases () =
   let engine = Lazy.force gemm_engine in
   let fresh = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
@@ -81,7 +83,20 @@ let test_plan_phases () =
       let h = Obs.Telemetry.Histo.snapshot (Obs.Telemetry.histo (name ^ "_s")) in
       Alcotest.(check int) (name ^ "_s observations") 1 h.count;
       Alcotest.(check int64) (name ^ "_s sum") (bits t) (bits h.sum))
-    plan.phases
+    plan.phases;
+  let inference =
+    List.find
+      (fun e -> Obs.Json.member "name" e = Some (Obs.Json.String "search.inference"))
+      spans
+  in
+  let meta k =
+    Option.bind (Obs.Json.member "meta" inference) (fun m ->
+        Option.bind (Obs.Json.member k m) Obs.Json.to_int)
+  in
+  Alcotest.(check (option int)) "inference span lanes" (Some Mlp.Network.lanes) (meta "lanes");
+  List.iter
+    (fun k -> Alcotest.(check bool) ("inference span " ^ k) true (meta k <> None))
+    [ "n_legal"; "n_scored"; "domains" ]
 
 let test_plan_cache () =
   let engine = Lazy.force gemm_engine in

@@ -3,9 +3,30 @@
    hand-computed values, backpropagation against finite differences,
    training dynamics, serialization, and the float contracts of the C
    kernels: batched inference against [predict], the training step
-   against [train_batch_ref]. *)
+   against [train_batch_ref], at every vector width the CPU supports. *)
 
 let quick name f = Alcotest.test_case name `Quick f
+
+(* The C kernel entry a float-contract case calls: the library's own
+   ([forward_batch], [train_batch]), which runs the widest width the CPU
+   supports, or the test-only entry forced to [At lanes] doubles per
+   vector. *)
+type entry = Library | At of int
+
+let forward_with entry net x =
+  match entry with
+  | Library -> Mlp.Network.predict_matrix net x
+  | At lanes -> Mlp.Matrix.to_array (Mlp.Network.forward_batch_at ~lanes net ~input:x)
+
+let train_with = function
+  | Library -> Mlp.Network.train_batch
+  | At lanes -> Mlp.Network.train_batch_at ~lanes
+
+(* A case's name, prefixed with its width unless it runs the library's
+   own entry. *)
+let named name = function
+  | Library -> name
+  | At lanes -> Printf.sprintf "%d lanes: %s" lanes name
 
 let rng = Util.Rng.create 1234
 
@@ -64,16 +85,17 @@ let same_bits want got =
          else Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
        want got
 
-(* [steps] consecutive steps of the C [train_batch] on one deep copy of
-   [net] and of [train_batch_ref] on another: the losses and every
-   parameter must agree bit for bit after each step. The later steps
-   also compare Adam's moments and step count, which they read. *)
-let steps_match_ref ?(steps = 3) net x y =
+(* [steps] consecutive steps of the C training step through [entry] on
+   one deep copy of [net] and of [train_batch_ref] on another: the
+   losses and every parameter must agree bit for bit after each step.
+   The later steps also compare Adam's moments and step count, which
+   they read. *)
+let steps_match_ref ?(steps = 3) entry net x y =
   let adam = Mlp.Network.default_adam in
   let c = Mlp.Network.copy net and r = Mlp.Network.copy net in
   List.for_all
     (fun _ ->
-      let loss_c = Mlp.Network.train_batch c adam ~x ~y in
+      let loss_c = train_with entry c adam ~x ~y in
       let loss_r = Mlp.Network.train_batch_ref r adam ~x ~y in
       same_bits [| loss_r |] [| loss_c |] && same_bits (params r) (params c))
     (List.init steps Fun.id)
@@ -265,7 +287,7 @@ let test_train_batch_finite_differences () =
   let x = Mlp.Matrix.of_array ~rows:8 ~cols:3 (Array.init 24 (fun _ -> Util.Rng.gaussian r)) in
   let y = Array.init 8 (fun _ -> Util.Rng.gaussian r) in
   Alcotest.(check bool) "C step = reference, dead unit included" true
-    (steps_match_ref net x y);
+    (steps_match_ref Library net x y);
   let h = 1e-5 in
   let fd =
     Array.mapi
@@ -364,7 +386,7 @@ let test_matrix_sub_rows_shares_storage () =
    forward must be bit-equal to the OCaml reference — exact zero
    tolerance — for any batch size, including 1 and the widths that
    leave a partly filled SIMD vector or accumulator block. *)
-let test_forward_batch_matches_predict () =
+let test_forward_batch_matches_predict entry =
   List.iter
     (fun sizes ->
       let net = Mlp.Network.create rng ~sizes in
@@ -372,7 +394,7 @@ let test_forward_batch_matches_predict () =
         (fun batch ->
           let x = random_mat batch sizes.(0) in
           let want = Mlp.Network.predict net x in
-          let got = Mlp.Network.predict_matrix net x in
+          let got = forward_with entry net x in
           Alcotest.(check (array (float 0.0)))
             (Printf.sprintf "bit-equal at batch=%d" batch)
             want got)
@@ -420,10 +442,10 @@ let trained_net r sizes =
        ~y:(Array.init 4 (fun _ -> Util.Rng.gaussian r)));
   net
 
-(* [predict_matrix] on a [sub_rows] view at offset [off] of a larger
-   matrix whose other rows are garbage, against [predict] on the rows
-   alone. *)
-let view_matches_predict r net x ~off =
+(* The batched forward through [entry] on a [sub_rows] view at offset
+   [off] of a larger matrix whose other rows are garbage, against
+   [predict] on the rows alone. *)
+let view_matches_predict entry r net x ~off =
   let rows = x.Mlp.Matrix.rows and cols = x.Mlp.Matrix.cols in
   let big = Mlp.Matrix.create (off + rows + 2) cols in
   for i = 0 to off + rows + 1 do
@@ -436,10 +458,10 @@ let view_matches_predict r net x ~off =
     done
   done;
   let view = Mlp.Matrix.sub_rows big ~off ~len:rows in
-  same_bits (Mlp.Network.predict net x) (Mlp.Network.predict_matrix net view)
+  same_bits (Mlp.Network.predict net x) (forward_with entry net view)
 
-let prop_forward_batch_bit_equal =
-  QCheck.Test.make ~name:"forward_batch bit-equals predict" ~count:60
+let prop_forward_batch_bit_equal entry =
+  QCheck.Test.make ~name:(named "forward_batch bit-equals predict" entry) ~count:60
     QCheck.(quad (int_range 1 70) (int_range 0 40) (int_range 0 5)
               (int_range 0 10_000))
     (fun (inputs, batch, off, seed) ->
@@ -447,12 +469,12 @@ let prop_forward_batch_bit_equal =
       let hidden = Array.init (1 + (seed mod 3)) (fun _ -> 1 + Util.Rng.int r 70) in
       let sizes = Array.concat [ [| inputs |]; hidden; [| 1 |] ] in
       let net = trained_net r sizes in
-      view_matches_predict r net (zeroish_inputs r ~rows:batch ~cols:inputs) ~off)
+      view_matches_predict entry r net (zeroish_inputs r ~rows:batch ~cols:inputs) ~off)
 
 (* The training step's float contract: three consecutive C steps against
    the OCaml reference on random widths, depths and batch sizes. *)
-let prop_train_batch_bit_equal =
-  QCheck.Test.make ~name:"train_batch bit-equals train_batch_ref" ~count:60
+let prop_train_batch_bit_equal entry =
+  QCheck.Test.make ~name:(named "train_batch bit-equals train_batch_ref" entry) ~count:60
     QCheck.(triple (int_range 1 70) (int_range 1 130) (int_range 0 10_000))
     (fun (inputs, batch, seed) ->
       let r = Util.Rng.create (1 + seed) in
@@ -460,9 +482,9 @@ let prop_train_batch_bit_equal =
       let sizes = Array.concat [ [| inputs |]; hidden; [| 1 |] ] in
       let net = trained_net r sizes in
       let x = zeroish_inputs r ~rows:batch ~cols:inputs in
-      steps_match_ref net x (Array.init batch (fun _ -> Util.Rng.gaussian r)))
+      steps_match_ref entry net x (Array.init batch (fun _ -> Util.Rng.gaussian r)))
 
-let test_forward_batch_wide_input () =
+let test_forward_batch_wide_input entry =
   let r = Util.Rng.create 600 in
   let net = trained_net r [| 640; 70; 33; 1 |] in
   List.iter
@@ -470,7 +492,7 @@ let test_forward_batch_wide_input () =
       Alcotest.(check bool)
         (Printf.sprintf "bit-equal at batch=%d" batch)
         true
-        (view_matches_predict r net (zeroish_inputs r ~rows:batch ~cols:640)
+        (view_matches_predict entry r net (zeroish_inputs r ~rows:batch ~cols:640)
            ~off:3))
     [ 0; 1; 9; 40 ]
 
@@ -479,7 +501,7 @@ let test_forward_batch_wide_input () =
    in that layer: NaN must land exactly where [predict] puts it. An inf
    weight leaves a mix of NaN, infinite and finite outputs; a NaN weight
    poisons every row. *)
-let test_forward_batch_nonfinite_weights () =
+let test_forward_batch_nonfinite_weights entry =
   let r = Util.Rng.create 77 in
   let base = trained_net r [| 5; 9; 6; 1 |] in
   let x = zeroish_inputs r ~rows:40 ~cols:5 in
@@ -494,13 +516,13 @@ let test_forward_batch_nonfinite_weights () =
       Alcotest.(check bool) (name ^ ": some not NaN") mixed
         (Array.exists (fun v -> not (Float.is_nan v)) want);
       Alcotest.(check bool) (name ^ ": NaN positions and other bits match") true
-        (view_matches_predict r net x ~off:1);
+        (view_matches_predict entry r net x ~off:1);
       (* The training step on the same rows with the first one all
          zero: 0 * inf is NaN, so no zero may be skipped there. *)
       let xz = Mlp.Matrix.copy x in
       for j = 0 to 4 do Mlp.Matrix.set xz 0 j 0.0 done;
       Alcotest.(check bool) (name ^ ": C step = reference, zero row included") true
-        (steps_match_ref net xz (Array.init 40 float_of_int)))
+        (steps_match_ref entry net xz (Array.init 40 float_of_int)))
     (* parameter 84 is layer 1's weight 30, after layer 0's 45 weights
        and 9 biases *)
     [ ("inf weight", 7, Float.infinity, true); ("nan weight", 84, Float.nan, false) ]
@@ -514,7 +536,7 @@ let test_forward_batch_nonfinite_weights () =
    - Delta passed down: a 1-2-2-1 network whose second layer has weight
      -inf. Hidden unit 0 of that layer is dead in every row, and its
      zero delta meets the -inf weight on the way down. *)
-let test_zero_deltas_skipped () =
+let test_zero_deltas_skipped entry =
   List.iter
     (fun (name, sizes, p, inputs) ->
       let net = net_with sizes p in
@@ -525,7 +547,8 @@ let test_zero_deltas_skipped () =
       ignore (Mlp.Network.train_batch_ref r Mlp.Network.default_adam ~x ~y);
       Alcotest.(check bool) (name ^ ": reference keeps the first weight finite") true
         (Float.is_finite (params r).(0));
-      Alcotest.(check bool) (name ^ ": C step = reference") true (steps_match_ref net x y))
+      Alcotest.(check bool) (name ^ ": C step = reference") true
+        (steps_match_ref entry net x y))
     [ ("weight gradient", [| 1; 2; 1 |], [| -1.; 1.; 0.; 0.; 1.; 1.; 0. |],
        [| Float.infinity; -1.0 |]);
       ("delta passed down", [| 1; 2; 2; 1 |],
@@ -604,7 +627,36 @@ let prop_copy_independent =
       ignore (Mlp.Network.train_batch net Mlp.Network.default_adam ~x ~y:[| 5.0 |]);
       (Mlp.Network.predict copy x).(0) = before)
 
+(* The float-contract cases, through [entry]. *)
+let contract_cases entry =
+  [ quick (named "forward_batch = predict" entry) (fun () ->
+        test_forward_batch_matches_predict entry);
+    quick (named "input width 640" entry) (fun () -> test_forward_batch_wide_input entry);
+    quick (named "non-finite weights" entry) (fun () ->
+        test_forward_batch_nonfinite_weights entry);
+    quick (named "zero deltas skipped" entry) (fun () -> test_zero_deltas_skipped entry);
+    QCheck_alcotest.to_alcotest (prop_forward_batch_bit_equal entry);
+    QCheck_alcotest.to_alcotest (prop_train_batch_bit_equal entry) ]
+
+(* The same cases at every width the kernel is compiled for. A width
+   the running CPU lacks is skipped by name and never called: its
+   instructions would fault. *)
+let ran, skipped = List.partition (fun l -> l <= Mlp.Network.lanes) Mlp.Network.compiled_lanes
+
+let width_cases =
+  List.concat_map
+    (fun lanes ->
+      List.map
+        (fun (name, speed, run) ->
+          Alcotest.test_case name speed
+            (if List.mem lanes ran then run else fun () -> Alcotest.skip ()))
+        (contract_cases (At lanes)))
+    Mlp.Network.compiled_lanes
+
 let () =
+  let show l = String.concat " " (List.map string_of_int l) in
+  Printf.printf "test_mlp: kernel widths run: %s lanes; skipped, not supported by this CPU: %s\n%!"
+    (show ran) (if skipped = [] then "none" else show skipped ^ " lanes");
   Alcotest.run "mlp"
     [ ("tensor",
        [ quick "matmul_nt" test_matmul_nt;
@@ -627,13 +679,9 @@ let () =
       ("matrix",
        [ quick "roundtrip" test_matrix_roundtrip;
          quick "sub_rows view" test_matrix_sub_rows_shares_storage;
-         quick "forward_batch = predict" test_forward_batch_matches_predict;
-         quick "rows match scalar path" test_forward_batch_rows_match_scalar;
-         quick "input width 640" test_forward_batch_wide_input;
-         quick "non-finite weights" test_forward_batch_nonfinite_weights;
-         quick "zero deltas skipped" test_zero_deltas_skipped;
-         QCheck_alcotest.to_alcotest prop_forward_batch_bit_equal;
-         QCheck_alcotest.to_alcotest prop_train_batch_bit_equal ]);
+         quick "rows match scalar path" test_forward_batch_rows_match_scalar ]
+       @ contract_cases Library);
+      ("widths", width_cases);
       ("train",
        [ quick "split" test_split;
          quick "fewer rows than a batch" test_fit_fewer_rows_than_a_batch;

@@ -57,7 +57,20 @@ let test_json_roundtrip () =
    | _ -> Alcotest.fail "nan encoding changed");
   Alcotest.(check bool) "parse error raised" true
     (try ignore (J.of_string "{\"a\":}"); false
-     with J.Parse_error _ -> true)
+     with J.Parse_error _ -> true);
+  (* An integer reads as [Int] only when written as [string_of_int]
+     prints it, so every [Int] prints back as it was written; any other
+     integer text reads as a [Float]. *)
+  List.iter
+    (fun (s, want) ->
+      let got = J.of_string s in
+      if got <> want then Alcotest.failf "%s read as %s" s (J.to_string got))
+    [ ("0", J.Int 0); ("-7", J.Int (-7)); (string_of_int min_int, J.Int min_int);
+      ("007", J.Float 7.0); ("-0", J.Float (-0.0));
+      ("4611686018427387904", J.Float 4611686018427387904.0) ];
+  (match J.of_string "-0" with
+   | J.Float f when Float.sign_bit f -> ()
+   | v -> Alcotest.failf "-0 read as %s" (J.to_string v))
 
 (* --- spans + JSONL round-trip ------------------------------------------- *)
 

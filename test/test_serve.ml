@@ -128,10 +128,13 @@ let test_long_strings_bounded () =
               long,
             "unknown dtype" ) ])
 
-(* Every reply echoes the request [id], so only a number, null or a
-   string of at most 256 bytes is accepted. Any other [id] gets a short
-   error reply that names the field and carries a null [id]; bounded
-   ids still echo verbatim, error replies included. *)
+(* Every reply echoes the request [id], so only an integer in OCaml's
+   range, null or a string of at most 256 bytes is accepted. Any other
+   [id] gets a short error reply that names the field and carries a
+   null [id]: numbers that the reader keeps as floats among them, since
+   they would not print back as sent (1e+20, 4.6116860184273879e+18,
+   "inf", 1.5, -0.0, 7.0). Accepted ids echo verbatim, error replies
+   included. *)
 let test_id_bounded () =
   with_server (fun srv _ ->
       let long = String.make 100_000 'x' in
@@ -151,7 +154,13 @@ let test_id_bounded () =
           Printf.sprintf {|{"op":"ping","id":"%s"}|} (String.make 257 'y');
           {|{"op":"ping","id":{"nested":1}}|};
           {|{"op":"ping","id":[1,2]}|};
-          {|{"op":"ping","id":true}|} ];
+          {|{"op":"ping","id":true}|};
+          {|{"op":"ping","id":99999999999999999999}|};
+          {|{"op":"ping","id":4611686018427387904}|};
+          {|{"op":"ping","id":1e999}|};
+          {|{"op":"ping","id":1.5}|};
+          {|{"op":"ping","id":-0}|};
+          {|{"op":"ping","id":007}|} ];
       let at_bound = Printf.sprintf "%S" (String.make 256 'z') in
       List.iter
         (fun (op, id) ->
@@ -161,6 +170,7 @@ let test_id_bounded () =
           Alcotest.(check string) (op ^ " echoes id " ^ id) id
             (J.to_string (field response "id")))
         [ ("ping", "42"); ("ping", "-7"); ("ping", {|"req-1"|});
+          ("ping", string_of_int max_int); ("ping", string_of_int min_int);
           ("ping", "null"); ("ping", at_bound); ("teleport", "42");
           ("teleport", {|"req-2"|}) ])
 
@@ -185,9 +195,11 @@ let stats_cache_entries srv =
   | Some (J.Int n) -> n
   | _ -> Alcotest.fail "stats lacks cache.entries"
 
-(* Dimensions below 1, a stride below 1 and a negative pad are refused
+(* Dimensions below 1, a stride below 1, a negative pad, any of them
+   above 2^31 - 1, and a CONV whose implicit-GEMM extents pass that
+   bound (even where their product overflows an OCaml int) are refused
    at the wire with an error naming the field, so no plan for an empty
-   problem is served or cached. *)
+   or overflowing problem is served or cached. *)
 let test_out_of_range_dims () =
   with_server (fun srv _ ->
       List.iter
@@ -197,11 +209,40 @@ let test_out_of_range_dims () =
             Alcotest.failf "error %S does not name %S" msg name)
         [ ({|{"op":"gemm","m":0,"n":64,"k":256}|}, "m");
           ({|{"op":"gemm","m":-5,"n":64,"k":256}|}, "m");
+          ({|{"op":"gemm","m":2147483648,"n":64,"k":256}|}, "m");
+          ({|{"op":"gemm","m":64,"n":4611686018427387903,"k":256}|}, "n");
+          ({|{"op":"gemm","m":64,"n":64,"k":2147483648}|}, "k");
+          ( {|{"op":"gemm","m":4611686018427387903,"n":4611686018427387903,"k":4611686018427387903}|},
+            "m" );
+          ( {|{"op":"conv","n":2147483647,"c":8,"k":8,"p":2147483647,"q":2147483647,"r":3,"s":3}|},
+            "q" );
+          ( {|{"op":"conv","n":1,"c":65536,"k":8,"p":4,"q":4,"r":65536,"s":1}|},
+            "r" );
+          ( {|{"op":"conv","n":1,"c":8,"k":2147483648,"p":4,"q":4,"r":3,"s":3}|},
+            "k" );
+          ( {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"stride":2147483648}|},
+            "stride" );
           ( {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"stride":0}|},
             "stride" );
           ({|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"pad":-1}|}, "pad")
         ];
       Alcotest.(check int) "nothing cached" 0 (stats_cache_entries srv))
+
+(* The largest dimensions served still plan: m = n = k = 2^31 - 1 gets
+   a plan whose measured speed is positive and within the device's
+   peak. *)
+let test_largest_dims () =
+  with_server (fun srv _ ->
+      let r =
+        handle_line srv {|{"op":"gemm","m":2147483647,"n":2147483647,"k":2147483647}|}
+      in
+      expect_ok r;
+      let peak = Gpu.Device.peak_tflops (Serve.device srv) Ptx.Types.F32 ~vectorized:false in
+      match Option.bind (J.member "tflops" (field r "plan")) J.to_float with
+      | Some t when t > 0.0 && t <= peak -> ()
+      | t ->
+        Alcotest.failf "tflops %s outside (0, %g]"
+          (Option.fold ~none:"missing" ~some:string_of_float t) peak)
 
 let test_stats () =
   with_server (fun srv _ ->
@@ -273,6 +314,7 @@ let () =
          slow "request id bounded" test_id_bounded;
          slow "bad search cap names the knob" test_bad_search_cap;
          slow "out-of-range dimensions name the field" test_out_of_range_dims;
+         slow "largest dimensions still plan" test_largest_dims;
          slow "stats endpoint" test_stats;
          slow "shutdown verdict" test_shutdown_verdict ]);
       ("hot reload",
