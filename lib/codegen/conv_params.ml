@@ -25,19 +25,32 @@ let check_product names x y z =
     invalid_arg
       (Printf.sprintf "Conv_params.input: %s is above %d" names Gemm_params.max_dim)
 
-let input ?(dtype = Ptx.Types.F32) ?(stride = 1) ?(pad = 0) ~n ~c ~k ~p ~q ~r ~s () =
-  assert (stride >= 1 && pad >= 0);
-  check_dim "n" n; check_dim "c" c; check_dim "k" k; check_dim "p" p;
-  check_dim "q" q; check_dim "r" r; check_dim "s" s;
-  check_dim "stride" stride; check_dim "pad" pad;
-  check_product {|"n" * "p" * "q"|} n p q;
-  check_product {|"c" * "r" * "s"|} c r s;
-  { n; c; k; p; q; r; s; stride; pad; dtype }
+let check_min name v min =
+  if v < min then
+    invalid_arg (Printf.sprintf "Conv_params.input: %S = %d is below %d" name v min)
 
 (* Input spatial extents, from the output size, filter, stride and
    padding: H = (P-1)*stride + R - 2*pad. *)
 let h i = ((i.p - 1) * i.stride) + i.r - (2 * i.pad)
 let w i = ((i.q - 1) * i.stride) + i.s - (2 * i.pad)
+
+let input ?(dtype = Ptx.Types.F32) ?(stride = 1) ?(pad = 0) ~n ~c ~k ~p ~q ~r ~s () =
+  check_min "stride" stride 1;
+  check_min "pad" pad 0;
+  check_dim "n" n; check_dim "c" c; check_dim "k" k; check_dim "p" p;
+  check_dim "q" q; check_dim "r" r; check_dim "s" s;
+  check_dim "stride" stride; check_dim "pad" pad;
+  check_product {|"n" * "p" * "q"|} n p q;
+  check_product {|"c" * "r" * "s"|} c r s;
+  let i = { n; c; k; p; q; r; s; stride; pad; dtype } in
+  (* Every field is at most [max_dim] by now, so neither extent
+     overflows. A pad that leaves no input row or column has nothing
+     to convolve. *)
+  if h i < 1 || w i < 1 then
+    invalid_arg
+      (Printf.sprintf "Conv_params.input: %S = %d leaves a %d x %d input" "pad"
+         pad (h i) (w i));
+  i
 
 (* Extents of the zero-padded image the kernel actually gathers from. *)
 let h_padded i = h i + (2 * i.pad)

@@ -38,9 +38,12 @@ val input :
   ?stride:int ->
   ?pad:int ->
   n:int -> c:int -> k:int -> p:int -> q:int -> r:int -> s:int -> unit -> input
-(** Raises [Invalid_argument] naming the first field above
+(** Raises [Invalid_argument] naming the field when [stride] is below 1
+    or [pad] below 0, naming the first field above
     {!Gemm_params.max_dim}, or the factors of an implicit-GEMM extent,
-    n·p·q or c·r·s, whose product is (checked without overflow). *)
+    n·p·q or c·r·s, whose product is (checked without overflow), and
+    naming ["pad"] when the input it leaves, {!h} × {!w}, is empty
+    (either extent below 1). *)
 
 val h : input -> int
 (** Input height: (P−1)·stride + R − 2·pad. *)

@@ -1,4 +1,4 @@
-module Plan_cache = Plan_cache
+module Plan_cache = Tuner.Plan_cache
 module GP = Codegen.Gemm_params
 module CP = Codegen.Conv_params
 
@@ -19,6 +19,9 @@ type t = {
      [rng], merely loading a plan cache would perturb every subsequent
      [plan_*] search, making planning results depend on load order. *)
   load_rng : Util.Rng.t;
+  (* The search's legality-class memo, shared by both ops: a CONV's
+     class is its implicit GEMM's. *)
+  planner : Tuner.Search.planner;
   (* Sharded, coalescing, LRU-bounded caches (entry timestamps live
      inside, so serving telemetry can histogram the age of plans being
      served for stale-cache detection). *)
@@ -74,6 +77,7 @@ let of_profile ?cache_entries device (profile : Tuner.Profile.t) =
   { profile; device;
     rng = Util.Rng.create 0x15aac;
     load_rng = Util.Rng.create 0x10ad5;
+    planner = Tuner.Search.planner ();
     gemm_cache = Plan_cache.create ?max_entries:cache_entries ();
     conv_cache = Plan_cache.create ?max_entries:cache_entries () }
 
@@ -187,13 +191,13 @@ let plan_with_status t cache ~op ~search ~generate i =
 
 let plan_gemm_with_status t (i : GP.input) =
   plan_with_status t t.gemm_cache ~op:"gemm" ~generate:Codegen.Gemm.generate i
-    ~search:(fun rng -> Tuner.Search.exhaustive_gemm rng)
+    ~search:(fun rng -> Tuner.Search.exhaustive_gemm ~planner:t.planner rng)
 
 let plan_gemm t i = fst (plan_gemm_with_status t i)
 
 let plan_conv_with_status t (i : CP.input) =
   plan_with_status t t.conv_cache ~op:"conv" ~generate:Codegen.Conv.generate i
-    ~search:(fun rng -> Tuner.Search.exhaustive_conv rng)
+    ~search:(fun rng -> Tuner.Search.exhaustive_conv ~planner:t.planner rng)
 
 let plan_conv t i = fst (plan_conv_with_status t i)
 

@@ -21,16 +21,21 @@
       let c = Isaac.gemm engine input ~a ~b
     ]} *)
 
-module Plan_cache = Plan_cache
+module Plan_cache = Tuner.Plan_cache
 (** The sharded, coalescing, LRU-bounded cache the engine serves plans
     from — re-exported so servers and tests can reach its {!Plan_cache.stats}
     and {!Plan_cache.outcome} types. *)
 
 type t
 (** A tuned engine: device + trained profile + kernel-plan caches (one
-    per op). Safe to share across domains: plan lookups are lock-free,
+    per op) + the search's {!Tuner.Search.planner}, which memoizes each
+    legality class's legal set and scored rows, so a cold input whose
+    class the engine has already planned skips enumeration. Safe to
+    share across domains: plan lookups and class lookups are lock-free,
     concurrent misses on the same input coalesce onto one planning run,
-    and the planning path itself has no shared mutable state. *)
+    and concurrent misses on one class onto one walk; memo entries are
+    immutable once published, and a plan never depends on what the memo
+    held before. *)
 
 (** The outcome of runtime inference for one input. *)
 type plan = {
@@ -85,7 +90,11 @@ val of_profile : ?cache_entries:int -> Gpu.Device.t -> Tuner.Profile.t -> t
     each per-op plan cache (LRU eviction beyond it; unbounded by
     default — library users typically plan a handful of shapes, while
     the serving daemon can pass a budget). Evictions count as
-    [plan.evictions] in {!Obs.Telemetry}. *)
+    [plan.evictions] in {!Obs.Telemetry}. The engine starts with an
+    empty legality-class memo, so a profile reload (a new engine) starts
+    cold; the memo is not bounded by [cache_entries] but by its keys, at
+    most 3 dtypes × 25 K-split classes per scoring cap, each at most
+    4 bytes × cap (≈ 18 MB in all at the default cap). *)
 
 val profile : t -> Tuner.Profile.t
 val device : t -> Gpu.Device.t
@@ -94,7 +103,8 @@ val plan_gemm : t -> Codegen.Gemm_params.input -> plan option
 (** Runtime inference for a GEMM input. Results are cached per input, so
     repeated calls are free (the paper's filesystem cache). The search
     runs {!Tuner.Search.exhaustive_gemm} with its defaults, including
-    the paper's top-100 re-benchmark.
+    the paper's top-100 re-benchmark, and the engine's planner, so a
+    miss whose legality class the engine has seen skips the walk.
 
     Concurrency-safe: lookups are lock-free, and N domains racing a
     cold input trigger exactly one search (the rest park on it and

@@ -21,22 +21,32 @@
    ascending-k single-accumulator dot product, then [+ bias], then
    [if v < 0 then 0 else v] on hidden layers, exactly as the OCaml
    reference Network.predict computes it, so the results are
-   bit-identical to that reference at every width. Two things make it
-   fast without touching the contract:
+   bit-identical to that reference at every width. Three things make
+   it fast without touching the contract:
 
-   - Output neurons are SIMD lanes. The weights are transposed once per
-     call, so the weights of input k for all outputs of a layer are
-     contiguous; each lane accumulates one output neuron in ascending k,
-     and BLOCK vectors of independent accumulators are in flight at
-     once. Rows never share an accumulator, and the width only decides
-     which neurons share a vector.
-   - Exact-zero inputs are skipped (relu zeroes about half of all hidden
-     activations). The accumulator starts at +0.0, and in
-     round-to-nearest a sum is -0.0 only when both operands are, so it
-     never becomes -0.0 and adding 0*w = +-0 leaves it unchanged. That
-     fails only when 0*w is NaN, i.e. when w is infinite or NaN, so a
-     layer skips zeros only when every one of its weights is finite. The
-     check runs on every call because training updates weights in place.
+   - Output neurons are SIMD lanes in the hidden layers. The weights are
+     transposed once per call, so the weights of input k for all
+     outputs of a layer are contiguous; each lane accumulates one output
+     neuron in ascending k, and BLOCK vectors of independent
+     accumulators are in flight at once. Rows never share an
+     accumulator, and the width only decides which neurons share a
+     vector.
+   - Rows are SIMD lanes in the output layer, which has one output (the
+     stub rejects any other width): one neuron would leave all lanes
+     but one idle in a serial add chain, so LANES rows run the hidden
+     layers one by one, their last hidden activations are gathered one
+     row per lane, and each lane accumulates its row's output in
+     ascending k, every input added, then adds the bias. A partly
+     filled last group computes on zeros in its spare lanes and stores
+     only its own rows.
+   - Exact-zero inputs are skipped in the hidden layers (relu zeroes
+     about half of all hidden activations). The accumulator starts at
+     +0.0, and in round-to-nearest a sum is -0.0 only when both operands
+     are, so it never becomes -0.0 and adding 0*w = +-0 leaves it
+     unchanged. That fails only when 0*w is NaN, i.e. when w is infinite
+     or NaN, so a layer skips zeros only when every one of its weights
+     is finite. The check runs on every call because training updates
+     weights in place. The row-lane output layer skips nothing.
 
    Float contract of the training step: per element, the arithmetic and
    its order are those of the OCaml reference Network.train_batch_ref,
@@ -146,8 +156,9 @@ static long *copy_widths(value v_widths)
 }
 
 /* forward(lanes, widths, params, input, rows, output): [input] holds
-   [rows] rows of widths.(0) features; [output] receives [rows] rows of
-   the last layer's widths.(n-1) outputs. */
+   [rows] rows of widths.(0) features; [output] receives the [rows]
+   outputs of the one-output last layer (widths.(n-1) = 1, as every
+   network Network.create builds and every profile loads). */
 value isaac_mlp_forward_batch(value v_lanes, value v_widths, value v_params,
                               value v_input, value v_rows, value v_output)
 {
@@ -167,10 +178,11 @@ value isaac_mlp_forward_batch(value v_lanes, value v_widths, value v_params,
     params_len += k_n * j_n + j_n;
   }
   const long in_w = Long_val(Field(v_widths, 0));
-  const long out_w = Long_val(Field(v_widths, nlayers));
+  if (Long_val(Field(v_widths, nlayers)) != 1)
+    caml_invalid_argument("Network.forward_batch: output width");
   if (Caml_ba_array_val(v_params)->dim[0] != params_len
       || Caml_ba_array_val(v_input)->dim[0] < rows * in_w
-      || Caml_ba_array_val(v_output)->dim[0] < rows * out_w)
+      || Caml_ba_array_val(v_output)->dim[0] < rows)
     caml_invalid_argument("Network.forward_batch: operand size");
 
   long *widths = copy_widths(v_widths);
@@ -201,8 +213,8 @@ value isaac_mlp_forward_batch_byte(value *argv, int argn)
 
    Every per-element order is the OCaml reference's
    (Network.train_batch_ref):
-   - forward: the inference kernel above, whose outputs are bit-equal
-     to the reference's, activations of every layer kept;
+   - forward: every layer one row at a time, as the inference
+     kernel's hidden layers run, activations of every layer kept;
    - output delta: 2 (out - y) / rows; the loss sums (out - y)^2 over
      rows ascending;
    - weight gradients: rows ascending, skipping rows whose delta is

@@ -6,11 +6,12 @@
    (vec_4, forward_rows_4, ...), so the copies link side by side; the
    #undefs at the end release the short names for the next copy.
 
-   A lane is one output neuron in the forward pass and one independent
-   gradient element or parameter in the backward pass and Adam, so the
-   width changes which elements are computed together, never any
-   element's arithmetic: every copy is bit-identical to the OCaml
-   references (see forward_stubs.c). */
+   A lane is one output neuron in the forward pass's hidden layers, one
+   row in its one-output output layer (LANES rows per vector), and one
+   independent gradient element or parameter in the backward pass and
+   Adam, so the width changes which elements are computed together,
+   never any element's arithmetic: every copy is bit-identical to the
+   OCaml references (see forward_stubs.c). */
 
 #define K_(name, lanes) name##_##lanes
 #define K(name, lanes) K_(name, lanes)
@@ -21,6 +22,7 @@
 #define dot_block K(dot_block, LANES)
 #define dot_rows K(dot_rows, LANES)
 #define layer_row K(layer_row, LANES)
+#define output_rows K(output_rows, LANES)
 #define pack_layers K(pack_layers, LANES)
 #define forward_rows K(forward_rows, LANES)
 #define train_step K(train_step, LANES)
@@ -108,6 +110,22 @@ static void layer_row(const struct layer *l, const double *in, int relu,
   dot_rows(nvec, wrow, xs, n, l->bias, relu, out);
 }
 
+/* The output layer of a network with one output, for LANES rows at
+   once: lane l of cols[k] is input k of row l, and lane l of the
+   result is row l's output. Each lane is the sum over k ascending of
+   its input times weight k, from +0.0, then + bias, with no input
+   skipped: the arithmetic Network.predict does for that row. The
+   layer's one output vector (nvec = 1) holds weight k in lane 0 of
+   w[k]. */
+static inline __attribute__((always_inline)) vec
+output_rows(const struct layer *l, const vec *cols)
+{
+  const double *w = (const double *)l->w;
+  vec acc = { 0.0 };
+  for (long k = 0; k < l->fan_in; k++) acc += cols[k] * BROADCAST(w[k * LANES]);
+  return acc + BROADCAST(((const double *)l->bias)[0]);
+}
+
 /* Transpose and lane-pad every layer's weights and bias from [params]
    (per layer: fan_out x fan_in row-major weights, then fan_out biases)
    into [dst], and record which layers may skip zero inputs. */
@@ -133,8 +151,14 @@ static void pack_layers(struct layer *ls, long nlayers, const double *params,
 }
 
 /* Inference: [input] holds [rows] rows of widths[0] features; [output]
-   receives [rows] rows of widths[nlayers] outputs. Returns 0, or -1
-   when out of memory. */
+   receives the [rows] outputs of a network whose output layer has one
+   output (widths[nlayers] = 1). Returns 0, or -1 when out of memory.
+
+   The output layer runs LANES rows at a time (output_rows): each row
+   of a group runs the hidden layers alone, and its last hidden
+   activations (its input row, with no hidden layer) are stored into
+   lane l of cols; lanes past the last row read zeros and are never
+   stored back. */
 static int forward_rows(const long *widths, long nlayers, const double *params,
                         const double *input, long rows, double *output)
 {
@@ -145,13 +169,15 @@ static int forward_rows(const long *widths, long nlayers, const double *params,
     if (widths[i] > max_in) max_in = widths[i];
     if (nvec > max_vec) max_vec = nvec;
   }
-  const long in_w = widths[0], out_w = widths[nlayers];
+  const long in_w = widths[0], last_in = widths[nlayers - 1];
 
   struct layer *ls = malloc(nlayers * sizeof *ls);
-  /* Transposed weights, then two activation buffers and the kept
-     inputs of the current row. */
+  /* Transposed weights, then two activation buffers, the kept inputs
+     of the current row and the output layer's inputs of one group of
+     rows. */
   const long xs_vecs = (max_in + LANES - 1) / LANES;
-  vec *wt = aligned_alloc(sizeof(vec), (wt_vecs + 2 * max_vec + xs_vecs) * sizeof(vec));
+  vec *wt = aligned_alloc(sizeof(vec),
+                          (wt_vecs + 2 * max_vec + xs_vecs + last_in) * sizeof(vec));
   const vec **wrow = malloc(max_in * sizeof *wrow);
   if (ls == NULL || wt == NULL || wrow == NULL) {
     free(ls); free(wt); free(wrow);
@@ -164,27 +190,39 @@ static int forward_rows(const long *widths, long nlayers, const double *params,
   }
   vec *act[2] = { wt + wt_vecs, wt + wt_vecs + max_vec };
   double *xs = (double *)(wt + wt_vecs + 2 * max_vec);
+  vec *cols = wt + wt_vecs + 2 * max_vec + xs_vecs;
 
   pack_layers(ls, nlayers, params, wt);
-  for (long r = 0; r < rows; r++) {
-    const double *in = input + r * in_w;
-    for (long i = 0; i < nlayers; i++) {
-      layer_row(&ls[i], in, i < nlayers - 1, wrow, xs, act[i & 1]);
-      in = (const double *)act[i & 1];
+  for (long r0 = 0; r0 < rows; r0 += LANES) {
+    const long nr = rows - r0 < LANES ? rows - r0 : LANES;
+    for (long l = 0; l < LANES; l++) {
+      double *col = (double *)cols + l;
+      if (l < nr) {
+        const double *in = input + (r0 + l) * in_w;
+        for (long i = 0; i < nlayers - 1; i++) {
+          layer_row(&ls[i], in, 1, wrow, xs, act[i & 1]);
+          in = (const double *)act[i & 1];
+        }
+        for (long k = 0; k < last_in; k++) col[k * LANES] = in[k];
+      } else {
+        for (long k = 0; k < last_in; k++) col[k * LANES] = 0.0;
+      }
     }
-    for (long j = 0; j < out_w; j++) output[r * out_w + j] = in[j];
+    const vec y = output_rows(&ls[nlayers - 1], cols);
+    for (long l = 0; l < nr; l++) output[r0 + l] = y[l];
   }
   free(ls); free(wt); free(wrow);
   return 0;
 }
 
-/* Training. The forward pass above runs unchanged and keeps every
-   layer's activations; the backward pass reuses dot_rows without bias
-   or relu: each gradient element is a sum of products accumulated in
-   one SIMD lane, from +0.0, over a list of kept terms in a fixed
-   order. Activations and deltas are stored in rows of lane-padded
-   vectors, so every product reads aligned vectors; pad lanes are never
-   read back. */
+/* Training. The forward pass runs one row at a time through every
+   layer (layer_row) and keeps each layer's activations; its outputs
+   equal forward_rows' bit for bit, as both equal the OCaml reference.
+   The backward pass reuses dot_rows without bias or relu: each
+   gradient element is a sum of products accumulated in one SIMD lane,
+   from +0.0, over a list of kept terms in a fixed order. Activations
+   and deltas are stored in rows of lane-padded vectors, so every
+   product reads aligned vectors; pad lanes are never read back. */
 
 /* Width i of the network, input first: its lane-padded vector count,
    its activations (rows x nv vectors) and, for hidden widths, layer i's
@@ -365,6 +403,7 @@ static int train_step(const long *widths, long nlayers, double *params,
 #undef dot_block
 #undef dot_rows
 #undef layer_row
+#undef output_rows
 #undef pack_layers
 #undef forward_rows
 #undef train_step

@@ -48,27 +48,31 @@ val predict_one : t -> float array -> float
 
 val forward_batch : t -> input:Matrix.t -> Matrix.t
 (** Batched forward pass: [input] is (batch × inputs), one feature
-    vector per row; the result is (batch × outputs), one row of network
-    outputs per input row. This is the planning hot path that scores
+    vector per row; the result is (batch × 1), the network's one output
+    per input row. This is the planning hot path that scores
     tens of thousands of candidate configurations per query
     ({!Tuner.Search}). The kernel is C and reads the network's parameter
-    vector in place: output neurons are the lanes of SIMD vectors of
-    {!lanes} doubles over weights transposed once per call, exact-zero
-    inputs are skipped when every weight of the layer is finite, and
-    the OCaml runtime lock is released while it runs, so other domains
-    keep collecting. It is reentrant: domains may run it on disjoint
-    {!Matrix.sub_rows} views at once.
+    vector in place: in the hidden layers, output neurons are the lanes
+    of SIMD vectors of {!lanes} doubles over weights transposed once
+    per call, and exact-zero inputs are skipped when every weight of
+    the layer is finite; the output layer, which has one output, runs
+    {!lanes} rows per vector instead, one row per lane, adding every
+    input. The OCaml runtime lock is released while it
+    runs, so other domains keep collecting. It is reentrant: domains
+    may run it on disjoint {!Matrix.sub_rows} views at once.
 
     Float contract: per element the arithmetic (ascending-[k]
     single-accumulator dot product, then bias add, then relu) is
     identical to {!predict}'s, so outputs are bit-equal to it on the
-    same rows, for any batch size and any input values,
-    zeros of either sign included, at every vector width. The
+    same rows, for any batch size (a partly filled last group of rows
+    included) and any input values, zeros of either sign and NaN
+    included, at every vector width. The
     differential tests in [test/test_mlp.ml] assert exact equality at
     every width the CPU supports ({!forward_batch_at}).
 
     Raises [Invalid_argument] if [input]'s width is not the network's
-    input width. *)
+    input width, or if the network's output width is not 1 (only
+    {!load_from} can give such a network; {!create} builds none). *)
 
 val predict_matrix : t -> Matrix.t -> float array
 (** {!forward_batch} with the (batch × 1) result flattened to one

@@ -23,7 +23,6 @@ let table1 : t =
   Array.map (fun p -> { p with values = pow2_16 }) gemm
 
 let size t = Array.fold_left (fun acc p -> acc * Array.length p.values) 1 t
-let num_params t = Array.length t
 
 let value_index p v =
   let rec go i =

@@ -24,8 +24,6 @@ val table1 : t
 val size : t -> int
 (** Cardinality of the full cartesian grid. *)
 
-val num_params : t -> int
-
 val value_index : param -> int -> int
 (** Position of a value inside a parameter's candidate list.
     Raises [Not_found] for foreign values. *)

@@ -1,4 +1,5 @@
 let dim = 16
+let input_dim = 6
 let schedule_dim = dim + 3
 
 let log2 x = Float.log x /. Float.log 2.0
@@ -72,24 +73,23 @@ let conv_query ~log (i : Codegen.Conv_params.input) =
          tr log (i.r * i.s); 0.0 |];
     q_log = log }
 
-let fill_packed q packed ~slot (x : Mlp.Matrix.t) ~row =
-  let o = slot * 10 in
-  assert (slot >= 0 && o + 10 <= Array.length packed);
+let static_slots q = Array.copy q.prefix
+
+let tuning_slot ~log v = tr log v
+
+let fill_query q config (x : Mlp.Matrix.t) ~row =
+  assert (Array.length config = 10);
   assert (x.Mlp.Matrix.cols = dim);
   assert (row >= 0 && row < x.Mlp.Matrix.rows);
   let d = x.Mlp.Matrix.data in
   let base = row * dim in
-  for j = 0 to 5 do
+  for j = 0 to input_dim - 1 do
     Bigarray.Array1.unsafe_set d (base + j) (Array.unsafe_get q.prefix j)
   done;
   for j = 0 to 9 do
-    Bigarray.Array1.unsafe_set d (base + 6 + j)
-      (tr_memo q.q_log (Array.unsafe_get packed (o + j)))
+    Bigarray.Array1.unsafe_set d (base + input_dim + j)
+      (tr_memo q.q_log (Array.unsafe_get config j))
   done
-
-let fill_query q config x ~row =
-  assert (Array.length config = 10);
-  fill_packed q config ~slot:0 x ~row
 
 let query_features q config =
   let x = Mlp.Matrix.create 1 dim in

@@ -15,6 +15,10 @@
 val dim : int
 (** Number of paper features, 16. *)
 
+val input_dim : int
+(** Number of input-parameter slots, 6: feature columns 0–5. The ten
+    tuning slots follow, tuning parameter [j] in column [input_dim + j]. *)
+
 val schedule_dim : int
 (** Number of features in the [~schedule:true] extended mode, 19: the 16
     paper features plus three static-schedule features from
@@ -45,11 +49,13 @@ val conv_features :
 type query
 (** Featurization cache for one planning query: the six static input
     slots (shapes, data-type size, layout flags — identical for every
-    candidate configuration of that query) precomputed once, so scoring
-    a lattice of thousands of candidates recomputes only the ten tuning
-    slots per row, each a memoized-log2 table lookup. Values are
-    bit-identical to the uncached {!gemm_features}/{!conv_features}
-    (asserted by the differential tests). *)
+    candidate configuration of that query) precomputed once, so a row
+    recomputes only the ten tuning slots, each a memoized-log2 table
+    lookup. Values are bit-identical to the uncached
+    {!gemm_features}/{!conv_features} (asserted by the differential
+    tests). {!Search} reads a query's static slots
+    ({!static_slots}) and scores rows from tables of standardized
+    {!tuning_slot} values instead of filling rows one by one. *)
 
 val gemm_query : log:bool -> Codegen.Gemm_params.input -> query
 (** Precompute the static feature slots of a GEMM input. *)
@@ -58,17 +64,21 @@ val conv_query : log:bool -> Codegen.Conv_params.input -> query
 (** Precompute the static slots of a convolution's implicit-GEMM view
     (R·S folded into the layout-flag slot, as in {!conv_features}). *)
 
+val static_slots : query -> float array
+(** A copy of the query's six static slots, feature columns 0 to
+    {!input_dim} − 1, as {!gemm_features}/{!conv_features} compute
+    them. *)
+
+val tuning_slot : log:bool -> int -> float
+(** The feature value of one tuning parameter's value [v]: log2 of [v]
+    under [log], [v] itself without. Tuning parameter [j] of a
+    configuration is feature column {!input_dim} [+ j]. *)
+
 val fill_query : query -> int array -> Mlp.Matrix.t -> row:int -> unit
 (** [fill_query q config x ~row] writes the {!dim}-wide feature vector
     of [config] (a flat 10-slot tuning configuration) into row [row] of
-    the batch matrix [x] — the write side of the batched scoring path.
+    the batch matrix [x], un-standardized, for {!Profile.predict_std_matrix}.
     [x] must have {!dim} columns. *)
-
-val fill_packed :
-  query -> int array -> slot:int -> Mlp.Matrix.t -> row:int -> unit
-(** [fill_packed q packed ~slot x ~row] is {!fill_query} of the
-    configuration stored at ints [10 * slot] to [10 * slot + 9] of a
-    flat buffer of packed configurations, read in place. *)
 
 val query_features : query -> int array -> float array
 (** One row through {!fill_query}, returned as a plain array (tests and

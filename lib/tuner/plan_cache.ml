@@ -3,7 +3,9 @@
    Replaces the bare Hashtbls previously embedded in Isaac.t, which
    were unsynchronized: two domains calling plan_gemm concurrently
    could corrupt the table mid-resize or both run the (expensive)
-   search for the same input.
+   search for the same input. The search's legality-class memo
+   (Search.planner) uses it too, which is why it lives in the tuner
+   library.
 
    Design:
 

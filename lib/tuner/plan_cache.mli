@@ -1,7 +1,10 @@
 (** Sharded, coalescing, LRU-bounded cache for kernel plans.
 
-    The concurrency substrate of {!Isaac}'s plan cache and the
-    [isaac_serve] daemon. Three properties matter to its users:
+    The concurrency substrate of the [Isaac] engine's plan caches, the
+    [isaac_serve] daemon, and {!Search}'s legality-class memo. It lives
+    in the tuner library so that the search can memoize with it;
+    [Isaac] re-exports it as [Isaac.Plan_cache]. Three properties
+    matter to its users:
 
     - {b Lock-free reads.} Keys hash onto 16 shards; each shard
       publishes an immutable snapshot of its table through an

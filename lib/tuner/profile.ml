@@ -31,7 +31,12 @@ let fit_feature_scaler (x : Mlp.Matrix.t) =
   Array.iteri (fun j v -> std.(j) <- Float.max 1e-6 (sqrt (v /. float_of_int n))) std;
   (mean, std)
 
-(* (x - mean) / std per feature, in place. Walks rows in storage order
+(* Feature [j]'s value [v], z-scored: the one expression both
+   [standardize] and [standardize_feature] apply, so a value
+   standardized alone equals the one [standardize] leaves in a matrix. *)
+let[@inline] zscore ~feat_mean ~feat_std j v = (v -. feat_mean.(j)) /. feat_std.(j)
+
+(* [zscore] per feature, in place. Walks rows in storage order
    (row-major) so the pass is a single sequential sweep. *)
 let standardize ~feat_mean ~feat_std (x : Mlp.Matrix.t) =
   let d = x.cols and n = x.rows in
@@ -41,10 +46,12 @@ let standardize ~feat_mean ~feat_std (x : Mlp.Matrix.t) =
     let base = i * d in
     for j = 0 to d - 1 do
       Bigarray.Array1.unsafe_set data (base + j)
-        ((Bigarray.Array1.unsafe_get data (base + j) -. Array.unsafe_get feat_mean j)
-         /. Array.unsafe_get feat_std j)
+        (zscore ~feat_mean ~feat_std j (Bigarray.Array1.unsafe_get data (base + j)))
     done
   done
+
+let standardize_feature t j v =
+  zscore ~feat_mean:t.feat_mean ~feat_std:t.feat_std j v
 
 let features_of t (ds : Dataset.t) =
   if t.log_features then ds.features_log else ds.features_raw

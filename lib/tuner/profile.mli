@@ -42,7 +42,16 @@ val predict_std_one : t -> float array -> float
 (** One feature vector through feature standardization and the
     network's pure-OCaml forward pass ({!Mlp.Network.predict}), in the
     standardized log-target space: the reference that
-    {!predict_std_matrix}, and so {!Search}'s scoring, must match. *)
+    {!predict_std_matrix}, and {!Search}'s scoring, must match. *)
+
+val standardize_feature : t -> int -> float -> float
+(** [standardize_feature t j v] is feature [j]'s value [v] standardized,
+    [(v - feat_mean.(j)) / feat_std.(j)]: the one expression
+    {!predict_std_matrix} and {!predict_std_one} also apply to every
+    element, so a value standardized here is bit-equal to theirs.
+    {!Search} builds its per-request table of standardized feature
+    values with it and scores them through
+    {!Mlp.Network.predict_matrix} directly. *)
 
 val predict_std_matrix : t -> Mlp.Matrix.t -> float array
 (** Batched counterpart of {!predict_std_one}, one un-standardized
@@ -52,8 +61,8 @@ val predict_std_matrix : t -> Mlp.Matrix.t -> float array
     before {!Mlp.Network.forward_batch} runs over it (callers fill a
     fresh matrix per query). Per row the arithmetic is identical to
     {!predict_std_one}'s, so predictions are bit-equal to it on the
-    same features; the reference planner in [test_tuner] relies on
-    this. *)
+    same features. {!mse} scores through it; the search does not (see
+    {!standardize_feature}). *)
 
 val save : t -> string -> unit
 (** Persist through {!Util.Artifact.write} (kind ["isaac-profile"]):

@@ -15,25 +15,75 @@ type result = {
   phases : (string * float) list;
 }
 
-(* Growable push into an array (the space has tens of thousands of legal
-   points; consing a list and converting later doubles the allocation).
-   Results are reversed by the enumerators so callers keep seeing the
-   reverse-grid order the historical list API always produced. *)
-let grow_push buf n cfg =
-  if !n = Array.length !buf then begin
-    let bigger = Array.make (max 1024 (2 * !n)) cfg in
-    Array.blit !buf 0 bigger 0 !n;
-    buf := bigger
-  end;
-  !buf.(!n) <- cfg;
-  incr n
+(* --- configuration codes --------------------------------------------------- *)
 
-let rev_of buf n = Array.init n (fun i -> buf.(n - 1 - i))
+(* The GEMM grid, parameter by parameter in [GP.config_of_array] order:
+   the value arrays the enumerator walks. *)
+let grid =
+  [| GP.values_ms; GP.values_ns; GP.values_ks; GP.values_ml; GP.values_nl;
+     GP.values_u; GP.values_kl; GP.values_kg; GP.values_vec; GP.values_db |]
+
+let nparams = Array.length grid
+
+(* A configuration as one int, its code: parameter [j]'s index into
+   [grid.(j)] in a bit field of [field_bits.(j)] bits at [shift.(j)],
+   [ms] lowest. The grid needs 22 bits, so a code fits the 4-byte rows
+   of a legality-class entry. *)
+let field_bits =
+  Array.map
+    (fun values ->
+      let rec bits b = if 1 lsl b >= Array.length values then b else bits (b + 1) in
+      bits 0)
+    grid
+
+let shift =
+  let s = Array.make nparams 0 in
+  for j = 1 to nparams - 1 do
+    s.(j) <- s.(j - 1) + field_bits.(j - 1)
+  done;
+  s
+
+let mask = Array.map (fun b -> (1 lsl b) - 1) field_bits
+
+let () = assert (shift.(nparams - 1) + field_bits.(nparams - 1) <= 31)
+
+let config_of_code code =
+  let v j = grid.(j).((code lsr shift.(j)) land mask.(j)) in
+  { GP.ms = v 0; ns = v 1; ks = v 2; ml = v 3; nl = v 4; u = v 5; kl = v 6;
+    kg = v 7; vec = v 8; db = v 9 }
+
+type codes = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let codes n : codes = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
 
 (* --- pruned enumeration -------------------------------------------------- *)
 
 let min_of a = Array.fold_left min a.(0) a
 let max_of a = Array.fold_left max a.(0) a
+
+(* [f i values.(i)] for every index of [values], last first. *)
+let iter_down f values =
+  for i = Array.length values - 1 downto 0 do
+    f i (Array.unsafe_get values i)
+  done
+
+(* The K-split checks [k] passes, as a bit set over the grid's (kg, u)
+   pairs: bit [ig * |values_u| + iu] is set when
+   [kg = 1 || ceil (k / kg) >= u] for [kg = values_kg.(ig)] and
+   [u = values_u.(iu)]. The walk below reads [k] only through these
+   bits. *)
+let ksplit_mask k =
+  let nu = Array.length GP.values_u in
+  let m = ref 0 in
+  Array.iteri
+    (fun ig kg ->
+      Array.iteri
+        (fun iu u ->
+          if kg = 1 || (k + kg - 1) / kg >= u then
+            m := !m lor (1 lsl ((ig * nu) + iu)))
+        GP.values_u)
+    GP.values_kg;
+  !m
 
 (* Bound-pruned enumeration of the legal GEMM lattice, specialized to
    the grid's parameter order (ms, ns, ks, ml, nl, u, kl, kg, vec, db).
@@ -69,32 +119,13 @@ let max_of a = Array.fold_left max a.(0) a
    to element-for-element equality with [legal_configs_reference]
    (which keeps the original build-the-cost-record semantics).
 
-   Leaves are stored packed — [Config_space.num_params] ints per
-   config in one flat int array, in forward grid order — so
-   enumerating ~10^5 legal points allocates one flat array instead of
-   promoting 10^5 short-lived records through the minor heap; config
-   records are materialized later, and only for the top-k candidates:
-   scoring reads each config's ten ints in place. The walk runs
-   twice — once to count, once to fill an exactly-sized buffer —
-   because the walk itself is a few percent of the cost of repeatedly
-   growing (allocate + zero + copy, each large enough to pace a major
-   GC slice) a doubling buffer in the major heap. *)
-type packed_enum = { packed : int array; count : int }
-
-(* The model-quality channel is fed by the rebench stage, where every
-   model prediction meets a real measurement. Inputs are bucketed by
-   FLOP magnitude so drift localizes to a size region rather than
-   washing out in a global average. *)
-let flops_bucket flops =
-  if not (Float.is_finite flops) || flops <= 0.0 then "na"
-  else Printf.sprintf "2^%d" (snd (Float.frexp flops) - 1)
-
-let nparams = Config_space.num_params Config_space.gemm
-
-(* One bound-pruned walk of the legal set; calls [emit] once per legal
-   configuration, in forward grid order. *)
-let walk_legal_gemm device (i : GP.input) ~emit =
-  let bytes = Ptx.Types.dtype_bytes i.dtype in
+   The input enters only through its dtype and the K-split bits of its
+   [k] ([ksplit_mask]), so inputs that agree on both have one legal set:
+   the legality class the planner memoizes. Every level runs its values
+   last first, so leaves arrive in reverse grid order, the order
+   callers see, each as its code. *)
+let walk_legal_gemm device ~dtype ~ksplit ~emit =
+  let bytes = Ptx.Types.dtype_bytes dtype in
   let shared_max = device.Gpu.Device.shared_per_block_max in
   let regs_max = device.Gpu.Device.regs_per_thread_max in
   let regs_sm = device.Gpu.Device.regs_per_sm in
@@ -102,23 +133,29 @@ let walk_legal_gemm device (i : GP.input) ~emit =
   let warp = device.Gpu.Device.warp_size in
   let min_u = min_of GP.values_u in
   let max_kl = max_of GP.values_kl in
-  let f16 = i.dtype = Ptx.Types.F16 in
+  let nu = Array.length GP.values_u in
+  let f16 = dtype = Ptx.Types.F16 in
   (* Registers per value is minimized by the vectorized-fp16 variant, so
      rv_min is a lower bound over the still-free [vec] (and exact for
      F32/F64, whose width never depends on vec). *)
   let rv_min =
-    match i.dtype with
+    match dtype with
     | Ptx.Types.F64 -> 2.0
     | Ptx.Types.F32 -> 1.0
     | Ptx.Types.F16 -> 0.5
   in
-  Array.iter (fun ms ->
-  Array.iter (fun ns ->
-  Array.iter (fun ks ->
-  Array.iter (fun ml ->
+  iter_down (fun ims ms ->
+  let c = ims lsl shift.(0) in
+  iter_down (fun ins ns ->
+  let c = c lor (ins lsl shift.(1)) in
+  iter_down (fun iks ks ->
+  let c = c lor (iks lsl shift.(2)) in
+  iter_down (fun iml ml ->
   if ml mod ms = 0 then
-  Array.iter (fun nl ->
+  let c = c lor (iml lsl shift.(3)) in
+  iter_down (fun inl nl ->
   if nl mod ns = 0 then begin
+    let c = c lor (inl lsl shift.(4)) in
     let mn = ml / ms * (nl / ns) in
     (* threads = mn * kl with kl >= 1, so mn alone already busts the
        cap; and even the largest kl cannot reach a full warp. Staging
@@ -126,11 +163,12 @@ let walk_legal_gemm device (i : GP.input) ~emit =
     if mn <= max_threads && mn * max_kl >= 32
        && (ml + nl) * min_u * bytes <= shared_max
     then
-      Array.iter (fun u ->
+      iter_down (fun iu u ->
       (* Exact staging lower bound once u is known (db >= 1). *)
       if (ml + nl) * u * bytes <= shared_max then begin
+        let c = c lor (iu lsl shift.(5)) in
         let la = ml * u and lb = nl * u in
-        Array.iter (fun kl ->
+        iter_down (fun ikl kl ->
         let threads = mn * kl in
         (* Thread-shape and K-split checks are exact from here on. *)
         if threads >= 32 && threads <= max_threads
@@ -141,6 +179,7 @@ let walk_legal_gemm device (i : GP.input) ~emit =
            && lb mod threads = 0
            && not (kl > 1 && ml * nl * bytes > shared_max)
         then begin
+          let c = c lor (ikl lsl shift.(6)) in
           let lat = la / threads and lbt = lb / threads in
           let regs_of rv =
             int_of_float
@@ -159,22 +198,25 @@ let walk_legal_gemm device (i : GP.input) ~emit =
                 r <= regs_max && r * threads <= regs_sm)
           in
           if regs_lb <= regs_max && regs_lb * threads <= regs_sm then
-            Array.iter (fun kg ->
-            (* A grid split must leave a full prefetch iteration. *)
-            if kg = 1 || (i.k + kg - 1) / kg >= u then
-              Array.iter (fun vec ->
+            iter_down (fun ikg _kg ->
+            (* A grid split must leave a full prefetch iteration: the
+               K-split bit of (kg, u). *)
+            if ksplit land (1 lsl ((ikg * nu) + iu)) <> 0 then
+              let c = c lor (ikg lsl shift.(7)) in
+              iter_down (fun ivec vec ->
               (* Staging must divide between threads in whole vectors;
                  vec also fixes fp16x2 vectorization, making the
                  register estimate exact (F32/F64 were exact above). *)
               if lat mod vec = 0 && lbt mod vec = 0
                  && ((not f16) || vec >= 2 || regs_novec_ok)
               then
-                Array.iter (fun db ->
+                let c = c lor (ivec lsl shift.(8)) in
+                iter_down (fun idb db ->
                 (* Exact staging footprint; the kl > 1 reduction
                    scratch was checked at the kl level, and
                    [shared_words] is the max of the two. *)
                 if (ml + nl) * u * db * bytes <= shared_max then
-                  emit ms ns ks ml nl u kl kg vec db)
+                  emit (c lor (idb lsl shift.(9))))
                 GP.values_db)
               GP.values_vec)
             GP.values_kg
@@ -189,41 +231,23 @@ let walk_legal_gemm device (i : GP.input) ~emit =
   GP.values_ns)
   GP.values_ms
 
-let legal_configs_fast_packed device (i : GP.input) =
-  let count = ref 0 in
-  walk_legal_gemm device i
-    ~emit:(fun _ _ _ _ _ _ _ _ _ _ -> incr count);
-  let total = !count in
-  let buf = Array.make (total * nparams) 0 in
-  let n = ref 0 in
-  walk_legal_gemm device i
-    ~emit:(fun ms ns ks ml nl u kl kg vec db ->
-      let o = !n * nparams in
-      Array.unsafe_set buf o ms;
-      Array.unsafe_set buf (o + 1) ns;
-      Array.unsafe_set buf (o + 2) ks;
-      Array.unsafe_set buf (o + 3) ml;
-      Array.unsafe_set buf (o + 4) nl;
-      Array.unsafe_set buf (o + 5) u;
-      Array.unsafe_set buf (o + 6) kl;
-      Array.unsafe_set buf (o + 7) kg;
-      Array.unsafe_set buf (o + 8) vec;
-      Array.unsafe_set buf (o + 9) db;
+(* Every legal code of a class in caller-facing order, in a buffer that
+   doubles as it fills, and how many there are. *)
+let legal_codes device ~dtype ~ksplit =
+  let buf = ref (codes 4096) and n = ref 0 in
+  walk_legal_gemm device ~dtype ~ksplit ~emit:(fun code ->
+      if !n = Bigarray.Array1.dim !buf then begin
+        let bigger = codes (2 * !n) in
+        Bigarray.Array1.blit !buf (Bigarray.Array1.sub bigger 0 !n);
+        buf := bigger
+      end;
+      Bigarray.Array1.unsafe_set !buf !n (Int32.of_int code);
       incr n);
-  { packed = buf; count = total }
-
-(* Config [j] in the caller-facing (reverse grid) order lives at packed
-   slot [count - 1 - j]. *)
-let packed_config e j =
-  let o = (e.count - 1 - j) * nparams in
-  let p = e.packed in
-  { GP.ms = p.(o); ns = p.(o + 1); ks = p.(o + 2); ml = p.(o + 3);
-    nl = p.(o + 4); u = p.(o + 5); kl = p.(o + 6); kg = p.(o + 7);
-    vec = p.(o + 8); db = p.(o + 9) }
+  (!buf, !n)
 
 let legal_gemm_config_array device (i : GP.input) =
-  let e = legal_configs_fast_packed device i in
-  Array.init e.count (packed_config e)
+  let all, n = legal_codes device ~dtype:i.dtype ~ksplit:(ksplit_mask i.k) in
+  Array.init n (fun j -> config_of_code (Int32.to_int all.{j}))
 
 (* CONV legality is GEMM legality of the implicit-GEMM view:
    [CP.structurally_legal] delegates to it, and [CP.cost] keeps the base
@@ -233,14 +257,16 @@ let legal_conv_config_array device (i : CP.input) =
 
 (* Reference enumeration: one unpruned pass over the whole space, with
    legality decided by building the full cost record — the original
-   semantics, the differential baseline for the pruned walk. *)
+   semantics, the differential baseline for the pruned walk. Results
+   are reversed so they come in the reverse grid order the walk
+   emits. *)
 let legal_configs_reference ~structurally_legal ~cost device =
-  let buf = ref [||] and n = ref 0 in
+  let legal = ref [] in
   Config_space.iter Config_space.gemm (fun arr ->
       let cfg = GP.config_of_array arr in
       if structurally_legal cfg && Gpu.Executor.legal device (cost cfg) then
-        grow_push buf n cfg);
-  rev_of !buf !n
+        legal := cfg :: !legal);
+  Array.of_list !legal
 
 let legal_gemm_config_array_ref device (i : GP.input) =
   legal_configs_reference device
@@ -251,6 +277,14 @@ let legal_conv_config_array_ref device (i : CP.input) =
   legal_configs_reference device
     ~structurally_legal:(fun c -> CP.structurally_legal i c)
     ~cost:(fun c -> CP.cost i c)
+
+(* The model-quality channel is fed by the rebench stage, where every
+   model prediction meets a real measurement. Inputs are bucketed by
+   FLOP magnitude so drift localizes to a size region rather than
+   washing out in a global average. *)
+let flops_bucket flops =
+  if not (Float.is_finite flops) || flops <= 0.0 then "na"
+  else Printf.sprintf "2^%d" (snd (Float.frexp flops) - 1)
 
 let default_cap () = Util.Env_config.int "ISAAC_SEARCH_CAP" 60_000
 
@@ -304,15 +338,88 @@ let top_k_indices ~k pred =
   end;
   heap
 
-(* The §6 pipeline, one span per phase. Scoring never materializes the
-   scored set: row [row] is config [row * stride] in caller-facing
-   order, featurized straight from its packed slot into one shared
-   feature matrix through the per-query featurization cache, then
-   standardized and forwarded as matrix-matrix work. Both fan row ranges
-   across domains; rows are independent, so the result is identical for
-   any domain count. Config records are built for the top-k rows only. *)
+(* --- legality classes ------------------------------------------------------ *)
+
+(* A legality class: the inputs one walk serves. The walk reads the
+   device, and an input only through its dtype and K-split bits, and
+   the scored rows also depend on the cap, so equal keys mean equal
+   entries. *)
+type class_key = {
+  device : Gpu.Device.t;
+  dtype : Ptx.Types.dtype;
+  ksplit : int;
+  cap : int;
+}
+
+(* A class's legal-set size and its scored rows, as codes: row [r] is
+   legal configuration [r * stride] in caller-facing order. *)
+type class_entry = { n_legal : int; rows : codes }
+
+let class_entry (key : class_key) =
+  let all, n_legal = legal_codes key.device ~dtype:key.dtype ~ksplit:key.ksplit in
+  let stride = subsample_stride ~cap:key.cap n_legal in
+  let rows = codes ((n_legal + stride - 1) / stride) in
+  for r = 0 to Bigarray.Array1.dim rows - 1 do
+    Bigarray.Array1.unsafe_set rows r (Bigarray.Array1.unsafe_get all (r * stride))
+  done;
+  { n_legal; rows }
+
+type planner = (class_key, class_entry) Plan_cache.t
+
+let planner () = Plan_cache.create ()
+
+let slot_bits = Array.fold_left max 0 field_bits
+
+(* The standardized feature value of every value of every tuning
+   parameter under [profile]: index [i] of parameter [j] at
+   [(j lsl slot_bits) lor i]. *)
+let tuning_table profile =
+  let log = profile.Profile.log_features in
+  let tuning = Array.make (nparams lsl slot_bits) 0.0 in
+  Array.iteri
+    (fun j values ->
+      Array.iteri
+        (fun i v ->
+          tuning.((j lsl slot_bits) lor i) <-
+            Profile.standardize_feature profile (Features.input_dim + j)
+              (Features.tuning_slot ~log v))
+        values)
+    grid;
+  tuning
+
+(* Rows [offset, offset + size) of the standardized feature matrix [x]:
+   the request's six standardized static slots, then for each tuning
+   parameter the [tuning_table] value its field of the row's code
+   selects. *)
+let fill_rows ~tuning ~static (rows : codes) (x : Mlp.Matrix.t) ~offset ~size =
+  let d = x.Mlp.Matrix.data in
+  for row = offset to offset + size - 1 do
+    let code = Int32.to_int (Bigarray.Array1.unsafe_get rows row) in
+    let base = row * Features.dim in
+    for j = 0 to Features.input_dim - 1 do
+      Bigarray.Array1.unsafe_set d (base + j) (Array.unsafe_get static j)
+    done;
+    for j = 0 to nparams - 1 do
+      let i = (code lsr Array.unsafe_get shift j) land Array.unsafe_get mask j in
+      Bigarray.Array1.unsafe_set d
+        (base + Features.input_dim + j)
+        (Array.unsafe_get tuning ((j lsl slot_bits) lor i))
+    done
+  done
+
+let t_class_hit = Obs.Telemetry.counter "search.class_hit"
+let t_class_miss = Obs.Telemetry.counter "search.class_miss"
+
+(* The §6 pipeline, one span per phase. Enumeration is a lookup of the
+   input's legality class in the planner's memo, which walks the
+   lattice on a miss. Scoring never materializes the scored set: row
+   [row] of the class entry is a code, featurized into one shared
+   standardized feature matrix through the profile's [tuning_table] and
+   forwarded as matrix-matrix work. Both fan row ranges across domains;
+   rows are independent, so the result is identical for any domain
+   count. Config records are built for the top-k rows only. *)
 let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
-    ?domains rng device ~profile =
+    ?domains ?planner:given rng device ~profile =
   let at_least_one what v =
     if v < 1 then
       invalid_arg
@@ -332,37 +439,55 @@ let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
     | Some d -> d
     | None -> Util.Parallel.recommended_domains ()
   in
-  let e, t_enum =
-    Obs.Span.with_dur "search.enumerate" (fun () ->
-        legal_configs_fast_packed device gemm_view)
+  let classes = match given with Some p -> p | None -> planner () in
+  let key =
+    { device; dtype = gemm_view.GP.dtype; ksplit = ksplit_mask gemm_view.GP.k;
+      cap }
   in
-  if e.count = 0 then None
+  let outcome = ref Plan_cache.Miss in
+  let e, t_enum =
+    Obs.Span.with_dur "search.enumerate"
+      ~meta:(fun () ->
+        [ ("class", Obs.Json.String (Plan_cache.outcome_name !outcome)) ])
+      (fun () ->
+        let e, o, _ =
+          Plan_cache.find_or_compute classes key (fun () -> class_entry key)
+        in
+        outcome := o;
+        e)
+  in
+  if Obs.Telemetry.enabled () then
+    Obs.Telemetry.Counter.incr
+      (match !outcome with
+       | Plan_cache.Miss -> t_class_miss
+       | Plan_cache.Hit | Plan_cache.Coalesced -> t_class_hit);
+  if e.n_legal = 0 then None
   else begin
-    let stride = subsample_stride ~cap e.count in
-    let n = (e.count + stride - 1) / stride in
+    let n = Bigarray.Array1.dim e.rows in
     (* Worker domains start with empty DLS — hand them the caller's
        request id so their spans/flight events correlate with the plan
        request that spawned them. *)
     let req = Obs.Span.current_request () in
     let x, t_feat =
       Obs.Span.with_dur "search.featurize" (fun () ->
+          let tuning = tuning_table profile in
+          let static =
+            Array.mapi (Profile.standardize_feature profile)
+              (Features.static_slots query)
+          in
           let x = Mlp.Matrix.create n Features.dim in
           let (_ : unit list) =
             Util.Parallel.run_chunks ~domains ~total:n
               (fun ~chunk:_ ~offset ~size ->
                 Obs.Span.set_request req;
-                for row = offset to offset + size - 1 do
-                  Features.fill_packed query e.packed
-                    ~slot:(e.count - 1 - (row * stride))
-                    x ~row
-                done)
+                fill_rows ~tuning ~static e.rows x ~offset ~size)
           in
           x)
     in
     let pred, t_inf =
       Obs.Span.with_dur "search.inference"
         ~meta:(fun () ->
-          [ ("n_legal", Obs.Json.Int e.count); ("n_scored", Obs.Json.Int n);
+          [ ("n_legal", Obs.Json.Int e.n_legal); ("n_scored", Obs.Json.Int n);
             ("domains", Obs.Json.Int domains);
             ("lanes", Obs.Json.Int Mlp.Network.lanes) ])
         (fun () ->
@@ -370,7 +495,7 @@ let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
             Util.Parallel.run_chunks ~domains ~total:n
               (fun ~chunk:_ ~offset ~size ->
                 Obs.Span.set_request req;
-                Profile.predict_std_matrix profile
+                Mlp.Network.predict_matrix profile.Profile.net
                   (Mlp.Matrix.sub_rows x ~off:offset ~len:size))
           with
           | [ pred ] -> pred
@@ -380,7 +505,7 @@ let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
       Obs.Span.with_dur "search.argmax" (fun () ->
           Array.map
             (fun row ->
-              { config = packed_config e (row * stride);
+              { config = config_of_code (Int32.to_int e.rows.{row});
                 predicted_tflops =
                   Features.untarget profile.Profile.scaler pred.(row) })
             (top_k_indices ~k:top_k pred))
@@ -426,7 +551,7 @@ let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
         { best = cfg;
           best_measurement = m;
           candidates;
-          n_legal = e.count;
+          n_legal = e.n_legal;
           n_scored = n;
           phases =
             [ ("enumerate", t_enum); ("featurize", t_feat);
@@ -434,16 +559,16 @@ let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
               ("rebench", t_rebench) ] }
   end
 
-let exhaustive_gemm ?top_k ?cap ?noise ?domains rng device ~profile
+let exhaustive_gemm ?top_k ?cap ?noise ?domains ?planner rng device ~profile
     (i : GP.input) =
-  exhaustive ?top_k ?cap ?noise ?domains rng device ~profile ~op:"gemm"
+  exhaustive ?top_k ?cap ?noise ?domains ?planner rng device ~profile ~op:"gemm"
     ~gemm_view:i
     ~query:(Features.gemm_query ~log:profile.Profile.log_features i)
     ~cost:(fun cfg -> GP.cost i cfg)
 
-let exhaustive_conv ?top_k ?cap ?noise ?domains rng device ~profile
+let exhaustive_conv ?top_k ?cap ?noise ?domains ?planner rng device ~profile
     (i : CP.input) =
-  exhaustive ?top_k ?cap ?noise ?domains rng device ~profile ~op:"conv"
+  exhaustive ?top_k ?cap ?noise ?domains ?planner rng device ~profile ~op:"conv"
     ~gemm_view:(CP.gemm_input i)
     ~query:(Features.conv_query ~log:profile.Profile.log_features i)
     ~cost:(fun cfg -> CP.cost i cfg)

@@ -8,12 +8,22 @@
     predictive model".
 
     One pipeline implements it (see DESIGN.md, "Planning hot path"):
-    bound-pruned lattice enumeration whose surviving leaves are exactly
-    the legal set (the deepest pruning levels check every legality
-    conjunct), per-query featurization caching ({!Features.query}), and
-    one matrix-matrix network evaluation per layer over the whole
-    candidate batch ({!Mlp.Network.forward_batch}), fanned across
-    domains.
+    - a bound-pruned lattice walk whose surviving leaves are exactly the
+      legal set (the deepest pruning levels check every legality
+      conjunct). It reads the input only through its dtype and the
+      K-split checks [kg = 1 || ceil (k / kg) >= u] that [k] passes, so
+      inputs agreeing on those (and on the device and the scoring cap)
+      share one legality class. A {!planner} memoizes each class's
+      legal-set size and scored rows, as 4-byte configuration codes
+      outside the OCaml heap, so a class is walked once per planner;
+    - table featurization: each scored row's feature vector is already
+      standardized, read from a table of the profile's standardized
+      tuning-slot values, built per request, and the request's six
+      standardized static slots ({!Features.static_slots},
+      {!Profile.standardize_feature});
+    - one matrix-matrix network evaluation per layer over the whole
+      candidate batch ({!Mlp.Network.predict_matrix}), fanned across
+      domains.
 
     Float contract: the pipeline is bit-identical to composing this
     library's reference components — {!legal_gemm_config_array_ref},
@@ -23,15 +33,21 @@
     differential test. [test_tuner] composes them into a reference
     planner and requires {!exhaustive_gemm} and {!exhaustive_conv} to
     return its chosen config, measurement, candidates and predictions
-    bit for bit.
+    bit for bit, with a fresh planner and with one that already holds
+    the input's class.
 
     Each phase runs as one span, [search.<phase>] for the five phases
     of {!result.phases}: its duration is the [phases] entry, the trace
     event's [dur] and the one observation of the [search.<phase>_s]
-    histogram. Under [ISAAC_TRACE] every re-benchmarked candidate also
-    emits a [config] event carrying both its predicted and measured
-    TFLOPS — the data for studying model miscalibration on the
-    short-list. *)
+    histogram. The [search.enumerate] span's meta carries ["class"]:
+    ["hit"] when the planner already held the input's class (the phase
+    then reads ~0 ms), ["miss"] when this request walked it, and
+    ["coalesced"] when it waited for another request's walk; the
+    counters [search.class_hit] (hits and coalesced waits) and
+    [search.class_miss] (walks) total them. Under [ISAAC_TRACE] every
+    re-benchmarked candidate also emits a [config] event carrying both
+    its predicted and measured TFLOPS — the data for studying model
+    miscalibration on the short-list. *)
 
 type candidate = {
   config : Codegen.Gemm_params.config;
@@ -51,7 +67,8 @@ type result = {
                                       the cap *)
   phases : (string * float) list;
   (** wall-clock seconds per pipeline phase, in order: [enumerate]
-      (legal-space construction), [featurize] (feature-matrix fill),
+      (the legality-class lookup, and the walk on a miss), [featurize]
+      (standardized feature-matrix fill),
       [inference] (network forward), [argmax] (top-k selection,
       {!top_k_indices}, plus the k candidate records) and [rebench]
       (on-device short-list timing) — each the duration of the phase's
@@ -73,9 +90,11 @@ val legal_gemm_config_array :
 (** All fully legal configurations for this input, enumerated in a single
     bound-pruned pass over the space (reverse grid order, matching what
     the historical list API produced; identical to
-    {!legal_gemm_config_array_ref} element-for-element). {!exhaustive_gemm}
-    walks the same enumeration without building the records;
-    {!oracle_gemm} consumes this array. *)
+    {!legal_gemm_config_array_ref} element-for-element). It depends on
+    the input only through its dtype and the K-split checks its [k]
+    passes, so two inputs of one legality class get equal arrays.
+    {!exhaustive_gemm} walks the same enumeration and keeps codes, not
+    records; {!oracle_gemm} consumes this array. *)
 
 val legal_conv_config_array :
   Gpu.Device.t -> Codegen.Conv_params.input -> Codegen.Gemm_params.config array
@@ -86,19 +105,36 @@ val legal_conv_config_array :
 val legal_gemm_config_array_ref :
   Gpu.Device.t -> Codegen.Gemm_params.input -> Codegen.Gemm_params.config array
 (** Reference enumeration — one unpruned pass over the whole grid with
-    legality decided by building each candidate's full cost record. The
-    differential tests assert it equals {!legal_gemm_config_array}
-    exactly, and the test-side reference planner enumerates with it. *)
+    legality decided by building each candidate's full cost record from
+    the whole input. The differential tests assert it equals
+    {!legal_gemm_config_array} exactly, and the test-side reference
+    planner enumerates with it; the library never calls it. *)
 
 val legal_conv_config_array_ref :
   Gpu.Device.t -> Codegen.Conv_params.input -> Codegen.Gemm_params.config array
 (** CONV analogue of {!legal_gemm_config_array_ref}. *)
+
+type planner
+(** What a planning engine keeps between requests: the legality-class
+    memo, one entry per (device, dtype, K-split class, scoring cap)
+    seen — the class's legal-set size and its scored rows as
+    configuration codes, at most 4 bytes a row outside the OCaml heap,
+    so at most 3 dtypes × 25 K-split classes × 4 B × cap (≈ 18 MB at
+    the default cap) per device and cap. An entry depends on no
+    profile, so GEMM and CONV requests share it. Safe to share across
+    domains: lookups are lock-free, and racing misses on one class run
+    one walk ({!Plan_cache.find_or_compute}). [Isaac] engines hold one
+    each. *)
+
+val planner : unit -> planner
+(** An empty memo. *)
 
 val exhaustive_gemm :
   ?top_k:int ->
   ?cap:int ->
   ?noise:float ->
   ?domains:int ->
+  ?planner:planner ->
   Util.Rng.t ->
   Gpu.Device.t ->
   profile:Profile.t ->
@@ -121,13 +157,17 @@ val exhaustive_gemm :
     over OCaml 5 domains; it defaults to
     [Util.Parallel.recommended_domains ()], so ISAAC_DOMAINS governs it.
     Results are identical for any [domains] (given equal [rng] state).
-    Features follow the profile's [log_features] flag. *)
+    Features follow the profile's [log_features] flag.
+    [planner] supplies the legality-class memo. Without it the search
+    makes a fresh one for this request, so it walks the class like any
+    miss. Results are identical either way. *)
 
 val exhaustive_conv :
   ?top_k:int ->
   ?cap:int ->
   ?noise:float ->
   ?domains:int ->
+  ?planner:planner ->
   Util.Rng.t ->
   Gpu.Device.t ->
   profile:Profile.t ->

@@ -163,13 +163,23 @@ let test_inputs_bounded () =
   rejects "m" (fun () -> GP.input big 64 64);
   rejects "n" (fun () -> GP.input 64 huge 64);
   rejects "k" (fun () -> GP.input 64 64 big);
-  let conv ?(stride = 1) ?(n = 1) ?(c = 8) ?(k = 8) ?(p = 4) ?(r = 3) () =
-    CP.input ~stride ~n ~c ~k ~p ~q:p ~r ~s:r ()
+  let conv ?(stride = 1) ?(pad = 0) ?(n = 1) ?(c = 8) ?(k = 8) ?(p = 4) ?(r = 3) () =
+    CP.input ~stride ~pad ~n ~c ~k ~p ~q:p ~r ~s:r ()
   in
   rejects "k" (fun () -> conv ~k:big ());
   rejects "stride" (fun () -> conv ~stride:big ());
   rejects "q" (fun () -> conv ~n:GP.max_dim ~p:GP.max_dim ());
   rejects "r" (fun () -> conv ~c:65536 ~r:256 ());
+  (* A stride below 1 or a negative pad, and a pad that leaves no input
+     row or column: H = (P-1)*stride + R - 2*pad below 1. *)
+  rejects "stride" (fun () -> conv ~stride:0 ());
+  rejects "pad" (fun () -> conv ~pad:(-1) ());
+  rejects "pad" (fun () -> conv ~pad:1000 ());
+  rejects "pad" (fun () -> conv ~pad:GP.max_dim ());
+  rejects "pad" (fun () -> conv ~p:1 ~pad:2 ());
+  let edge = conv ~p:1 ~pad:1 () in
+  Alcotest.(check (pair int int)) "a pad leaving one row and column is kept" (1, 1)
+    (CP.h edge, CP.w edge);
   let input = GP.input GP.max_dim GP.max_dim GP.max_dim in
   let cfg = { GP.ms = 4; ns = 4; ks = 1; ml = 64; nl = 64; u = 8; kl = 1;
               kg = 1; vec = 1; db = 1 } in

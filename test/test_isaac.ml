@@ -43,26 +43,39 @@ let test_plan_gemm () =
    event's [dur], and the sum of the [search.<phase>_s] histogram's one
    observation. The trace also shows which MLP kernel body scored the
    plan: the [search.inference] span's meta carries [lanes], the width
-   the library chose, beside its row counts and domains. *)
+   the library chose, beside its row counts and domains. The
+   [search.enumerate] span's meta says how the engine's legality-class
+   memo served the plan: ["miss"] on the fresh engine, then ["hit"] for
+   a second shape of the same class (same dtype and K). *)
 let test_plan_phases () =
   let engine = Lazy.force gemm_engine in
   let fresh = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
-  let trace = Filename.temp_file "isaac_phases" ".jsonl"
-  and tel = Filename.temp_file "isaac_phases_tel" ".jsonl" in
-  Obs.Telemetry.reset ();
-  Obs.Telemetry.start ~path:tel ();
-  Obs.Trace.start ~path:trace ();
-  let plan = Option.get (Isaac.plan_gemm fresh (GP.input 640 128 640)) in
-  Obs.Trace.stop ();
-  Obs.Telemetry.stop ();
-  let spans =
-    List.filter
-      (fun e -> Obs.Json.member "ev" e = Some (Obs.Json.String "span"))
-      (Obs.Trace.read_file trace)
+  let traced input =
+    let trace = Filename.temp_file "isaac_phases" ".jsonl"
+    and tel = Filename.temp_file "isaac_phases_tel" ".jsonl" in
+    Obs.Telemetry.reset ();
+    Obs.Telemetry.start ~path:tel ();
+    Obs.Trace.start ~path:trace ();
+    let plan = Option.get (Isaac.plan_gemm fresh input) in
+    Obs.Trace.stop ();
+    Obs.Telemetry.stop ();
+    let spans =
+      List.filter
+        (fun e -> Obs.Json.member "ev" e = Some (Obs.Json.String "span"))
+        (Obs.Trace.read_file trace)
+    in
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ trace; tel; tel ^ ".prom" ];
+    (plan, spans)
   in
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ trace; tel; tel ^ ".prom" ];
+  let meta spans name k to_ =
+    let e =
+      List.find (fun e -> Obs.Json.member "name" e = Some (Obs.Json.String name)) spans
+    in
+    Option.bind (Obs.Json.member "meta" e) (fun m -> Option.bind (Obs.Json.member k m) to_)
+  in
+  let plan, spans = traced (GP.input 640 128 640) in
   Alcotest.(check (list string)) "phase names"
     [ "enumerate"; "featurize"; "inference"; "argmax"; "rebench" ]
     (List.map fst plan.phases);
@@ -84,19 +97,22 @@ let test_plan_phases () =
       Alcotest.(check int) (name ^ "_s observations") 1 h.count;
       Alcotest.(check int64) (name ^ "_s sum") (bits t) (bits h.sum))
     plan.phases;
-  let inference =
-    List.find
-      (fun e -> Obs.Json.member "name" e = Some (Obs.Json.String "search.inference"))
-      spans
-  in
-  let meta k =
-    Option.bind (Obs.Json.member "meta" inference) (fun m ->
-        Option.bind (Obs.Json.member k m) Obs.Json.to_int)
-  in
-  Alcotest.(check (option int)) "inference span lanes" (Some Mlp.Network.lanes) (meta "lanes");
+  let inference k = meta spans "search.inference" k Obs.Json.to_int in
+  Alcotest.(check (option int)) "inference span lanes" (Some Mlp.Network.lanes)
+    (inference "lanes");
   List.iter
-    (fun k -> Alcotest.(check bool) ("inference span " ^ k) true (meta k <> None))
-    [ "n_legal"; "n_scored"; "domains" ]
+    (fun k -> Alcotest.(check bool) ("inference span " ^ k) true (inference k <> None))
+    [ "n_legal"; "n_scored"; "domains" ];
+  let class_of spans = meta spans "search.enumerate" "class" Obs.Json.to_str in
+  Alcotest.(check (option string)) "fresh engine walks the class" (Some "miss")
+    (class_of spans);
+  Alcotest.(check int) "one walk counted" 1
+    (Option.get (Obs.Telemetry.counter_value "search.class_miss"));
+  let again, spans = traced (GP.input ~b_trans:true 320 256 640) in
+  Alcotest.(check (option string)) "same class is a hit" (Some "hit") (class_of spans);
+  Alcotest.(check int) "one hit counted" 1
+    (Option.get (Obs.Telemetry.counter_value "search.class_hit"));
+  Alcotest.(check int) "same legal set" plan.n_legal again.n_legal
 
 let test_plan_cache () =
   let engine = Lazy.force gemm_engine in

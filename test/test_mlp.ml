@@ -555,6 +555,84 @@ let test_zero_deltas_skipped entry =
        [| 1.; 1.; 0.; 0.; Float.neg_infinity; 0.; 1.; 1.; 0.; 0.; 1.; 1.; 0. |],
        [| 0.5; 2.0 |]) ]
 
+(* The output layer of a one-output network runs [lanes] rows per
+   vector, one row per lane, every input added in ascending order. Each
+   case compares every row with [predict], on views at two offsets:
+   - every batch size from 1 to [lanes + 1], and larger ones that leave
+     a partly filled last group;
+   - a network with no hidden layer, whose input rows are the output
+     layer's inputs, -0.0 and NaN among them;
+   - NaN inputs, which reach the last hidden layer through relu;
+   - non-finite output weights: inf, -inf and NaN on a hidden unit
+     that is zero in every row, where 0 * inf is NaN in every lane (a
+     kernel that skipped the zero column would leave those rows
+     finite), and inf on a live unit. *)
+let test_output_layer_rows entry =
+  let lanes = match entry with Library -> Mlp.Network.lanes | At l -> l in
+  let batches =
+    List.init (lanes + 1) (fun b -> b + 1) @ [ (2 * lanes) + 1; (3 * lanes) - 1; 37 ]
+  in
+  let r = Util.Rng.create 8128 in
+  (* Zeros of both signs and whole zero rows, and with [nan] some NaNs. *)
+  let inputs ?(nan = false) ~cols batch =
+    let x = zeroish_inputs r ~rows:batch ~cols in
+    if nan then
+      for i = 0 to batch - 1 do
+        if Util.Rng.int r 3 = 0 then Mlp.Matrix.set x i (Util.Rng.int r cols) Float.nan
+      done;
+    x
+  in
+  let check name net ?nan cols =
+    List.iter
+      (fun batch ->
+        let x = inputs ?nan ~cols batch in
+        List.iter
+          (fun off ->
+            if not (view_matches_predict entry r net x ~off) then
+              Alcotest.failf "%s: batch %d at offset %d differs from predict" name
+                batch off)
+          [ 0; 3 ])
+      batches
+  in
+  check "hidden layers" (trained_net r [| 16; 32; 64; 32; 1 |]) 16;
+  check "NaN inputs" (trained_net r [| 7; 9; 1 |]) ~nan:true 7;
+  check "no hidden layer" (trained_net r [| 5; 1 |]) ~nan:true 5;
+  (* A 4-6-1 network whose hidden unit 2 has zero weights and bias -1,
+     so relu makes it zero in every row. Parameters: 24 weights and 6
+     biases, then the output layer's 6 weights and its bias. *)
+  let base = trained_net r [| 4; 6; 1 |] in
+  let dead = Array.copy (params base) in
+  for k = 0 to 3 do dead.(8 + k) <- 0.0 done;
+  dead.(24 + 2) <- -1.0;
+  List.iter
+    (fun (name, unit, w) ->
+      let p = Array.copy dead in
+      p.(30 + unit) <- w;
+      let net = with_params base p in
+      let x = inputs ~cols:4 9 in
+      if unit = 2 then
+        Alcotest.(check bool) (name ^ ": every prediction NaN") true
+          (Array.for_all Float.is_nan (Mlp.Network.predict net x));
+      check name net 4)
+    [ ("inf weight on a dead unit", 2, Float.infinity);
+      ("-inf weight on a dead unit", 2, Float.neg_infinity);
+      ("NaN weight on a dead unit", 2, Float.nan);
+      ("inf weight on a live unit", 0, Float.infinity) ];
+  let p = params (trained_net r [| 5; 1 |]) in
+  p.(1) <- Float.infinity;
+  check "no hidden layer, inf weight" (net_with [| 5; 1 |] p) 5
+
+(* The kernel computes one output per row. A network with two outputs,
+   which only a hand-written serialization can give, is refused by
+   name. *)
+let test_forward_batch_output_width entry =
+  let net =
+    load_lines [ "mlp 3"; "2 3 2"; "0"; "1 2 3 4 5 6"; "0 0 0"; "1 2 3 4 5 6"; "0 0" ]
+  in
+  Alcotest.check_raises "two outputs"
+    (Invalid_argument "Network.forward_batch: output width") (fun () ->
+      ignore (forward_with entry net (random_mat 3 2)))
+
 let test_split () =
   let x = random_mat 100 3 in
   let y = Array.init 100 float_of_int in
@@ -643,15 +721,22 @@ let contract_cases entry =
    instructions would fault. *)
 let ran, skipped = List.partition (fun l -> l <= Mlp.Network.lanes) Mlp.Network.compiled_lanes
 
-let width_cases =
+let at_every_width cases =
   List.concat_map
     (fun lanes ->
       List.map
         (fun (name, speed, run) ->
           Alcotest.test_case name speed
             (if List.mem lanes ran then run else fun () -> Alcotest.skip ()))
-        (contract_cases (At lanes)))
+        (cases (At lanes)))
     Mlp.Network.compiled_lanes
+
+(* Listed after [contract_cases] at every width, so the cases above keep
+   their numbers. *)
+let four_row_case entry =
+  [ quick (named "four-row output layer" entry) (fun () -> test_output_layer_rows entry);
+    quick (named "output width 2 rejected" entry) (fun () ->
+        test_forward_batch_output_width entry) ]
 
 let () =
   let show l = String.concat " " (List.map string_of_int l) in
@@ -680,8 +765,8 @@ let () =
        [ quick "roundtrip" test_matrix_roundtrip;
          quick "sub_rows view" test_matrix_sub_rows_shares_storage;
          quick "rows match scalar path" test_forward_batch_rows_match_scalar ]
-       @ contract_cases Library);
-      ("widths", width_cases);
+       @ contract_cases Library @ four_row_case Library);
+      ("widths", at_every_width contract_cases @ at_every_width four_row_case);
       ("train",
        [ quick "split" test_split;
          quick "fewer rows than a batch" test_fit_fewer_rows_than_a_batch;

@@ -224,7 +224,11 @@ let test_out_of_range_dims () =
             "stride" );
           ( {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"stride":0}|},
             "stride" );
-          ({|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"pad":-1}|}, "pad")
+          ({|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"pad":-1}|}, "pad");
+          (* Pads that leave no input: H = (P-1)*stride + R - 2*pad < 1. *)
+          ({|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"pad":1000}|}, "pad");
+          ( {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3,"pad":2147483647}|},
+            "pad" )
         ];
       Alcotest.(check int) "nothing cached" 0 (stats_cache_entries srv))
 

@@ -686,6 +686,133 @@ let prop_pruning_never_changes_argmax =
            (Util.Rng.create 55) device ~profile input);
       true)
 
+(* --- legality classes -------------------------------------------------------- *)
+
+(* The least [k] that passes each K-split check [ceil (k / kg) >= u]
+   with [kg > 1]: [(u - 1) * kg + 1]. Between two consecutive ones
+   every check gives the same answer, so the lattice has one legality
+   class per interval (25 per dtype). *)
+let ksplit_thresholds =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun kg ->
+         if kg = 1 then []
+         else List.map (fun u -> ((u - 1) * kg) + 1) (Array.to_list GP.values_u))
+       (Array.to_list GP.values_kg))
+
+(* The first and last [k] of every class, ascending: 1, then each
+   threshold minus one and the threshold itself, then a deep K. *)
+let class_bounds =
+  let ts = ksplit_thresholds in
+  List.combine (1 :: ts) (List.map (fun t -> t - 1) ts @ [ 65536 ])
+
+(* Same class => same legal set: for each dtype on both devices, the
+   two ends of every class, with different m, n and transposes, get
+   equal legal arrays; each class adds configurations to the one below
+   it, so the classes really differ. A few are held to the unpruned
+   reference too. *)
+let test_class_shares_legal_set () =
+  List.iter
+    (fun device ->
+      List.iter
+        (fun dtype ->
+          let legal ?(m = 96) ?(n = 40) ?(a_trans = false) ?(b_trans = false) k =
+            Tuner.Search.legal_gemm_config_array device
+              (GP.input ~dtype ~a_trans ~b_trans m n k)
+          in
+          let name k =
+            Printf.sprintf "%s %s k=%d" device.Gpu.Device.name
+              (Ptx.Types.dtype_name dtype) k
+          in
+          ignore
+            (List.fold_left
+               (fun below (lo, hi) ->
+                 let first = legal lo in
+                 check_config_arrays (name hi) first
+                   (legal ~m:3000 ~n:7 ~a_trans:true ~b_trans:true hi);
+                 if Array.length first <= below then
+                   Alcotest.failf "%s: %d legal configurations, %d below it"
+                     (name lo) (Array.length first) below;
+                 Array.length first)
+               (-1) class_bounds))
+        [ Ptx.Types.F16; Ptx.Types.F32; Ptx.Types.F64 ])
+    [ Gpu.Device.gtx980ti; Gpu.Device.p100 ];
+  List.iter
+    (fun (device, input) ->
+      check_config_arrays (gemm_name input)
+        (Tuner.Search.legal_gemm_config_array_ref device input)
+        (Tuner.Search.legal_gemm_config_array device input))
+    [ (Gpu.Device.gtx980ti, GP.input ~dtype:Ptx.Types.F16 ~b_trans:true 33 17 25);
+      (Gpu.Device.p100, GP.input ~dtype:Ptx.Types.F64 ~a_trans:true 200 9 24) ]
+
+(* A class hit plans exactly as a fresh planner does. One planner plans
+   a sequence of inputs whose classes repeat, and whose K crosses class
+   boundaries (k = 32 then 2560, 40, 2000), at two caps; then the class
+   of k = 2560 on a GTX 980 Ti with half the shared memory per block (a
+   key without the device would hand it the full device's rows: the
+   two shipped devices have equal legality limits), on the P100, and
+   again on the GTX 980 Ti under the P100's profile (features follow
+   the request's profile, not the memo's history). Each plan must
+   equal, bit for bit, the plan of a planner that has seen nothing. *)
+let test_class_hit_equals_fresh () =
+  let g = Gpu.Device.gtx980ti and p = Gpu.Device.p100 in
+  let half =
+    { g with Gpu.Device.name = "GTX 980 Ti, 24 KiB shared";
+             shared_per_block_max = 24 * 1024 }
+  in
+  let pg = tiny_profile (Util.Rng.create 31) g in
+  let pp = tiny_profile (Util.Rng.create 32) p in
+  let planner = Tuner.Search.planner () in
+  List.iter
+    (fun (device, profile, cap, input) ->
+      let plan ?planner () =
+        Tuner.Search.exhaustive_gemm ~top_k:10 ~cap ~domains:1 ?planner
+          (Util.Rng.create 91) device ~profile input
+      in
+      check_same_plan
+        (Printf.sprintf "%s %s cap %d" device.Gpu.Device.name (gemm_name input) cap)
+        (plan ()) (plan ~planner ()))
+    [ (g, pg, 3000, GP.input 256 256 32);
+      (g, pg, 3000, GP.input 256 256 2560);
+      (g, pg, 3000, GP.input ~a_trans:true 1024 64 40);
+      (g, pg, 3000, GP.input ~b_trans:true 64 1024 2000);
+      (g, pg, 5000, GP.input 128 512 2560);
+      (g, pg, 3000, GP.input ~dtype:Ptx.Types.F64 512 512 2560);
+      (half, pg, 3000, GP.input 256 256 2560);
+      (p, pp, 3000, GP.input 256 256 2560);
+      (g, pp, 3000, GP.input 512 128 2560) ]
+
+(* Four domains planning four inputs of one class at once through one
+   planner walk the class once: one [search.class_miss], three
+   [search.class_hit] (waits on the walk count as hits), and every plan
+   equals a fresh planner's. *)
+let test_racing_class_misses_walk_once () =
+  let device = Gpu.Device.gtx980ti in
+  let profile = tiny_profile (Util.Rng.create 33) device in
+  let planner = Tuner.Search.planner () in
+  let inputs = List.init 4 (fun d -> GP.input (128 * (d + 1)) 96 (2048 + d)) in
+  let plan ?planner input =
+    Tuner.Search.exhaustive_gemm ~top_k:5 ~cap:3000 ~domains:1 ?planner
+      (Util.Rng.create 5) device ~profile input
+  in
+  let tel = Filename.temp_file "tuner_classes" ".jsonl" in
+  Obs.Telemetry.reset ();
+  Obs.Telemetry.start ~path:tel ();
+  let raced =
+    List.map (fun i -> Domain.spawn (fun () -> plan ~planner i)) inputs
+    |> List.map Domain.join
+  in
+  Obs.Telemetry.stop ();
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ tel; tel ^ ".prom" ];
+  let count name = Option.get (Obs.Telemetry.counter_value name) in
+  Alcotest.(check int) "one walk" 1 (count "search.class_miss");
+  Alcotest.(check int) "three served from it" 3 (count "search.class_hit");
+  List.iter2
+    (fun i got -> check_same_plan (gemm_name i) (plan i) got)
+    inputs raced
+
 let () =
   Alcotest.run "tuner"
     [ ("config space",
@@ -730,4 +857,11 @@ let () =
            test_engines_choose_identical_plans;
          Alcotest.test_case "conv engines agree" `Slow
            test_engines_choose_identical_conv_plans;
-         QCheck_alcotest.to_alcotest prop_pruning_never_changes_argmax ]) ]
+         QCheck_alcotest.to_alcotest prop_pruning_never_changes_argmax ]);
+      ("legality classes",
+       [ Alcotest.test_case "same class, same legal set" `Slow
+           test_class_shares_legal_set;
+         Alcotest.test_case "class hit = fresh plan" `Slow
+           test_class_hit_equals_fresh;
+         Alcotest.test_case "racing misses walk once" `Slow
+           test_racing_class_misses_walk_once ]) ]
