@@ -31,17 +31,6 @@ val generate :
     store phase; bias is a per-column vector passed as an extra "BIAS"
     buffer). *)
 
-val generate_batched :
-  ?bounds:Gemm_params.bounds_mode ->
-  batch:int ->
-  Gemm_params.input ->
-  Gemm_params.config ->
-  Ptx.Program.t
-(** Strided-batched variant (the cublasGemmStridedBatched analogue): the
-    batch index is folded into the Y grid dimension and each batch
-    element's operands live at strides M·K / K·N / M·N in the same
-    buffers. Launch with grid (⌈M/M_L⌉, batch·⌈N/N_L⌉, K_G). *)
-
 val run_batched :
   ?bounds:Gemm_params.bounds_mode ->
   batch:int ->
@@ -50,9 +39,11 @@ val run_batched :
   a:float array ->
   b:float array ->
   float array
-(** Execute a strided-batched product under the interpreter: [a] holds
-    batch M·K-element matrices back to back, [b] batch K·N, the result
-    batch M·N. *)
+(** Execute a strided-batched product (the cublasGemmStridedBatched
+    analogue) under the interpreter: [a] holds batch M·K-element
+    matrices back to back, [b] batch K·N, the result batch M·N. The
+    kernel folds the batch index into the Y grid dimension, launched
+    with grid (⌈M/M_L⌉, batch·⌈N/N_L⌉, K_G). *)
 
 val generate_gather :
   ?bounds:Gemm_params.bounds_mode ->

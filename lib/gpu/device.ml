@@ -100,11 +100,3 @@ let peak_tflops t dtype ~vectorized =
 
 let fma_warp_throughput t dtype ~vectorized =
   float_of_int t.cores_per_sm /. float_of_int t.warp_size *. instr_rate t dtype ~vectorized
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>%s (%s): %d SMs x %d cores @ %.3f GHz, %.0f GB/s, %d KB L2, %d KB shared/SM@]"
-    t.name
-    (match t.arch with Maxwell -> "Maxwell" | Pascal -> "Pascal")
-    t.sm_count t.cores_per_sm t.clock_ghz t.dram_bw_gbs (t.l2_bytes / 1024)
-    (t.shared_per_sm / 1024)

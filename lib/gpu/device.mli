@@ -53,5 +53,3 @@ val peak_tflops : t -> Ptx.Types.dtype -> vectorized:bool -> float
 val fma_warp_throughput : t -> Ptx.Types.dtype -> vectorized:bool -> float
 (** FMA warp-instructions per cycle per SM for the data-type, e.g. 4.0 for
     fp32 on Maxwell (128 lanes / 32). *)
-
-val pp : Format.formatter -> t -> unit

@@ -51,7 +51,6 @@ type t = {
 }
 
 let grid_blocks t = t.grid_m * t.grid_n * t.grid_k
-let total_threads t = grid_blocks t * t.threads_per_block
 
 let occupancy_usage t =
   (* With a scoreboard attached, the measured peak pressure refines the

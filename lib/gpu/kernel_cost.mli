@@ -22,8 +22,6 @@ type sched = {
   peak_iregs : int;
 }
 
-val of_summary : Ptx.Scoreboard.summary -> sched
-
 type t = {
   name : string;
   dtype : Ptx.Types.dtype;
@@ -74,8 +72,6 @@ type t = {
 
 val grid_blocks : t -> int
 (** Total blocks launched: [grid_m * grid_n * grid_k]. *)
-
-val total_threads : t -> int
 
 val occupancy_usage : t -> Occupancy.usage
 (** Registers come from [regs_per_thread], raised to the scoreboard's

@@ -30,9 +30,6 @@ val l2_hits :
     row-major block scheduling: blocks sharing a row re-load the same
     B panel, blocks sharing a column the same A panel. *)
 
-val shared_banks : int
-(** Number of shared-memory banks (32, one word wide). *)
-
 val stride_conflict_degree : distinct:int -> stride:int -> int
 (** Serialization degree of a warp-wide shared access touching
     [distinct] words spaced [stride] apart: [ceil (min distinct 32 /

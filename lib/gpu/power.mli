@@ -10,9 +10,6 @@
     DRAM-interface utilization, capped at the 250 W TDP both of the
     paper's devices share (Table 3). *)
 
-val tdp_watts : Device.t -> float
-(** 250 W for both test platforms. *)
-
 val board_watts : Device.t -> Perf_model.report -> float
 (** Average board power while the kernel runs, from the report's
     pipeline-utilization breakdown. Always within \[idle, TDP\]. *)

@@ -15,10 +15,6 @@ type t = {
   profile : Tuner.Profile.t;
   device : Gpu.Device.t;
   rng : Util.Rng.t;
-  (* Re-measuring loaded plans draws from its own generator: if it shared
-     [rng], merely loading a plan cache would perturb every subsequent
-     [plan_*] search, making planning results depend on load order. *)
-  load_rng : Util.Rng.t;
   (* The search's legality-class memo, shared by both ops: a CONV's
      class is its implicit GEMM's. *)
   planner : Tuner.Search.planner;
@@ -76,7 +72,6 @@ let of_profile ?cache_entries device (profile : Tuner.Profile.t) =
          profile.device device.Gpu.Device.name);
   { profile; device;
     rng = Util.Rng.create 0x15aac;
-    load_rng = Util.Rng.create 0x10ad5;
     planner = Tuner.Search.planner ();
     gemm_cache = Plan_cache.create ?max_entries:cache_entries ();
     conv_cache = Plan_cache.create ?max_entries:cache_entries () }
@@ -124,12 +119,11 @@ let profile t = t.profile
 let device t = t.device
 
 (* The packed-encoding hash is the plan's kernel identity: O(1)
-   equality, written on each plans-file line and re-derived on load.
-   Kernels are register-allocated before encoding — the packed format's
-   fixed-width register fields assume physical numbering, and the
-   canonical form also gives kernels that differ only in virtual
-   register names one hash. Computed once per cache miss and once per
-   loaded line; encoding failures (a kernel outgrowing the fixed-width
+   equality, served on the wire. Kernels are register-allocated before
+   encoding — the packed format's fixed-width register fields assume
+   physical numbering, and the canonical form also gives kernels that
+   differ only in virtual register names one hash. Computed once per
+   cache miss; encoding failures (a kernel outgrowing the fixed-width
    fields even post-allocation) degrade to [None] rather than failing
    the plan. *)
 let hash_of_config generate input config =
@@ -286,223 +280,3 @@ let explain_conv t (i : CP.input) =
     ~program:(fun c -> Codegen.Conv.generate i c)
     (Printf.sprintf "CONV N=%d C=%d K=%d P=%d Q=%d R=%d S=%d (%s) on %s" i.n i.c i.k
        i.p i.q i.r i.s (Ptx.Types.dtype_name i.dtype) t.device.Gpu.Device.name)
-
-(* --- filesystem plan cache (paper §6) ---------------------------------- *)
-
-let dtype_tag : Ptx.Types.dtype -> string = function
-  | F16 -> "f16"
-  | F32 -> "f32"
-  | F64 -> "f64"
-
-let dtype_of_tag = function
-  | "f16" -> Some Ptx.Types.F16
-  | "f32" -> Some Ptx.Types.F32
-  | "f64" -> Some Ptx.Types.F64
-  | _ -> None
-
-let config_fields (c : GP.config) =
-  String.concat " "
-    (List.map string_of_int (Array.to_list (GP.config_to_array c)))
-
-(* Artifact version 1 was the pre-checksum "isaac-plans v1" text file;
-   version 2 is the same line format inside a checksummed
-   {!Util.Artifact} envelope, with the device recorded on the first
-   payload line (and actually validated on load). Version 3 appends
-   [@ <hash>], the plan's {!Ptx.Encode} kernel identity, to each plan
-   line. No kernel is stored: the (input, configuration) pair
-   determines it, so [load_plans] regenerates each line's kernel and
-   checks the stored hash against it. *)
-let plans_kind = "isaac-plans"
-let plans_version = 3
-
-let hash_suffix = function
-  | Some h -> " @ " ^ Ptx.Encode.hash_hex h
-  | None -> ""
-
-let save_plans t path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "device %s\n" t.device.Gpu.Device.name);
-  Plan_cache.iter t.gemm_cache (fun (i : GP.input) plan ->
-      match plan with
-      | Some p ->
-        Buffer.add_string buf
-          (Printf.sprintf "gemm %d %d %d %s %b %b : %s%s\n" i.m i.n i.k
-             (dtype_tag i.dtype) i.a_trans i.b_trans (config_fields p.config)
-             (hash_suffix p.kernel_hash))
-      | None -> ());
-  Plan_cache.iter t.conv_cache (fun (i : CP.input) plan ->
-      match plan with
-      | Some p ->
-        Buffer.add_string buf
-          (Printf.sprintf "conv %d %d %d %d %d %d %d %d %d %s : %s%s\n" i.n
-             i.c i.k i.p i.q i.r i.s i.stride i.pad (dtype_tag i.dtype)
-             (config_fields p.config) (hash_suffix p.kernel_hash))
-      | None -> ());
-  Util.Artifact.write ~path ~kind:plans_kind ~version:plans_version
-    (Buffer.contents buf)
-
-let plan_of_config t ~kernel_hash cost config =
-  match Gpu.Executor.measure_best_of t.load_rng t.device cost with
-  | None -> None
-  | Some m ->
-    Some
-      { config; measurement = m; predicted_tflops = m.tflops; n_legal = 0;
-        phases = []; kernel_hash }
-
-type plan_entry =
-  | Gemm_entry of GP.input * GP.config * int64 option
-  | Conv_entry of CP.input * GP.config * int64 option
-
-(* One plan line -> entry, [None] on any malformed field. Pure parsing:
-   no cache mutation, no measurement. The v3 [@ <hash>] kernel-identity
-   suffix is optional so v2 caches still load; a malformed hash rejects
-   the line like any other bad field. *)
-let parse_plan_line line =
-  match String.index_opt line ':' with
-  | None -> None
-  | Some colon -> (
-    let head =
-      String.split_on_char ' ' (String.trim (String.sub line 0 colon))
-      |> List.filter (( <> ) "")
-    in
-    let tail =
-      String.sub line (colon + 1) (String.length line - colon - 1)
-      |> String.trim |> String.split_on_char ' '
-      |> List.filter (( <> ) "")
-    in
-    let cfg_part, hash_part =
-      let rec split acc = function
-        | "@" :: rest -> Some (List.rev acc, rest)
-        | x :: rest -> split (x :: acc) rest
-        | [] -> None
-      in
-      match split [] tail with
-      | Some (cfg, [ h ]) -> (cfg, Some h)
-      | Some _ -> ([], Some "malformed")  (* forces rejection below *)
-      | None -> (tail, None)
-    in
-    let hash =
-      match hash_part with
-      | None -> Ok None
-      | Some h -> (
-        match Int64.of_string_opt ("0x" ^ h) with
-        | Some v when String.length h = 16 -> Ok (Some v)
-        | _ -> Error ())
-    in
-    match hash with
-    | Error () -> None
-    | Ok hash -> (
-    match
-      cfg_part |> List.map int_of_string |> Array.of_list |> GP.config_of_array
-    with
-    | exception _ -> None
-    | cfg -> (
-      match head with
-      | [ "gemm"; m; n; k; dt; at; bt ] -> (
-        match (dtype_of_tag dt, bool_of_string_opt at, bool_of_string_opt bt) with
-        | Some dtype, Some a_trans, Some b_trans -> (
-          match
-            GP.input ~dtype ~a_trans ~b_trans (int_of_string m)
-              (int_of_string n) (int_of_string k)
-          with
-          | input -> Some (Gemm_entry (input, cfg, hash))
-          | exception _ -> None)
-        | _ -> None)
-      | [ "conv"; n; c; k; p; q; r; s; stride; pad; dt ] -> (
-        match dtype_of_tag dt with
-        | None -> None
-        | Some dtype -> (
-          match
-            CP.input ~dtype ~stride:(int_of_string stride)
-              ~pad:(int_of_string pad) ~n:(int_of_string n)
-              ~c:(int_of_string c) ~k:(int_of_string k) ~p:(int_of_string p)
-              ~q:(int_of_string q) ~r:(int_of_string r) ~s:(int_of_string s)
-              ()
-          with
-          | input -> Some (Conv_entry (input, cfg, hash))
-          | exception _ -> None))
-      | _ -> None)))
-
-let load_plans t path =
-  match
-    Util.Artifact.read ~path ~kind:plans_kind ~max_version:plans_version
-  with
-  | Error e ->
-    let msg = Util.Artifact.error_to_string ~path e in
-    (* Under telemetry, annotate the failure report with the flight
-       recorder's recent-event context (which requests were in flight
-       when the artifact turned out bad). *)
-    let flight =
-      if Obs.Telemetry.enabled () then begin
-        Obs.Telemetry.incr "plans.load_failures";
-        Obs.Telemetry.Flight.record ~kind:"artifact.error" ~name:path msg;
-        match Obs.Telemetry.Flight.dump () with "" -> "" | d -> "\n" ^ d
-      end
-      else ""
-    in
-    Error (msg ^ flight)
-  | Ok (_, payload) -> (
-    match String.split_on_char '\n' payload with
-    | [] -> Error (path ^ ": empty plan cache payload")
-    | device_line :: rest ->
-      if device_line <> "device " ^ t.device.Gpu.Device.name then
-        Error
-          (Printf.sprintf "%s: plan cache is for %S, engine device is %S" path
-             device_line t.device.Gpu.Device.name)
-      else begin
-        (* Parse the whole payload first, then install: a bad line cannot
-           leave the cache half-populated. Malformed lines are skipped
-           with a warning rather than aborting the load. *)
-        let entries = ref [] and skipped = ref 0 in
-        List.iteri
-          (fun i line ->
-            let lineno = i + 2 in
-            if String.trim line <> "" then
-              match parse_plan_line line with
-              | Some e -> entries := (lineno, e) :: !entries
-              | None ->
-                incr skipped;
-                Obs.Telemetry.incr "plans.skipped_lines";
-                Log.warn (fun m ->
-                    m "%s:%d: skipping malformed plan line" path lineno))
-          rest;
-        let entries = List.rev !entries in
-        (* A stored hash must be the hash of the kernel the line's
-           (input, config) pair generates: a mismatch means the line
-           does not describe the kernel this build would serve, so it
-           is skipped. A line without a hash (v2) takes the re-derived
-           one, so every loaded plan carries the hash of the kernel it
-           runs. *)
-        let installed = ref 0 in
-        let install cache ~legal ~cost ~generate lineno input cfg stored =
-          if not (legal input cfg) then incr skipped
-          else
-            let kernel_hash = hash_of_config generate input cfg in
-            match stored with
-            | Some h when Some h <> kernel_hash ->
-              incr skipped;
-              Log.warn (fun m ->
-                  m "%s:%d: stored kernel hash %s is not the hash of the \
-                     kernel this line generates; skipping"
-                    path lineno (Ptx.Encode.hash_hex h))
-            | _ ->
-              let plan = plan_of_config t ~kernel_hash (cost input cfg) cfg in
-              if Plan_cache.insert cache input plan then incr installed
-        in
-        List.iter
-          (fun (lineno, entry) ->
-            match entry with
-            | Gemm_entry (input, cfg, hash) ->
-              install t.gemm_cache ~legal:GP.structurally_legal ~cost:GP.cost
-                ~generate:Codegen.Gemm.generate lineno input cfg hash
-            | Conv_entry (input, cfg, hash) ->
-              install t.conv_cache ~legal:CP.structurally_legal ~cost:CP.cost
-                ~generate:Codegen.Conv.generate lineno input cfg hash)
-          entries;
-        Ok (!installed, !skipped)
-      end)
-
-let clear_cache t =
-  Plan_cache.clear t.gemm_cache;
-  Plan_cache.clear t.conv_cache

@@ -46,16 +46,14 @@ type plan = {
   phases : (string * float) list;
   (** planning wall-clock per pipeline phase ([enumerate], [featurize],
       [inference], [argmax], [rebench]) as reported by
-      {!Tuner.Search.result.phases}; empty for plans re-measured from a
-      {!load_plans} cache file, which skip the search entirely. Shown by
-      [isaac_query --timing]. *)
+      {!Tuner.Search.result.phases}: the one field that differs between
+      two plans of the same input. Shown by [isaac_query --timing]. *)
   kernel_hash : int64 option;
   (** {!Ptx.Encode.hash} of the register-allocated generated kernel: an
-      O(1) kernel identity, served on the wire and written on each
-      {!save_plans} line. Plans for different inputs that generate the
-      same kernel carry equal hashes. [None] when the kernel exceeds the
-      fixed-width encoding fields (never for generated Table 4/5
-      kernels). *)
+      O(1) kernel identity, served on the wire. Plans for different
+      inputs that generate the same kernel carry equal hashes. [None]
+      when the kernel exceeds the fixed-width encoding fields (never for
+      generated Table 4/5 kernels). *)
 }
 
 val tune :
@@ -74,10 +72,10 @@ val tune :
 (** Run the full auto-tuning pipeline: fit the generative model, benchmark
     [samples] random kernels (default 4000 scaled by REPRO_SCALE; the
     paper uses 50k–200k on real hardware), and train the regression MLP
-    ([arch] defaults to {!Tuner.Profile.default_arch}). [domains > 1]
-    parallelizes the benchmarking stage over OCaml 5 domains; it defaults
-    to {!Util.Parallel.recommended_domains} — the same default as
-    {!Tuner.Search} and the codegen entry points — so set
+    ([arch] defaults to {!Tuner.Profile.train}'s 32-64-32 hidden layers).
+    [domains > 1] parallelizes the benchmarking stage over OCaml 5
+    domains; it defaults to {!Util.Parallel.recommended_domains} — the
+    same default as {!Tuner.Search} and the codegen entry points — so set
     [ISAAC_DOMAINS=1] (or pass [~domains:1]) when cross-machine bitwise
     reproducibility matters. Deterministic given the rng and the domain
     count. [checkpoint] is forwarded to
@@ -101,10 +99,11 @@ val device : t -> Gpu.Device.t
 
 val plan_gemm : t -> Codegen.Gemm_params.input -> plan option
 (** Runtime inference for a GEMM input. Results are cached per input, so
-    repeated calls are free (the paper's filesystem cache). The search
-    runs {!Tuner.Search.exhaustive_gemm} with its defaults, including
-    the paper's top-100 re-benchmark, and the engine's planner, so a
-    miss whose legality class the engine has seen skips the walk.
+    repeated calls are free: the engine's resident plan cache is this
+    reproduction's §6 cache, kept in memory only. The search runs
+    {!Tuner.Search.exhaustive_gemm} with its defaults, including the
+    paper's top-100 re-benchmark, and the engine's planner, so a miss
+    whose legality class the engine has seen skips the walk.
 
     Concurrency-safe: lookups are lock-free, and N domains racing a
     cold input trigger exactly one search (the rest park on it and
@@ -151,32 +150,3 @@ val explain_gemm : t -> Codegen.Gemm_params.input -> string
 
 val explain_conv : t -> Codegen.Conv_params.input -> string
 (** Same against the cuDNN-like baseline. *)
-
-val save_plans : t -> string -> unit
-(** Persist the kernel-plan cache to disk — §6: inferred kernels may be
-    "cached on the filesystem" so later runs skip the search. Written
-    through {!Util.Artifact.write} (kind ["isaac-plans"], version 3):
-    atomic and checksummed, so a crash mid-save leaves the previous
-    cache intact. Each plan line is greppable text: the input, the
-    configuration and the plan's [kernel_hash]. No kernel is written;
-    the (input, configuration) pair regenerates it. *)
-
-val load_plans : t -> string -> (int * int, string) result
-(** Pre-seed the plan cache from a file written by {!save_plans}: each
-    cached configuration is re-benchmarked once on the device (no model
-    search) using a dedicated RNG, so loading never perturbs subsequent
-    [plan_*] searches. The whole file is validated (checksum) and parsed
-    before any cache mutation — a corrupt file returns [Error] and
-    leaves the cache untouched. Individual lines are skipped with a
-    warning rather than aborting the load: malformed lines (also
-    counted in the [plans.skipped_lines] metric), lines whose
-    configuration is no longer legal, and lines whose stored hash is
-    not the hash of the kernel their (input, configuration) pair
-    generates. Each line's hash is re-derived by regenerating its
-    kernel, so a loaded plan's [kernel_hash] is always that of the
-    kernel it runs; version 2 lines (no hash) take the re-derived one.
-    [Ok (installed, skipped)] is the number of plans installed and the
-    number of lines dropped, so a partially-stale file is detectable
-    without scraping metrics. *)
-
-val clear_cache : t -> unit

@@ -53,7 +53,6 @@ type t = {
 
 let filename ~rev = Printf.sprintf "BENCH_%s.json" rev
 
-let find_metric t name = List.find_opt (fun m -> m.m_name = name) t.metrics
 let find_experiment t key = List.find_opt (fun e -> e.key = key) t.experiments
 
 (* --- serialization ----------------------------------------------------- *)

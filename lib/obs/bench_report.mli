@@ -16,9 +16,6 @@
 val schema_version : int
 (** Current schema version (1). *)
 
-val schema_name : string
-(** The ["schema"] discriminator field, ["isaac-bench-report"]. *)
-
 type direction = Higher_better | Lower_better | Neutral
 (** Which way improvement points for a metric. [Neutral] metrics are
     informational and never gate. *)
@@ -84,13 +81,13 @@ type t = {
 val filename : rev:string -> string
 (** ["BENCH_<rev>.json"]. *)
 
-val find_metric : t -> string -> metric option
 val find_experiment : t -> string -> experiment option
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Structural validation with field-path error messages; rejects
-    reports with a newer [version] or the wrong ["schema"] field. *)
+    reports with a newer [version] or a ["schema"] field other than
+    ["isaac-bench-report"]. *)
 
 val write : path:string -> t -> unit
 (** Atomic, checksummed write through {!Util.Artifact} (kind

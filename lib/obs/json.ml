@@ -171,13 +171,25 @@ let parse_number cur =
       | Some f -> Float f
       | None -> fail cur "bad number %s" text)
 
-let rec parse_value cur =
+(* Arrays and objects nest at most this deep. The parser recurses once
+   per level, so without a bound a request of a million ['['] bytes
+   costs a million stack frames; the deepest JSON this repository
+   writes is about 7 levels (a [stats] reply). *)
+let max_depth = 64
+
+(* Steps past the opening bracket of an array or object that [depth]
+   arrays and objects enclose. *)
+let enter cur ~depth =
+  if depth >= max_depth then fail cur "nesting deeper than %d" max_depth;
+  advance cur;
+  skip_ws cur
+
+let rec parse_value cur ~depth =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
   | Some '{' ->
-    advance cur;
-    skip_ws cur;
+    enter cur ~depth;
     if peek cur = Some '}' then (advance cur; Obj [])
     else begin
       let rec fields acc =
@@ -185,7 +197,7 @@ let rec parse_value cur =
         let k = parse_string cur in
         skip_ws cur;
         expect cur ':';
-        let v = parse_value cur in
+        let v = parse_value cur ~depth:(depth + 1) in
         skip_ws cur;
         match peek cur with
         | Some ',' -> advance cur; fields ((k, v) :: acc)
@@ -195,12 +207,11 @@ let rec parse_value cur =
       fields []
     end
   | Some '[' ->
-    advance cur;
-    skip_ws cur;
+    enter cur ~depth;
     if peek cur = Some ']' then (advance cur; List [])
     else begin
       let rec items acc =
-        let v = parse_value cur in
+        let v = parse_value cur ~depth:(depth + 1) in
         skip_ws cur;
         match peek cur with
         | Some ',' -> advance cur; items (v :: acc)
@@ -218,7 +229,7 @@ let rec parse_value cur =
 
 let of_string s =
   let cur = { src = s; pos = 0 } in
-  let v = parse_value cur in
+  let v = parse_value cur ~depth:0 in
   skip_ws cur;
   if cur.pos <> String.length s then fail cur "trailing garbage";
   v

@@ -23,18 +23,17 @@ type t =
 val to_string : t -> string
 (** One-line rendering (no newlines — required by the JSONL framing). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 exception Parse_error of string
 (** Raised by {!of_string} with a position-annotated message. *)
 
 val of_string : string -> t
-(** Parse one JSON value; trailing garbage is a {!Parse_error}. A
-    number parses as {!Int} when it is written exactly as
+(** Parse one JSON value; trailing garbage is a {!Parse_error}, and so
+    are arrays and objects nested more than 64 deep (the parser recurses
+    once per level; the deepest JSON this repository writes is about 7
+    levels). A number parses as {!Int} when it is written exactly as
     [string_of_int] prints an OCaml [int] (no [.], [e], [E], leading
-    zero or [-0], and within the 63-bit range), so an {!Int}
-    prints back as it was written; every other number parses as
-    {!Float}. *)
+    zero or [-0], and within the 63-bit range), so an {!Int} prints back
+    as it was written; every other number parses as {!Float}. *)
 
 val member : string -> t -> t option
 (** [member key (Obj ...)] looks a field up; [None] for missing keys

@@ -17,24 +17,6 @@ let zero =
   { ialu = 0; fma = 0; fp_other = 0; ld_global = 0; st_global = 0;
     ld_shared = 0; st_shared = 0; atom = 0; bar = 0; branch = 0; pred = 0; mov = 0 }
 
-let add a b =
-  { ialu = a.ialu + b.ialu;
-    fma = a.fma + b.fma;
-    fp_other = a.fp_other + b.fp_other;
-    ld_global = a.ld_global + b.ld_global;
-    st_global = a.st_global + b.st_global;
-    ld_shared = a.ld_shared + b.ld_shared;
-    st_shared = a.st_shared + b.st_shared;
-    atom = a.atom + b.atom;
-    bar = a.bar + b.bar;
-    branch = a.branch + b.branch;
-    pred = a.pred + b.pred;
-    mov = a.mov + b.mov }
-
-let total m =
-  m.ialu + m.fma + m.fp_other + m.ld_global + m.st_global + m.ld_shared
-  + m.st_shared + m.atom + m.bar + m.branch + m.pred + m.mov
-
 let count_instr m (i : Instr.t) =
   match Instr.categorize i.op with
   | None -> m
@@ -52,25 +34,3 @@ let count_instr m (i : Instr.t) =
   | Some Cat_mov -> { m with mov = m.mov + 1 }
 
 let of_program (p : Program.t) = Array.fold_left count_instr zero p.body
-
-let between_labels (p : Program.t) ~start ~stop =
-  let labels = Program.find_labels p in
-  let find name =
-    match Hashtbl.find_opt labels name with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "%s: no label %S" p.name name)
-  in
-  match (find start, find stop) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok i0, Ok i1 ->
-    if i1 < i0 then
-      Error
-        (Printf.sprintf "%s: label %S (pc %d) precedes %S (pc %d)" p.name stop
-           i1 start i0)
-    else begin
-      let m = ref zero in
-      for i = i0 + 1 to i1 - 1 do
-        m := count_instr !m p.body.(i)
-      done;
-      Ok !m
-    end

@@ -1,7 +1,6 @@
-(** Static analysis over program bodies: per-category instruction counts of
-    the straight-line portions, used as a sanity cross-check against the
-    interpreter's dynamic counters and by tests that pin the structure of
-    generated kernels. *)
+(** Static analysis over program bodies: per-category instruction counts,
+    printed by the [kernel_explorer] example and used by tests that pin
+    the structure of generated kernels. *)
 
 type mix = {
   ialu : int;
@@ -18,17 +17,6 @@ type mix = {
   mov : int;
 }
 
-val zero : mix
-val add : mix -> mix -> mix
-val total : mix -> int
-
 val of_program : Program.t -> mix
 (** Static (per-occurrence, not per-execution) instruction mix of the whole
     body. *)
-
-val between_labels :
-  Program.t -> start:string -> stop:string -> (mix, string) result
-(** Mix of the instructions strictly between two labels. [Error]
-    describes the failure (absent label, or labels out of order) instead
-    of raising. Generators bracket their main loop with labels so tests
-    and the timing model can inspect the loop body in isolation. *)

@@ -13,8 +13,6 @@ type t = {
   n_pregs : int;
 }
 
-let shared_bytes t = (t.shared_words * dtype_bytes t.dtype) + (t.shared_int_words * 4)
-
 let find_labels t =
   let labels = Hashtbl.create 16 in
   Array.iteri

@@ -18,10 +18,6 @@ type t = {
   n_pregs : int;
 }
 
-val shared_bytes : t -> int
-(** Shared memory footprint in bytes ([shared_words] at the compute dtype
-    width plus [shared_int_words] 4-byte ints). *)
-
 val validate : t -> (unit, string) result
 (** Structural checks: every branch target is a defined, unique label;
     every register index is below the declared counts; every parameter

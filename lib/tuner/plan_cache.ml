@@ -258,55 +258,6 @@ let find_or_compute t k f =
         resolve p (Failed exn);
         raise exn))
 
-(* --- direct insertion (plan-cache preloading) --------------------------- *)
-
-let insert t k v =
-  let shard = shard_of t k in
-  let e =
-    { value = v;
-      inserted_at = t.clock ();
-      last_access = Atomic.make (next_tick t) }
-  in
-  Mutex.lock shard.lock;
-  let previous = Hashtbl.find_opt (Atomic.get shard.table) k in
-  let installed =
-    match previous with
-    | Some (Pending _) ->
-      (* A planning run for this key is in flight; it will publish its
-         own (equivalent) result — racing it would orphan the waiters'
-         slot. *)
-      false
-    | Some (Ready _) ->
-      mutate shard (fun table -> Hashtbl.replace table k (Ready e));
-      true
-    | None ->
-      mutate shard (fun table -> Hashtbl.replace table k (Ready e));
-      Atomic.incr t.n_entries;
-      true
-  in
-  Mutex.unlock shard.lock;
-  if installed then evict_until_within_budget t;
-  installed
-
-(* --- whole-cache operations -------------------------------------------- *)
-
-let iter t f =
-  Array.iter
-    (fun shard ->
-      Hashtbl.iter
-        (fun k slot -> match slot with Ready e -> f k e.value | Pending _ -> ())
-        (Atomic.get shard.table))
-    t.shards
-
-let clear t =
-  Array.iter
-    (fun shard ->
-      Mutex.lock shard.lock;
-      Atomic.set shard.table (Hashtbl.create 8);
-      Mutex.unlock shard.lock)
-    t.shards;
-  Atomic.set t.n_entries 0
-
 let length t = Atomic.get t.n_entries
 
 let stats t =

@@ -1,6 +1,8 @@
 (** Sharded, coalescing, LRU-bounded cache for kernel plans.
 
-    The concurrency substrate of the [Isaac] engine's plan caches, the
+    The concurrency substrate of the [Isaac] engine's plan caches (this
+    reproduction's §6 cache of inferred kernels, held in memory only:
+    every plan in it was computed by the process that holds it), the
     [isaac_serve] daemon, and {!Search}'s legality-class memo. It lives
     in the tuner library so that the search can memoize with it;
     [Isaac] re-exports it as [Isaac.Plan_cache]. Three properties
@@ -9,9 +11,10 @@
     - {b Lock-free reads.} Keys hash onto 16 shards; each shard
       publishes an immutable snapshot of its table through an
       [Atomic.t], so a cache hit is one atomic load plus a hash lookup
-      — no mutex, safe from any number of domains. Writers (misses,
-      evictions, inserts) serialize per shard on a mutex and publish a
-      fresh snapshot.
+      — no mutex, safe from any number of domains. The cache has two
+      writers, {!find_or_compute}'s misses and the evictions they
+      trigger; both serialize per shard on a mutex and publish a fresh
+      snapshot.
     - {b Request coalescing.} N concurrent {!find_or_compute} misses on
       the same key run the computation exactly once: the first arrival
       plans, the others park on the in-flight slot and receive the
@@ -78,23 +81,6 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * outcome * float
     cached value and its clamped-non-negative age on [Hit], or the
     just-computed value and age 0 on [Miss]/[Coalesced]. The
     computation runs with no cache locks held. *)
-
-val insert : ('k, 'v) t -> 'k -> 'v -> bool
-(** Direct installation (plan-cache preloading from disk). Replaces a
-    resident entry; returns [false] without installing when a
-    computation for the key is in flight (the in-flight run will
-    publish its own result). May trigger evictions. *)
-
-val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
-(** Iterate a snapshot of the resident entries (in-flight slots are
-    skipped; entries inserted after the snapshot may be missed).
-    Iteration order is unspecified. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop every resident entry. In-flight computations are untouched and
-    re-install their results on completion. Occupancy counters are
-    reset; not linearizable with respect to concurrent writers (callers
-    quiesce first, as the CLI and tests do). *)
 
 val length : ('k, 'v) t -> int
 

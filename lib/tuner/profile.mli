@@ -16,10 +16,6 @@ type t = {
   feat_std : float array;
 }
 
-val default_arch : int array
-(** Hidden-layer sizes used by [tune] when none are given: 32-64-32,
-    Table 2's best accuracy-per-weight architecture. *)
-
 val train :
   ?arch:int array ->
   ?epochs:int ->
@@ -27,7 +23,9 @@ val train :
   Util.Rng.t ->
   Dataset.t ->
   t
-(** Fit a network on a dataset (standardized log-TFLOPS target). *)
+(** Fit a network on a dataset (standardized log-TFLOPS target). [arch]
+    lists the hidden-layer sizes; it defaults to 32-64-32, Table 2's
+    best accuracy-per-weight architecture. *)
 
 val mse : t -> Dataset.t -> float
 (** Cross-validation MSE of the profile on a held-out dataset, in the

@@ -30,8 +30,6 @@ let fit ?(alpha = alpha_default) ?(warmup = 10_000) rng space ~legal =
       Obs.Telemetry.add "sampler.warmup_legal" !accepted;
       { space; weights })
 
-let space t = t.space
-
 let marginal t i =
   let w = t.weights.(i) in
   let total = Array.fold_left ( +. ) 0.0 w in

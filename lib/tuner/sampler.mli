@@ -32,9 +32,6 @@ val fit :
     by a Dirichlet prior of [alpha] pseudo-counts (default 100, as in the
     paper). *)
 
-val space : t -> Config_space.t
-(** The configuration space this model was fitted over. *)
-
 val marginal : t -> int -> float array
 (** [marginal t i] is the fitted probability distribution over parameter
     [i]'s values (sums to 1). *)

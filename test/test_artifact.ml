@@ -125,8 +125,8 @@ let test_truncation_detected () =
 let test_kind_mismatch () =
   with_temp (fun path ->
       A.write ~path ~kind:"isaac-profile" ~version:1 "x";
-      match A.read ~path ~kind:"isaac-plans" ~max_version:1 with
-      | Error (A.Kind_mismatch { expected = "isaac-plans"; found = "isaac-profile" }) -> ()
+      match A.read ~path ~kind:"isaac-bench-report" ~max_version:1 with
+      | Error (A.Kind_mismatch { expected = "isaac-bench-report"; found = "isaac-profile" }) -> ()
       | Error e -> Alcotest.fail ("wrong error: " ^ A.error_to_string ~path e)
       | Ok _ -> Alcotest.fail "kind mismatch accepted")
 

@@ -6,8 +6,6 @@ let () = Unix.putenv "ISAAC_SEARCH_CAP" "4000"
 
 let slow name f = Alcotest.test_case name `Slow f
 
-let remove_plans path = if Sys.file_exists path then Sys.remove path
-
 module GP = Codegen.Gemm_params
 module CP = Codegen.Conv_params
 
@@ -37,10 +35,10 @@ let test_plan_gemm () =
     Alcotest.(check bool) "explored space" true (plan.n_legal > 1000)
 
 (* A fresh plan records the five search phases in pipeline order. The
-   batched/scalar engine equality lives in test_tuner and in the
-   micro.plan_argmax_equal gate. With both sinks open, each phase time
-   is its [search.<phase>] span's duration bit for bit: the trace
-   event's [dur], and the sum of the [search.<phase>_s] histogram's one
+   planner's bit-for-bit agreement with the reference planner lives in
+   test_tuner. With both sinks open, each phase time is its
+   [search.<phase>] span's duration bit for bit: the trace event's
+   [dur], and the sum of the [search.<phase>_s] histogram's one
    observation. The trace also shows which MLP kernel body scored the
    plan: the [search.inference] span's meta carries [lanes], the width
    the library chose, beside its row counts and domains. The
@@ -114,18 +112,26 @@ let test_plan_phases () =
     (Option.get (Obs.Telemetry.counter_value "search.class_hit"));
   Alcotest.(check int) "same legal set" plan.n_legal again.n_legal
 
+(* Two plans of one input differ only in their [phases] timings. *)
+let strip (p : Isaac.plan) = { p with phases = [] }
+
+(* A second request for an input is served from the cache, and that
+   cached plan is what planning the input computes: a fresh engine with
+   the same profile, whose first request it is, plans it bit for bit
+   (timings aside). The shared engine plans another input first, so
+   noise drawn from a generator the engine shares across requests,
+   rather than one seeded by the request, would tell the two apart. *)
 let test_plan_cache () =
   let engine = Lazy.force gemm_engine in
   let input = GP.input 384 384 384 in
-  let p1 = Isaac.plan_gemm engine input in
-  let p2 = Isaac.plan_gemm engine input in
+  ignore (Isaac.plan_gemm engine (GP.input 96 160 224));
+  let p1 = Option.get (Isaac.plan_gemm engine input) in
+  let p2 = Option.get (Isaac.plan_gemm engine input) in
   Alcotest.(check bool) "cached plan identical" true (p1 == p2);
-  Isaac.clear_cache engine;
-  let p3 = Isaac.plan_gemm engine input in
-  Alcotest.(check bool) "same config after re-plan" true
-    (match (p1, p3) with
-     | Some a, Some b -> GP.equal_config a.config b.config || true (* noise may flip near-ties *)
-     | _ -> false)
+  let fresh = Isaac.of_profile (Isaac.device engine) (Isaac.profile engine) in
+  let p3 = Option.get (Isaac.plan_gemm fresh input) in
+  Alcotest.(check bool) "fresh engine re-plans the cached plan" true
+    (strip p1 = strip p3)
 
 let test_gemm_executes_correctly () =
   let engine = Lazy.force gemm_engine in
@@ -170,7 +176,7 @@ let test_profile_roundtrip_through_engine () =
   let engine = Lazy.force gemm_engine in
   let path = Filename.temp_file "isaac_engine" ".profile" in
   Fun.protect
-    ~finally:(fun () -> remove_plans path)
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       Tuner.Profile.save (Isaac.profile engine) path;
       let engine2 = Isaac.of_profile Gpu.Device.gtx980ti (Tuner.Profile.load_exn path) in
@@ -190,227 +196,6 @@ let test_input_awareness () =
   let deep = Option.get (Isaac.plan_gemm engine (GP.input ~b_trans:true 32 32 60000)) in
   Alcotest.(check bool) "deep-K splits, square does not" true
     (deep.config.kl * deep.config.kg > square.config.kl * square.config.kg)
-
-let test_plan_cache_roundtrip () =
-  let engine = Lazy.force gemm_engine in
-  Isaac.clear_cache engine;
-  let inputs = [ GP.input 256 256 256; GP.input ~b_trans:true 64 64 4096 ] in
-  let plans = List.map (fun i -> Option.get (Isaac.plan_gemm engine i)) inputs in
-  let path = Filename.temp_file "isaac_plans" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> remove_plans path)
-    (fun () ->
-      Isaac.save_plans engine path;
-      (* A fresh engine with the same profile: loading must pre-seed the
-         cache with the same configurations, bypassing the search. *)
-      let engine2 = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
-      (match Isaac.load_plans engine2 path with
-       | Ok (n, skipped) ->
-         Alcotest.(check int) "all plans installed" (List.length inputs) n;
-         Alcotest.(check int) "nothing skipped" 0 skipped
-       | Error e -> Alcotest.fail e);
-      List.iter2
-        (fun input (plan : Isaac.plan) ->
-          let reloaded = Option.get (Isaac.plan_gemm engine2 input) in
-          Alcotest.(check bool) "same cached config" true
-            (GP.equal_config plan.config reloaded.config);
-          Alcotest.(check int) "no search happened" 0 reloaded.n_legal)
-        inputs plans)
-
-let test_plan_cache_conv_and_empty () =
-  let engine = Lazy.force conv_engine in
-  Isaac.clear_cache engine;
-  let path = Filename.temp_file "isaac_plans" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> remove_plans path)
-    (fun () ->
-      (* Empty cache round-trips to an empty cache. *)
-      Isaac.save_plans engine path;
-      let fresh () = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
-      let engine2 = fresh () in
-      (match Isaac.load_plans engine2 path with
-       | Ok (n, _) -> Alcotest.(check int) "empty cache loads 0 plans" 0 n
-       | Error e -> Alcotest.fail e);
-      (* CONV entries round-trip too. *)
-      let input = CP.input ~n:2 ~c:16 ~k:32 ~p:8 ~q:8 ~r:3 ~s:3 () in
-      let plan = Option.get (Isaac.plan_conv engine input) in
-      Isaac.save_plans engine path;
-      let engine3 = fresh () in
-      (match Isaac.load_plans engine3 path with
-       | Ok (n, _) -> Alcotest.(check int) "one conv plan" 1 n
-       | Error e -> Alcotest.fail e);
-      let reloaded = Option.get (Isaac.plan_conv engine3 input) in
-      Alcotest.(check bool) "same conv config" true
-        (GP.equal_config plan.config reloaded.config);
-      Alcotest.(check int) "no search happened" 0 reloaded.n_legal)
-
-let test_plan_cache_rejects_garbage () =
-  let engine = Lazy.force gemm_engine in
-  let path = Filename.temp_file "isaac_plans" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> remove_plans path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a plan cache\n";
-      close_out oc;
-      match Isaac.load_plans engine path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "accepted garbage header")
-
-(* A corrupted artifact (checksum mismatch) must be reported as an error,
-   never partially loaded. *)
-let test_plan_cache_detects_corruption () =
-  let engine = Lazy.force gemm_engine in
-  Isaac.clear_cache engine;
-  ignore (Isaac.plan_gemm engine (GP.input 256 256 256));
-  let path = Filename.temp_file "isaac_plans" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> remove_plans path)
-    (fun () ->
-      Isaac.save_plans engine path;
-      let ic = open_in_bin path in
-      let contents = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let b = Bytes.of_string contents in
-      let i = Bytes.length b - 2 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc;
-      let engine2 = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
-      match Isaac.load_plans engine2 path with
-      | Error msg ->
-        Alcotest.(check bool) "mentions corruption" true
-          (let lower = String.lowercase_ascii msg in
-           let has needle =
-             let nh = String.length lower and nn = String.length needle in
-             let rec go i =
-               i + nn <= nh && (String.sub lower i nn = needle || go (i + 1))
-             in
-             go 0
-           in
-           has "checksum" || has "corrupt")
-      | Ok _ -> Alcotest.fail "loaded a corrupted plan cache")
-
-(* Malformed lines inside a structurally valid artifact are skipped with
-   a warning; the good lines still load. The artifact envelope is
-   re-signed so only the line-level recovery path is exercised. *)
-let test_plan_cache_skips_malformed_lines () =
-  let engine = Lazy.force gemm_engine in
-  Isaac.clear_cache engine;
-  let input = GP.input 256 256 256 in
-  let plan = Option.get (Isaac.plan_gemm engine input) in
-  let path = Filename.temp_file "isaac_plans" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> remove_plans path)
-    (fun () ->
-      Isaac.save_plans engine path;
-      let payload =
-        match Util.Artifact.read ~path ~kind:"isaac-plans" ~max_version:3 with
-        | Ok (_, p) -> p
-        | Error e -> Alcotest.fail (Util.Artifact.error_to_string ~path e)
-      in
-      let doctored =
-        payload
-        ^ "gemm 12 12 not-an-int f32 false false : 1 2 3\n"
-        ^ "gemm 12 12 12 f99 false false : 16 16 16 4 4 2 1 1 1 1\n"
-        ^ "gemm 12 12 12 f32 false false : 16 16 16 4 4 2 1 1 1 1 @ nothex\n"
-        ^ "mystery-op 1 2 3 : 4 5 6\n"
-        ^ "no colon at all\n"
-      in
-      Util.Artifact.write ~path ~kind:"isaac-plans" ~version:3 doctored;
-      let engine2 = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
-      match Isaac.load_plans engine2 path with
-      | Error e -> Alcotest.fail e
-      | Ok (n, skipped) ->
-        Alcotest.(check int) "only the well-formed plan installed" 1 n;
-        Alcotest.(check int) "every doctored line counted as skipped" 5 skipped;
-        let reloaded = Option.get (Isaac.plan_gemm engine2 input) in
-        Alcotest.(check bool) "good line survived" true
-          (GP.equal_config plan.config reloaded.config))
-
-(* Loading a plan cache draws from a dedicated RNG: planning results for
-   inputs outside the cache must be identical with and without a
-   preceding load. *)
-let test_load_plans_does_not_perturb_planning () =
-  let engine = Lazy.force gemm_engine in
-  Isaac.clear_cache engine;
-  ignore (Isaac.plan_gemm engine (GP.input 256 256 256));
-  let path = Filename.temp_file "isaac_plans" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> remove_plans path)
-    (fun () ->
-      Isaac.save_plans engine path;
-      let probe = GP.input ~b_trans:true 192 192 768 in
-      let fresh () = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
-      let without_load =
-        let e = fresh () in
-        Option.get (Isaac.plan_gemm e probe)
-      in
-      let with_load =
-        let e = fresh () in
-        (match Isaac.load_plans e path with
-         | Ok _ -> ()
-         | Error msg -> Alcotest.fail msg);
-        Option.get (Isaac.plan_gemm e probe)
-      in
-      Alcotest.(check bool) "same config either way" true
-        (GP.equal_config without_load.config with_load.config);
-      Alcotest.(check (float 1e-12)) "same measurement"
-        without_load.measurement.tflops with_load.measurement.tflops)
-
-(* Loading re-derives each line's kernel hash from its (input, config)
-   pair: a saved line carries the plan's hash and loads with it, a
-   line whose only fault is a stored hash of another kernel is skipped,
-   and a line without a hash (v2) takes the re-derived one. *)
-let test_plan_cache_rederives_kernel_hash () =
-  let engine = Lazy.force gemm_engine in
-  Isaac.clear_cache engine;
-  let input = GP.input 256 256 256 in
-  let plan = Option.get (Isaac.plan_gemm engine input) in
-  let h =
-    match plan.Isaac.kernel_hash with
-    | Some h -> h
-    | None -> Alcotest.fail "fresh plan has no kernel hash"
-  in
-  let device_line = "device " ^ (Isaac.device engine).Gpu.Device.name in
-  let line suffix =
-    Printf.sprintf "gemm 256 256 256 f32 false false : %s%s"
-      (String.concat " "
-         (List.map string_of_int
-            (Array.to_list (GP.config_to_array plan.config))))
-      suffix
-  in
-  let path = Filename.temp_file "isaac_plans" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> remove_plans path)
-    (fun () ->
-      Isaac.save_plans engine path;
-      (match Util.Artifact.read ~path ~kind:"isaac-plans" ~max_version:3 with
-       | Ok (_, payload) ->
-         Alcotest.(check string) "saved line carries the plan's hash"
-           (String.concat "\n"
-              [ device_line; line (" @ " ^ Ptx.Encode.hash_hex h); "" ])
-           payload
-       | Error e -> Alcotest.fail (Util.Artifact.error_to_string ~path e));
-      let load ~what suffix ~installed =
-        Util.Artifact.write ~path ~kind:"isaac-plans" ~version:3
-          (device_line ^ "\n" ^ line suffix ^ "\n");
-        let e = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
-        (match Isaac.load_plans e path with
-         | Ok (n, skipped) ->
-           Alcotest.(check (pair int int)) (what ^ ": installed, skipped")
-             (installed, 1 - installed) (n, skipped)
-         | Error msg -> Alcotest.fail msg);
-        if installed = 1 then
-          Alcotest.(check (option int64)) (what ^ ": loaded plan's hash")
-            (Some h) (Option.get (Isaac.plan_gemm e input)).Isaac.kernel_hash
-      in
-      load ~what:"stored hash" (" @ " ^ Ptx.Encode.hash_hex h) ~installed:1;
-      load ~what:"wrong hash"
-        (" @ " ^ Ptx.Encode.hash_hex (Int64.lognot h))
-        ~installed:0;
-      load ~what:"no hash" "" ~installed:1)
 
 (* Satellite of the serving PR: the plan cache must be safe to hammer
    from several domains at once, run exactly one search per distinct
@@ -443,7 +228,6 @@ let test_multi_domain_hammer () =
       GP.input ~a_trans:true 192 192 192;
       GP.input 320 64 320 ]
   in
-  let strip (p : Isaac.plan) = { p with phases = [] } in
   let solo = hammer_plans 1 inputs in
   let raced = hammer_plans 4 inputs in
   List.iteri
@@ -514,14 +298,6 @@ let () =
          slow "roundtrip through engine" test_profile_roundtrip_through_engine ]);
       ("explain",
        [ slow "gemm analysis" test_explain; slow "conv analysis" test_explain_conv ]);
-      ("plan cache",
-       [ slow "save/load roundtrip" test_plan_cache_roundtrip;
-         slow "conv + empty cache" test_plan_cache_conv_and_empty;
-         slow "rejects garbage" test_plan_cache_rejects_garbage;
-         slow "detects corruption" test_plan_cache_detects_corruption;
-         slow "skips malformed lines" test_plan_cache_skips_malformed_lines;
-         slow "stored kernel hash is re-derived" test_plan_cache_rederives_kernel_hash;
-         slow "load does not perturb planning" test_load_plans_does_not_perturb_planning ]);
       ("concurrency",
        [ slow "multi-domain hammer, 1 vs 4 domains" test_multi_domain_hammer;
          slow "coalescing: one search for racing domains" test_coalescing_single_search ]) ]

@@ -72,6 +72,31 @@ let test_json_roundtrip () =
    | J.Float f when Float.sign_bit f -> ()
    | v -> Alcotest.failf "-0 read as %s" (J.to_string v))
 
+(* Arrays and objects nest at most 64 deep. The parser recurses once per
+   level, so text nested deeper is a parse error, raised at the first
+   bracket past the limit: 100,000 ['['] bytes cost 64 frames, not
+   100,000. *)
+let test_json_nesting_bounded () =
+  let arrays d = String.make d '[' ^ "1" ^ String.make d ']' in
+  let objects d =
+    String.concat "" (List.init d (fun _ -> {|{"a":|})) ^ "[]" ^ String.make d '}'
+  in
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check string) (what ^ " parses") text (J.to_string (J.of_string text)))
+    [ ("64 arrays", arrays 64); ("63 objects around an empty array", objects 63) ];
+  List.iter
+    (fun (what, text) ->
+      match J.of_string text with
+      | _ -> Alcotest.failf "%s parsed" what
+      | exception J.Parse_error msg ->
+        Alcotest.(check bool) (what ^ ": " ^ msg) true
+          (contains ~needle:"nesting deeper than 64" msg))
+    [ ("65 arrays", arrays 65);
+      ("64 objects around an empty array", objects 64);
+      ("100,000 arrays", arrays 100_000);
+      ("100,000 open brackets", String.make 100_000 '[') ]
+
 (* --- spans + JSONL round-trip ------------------------------------------- *)
 
 let test_span_roundtrip () =
@@ -501,7 +526,9 @@ let test_noop_when_disabled () =
 
 let () =
   Alcotest.run "obs"
-    [ ("json", [ quick "roundtrip" test_json_roundtrip ]);
+    [ ("json",
+       [ quick "roundtrip" test_json_roundtrip;
+         quick "nesting bounded at 64" test_json_nesting_bounded ]);
       ( "trace",
         [ quick "span nesting + jsonl roundtrip" test_span_roundtrip;
           quick "error flag" test_span_error_flag;

@@ -323,30 +323,6 @@ let test_analysis_counts () =
   Alcotest.(check int) "1 global store" 1 mix.st_global;
   Alcotest.(check int) "1 fp add" 1 mix.fp_other
 
-let test_between_labels_result () =
-  let b = B.create ~name:"bl" ~dtype:F32 in
-  let c_slot = B.buf_param b "C" in
-  let l0 = B.fresh_label b "first" in
-  let l1 = B.fresh_label b "second" in
-  B.place_label b l0;
-  let x = B.mov_i b (Iimm 1) in
-  B.emit b (I.Iadd (x, Ireg x, Iimm 2));
-  B.place_label b l1;
-  B.emit b (I.St_global (c_slot, Iimm 0, Fimm 0.0));
-  let p = B.finish b in
-  (match Ptx.Analysis.between_labels p ~start:l0 ~stop:l1 with
-   | Ok m ->
-     Alcotest.(check int) "mov between" 1 m.Ptx.Analysis.mov;
-     Alcotest.(check int) "ialu between" 1 m.Ptx.Analysis.ialu;
-     Alcotest.(check int) "no store between" 0 m.Ptx.Analysis.st_global
-   | Error e -> Alcotest.failf "expected Ok, got %s" e);
-  (match Ptx.Analysis.between_labels p ~start:"nowhere" ~stop:l1 with
-   | Error e -> Alcotest.(check bool) "names label" true (contains e "nowhere")
-   | Ok _ -> Alcotest.fail "missing label accepted");
-  match Ptx.Analysis.between_labels p ~start:l1 ~stop:l0 with
-  | Error e -> Alcotest.(check bool) "says precedes" true (contains e "precedes")
-  | Ok _ -> Alcotest.fail "reversed labels accepted"
-
 let test_disasm_roundtrip_markers () =
   let p = vector_add 4 in
   let text = Ptx.Disasm.program p in
@@ -465,7 +441,6 @@ let () =
          quick "duplicate label" test_validate_duplicate_label ]);
       ("analysis",
        [ quick "static counts" test_analysis_counts;
-         quick "between_labels result paths" test_between_labels_result;
          quick "disasm markers" test_disasm_roundtrip_markers ]);
       ("encoding",
        [ quick "roundtrip kitchen sink" test_roundtrip_handmade;

@@ -17,6 +17,18 @@ let profile =
      in
      Isaac.profile engine)
 
+(* A CONV profile for the same device, so CONV requests reach a loaded
+   engine: a refused CONV input is then refused for its fields, not for
+   want of a profile. *)
+let conv_profile =
+  lazy
+    (let rng = Util.Rng.create 605 in
+     let engine =
+       Isaac.tune ~samples:1200 ~epochs:12 ~arch:[| 32; 32 |] rng
+         Gpu.Device.gtx980ti ~op:`Conv ()
+     in
+     Isaac.profile engine)
+
 (* A second profile for the same device/op with different weights, so a
    hot reload has a genuinely different file to pick up. *)
 let profile2 =
@@ -28,13 +40,24 @@ let profile2 =
      in
      Isaac.profile engine)
 
-let with_server ?reload_interval f =
-  let path = Filename.temp_file "serve_test" ".profile" in
+(* Runs [f] on a daemon that serves the GEMM profile, whose file path
+   [f] also receives, and, unless [conv] is false, the CONV profile. *)
+let with_server ?reload_interval ?(conv = true) f =
+  let path = Filename.temp_file "serve_test" ".profile"
+  and conv_path = Filename.temp_file "serve_test_conv" ".profile" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; conv_path ])
     (fun () ->
       Tuner.Profile.save (Lazy.force profile) path;
-      match Serve.create ?reload_interval ~gemm_profile:path () with
+      let conv_profile =
+        if conv then begin
+          Tuner.Profile.save (Lazy.force conv_profile) conv_path;
+          Some conv_path
+        end
+        else None
+      in
+      match Serve.create ?reload_interval ~gemm_profile:path ?conv_profile () with
       | Error msg -> Alcotest.fail msg
       | Ok srv -> f srv path)
 
@@ -53,7 +76,15 @@ let handle_line srv line =
   Alcotest.(check bool) "connection stays open" true (verdict = `Continue);
   response
 
+let stats_cache_entries srv =
+  let r = handle_line srv {|{"op":"stats"}|} in
+  expect_ok r;
+  match J.member "entries" (field r "cache") with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.fail "stats lacks cache.entries"
+
 let gemm_req = {|{"op":"gemm","id":1,"m":256,"n":64,"k":256}|}
+let conv_req = {|{"op":"conv","id":2,"n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3}|}
 
 let contains hay needle =
   let n = String.length needle in
@@ -74,28 +105,35 @@ let test_ping_and_ids () =
       Alcotest.(check (option int)) "id echoed" (Some 42)
         (J.to_int (field r "id")))
 
+(* A plan request misses, then hits and re-serializes the identical
+   plan: GEMM and CONV alike, each from its own profile's engine. *)
 let test_cold_then_warm () =
   with_server (fun srv _ ->
-      let cold = handle_line srv gemm_req in
-      expect_ok cold;
-      Alcotest.(check (option string)) "first query misses" (Some "miss")
-        (J.to_str (field cold "cache"));
-      let warm = handle_line srv gemm_req in
-      expect_ok warm;
-      Alcotest.(check (option string)) "second query hits" (Some "hit")
-        (J.to_str (field warm "cache"));
-      (* the warm response re-serializes the identical plan *)
-      Alcotest.(check string) "bit-identical plan on the wire"
-        (J.to_string (field cold "plan"))
-        (J.to_string (field warm "plan"));
-      let plan = field cold "plan" in
       List.iter
-        (fun k ->
-          match J.member k plan with
-          | Some (J.Int v) ->
-            Alcotest.(check bool) (k ^ " positive") true (v > 0)
-          | _ -> Alcotest.failf "plan lacks integer field %S" k)
-        [ "ms"; "ns"; "ks"; "ml"; "nl"; "u"; "vec"; "db" ])
+        (fun (op, req) ->
+          let cold = handle_line srv req in
+          expect_ok cold;
+          Alcotest.(check (option string)) (op ^ ": first query misses")
+            (Some "miss")
+            (J.to_str (field cold "cache"));
+          let warm = handle_line srv req in
+          expect_ok warm;
+          Alcotest.(check (option string)) (op ^ ": second query hits")
+            (Some "hit")
+            (J.to_str (field warm "cache"));
+          Alcotest.(check string) (op ^ ": bit-identical plan on the wire")
+            (J.to_string (field cold "plan"))
+            (J.to_string (field warm "plan"));
+          let plan = field cold "plan" in
+          List.iter
+            (fun k ->
+              match J.member k plan with
+              | Some (J.Int v) ->
+                Alcotest.(check bool) (op ^ ": " ^ k ^ " positive") true (v > 0)
+              | _ -> Alcotest.failf "%s plan lacks integer field %S" op k)
+            [ "ms"; "ns"; "ks"; "ml"; "nl"; "u"; "vec"; "db" ])
+        [ ("gemm", gemm_req); ("conv", conv_req) ];
+      Alcotest.(check int) "one resident plan per op" 2 (stats_cache_entries srv))
 
 let test_errors () =
   with_server (fun srv _ ->
@@ -105,15 +143,20 @@ let test_errors () =
       check_error {|{"op":"teleport"}|};
       check_error {|{"op":"gemm","m":256,"n":64}|};
       check_error {|{"op":"gemm","m":"big","n":64,"k":256}|};
-      check_error {|{"op":"gemm","m":256,"n":64,"k":256,"dtype":"f128"}|};
-      (* no conv profile was loaded *)
-      check_error {|{"op":"conv","n":1,"c":8,"k":8,"p":4,"q":4,"r":3,"s":3}|})
+      check_error {|{"op":"gemm","m":256,"n":64,"k":256,"dtype":"f128"}|});
+  with_server ~conv:false (fun srv _ ->
+      let msg = error_of (handle_line srv conv_req) in
+      if not (contains msg "no CONV profile loaded") then
+        Alcotest.failf "error %S does not say no CONV profile is loaded" msg)
 
 (* Error replies quote request strings only up to a bound: a 100 kB
-   [op] or [dtype] still gets a short reply that names its error. *)
+   [op] or [dtype] still gets a short reply that names its error. So
+   does a request nested 100,000 deep (the reader stops at 64 levels),
+   and the daemon serves the request after it. *)
 let test_long_strings_bounded () =
   with_server (fun srv _ ->
       let long = String.make 100_000 'x' in
+      let deep = String.make 100_000 '[' ^ String.make 100_000 ']' in
       List.iter
         (fun (line, what) ->
           let response = handle_line srv line in
@@ -126,7 +169,9 @@ let test_long_strings_bounded () =
         [ (Printf.sprintf {|{"op":"%s"}|} long, "unknown op");
           ( Printf.sprintf {|{"op":"gemm","m":256,"n":64,"k":256,"dtype":"%s"}|}
               long,
-            "unknown dtype" ) ])
+            "unknown dtype" );
+          (deep, "nesting deeper than 64") ];
+      expect_ok (handle_line srv gemm_req))
 
 (* Every reply echoes the request [id], so only an integer in OCaml's
    range, null or a string of at most 256 bytes is accepted. Any other
@@ -187,13 +232,6 @@ let test_bad_search_cap () =
           if not (contains msg knob) then
             Alcotest.failf "error %S does not name %S" msg knob);
       expect_ok (handle_line srv gemm_req))
-
-let stats_cache_entries srv =
-  let r = handle_line srv {|{"op":"stats"}|} in
-  expect_ok r;
-  match J.member "entries" (field r "cache") with
-  | Some (J.Int n) -> n
-  | _ -> Alcotest.fail "stats lacks cache.entries"
 
 (* Dimensions below 1, a stride below 1, a negative pad, any of them
    above 2^31 - 1, and a CONV whose implicit-GEMM extents pass that
