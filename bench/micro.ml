@@ -268,13 +268,13 @@ let plan_latency () =
 
 (* Always-on telemetry overhead: what the serving hot path pays per
    instrumented call site. Three rep-based timings of the same gated
-   counter bump — a no-op loop baseline, the bump with both sinks
-   closed (two atomic bool loads; must be within noise of the
-   baseline), and the bump with telemetry live (bool load + sharded
+   counter bump — a no-op loop baseline, the bump with the trace closed
+   (one atomic bool load; must be within noise of the baseline), and
+   the bump with a trace open on a temporary file (bool load + sharded
    fetch_and_add; gated at < 50 ns so instrumentation can stay on in
-   production). Skipped when ISAAC_TRACE or ISAAC_TELEMETRY is set: the
-   closed gate cannot be timed then, and resetting the registry between
-   timings would erase what the open sink is recording. *)
+   production). Skipped when ISAAC_TRACE is set: the closed gate cannot
+   be timed then, and resetting the registry between timings would
+   erase what the open trace is recording. *)
 let telemetry_overhead () =
   let module T = Obs.Telemetry in
   let iters = 2_000_000 and reps = 7 in
@@ -298,8 +298,7 @@ let telemetry_overhead () =
     median
   in
   if T.enabled () then begin
-    print_endline
-      "\nTelemetry overhead: skipped (ISAAC_TRACE or ISAAC_TELEMETRY is set)";
+    print_endline "\nTelemetry overhead: skipped (ISAAC_TRACE is set)";
     []
   end
   else
@@ -319,13 +318,12 @@ let telemetry_overhead () =
   let disabled_ns = measure "micro.telemetry_disabled_ns" bump in
   let path = Filename.temp_file "isaac_bench_telemetry" ".jsonl" in
   let enabled_ns =
-    T.start ~path ();
+    Obs.Trace.start ~path ();
     Fun.protect
       ~finally:(fun () ->
-        T.stop ();
+        Obs.Trace.stop ();
         T.reset ();
-        if Sys.file_exists path then Sys.remove path;
-        if Sys.file_exists (path ^ ".prom") then Sys.remove (path ^ ".prom"))
+        if Sys.file_exists path then Sys.remove path)
       (fun () -> measure "micro.telemetry_counter_ns" bump)
   in
   let gate_cost = disabled_ns -. noop_ns in

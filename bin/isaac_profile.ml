@@ -1,14 +1,18 @@
 (* isaac_profile: replay a JSONL trace recorded under ISAAC_TRACE and
    print a human-readable profile: per-phase time breakdown (inclusive
-   and self time per span path), counter and histogram summaries, series
+   and self time per span path), the telemetry snapshot the trace
+   records when it stops (counters, histograms, model drift), series
    endpoints, and the top-N hottest benchmarked configurations.
 
-   Given several traces, prints cross-run comparison tables instead —
-   counters and per-phase self times side by side with a delta column
-   (last run minus first), for before/after profiling of a change.
+   Given a saved isaac_serve [stats] reply instead, it renders the
+   snapshot the reply embeds. Given several traces, prints cross-run
+   comparison tables instead — counters and per-phase self times side
+   by side with a delta column (last run minus first), for before/after
+   profiling of a change.
 
      ISAAC_TRACE=trace.jsonl isaac_tune --samples 500 -o t.profile
      isaac_profile trace.jsonl --top 10
+     isaac_profile stats.json
      isaac_profile before.jsonl after.jsonl *)
 
 open Cmdliner
@@ -93,95 +97,88 @@ let print_phases tbl =
          rows)
   end
 
-(* --- counters / histograms / series ------------------------------------- *)
+(* --- telemetry snapshot ------------------------------------------------- *)
 
-let counter_totals events =
-  let tbl : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun ev ->
-      if str_field "ev" ev = Some "counter" then
-        match (str_field "name" ev, int_field "value" ev) with
-        | Some name, Some v ->
-          Hashtbl.replace tbl name
-            (v + Option.value ~default:0 (Hashtbl.find_opt tbl name))
-        | _ -> ())
-    events;
-  tbl
+let obj_fields = function J.Obj fields -> fields | _ -> []
+let obj_member k v = obj_fields (Option.value ~default:J.Null (J.member k v))
 
-let print_counters events =
-  let tbl = counter_totals events in
-  let rows =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* The registry snapshot of a trace's closing [telemetry] event or of a
+   saved [stats] reply: both carry it under the key [telemetry]. *)
+let snapshot_of events =
+  List.fold_left
+    (fun acc ev ->
+      match J.member "telemetry" ev with Some (J.Obj _ as s) -> Some s | _ -> acc)
+    None events
+
+let snapshot_counters snap =
+  List.filter_map
+    (fun (name, v) -> Option.map (fun n -> (name, n)) (J.to_int v))
+    (obj_member "counters" snap)
+
+(* Histogram values are rendered as durations when the name says they
+   are seconds (the convention every built-in histogram follows). *)
+let fmt_value ~name v =
+  if Float.is_nan v then "-"
+  else if String.ends_with ~suffix:"_s" name then fmt_secs v
+  else Printf.sprintf "%.4g" v
+
+let print_snapshot snap =
+  (match snapshot_counters snap with
+   | [] -> print_endline "no counters."
+   | rows ->
+     Util.Table.print ~header:[| "counter"; "value" |]
+       (List.map (fun (k, v) -> [| k; string_of_int v |]) rows));
+  let hists =
+    List.filter_map
+      (fun (name, h) ->
+        Option.map
+          (fun count ->
+            let f k =
+              Option.fold ~none:"-" ~some:(fmt_value ~name) (num_field k h)
+            in
+            [| name; string_of_int count; f "mean"; f "p50"; f "p95"; f "p99";
+               f "max" |])
+          (int_field "count" h))
+      (obj_member "hists" snap)
   in
-  if rows = [] then print_endline "no counter events in trace."
-  else
-    Util.Table.print
-      ~header:[| "counter"; "value" |]
-      (List.map (fun (k, v) -> [| k; string_of_int v |]) rows)
-
-(* A trace that flushed more than once (checkpointed runs) carries
-   several [hist] events per name; render one merged row per name.
-   count/sum/max merge exactly; mean is recomputed from the merged
-   sums; quantiles are count-weighted averages — approximate, but the
-   windows came from the same distribution. *)
-type hist_acc = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_max : float;
-  mutable wq : float array; (* count-weighted p50/p90/p99 sums *)
-}
-
-let print_hists events =
-  let tbl : (string, hist_acc) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun ev ->
-      if str_field "ev" ev = Some "hist" then
-        match (str_field "name" ev, int_field "count" ev) with
-        | Some name, Some count when count > 0 ->
-          let acc =
-            match Hashtbl.find_opt tbl name with
-            | Some a -> a
-            | None ->
-              let a =
-                { h_count = 0; h_sum = 0.0; h_max = Float.neg_infinity;
-                  wq = Array.make 3 0.0 }
-              in
-              order := name :: !order;
-              Hashtbl.add tbl name a;
-              a
-          in
-          acc.h_count <- acc.h_count + count;
-          acc.h_sum <- acc.h_sum +. Option.value ~default:0.0 (num_field "sum" ev);
-          (match num_field "max" ev with
-           | Some m -> acc.h_max <- Float.max acc.h_max m
-           | None -> ());
-          List.iteri
-            (fun i k ->
-              match num_field k ev with
-              | Some v -> acc.wq.(i) <- acc.wq.(i) +. (float_of_int count *. v)
-              | None -> ())
-            [ "p50"; "p90"; "p99" ]
-        | _ -> ())
-    events;
-  if !order <> [] then begin
+  if hists <> [] then begin
     print_endline "";
     Util.Table.print
-      ~header:[| "histogram"; "count"; "mean"; "p50"; "p90"; "p99"; "max" |]
-      (List.rev_map
-         (fun name ->
-           let a = Hashtbl.find tbl name in
-           let n = float_of_int a.h_count in
-           [| name;
-              string_of_int a.h_count;
-              fmt_secs (a.h_sum /. n);
-              fmt_secs (a.wq.(0) /. n);
-              fmt_secs (a.wq.(1) /. n);
-              fmt_secs (a.wq.(2) /. n);
-              (if a.h_max = Float.neg_infinity then "-" else fmt_secs a.h_max) |])
-         !order)
+      ~header:[| "histogram"; "count"; "mean"; "p50"; "p95"; "p99"; "max" |]
+      hists
+  end;
+  (* One [model.drift.<op>] row per op over all its input buckets, then
+     one row per bucket. *)
+  let pct =
+    Option.fold ~none:"-" ~some:(fun x -> Printf.sprintf "%.1f%%" (100.0 *. x))
+  in
+  let drift =
+    List.concat_map
+      (fun (op, per_op) ->
+        let name = "model.drift." ^ op in
+        let buckets =
+          List.filter_map
+            (fun (bucket, cell) ->
+              Option.map
+                (fun n -> (bucket, n, num_field "mae_rel" cell))
+                (int_field "n" cell))
+            (obj_member "buckets" per_op)
+        in
+        let n = List.fold_left (fun acc (_, n, _) -> acc + n) 0 buckets in
+        [| name; "all"; string_of_int n; pct (num_field "drift" per_op) |]
+        :: List.map
+             (fun (bucket, n, mae) -> [| name; bucket; string_of_int n; pct mae |])
+             buckets)
+      (obj_member "model" snap)
+  in
+  if drift <> [] then begin
+    print_endline "";
+    Util.Table.print
+      ~header:[| "model drift"; "input bucket"; "n"; "mean abs rel error" |]
+      drift
   end
+
+(* --- series ------------------------------------------------------------- *)
 
 let print_series events =
   let tbl : (string, (float * float) list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -276,6 +273,15 @@ let run_single path top =
     Printf.printf
       "trace %s: no events (empty or fully truncated trace) — nothing to profile.\n"
       path
+  else if not (List.exists (fun ev -> str_field "ev" ev <> None) events) then begin
+    (* No trace events: a saved [stats] reply, rendered by its snapshot. *)
+    Printf.printf "stats reply %s\n" path;
+    section "counters";
+    match snapshot_of events with
+    | Some snap -> print_snapshot snap
+    | None ->
+      print_endline "no telemetry snapshot (the daemon ran without ISAAC_TRACE)."
+  end
   else begin
   (match
      List.find_opt (fun ev -> str_field "ev" ev = Some "trace_start") events
@@ -301,8 +307,9 @@ let run_single path top =
   section "time by phase";
   print_phases (phase_table events);
   section "counters";
-  print_counters events;
-  print_hists events;
+  (match snapshot_of events with
+   | Some snap -> print_snapshot snap
+   | None -> print_endline "no telemetry event in trace (truncated trace?).");
   print_series events;
   section "hottest configurations";
   print_configs ~top events
@@ -332,14 +339,18 @@ let run_many paths =
   let run_headers = List.mapi (fun i _ -> Printf.sprintf "[%d]" (i + 1)) traces in
   (* Counters: one column per run plus last-minus-first delta. *)
   section "counters across runs";
-  let counters = List.map (fun (_, events) -> counter_totals events) traces in
-  let names =
-    union_keys
-      (List.map (fun tbl f -> Hashtbl.iter (fun k _ -> f k) tbl) counters)
+  let counters =
+    List.map
+      (fun (_, events) ->
+        Option.fold ~none:[] ~some:snapshot_counters (snapshot_of events))
+      traces
   in
-  if names = [] then print_endline "no counter events in any trace."
+  let names =
+    union_keys (List.map (fun l f -> List.iter (fun (k, _) -> f k) l) counters)
+  in
+  if names = [] then print_endline "no telemetry event in any trace."
   else begin
-    let value tbl name = Option.value ~default:0 (Hashtbl.find_opt tbl name) in
+    let value l name = Option.value ~default:0 (List.assoc_opt name l) in
     let last = List.nth counters (List.length counters - 1) in
     let first = List.hd counters in
     Util.Table.print
@@ -400,8 +411,9 @@ let run paths top =
 let cmd =
   let traces =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"TRACE"
-         ~doc:"JSONL trace(s) recorded with ISAAC_TRACE=$(docv); two or \
-               more switch to cross-run comparison.")
+         ~doc:"JSONL trace(s) recorded with ISAAC_TRACE=$(docv), or a saved \
+               isaac_serve stats reply; two or more switch to cross-run \
+               comparison.")
   in
   let top =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N"
@@ -409,7 +421,8 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "isaac_profile"
-       ~doc:"Summarize an ISAAC_TRACE profile: phase times, counters, hot configs")
+       ~doc:"Summarize an ISAAC_TRACE profile or a stats reply: phase times, \
+             telemetry, hot configs")
     Term.(const run $ traces $ top)
 
 let () = exit (Cmd.eval cmd)

@@ -10,7 +10,10 @@
      # Unix socket — many concurrent clients, [--workers] accept domains:
      isaac_serve -p p100-gemm.profile --socket /tmp/isaac.sock --workers 4
 
-   Set ISAAC_TELEMETRY=path[,interval] to export serve.* metrics. *)
+   Run under ISAAC_TRACE=path, with ISAAC_TRACE_MAX_MB=N to bound a
+   long-running daemon's trace, to record serve.* metrics: the stats
+   reply then carries the live telemetry snapshot, and the trace closes
+   with the final one. *)
 
 open Cmdliner
 

@@ -55,12 +55,10 @@ let fit ?(batch_size = 64) ?(epochs = 20) ?(adam = Network.default_adam) ?valida
     Obs.Trace.point "mlp.train_mse" ~x:fe ~y:train_hist.(epoch);
     Obs.Trace.point "mlp.lr" ~x:fe ~y:adam.Network.lr;
     Obs.Telemetry.incr "mlp.epochs";
-    Obs.Telemetry.set_gauge "mlp.train_mse" train_hist.(epoch);
     match validation with
     | Some (xv, yv) ->
       val_hist.(epoch) <- Network.mse net ~x:xv ~y:yv;
-      Obs.Trace.point "mlp.val_mse" ~x:fe ~y:val_hist.(epoch);
-      Obs.Telemetry.set_gauge "mlp.val_mse" val_hist.(epoch)
+      Obs.Trace.point "mlp.val_mse" ~x:fe ~y:val_hist.(epoch)
     | None -> ()
   done;
   { epoch_train_mse = train_hist; epoch_val_mse = val_hist })

@@ -29,41 +29,38 @@ let with_request ?id f =
     Fun.protect ~finally:(fun () -> Domain.DLS.set req_key outer) f
   end
 
-(* The span proper, once a sink is known to be open: trace event,
+(* The span proper, once the trace is known to be open: trace event,
    [<name>_s] histogram and flight-recorder entry all carry the one
    duration it returns. *)
 let spanned ?meta name f =
-  let traced = Trace.enabled () in
   let outer = Domain.DLS.get stack in
   let rev_names = name :: outer in
   Domain.DLS.set stack rev_names;
   let start = Trace.now () in
   let m0 = Trace.monotonic () in
   let close ~ok =
-    (* Durations come off the raw monotonized clock so telemetry-only
-       runs (no trace sink, [Trace.now] pinned at 0) still time
-       correctly. *)
+    (* Durations come off the raw monotonized clock, as [with_dur]'s are
+       with no trace open, so a span that outlives the trace still times
+       correctly ([Trace.now] reads 0 once the sink is closed). *)
     let dur = Float.max 0.0 (Trace.monotonic () -. m0) in
     Domain.DLS.set stack outer;
     let req = Domain.DLS.get req_key in
-    if traced then begin
-      let fields =
-        [ ("name", Json.String name);
-          ("path", Json.String (path_of rev_names));
-          ("start", Json.Float start);
-          ("dur", Json.Float dur) ]
-      in
-      let fields =
-        if req = 0 then fields else fields @ [ ("req", Json.Int req) ]
-      in
-      let fields = if ok then fields else fields @ [ ("error", Json.Bool true) ] in
-      let fields =
-        match meta with
-        | None -> fields
-        | Some m -> fields @ [ ("meta", Json.Obj (m ())) ]
-      in
-      Trace.emit "span" fields
-    end;
+    let fields =
+      [ ("name", Json.String name);
+        ("path", Json.String (path_of rev_names));
+        ("start", Json.Float start);
+        ("dur", Json.Float dur) ]
+    in
+    let fields =
+      if req = 0 then fields else fields @ [ ("req", Json.Int req) ]
+    in
+    let fields = if ok then fields else fields @ [ ("error", Json.Bool true) ] in
+    let fields =
+      match meta with
+      | None -> fields
+      | Some m -> fields @ [ ("meta", Json.Obj (m ())) ]
+    in
+    Trace.emit "span" fields;
     Telemetry.observe (name ^ "_s") dur;
     Telemetry.Flight.record ~req
       ~kind:(if ok then "span" else "span.error")

@@ -3,12 +3,11 @@
 
     [with_ "x" f] times [f ()] on the monotonized clock. One duration
     feeds every output of the span:
-    - when the trace sink is enabled, a [span] event on completion
+    - while the trace sink is open, a [span] event on completion
       carrying the span's slash-joined ancestry path
-      (["tune/tune.dataset/sampler.fit"]) and [dur];
-    - when the {!Telemetry} registry is collecting (either sink open),
-      one observation of the histogram ["x_s"], and a flight-recorder
-      entry (kind ["span"], or ["span.error"] if [f] raised);
+      (["tune/tune.dataset/sampler.fit"]) and [dur], one observation of
+      the {!Telemetry} histogram ["x_s"], and a flight-recorder entry
+      (kind ["span"], or ["span.error"] if [f] raised);
     - with {!with_dur}, the caller, which gets it back.
 
     Nesting is tracked per domain ({!Domain.DLS}): spans opened inside a
@@ -18,7 +17,7 @@
     own top-level span). Spans carry the current request id so one plan
     request's spans correlate across domains.
 
-    When both sinks are disabled, [with_ name f] is exactly [f ()] — no
+    When the trace is closed, [with_ name f] is exactly [f ()] — no
     clock read, no allocation beyond the closure the caller already
     built. *)
 
@@ -26,9 +25,8 @@ val with_ :
   ?meta:(unit -> (string * Json.t) list) -> string -> (unit -> 'a) -> 'a
 (** [with_ name f] runs [f], emitting a [span] event when tracing (with
     a ["req"] field when a request id is in scope), and observing
-    [name ^ "_s"] and a flight-recorder entry while the registry
-    collects. The [meta] thunk is forced only when tracing, at span
-    close — use it for fields that are costly to render (config
+    [name ^ "_s"] and a flight-recorder entry. The [meta] thunk is
+    forced only when tracing, at span close — use it for fields that are costly to render (config
     descriptions, counts). If [f] raises, the span is still closed with
     an ["error":true] field and the exception is re-raised. *)
 
@@ -40,14 +38,14 @@ val with_dur :
 (** [with_dur name f] is [with_ name f] that also returns the span's
     duration in seconds: bit-equal to the trace event's [dur] and to
     the one observation of [name ^ "_s"]. Unlike {!with_} it reads the
-    clock even when both sinks are disabled, so callers that report
+    clock even when the trace is closed, so callers that report
     per-phase times (the search's [phases]) always get them. *)
 
 val with_request : ?id:int -> (unit -> 'a) -> 'a
 (** [with_request f] runs [f] with a request id installed in the calling
     domain (a fresh process-unique id unless [id] is given), restoring
     the previous id afterwards. Nested calls shadow. No-op wrapper when
-    both trace and telemetry are disabled. *)
+    the trace is closed. *)
 
 val current_request : unit -> int option
 (** The request id in scope on the calling domain, if any. Parallel

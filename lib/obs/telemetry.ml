@@ -1,16 +1,15 @@
 (* Always-on serving telemetry: the process's one registry of sharded
-   lock-free counters and gauges and log-bucketed mergeable histograms,
-   a per-domain flight recorder, a model-quality (predicted-vs-measured
-   residual) channel, and a periodic snapshot exporter (JSONL +
-   Prometheus-style text).
+   lock-free counters and log-bucketed histograms, a per-domain flight
+   recorder and a model-quality (predicted-vs-measured residual)
+   channel. The registry collects while the trace sink is open, and the
+   trace records it when it stops.
 
-   Design contract: when neither ISAAC_TELEMETRY nor ISAAC_TRACE is set
-   every gated entry point reduces to two atomic-bool loads. When
-   enabled, the hot path is a shard lookup plus one
-   [Atomic.fetch_and_add] — no mutex is ever taken on a counter bump or
-   histogram observation, so totals are exact for any domain count
-   (fetch-and-add cannot lose increments even when two domains collide
-   on a shard). *)
+   Design contract: with no trace open every gated entry point reduces
+   to one atomic-bool load. When enabled, the hot path is a shard lookup
+   plus one [Atomic.fetch_and_add] — no mutex is ever taken on a counter
+   bump or histogram observation, so totals are exact for any domain
+   count (fetch-and-add cannot lose increments even when two domains
+   collide on a shard). *)
 
 let shard_bits = 4
 let n_shards = 1 lsl shard_bits
@@ -32,12 +31,8 @@ let rec atomic_max_float a x =
   let cur = Atomic.get a in
   if x > cur && not (Atomic.compare_and_set a cur x) then atomic_max_float a x
 
-(* --- enabled flag (set by [start], read by every gated call) ----------- *)
-
-(* The registry collects while either sink is open: the exporter here or
-   a trace, which records the registry when it stops. *)
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag || Trace.enabled ()
+(* The registry collects while a trace is open. *)
+let enabled = Trace.enabled
 
 (* --- counters ----------------------------------------------------------- *)
 
@@ -140,10 +135,6 @@ module Histo = struct
     buckets : (int * int) array; (* sparse (bucket, count), ascending *)
   }
 
-  let empty_snapshot =
-    { count = 0; sum = 0.0; min_v = Float.infinity;
-      max_v = Float.neg_infinity; buckets = [||] }
-
   let snapshot t =
     let totals = Array.make n_buckets 0 in
     let sum = ref 0.0 in
@@ -179,33 +170,6 @@ module Histo = struct
     Atomic.set t.h_min Float.infinity;
     Atomic.set t.h_max Float.neg_infinity
 
-  (* Merge is element-wise bucket addition: associative and commutative
-     (exactly so for the integer fields; the float [sum] is exact
-     whenever the observations are, e.g. integer-valued tests). *)
-  let merge a b =
-    if a.count = 0 then b
-    else if b.count = 0 then a
-    else begin
-      let out = ref [] in
-      let ia = ref 0 and ib = ref 0 in
-      let na = Array.length a.buckets and nb = Array.length b.buckets in
-      while !ia < na || !ib < nb do
-        if !ib >= nb then (out := a.buckets.(!ia) :: !out; incr ia)
-        else if !ia >= na then (out := b.buckets.(!ib) :: !out; incr ib)
-        else begin
-          let ka, ca = a.buckets.(!ia) and kb, cb = b.buckets.(!ib) in
-          if ka < kb then (out := (ka, ca) :: !out; incr ia)
-          else if kb < ka then (out := (kb, cb) :: !out; incr ib)
-          else (out := (ka, ca + cb) :: !out; incr ia; incr ib)
-        end
-      done;
-      { count = a.count + b.count;
-        sum = a.sum +. b.sum;
-        min_v = Float.min a.min_v b.min_v;
-        max_v = Float.max a.max_v b.max_v;
-        buckets = Array.of_list (List.rev !out) }
-    end
-
   let quantile s q =
     if s.count = 0 then Float.nan
     else begin
@@ -229,17 +193,6 @@ module Histo = struct
   let mean s = if s.count = 0 then Float.nan else s.sum /. float_of_int s.count
 end
 
-(* --- gauges ------------------------------------------------------------- *)
-
-module Gauge = struct
-  type t = { cell : float Atomic.t }
-
-  let create () = { cell = Atomic.make Float.nan }
-  let set t v = Atomic.set t.cell v
-  let value t = Atomic.get t.cell
-  let reset t = Atomic.set t.cell Float.nan
-end
-
 (* --- model-quality cells ------------------------------------------------ *)
 
 type model_cell = {
@@ -254,7 +207,6 @@ type model_cell = {
 type entity =
   | C of Counter.t
   | H of Histo.t
-  | G of Gauge.t
   | M of model_cell
 
 (* The one process-wide registry, a copy-on-write table published
@@ -292,11 +244,6 @@ let histo name =
   | H h -> h
   | _ -> invalid_arg ("Telemetry: " ^ name ^ " is not a histogram")
 
-let gauge name =
-  match find_or name (fun () -> G (Gauge.create ())) with
-  | G g -> g
-  | _ -> invalid_arg ("Telemetry: " ^ name ^ " is not a gauge")
-
 (* Registered entities of one kind, sorted by name. *)
 let entities kind =
   Hashtbl.fold
@@ -306,24 +253,15 @@ let entities kind =
 
 let counters () = entities (function C c -> Some c | _ -> None)
 let histos () = entities (function H h -> Some h | _ -> None)
-let gauges () = entities (function G g -> Some g | _ -> None)
 let model_cells () = List.map snd (entities (function M m -> Some m | _ -> None))
 
 let add name n = if enabled () then Counter.add (counter name) n
 let incr name = add name 1
 let observe name v = if enabled () then Histo.observe (histo name) v
-let set_gauge name v = if enabled () then Gauge.set (gauge name) v
 
 let counter_value name =
   match Hashtbl.find_opt (Atomic.get registry) name with
   | Some (C c) -> Some (Counter.value c)
-  | _ -> None
-
-let gauge_value name =
-  match Hashtbl.find_opt (Atomic.get registry) name with
-  | Some (G g) ->
-    let v = Gauge.value g in
-    if Float.is_nan v then None else Some v
   | _ -> None
 
 (* --- model-quality channel ---------------------------------------------- *)
@@ -438,45 +376,30 @@ end
 
 (* --- snapshots ---------------------------------------------------------- *)
 
-let seq = Atomic.make 0
-
-let hist_fields (s : Histo.snapshot) =
-  [ ("count", Json.Int s.count);
-    ("sum", Json.Float s.sum);
-    ("min", Json.Float s.min_v);
-    ("max", Json.Float s.max_v);
-    ("mean", Json.Float (Histo.mean s));
-    ("p50", Json.Float (Histo.quantile s 0.50));
-    ("p90", Json.Float (Histo.quantile s 0.90));
-    ("p95", Json.Float (Histo.quantile s 0.95));
-    ("p99", Json.Float (Histo.quantile s 0.99)) ]
-
 let snapshot_json () =
   let counters =
     List.map
       (fun (name, c) -> (name, Json.Int (Counter.value c)))
       (counters ())
   in
-  let gauges =
-    List.filter_map
-      (fun (name, g) ->
-        let v = Gauge.value g in
-        if Float.is_nan v then None else Some (name, Json.Float v))
-      (gauges ())
-  in
-  let drift_gauges =
-    List.filter_map
-      (fun op ->
-        Option.map
-          (fun d -> ("model.drift." ^ op, Json.Float d))
-          (Model.drift ~op))
-      (Model.ops ())
-  in
   let hists =
     List.filter_map
       (fun (name, h) ->
         let s = Histo.snapshot h in
-        if s.count = 0 then None else Some (name, Json.Obj (hist_fields s)))
+        if s.count = 0 then None
+        else
+          Some
+            ( name,
+              Json.Obj
+                [ ("count", Json.Int s.count);
+                  ("sum", Json.Float s.sum);
+                  ("min", Json.Float s.min_v);
+                  ("max", Json.Float s.max_v);
+                  ("mean", Json.Float (Histo.mean s));
+                  ("p50", Json.Float (Histo.quantile s 0.50));
+                  ("p90", Json.Float (Histo.quantile s 0.90));
+                  ("p95", Json.Float (Histo.quantile s 0.95));
+                  ("p99", Json.Float (Histo.quantile s 0.99)) ] ))
       (histos ())
   in
   let model =
@@ -511,218 +434,25 @@ let snapshot_json () =
   in
   Json.Obj
     [ ("schema", Json.String "isaac-telemetry");
-      ("version", Json.Int 1);
-      ("seq", Json.Int (Atomic.get seq));
+      ("version", Json.Int 2);
       ("unix_time", Json.Float (Unix.gettimeofday ()));
       ("counters", Json.Obj counters);
-      ("gauges", Json.Obj (gauges @ drift_gauges));
       ("hists", Json.Obj hists);
       ("model", Json.Obj model) ]
-
-(* --- Prometheus-style text exposition ----------------------------------- *)
-
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c | _ -> '_')
-    name
-
-let prom_float v =
-  if Float.is_nan v then "NaN"
-  else if v = Float.infinity then "+Inf"
-  else if v = Float.neg_infinity then "-Inf"
-  else Printf.sprintf "%.17g" v
-
-let prometheus () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (name, c) ->
-      let n = "isaac_" ^ sanitize name ^ "_total" in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
-      Buffer.add_string buf (Printf.sprintf "%s %d\n" n (Counter.value c)))
-    (counters ());
-  let emit_gauge name v =
-    let n = "isaac_" ^ sanitize name in
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
-    Buffer.add_string buf (Printf.sprintf "%s %s\n" n (prom_float v))
-  in
-  List.iter
-    (fun (name, g) ->
-      let v = Gauge.value g in
-      if not (Float.is_nan v) then emit_gauge name v)
-    (gauges ());
-  List.iter
-    (fun op ->
-      match Model.drift ~op with
-      | Some d -> emit_gauge ("model_drift_" ^ op) d
-      | None -> ())
-    (Model.ops ());
-  List.iter
-    (fun (name, h) ->
-      let s = Histo.snapshot h in
-      if s.count > 0 then begin
-        let n = "isaac_" ^ sanitize name in
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" n);
-        List.iter
-          (fun q ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s{quantile=\"%g\"} %s\n" n q
-                 (prom_float (Histo.quantile s q))))
-          [ 0.5; 0.9; 0.95; 0.99 ];
-        Buffer.add_string buf
-          (Printf.sprintf "%s_sum %s\n" n (prom_float s.sum));
-        Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.count)
-      end)
-    (histos ());
-  Buffer.contents buf
-
-(* --- exporter ----------------------------------------------------------- *)
-
-type exporter = {
-  path : string;
-  interval : float; (* <= 0: export only on stop / export_now *)
-  stop_requested : bool Atomic.t;
-  mutable worker : unit Domain.t option;
-  ex_lock : Mutex.t; (* serializes file writes across callers *)
-}
-
-let state : exporter option Atomic.t = Atomic.make None
-let master = Mutex.create ()
-let exit_hook_installed = ref false
-
-let write_exports ex =
-  Mutex.lock ex.ex_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ex.ex_lock)
-    (fun () ->
-      ignore (Atomic.fetch_and_add seq 1);
-      let line = Json.to_string (snapshot_json ()) in
-      let oc =
-        open_out_gen [ Open_append; Open_creat ] 0o644 ex.path
-      in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc line;
-          output_char oc '\n');
-      (* Prometheus text goes through write-temp-then-rename so scrapers
-         never see a torn file. *)
-      let prom_path = ex.path ^ ".prom" in
-      let tmp = prom_path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (prometheus ()));
-      Sys.rename tmp prom_path)
-
-let export_now () =
-  match Atomic.get state with
-  | None -> ()
-  | Some ex -> (
-    try write_exports ex
-    with e ->
-      Printf.eprintf "isaac telemetry: export to %s failed: %s\n%!" ex.path
-        (Printexc.to_string e))
-
-let rec sleep_until ex t_end =
-  if Atomic.get ex.stop_requested then false
-  else begin
-    let now = Unix.gettimeofday () in
-    if now >= t_end then true
-    else begin
-      Unix.sleepf (Float.min 0.05 (t_end -. now));
-      sleep_until ex t_end
-    end
-  end
-
-let rec export_loop ex =
-  if sleep_until ex (Unix.gettimeofday () +. ex.interval) then begin
-    export_now ();
-    export_loop ex
-  end
-
-let stop () =
-  Mutex.lock master;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock master)
-    (fun () ->
-      match Atomic.get state with
-      | None -> ()
-      | Some ex ->
-        Atomic.set ex.stop_requested true;
-        (match ex.worker with
-         | Some d ->
-           Domain.join d;
-           ex.worker <- None
-         | None -> ());
-        export_now ();
-        Atomic.set enabled_flag false;
-        Atomic.set state None)
-
-let start ?(interval_s = 0.0) ~path () =
-  Mutex.lock master;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock master)
-    (fun () ->
-      if Atomic.get state = None then begin
-        let ex =
-          { path; interval = interval_s; stop_requested = Atomic.make false;
-            worker = None; ex_lock = Mutex.create () }
-        in
-        Atomic.set state (Some ex);
-        Atomic.set enabled_flag true;
-        if interval_s > 0.0 then
-          ex.worker <- Some (Domain.spawn (fun () -> export_loop ex));
-        if not !exit_hook_installed then begin
-          exit_hook_installed := true;
-          at_exit stop
-        end
-      end)
 
 let reset () =
   Hashtbl.iter
     (fun _ -> function
       | C c -> Counter.reset c
       | H h -> Histo.reset h
-      | G g -> Gauge.reset g
       | M m ->
         Atomic.set m.m_n 0;
         Atomic.set m.m_abs_rel 0.0)
     (Atomic.get registry);
   Flight.clear ()
 
-(* A closing trace records the registry: one [counter] event per
-   non-zero counter and one [hist] event per non-empty histogram,
-   carrying the values a snapshot reports at that moment. *)
+(* A closing trace records the registry as one [telemetry] event
+   carrying the snapshot, under the key the daemon's [stats] reply uses
+   for it. *)
 let () =
-  Trace.at_stop (fun () ->
-      List.iter
-        (fun (name, c) ->
-          match Counter.value c with
-          | 0 -> ()
-          | v -> Trace.emit "counter" [ ("name", Json.String name); ("value", Json.Int v) ])
-        (counters ());
-      List.iter
-        (fun (name, h) ->
-          let s = Histo.snapshot h in
-          if s.count > 0 then
-            Trace.emit "hist" (("name", Json.String name) :: hist_fields s))
-        (histos ()))
-
-(* Honour ISAAC_TELEMETRY=path[,interval_seconds] as soon as any
-   instrumented code touches this module, mirroring Trace/ISAAC_TRACE. *)
-let () =
-  match Util.Env_config.string "ISAAC_TELEMETRY" "" with
-  | "" -> ()
-  | spec ->
-    let path, interval =
-      match String.rindex_opt spec ',' with
-      | Some i -> (
-        match
-          float_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-        with
-        | Some f -> (String.sub spec 0 i, f)
-        | None -> (spec, 0.0))
-      | None -> (spec, 0.0)
-    in
-    if path <> "" then start ~interval_s:interval ~path ()
+  Trace.at_stop (fun () -> Trace.emit "telemetry" [ ("telemetry", snapshot_json ()) ])

@@ -1,22 +1,17 @@
-(** The process's one registry of counters, histograms and gauges, and
-    the always-on serving telemetry that exports it.
+(** The process's one registry of counters and histograms, with the
+    flight recorder and the model-quality channel: the always-on
+    telemetry of a serving process.
 
-    Unlike {!Trace} (a per-run event log meant to be switched on for one
-    diagnostic run), this module is designed to stay on in a resident
-    serving process: counters and histograms are sharded across atomics
-    so the hot path never takes a mutex, and a background domain
-    periodically exports merged snapshots (JSONL via {!Json}, plus a
-    Prometheus-style text file at [path ^ ".prom"]).
-
-    The registry collects while either sink is open. Set
-    [ISAAC_TELEMETRY=path] to export one final snapshot at exit, or
-    [ISAAC_TELEMETRY=path,2.5] to also export every 2.5 seconds. Under
-    [ISAAC_TRACE], the trace records the registry when it stops: one
-    [counter] event per non-zero counter and one [hist] event per
-    non-empty histogram, with the values a snapshot would report. The
+    The registry collects while the {!Trace} sink is open
+    ([ISAAC_TRACE=path], rotated at [ISAAC_TRACE_MAX_MB] so a
+    long-running daemon stays bounded). Counters and histograms are
+    sharded across atomics so the hot path never takes a mutex. When the
+    trace stops it records the registry as one [telemetry] event
+    carrying {!snapshot_json}, the object the daemon's [stats] reply
+    embeds under the same key; [isaac_profile] renders either. The
     registry is cumulative over the process, never reset by a trace.
-    With both variables unset, every gated entry point reduces to two
-    atomic-bool loads.
+    With no trace open, every gated entry point reduces to one
+    atomic-bool load.
 
     Correctness notes (pinned by [test/test_telemetry.ml]):
     - counter totals are {e exact} for any domain count — increments go
@@ -24,36 +19,15 @@
       when two domains alias onto the same shard;
     - histogram quantiles carry a ≤ 2% relative error bound (32 linear
       sub-buckets per power-of-two octave; reporting bucket midpoints
-      halves the 3.125% bucket width);
-    - snapshot merge is associative and commutative (element-wise bucket
-      addition). *)
+      halves the 3.125% bucket width). *)
 
 val enabled : unit -> bool
-(** Whether the registry is collecting: an exporter was started or a
-    {!Trace} sink is open. The one check every instrumented call site
-    performs first. *)
-
-val start : ?interval_s:float -> path:string -> unit -> unit
-(** Enable telemetry, appending JSONL snapshots to [path] (and writing
-    Prometheus text to [path ^ ".prom"] via atomic rename). When
-    [interval_s > 0] a background domain exports on that period;
-    otherwise snapshots are written only by {!export_now} and {!stop}.
-    No-op if already started. Installs an [at_exit] {!stop}. *)
-
-val stop : unit -> unit
-(** Export one final snapshot, join the exporter domain, and stop the
-    exporter ({!enabled} stays true while a trace is open). No-op when
-    no exporter runs. Runs automatically [at_exit]. *)
-
-val export_now : unit -> unit
-(** Write a snapshot immediately (no-op when no exporter runs). Export
-    errors are reported on stderr, never raised into the instrumented
-    caller. *)
+(** Whether the registry is collecting: {!Trace.enabled}. The one check
+    every instrumented call site performs first. *)
 
 val reset : unit -> unit
-(** Zero every registered value (counters, histograms, gauges, model
-    cells) and clear the flight recorder, keeping handles valid. For
-    tests. *)
+(** Zero every registered value (counters, histograms, model cells)
+    and clear the flight recorder, keeping handles valid. For tests. *)
 
 (** Sharded lock-free counters. Handles are cheap to create and safe to
     keep in module-level bindings; operations on a handle are {e not}
@@ -72,7 +46,7 @@ module Counter : sig
   val reset : t -> unit
 end
 
-(** Log-bucketed mergeable histograms (HDR-style). *)
+(** Log-bucketed histograms (HDR-style). *)
 module Histo : sig
   type t
 
@@ -95,11 +69,6 @@ module Histo : sig
   val snapshot : t -> snapshot
   (** Merge all shards into one immutable summary. *)
 
-  val empty_snapshot : snapshot
-
-  val merge : snapshot -> snapshot -> snapshot
-  (** Element-wise bucket addition; associative and commutative. *)
-
   val quantile : snapshot -> float -> float
   (** [quantile s 0.99] walks the cumulative bucket counts and returns
       the midpoint of the bucket containing that rank, clamped to the
@@ -109,8 +78,6 @@ module Histo : sig
   val mean : snapshot -> float
   (** [sum /. count]; NaN when empty. *)
 
-  val reset : t -> unit
-
   (** Bucket geometry, exposed for tests. *)
 
   val n_buckets : int
@@ -118,26 +85,13 @@ module Histo : sig
   val bucket_lower : int -> float
   (** Inclusive lower edge; [bucket_of (bucket_lower b) = b] exactly
       (edges are dyadic rationals, representable in binary float). *)
-
-  val bucket_mid : int -> float
-end
-
-(** Last-write-wins float gauges. *)
-module Gauge : sig
-  type t
-
-  val create : unit -> t
-  val set : t -> float -> unit
-  val value : t -> float
-  (** NaN until first set. *)
-
-  val reset : t -> unit
 end
 
 (** Predicted-vs-measured model-quality channel. Call {!Model.record}
     whenever a prediction is checked against a real measurement (the
     search rebench stage does); drift per op surfaces in snapshots as
-    the [model.drift.<op>] gauge. *)
+    [model.<op>.drift], which [isaac_profile] prints as the
+    [model.drift.<op>] row. *)
 module Model : sig
   val record :
     op:string -> bucket:string -> predicted:float -> measured:float -> unit
@@ -181,33 +135,23 @@ end
 
 (** String-keyed sinks over the registry. Handle lookup is lock-free on
     a copy-on-write table; first use of a name takes a mutex once to
-    register it. [add]/[incr]/[observe]/[set_gauge] are gated on
-    {!enabled}. *)
+    register it. [add]/[incr]/[observe] are gated on {!enabled}. *)
 
 val counter : string -> Counter.t
 (** Find or register. Raises [Invalid_argument] if [name] is already
-    registered as a different kind; likewise {!histo} and {!gauge}. *)
+    registered as a different kind; likewise {!histo}. *)
 
 val histo : string -> Histo.t
-val gauge : string -> Gauge.t
 val add : string -> int -> unit
 val incr : string -> unit
 val observe : string -> float -> unit
-val set_gauge : string -> float -> unit
 
 val counter_value : string -> int option
 (** [None] if the name was never registered as a counter. *)
 
-val gauge_value : string -> float option
-(** [None] if never registered or never set. *)
-
 val snapshot_json : unit -> Json.t
-(** The full merged snapshot: [{"schema":"isaac-telemetry","version":1,
-    "seq":..,"unix_time":..,"counters":{..},"gauges":{..},
+(** The full merged snapshot: [{"schema":"isaac-telemetry","version":2,
+    "unix_time":..,"counters":{..},
     "hists":{name:{count,sum,min,max,mean,p50,p90,p95,p99}},
     "model":{op:{drift,buckets:{bucket:{n,mae_rel}}}}}]. Empty
     histograms are omitted; counters appear even at zero. *)
-
-val prometheus : unit -> string
-(** Prometheus text exposition of the same snapshot ([isaac_] prefix,
-    [_total] counters, summary-typed histograms). *)

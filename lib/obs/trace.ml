@@ -109,7 +109,7 @@ let stop () =
       | None -> ()
       | Some s ->
         (* Finalizers run while the sink is still live so they can emit
-           (Telemetry writes its counters and histograms here). *)
+           (Telemetry writes its registry here). *)
         List.iter (fun f -> f ()) (List.rev !finalizers);
         write ~capped:false "trace_end" [];
         Atomic.set on false;

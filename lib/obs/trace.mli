@@ -1,12 +1,13 @@
 (** JSONL trace sink, gated by the [ISAAC_TRACE] environment variable.
 
     When [ISAAC_TRACE=file.jsonl] is set, every subsystem that calls into
-    {!Obs} appends one JSON object per line to that file, and the
-    {!Telemetry} registry collects and is written into the trace when it
-    stops. When it and [ISAAC_TELEMETRY] are unset, every entry point in
-    this library reduces to one or two boolean loads, so instrumented
-    hot paths cost nothing measurable (the acceptance bound is < 2% on a
-    full tuning run; the no-op test in [test/test_obs.ml] pins this).
+    {!Obs} appends one JSON object per line to that file. The trace is
+    the {!Telemetry} registry's one sink: the registry collects while it
+    is open, and {!stop} records it as one [telemetry] event. When
+    [ISAAC_TRACE] is unset, every entry point in this library reduces to
+    one boolean load, so instrumented hot paths cost nothing measurable
+    (the acceptance bound is < 2% on a full tuning run; the no-op test
+    in [test/test_obs.ml] pins this).
 
     Long-running processes can cap the file size with
     [ISAAC_TRACE_MAX_MB=N]: when an append would push the current file
@@ -36,9 +37,9 @@ val start : ?max_bytes:int -> path:string -> unit -> unit
     set; exposed for tests and embedders. *)
 
 val stop : unit -> unit
-(** Run registered finalizers (counter and histogram summaries), append
-    [trace_end] (never rotating; see above), close the sink. No-op when
-    disabled. Runs automatically [at_exit]. *)
+(** Run registered finalizers (the registry's [telemetry] event),
+    append [trace_end] (never rotating; see above), close the sink.
+    No-op when disabled. Runs automatically [at_exit]. *)
 
 val at_stop : (unit -> unit) -> unit
 (** Register a finalizer to run inside {!stop} before the sink closes
@@ -50,7 +51,7 @@ val now : unit -> float
 val monotonic : unit -> float
 (** The raw monotonized clock (seconds since the epoch, clamped to its
     high-water mark). Usable for durations independently of whether a
-    sink is open — {!Span} times telemetry-only spans with it. *)
+    sink is open — {!Span} times every span with it. *)
 
 val emit : string -> (string * Json.t) list -> unit
 (** [emit ev fields] appends [{"ev":ev,"ts":now(),...fields}] as one

@@ -36,7 +36,7 @@ let test_plan_gemm () =
 
 (* A fresh plan records the five search phases in pipeline order. The
    planner's bit-for-bit agreement with the reference planner lives in
-   test_tuner. With both sinks open, each phase time is its
+   test_tuner. With the trace open, each phase time is its
    [search.<phase>] span's duration bit for bit: the trace event's
    [dur], and the sum of the [search.<phase>_s] histogram's one
    observation. The trace also shows which MLP kernel body scored the
@@ -49,22 +49,17 @@ let test_plan_phases () =
   let engine = Lazy.force gemm_engine in
   let fresh = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
   let traced input =
-    let trace = Filename.temp_file "isaac_phases" ".jsonl"
-    and tel = Filename.temp_file "isaac_phases_tel" ".jsonl" in
+    let trace = Filename.temp_file "isaac_phases" ".jsonl" in
     Obs.Telemetry.reset ();
-    Obs.Telemetry.start ~path:tel ();
     Obs.Trace.start ~path:trace ();
     let plan = Option.get (Isaac.plan_gemm fresh input) in
     Obs.Trace.stop ();
-    Obs.Telemetry.stop ();
     let spans =
       List.filter
         (fun e -> Obs.Json.member "ev" e = Some (Obs.Json.String "span"))
         (Obs.Trace.read_file trace)
     in
-    List.iter
-      (fun p -> if Sys.file_exists p then Sys.remove p)
-      [ trace; tel; tel ^ ".prom" ];
+    Sys.remove trace;
     (plan, spans)
   in
   let meta spans name k to_ =

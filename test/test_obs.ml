@@ -1,7 +1,7 @@
 (* Observability layer: JSON round-trips, span nesting and JSONL
    round-trip through a real sink, the telemetry registry recorded into
    the trace, interpreter counter correctness on a hand-written kernel
-   with a known instruction mix, zero-cost behaviour when both sinks are
+   with a known instruction mix, zero-cost behaviour when the trace is
    closed, and the counter snapshot embedded in interpreter trap
    messages. *)
 
@@ -23,6 +23,29 @@ let str_field k ev = Option.bind (J.member k ev) J.to_str
 let num_field k ev = Option.bind (J.member k ev) J.to_float
 
 let events_of ev list = List.filter (fun e -> str_field "ev" e = Some ev) list
+
+(* The registry snapshot of a trace's one closing [telemetry] event, and
+   the value at a key path inside it. *)
+let closing_snapshot events =
+  match events_of "telemetry" events with
+  | [ e ] -> Option.get (J.member "telemetry" e)
+  | l -> Alcotest.failf "expected 1 telemetry event, got %d" (List.length l)
+
+let at keys v = List.fold_left (fun v k -> Option.bind v (J.member k)) (Some v) keys
+
+(* OUT[tid] = IN[tid] over one block of 64 threads (two warps). *)
+let run_copy_kernel () =
+  let b = B.create ~name:"warps" ~dtype:F64 in
+  let inp = B.buf_param b "IN" in
+  let out = B.buf_param b "OUT" in
+  let tid = B.mov_i b (Ispecial Tid_x) in
+  let f = B.fresh_f b in
+  B.emit b (I.Ld_global (f, inp, Ireg tid));
+  B.emit b (I.St_global (out, Ireg tid, Freg f));
+  Ptx.Interp.run (B.finish b) ~grid:(1, 1, 1) ~block:(64, 1, 1)
+    ~bufs:[ ("IN", Array.make 64 1.0); ("OUT", Array.make 64 0.0) ]
+    ~iargs:[]
+
 
 (* --- JSON --------------------------------------------------------------- *)
 
@@ -153,8 +176,11 @@ let test_span_error_flag () =
     Alcotest.(check bool) "error flag" true (J.member "error" sp = Some (J.Bool true))
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
-(* --- registry summaries in the trace ------------------------------------- *)
+(* --- the registry snapshot in the trace ---------------------------------- *)
 
+(* The trace records the registry as one [telemetry] event just before
+   [trace_end]: counters (the interpreter's too), histograms, a span's
+   histogram and model drift, beside the [point] series. *)
 let test_metrics_flush () =
   let path = tmp_trace () in
   Obs.Telemetry.reset ();
@@ -167,29 +193,49 @@ let test_metrics_flush () =
   for i = 1 to 100 do
     Obs.Telemetry.observe "h.lat" (float_of_int i)
   done;
+  Obs.Span.with_ "both.span" (fun () -> ignore (run_copy_kernel ()));
+  Obs.Telemetry.Model.record ~op:"gemm" ~bucket:"2^30" ~predicted:1.5 ~measured:1.0;
   Obs.Trace.point "s.loss" ~x:0.0 ~y:1.5;
   Obs.Trace.stop ();
   let events = Obs.Trace.read_file path in
   Sys.remove path;
-  let counter name =
-    List.find_opt (fun e -> str_field "name" e = Some name)
-      (events_of "counter" events)
-  in
-  (match counter "c.hits" with
-   | Some e -> Alcotest.(check (option (float 1e-9))) "c.hits" (Some 5.0) (num_field "value" e)
-   | None -> Alcotest.fail "c.hits not flushed");
-  (match counter "c.other" with
-   | Some e -> Alcotest.(check (option (float 1e-9))) "c.other" (Some 2.0) (num_field "value" e)
-   | None -> Alcotest.fail "c.other not flushed");
-  (match events_of "hist" events with
-   | [ h ] ->
-     Alcotest.(check (option (float 1e-9))) "count" (Some 100.0) (num_field "count" h);
-     Alcotest.(check (option (float 1e-9))) "min" (Some 1.0) (num_field "min" h);
-     Alcotest.(check (option (float 1e-9))) "max" (Some 100.0) (num_field "max" h);
-     Alcotest.(check (option (float 1e-9))) "mean" (Some 50.5) (num_field "mean" h);
-     let p50 = Option.get (num_field "p50" h) in
-     if p50 < 40.0 || p50 > 60.0 then Alcotest.failf "p50 off: %g" p50
-   | l -> Alcotest.failf "expected 1 hist, got %d" (List.length l));
+  (match List.rev events with
+   | _ :: closing :: _ when str_field "ev" closing = Some "telemetry" -> ()
+   | _ -> Alcotest.fail "the telemetry event does not precede trace_end");
+  let snap = closing_snapshot events in
+  let int_at keys = Option.bind (at keys snap) J.to_int in
+  let num_at keys = Option.bind (at keys snap) J.to_float in
+  Alcotest.(check (option int)) "c.hits" (Some 5) (int_at [ "counters"; "c.hits" ]);
+  Alcotest.(check (option int)) "c.other" (Some 2) (int_at [ "counters"; "c.other" ]);
+  List.iter
+    (fun name ->
+      match int_at [ "counters"; name ] with
+      | Some n when n > 0 -> ()
+      | _ -> Alcotest.failf "interpreter counter %s not recorded" name)
+    [ "interp.runs"; "interp.dyn.total" ];
+  let h field = num_at [ "hists"; "h.lat"; field ] in
+  Alcotest.(check (option int)) "count" (Some 100)
+    (int_at [ "hists"; "h.lat"; "count" ]);
+  Alcotest.(check (option (float 1e-9))) "min" (Some 1.0) (h "min");
+  Alcotest.(check (option (float 1e-9))) "max" (Some 100.0) (h "max");
+  Alcotest.(check (option (float 1e-9))) "mean" (Some 50.5) (h "mean");
+  let p50 = Option.get (h "p50") in
+  if p50 < 40.0 || p50 > 60.0 then Alcotest.failf "p50 off: %g" p50;
+  (* The span's one duration is its event's [dur] and the sum of its
+     histogram's one observation. *)
+  (match
+     List.filter
+       (fun e -> str_field "name" e = Some "both.span")
+       (events_of "span" events)
+   with
+   | [ sp ] ->
+     Alcotest.(check (option int)) "both.span_s count" (Some 1)
+       (int_at [ "hists"; "both.span_s"; "count" ]);
+     Alcotest.(check (option (float 0.0))) "both.span_s sum" (num_field "dur" sp)
+       (num_at [ "hists"; "both.span_s"; "sum" ])
+   | l -> Alcotest.failf "expected 1 both.span span, got %d" (List.length l));
+  Alcotest.(check (option (float 1e-9))) "model drift" (Some 0.5)
+    (num_at [ "model"; "gemm"; "drift" ]);
   (match events_of "point" events with
    | [ p ] ->
      Alcotest.(check (option string)) "series" (Some "s.loss") (str_field "series" p);
@@ -224,33 +270,18 @@ let test_multi_domain_sink () =
   Sys.remove path;
   Alcotest.(check int) "all spans recorded" (n_domains * iters)
     (List.length (events_of "span" events));
-  (match
-     List.find_opt
-       (fun e -> str_field "name" e = Some "par.counter")
-       (events_of "counter" events)
-   with
-   | Some e ->
-     Alcotest.(check (option (float 1e-9))) "flushed counter value"
-       (Some (float_of_int (n_domains * iters)))
-       (num_field "value" e)
-   | None -> Alcotest.fail "par.counter not flushed");
+  let snap = closing_snapshot events in
+  let count keys = Option.bind (at keys snap) J.to_int in
+  Alcotest.(check (option int)) "recorded counter value"
+    (Some (n_domains * iters))
+    (count [ "counters"; "par.counter" ]);
   (* Besides [par.lat], each worker's spans fill its own [work.<d>_s]
      histogram. *)
-  let hist name =
-    List.filter (fun e -> str_field "name" e = Some name) (events_of "hist" events)
-  in
-  (match hist "par.lat" with
-   | [ h ] ->
-     Alcotest.(check (option (float 1e-9))) "hist count"
-       (Some (float_of_int (n_domains * iters)))
-       (num_field "count" h)
-   | l -> Alcotest.failf "expected 1 par.lat hist, got %d" (List.length l));
+  Alcotest.(check (option int)) "hist count" (Some (n_domains * iters))
+    (count [ "hists"; "par.lat"; "count" ]);
   for d = 0 to n_domains - 1 do
-    match hist (Printf.sprintf "work.%d_s" d) with
-    | [ h ] ->
-      Alcotest.(check (option (float 1e-9))) "span hist count"
-        (Some (float_of_int iters)) (num_field "count" h)
-    | l -> Alcotest.failf "expected 1 work.%d_s hist, got %d" d (List.length l)
+    Alcotest.(check (option int)) "span hist count" (Some iters)
+      (count [ "hists"; Printf.sprintf "work.%d_s" d; "count" ])
   done;
   (* Emitting after stop is a silent no-op, not a crash on a closed
      channel. *)
@@ -318,19 +349,6 @@ let test_interp_counters () =
       if not (contains ~needle s) then
         Alcotest.failf "summary misses %s: %s" needle s)
     [ "gld.txn=33"; "smem.txn=4"; "masked=16" ]
-
-(* OUT[tid] = IN[tid] over one block of 64 threads (two warps). *)
-let run_copy_kernel () =
-  let b = B.create ~name:"warps" ~dtype:F64 in
-  let inp = B.buf_param b "IN" in
-  let out = B.buf_param b "OUT" in
-  let tid = B.mov_i b (Ispecial Tid_x) in
-  let f = B.fresh_f b in
-  B.emit b (I.Ld_global (f, inp, Ireg tid));
-  B.emit b (I.St_global (out, Ireg tid, Freg f));
-  Ptx.Interp.run (B.finish b) ~grid:(1, 1, 1) ~block:(64, 1, 1)
-    ~bufs:[ ("IN", Array.make 64 1.0); ("OUT", Array.make 64 0.0) ]
-    ~iargs:[]
 
 (* Two warps: each warp coalesces independently, so a block of 64
    threads doing a coalesced load costs 2 transactions, not 1. *)
@@ -428,11 +446,11 @@ let test_request_ids () =
 let test_read_file_partial () =
   let path = tmp_trace () in
   Out_channel.with_open_text path (fun oc ->
-      output_string oc "{\"ev\":\"counter\",\"name\":\"a\",\"value\":1}\n";
+      output_string oc "{\"ev\":\"span\",\"name\":\"a\",\"dur\":1}\n";
       output_string oc "not json at all\n";
-      output_string oc "{\"ev\":\"counter\",\"name\":\"b\",\"value\":2}\n";
+      output_string oc "{\"ev\":\"span\",\"name\":\"b\",\"dur\":2}\n";
       (* A torn final line, as left by a crashed writer. *)
-      output_string oc "{\"ev\":\"counter\",\"na");
+      output_string oc "{\"ev\":\"span\",\"na");
   let events, skipped = Obs.Trace.read_file_partial path in
   Sys.remove path;
   Alcotest.(check int) "parseable events survive" 2 (List.length events);
@@ -447,62 +465,11 @@ let test_read_file_partial () =
   Alcotest.(check int) "empty file events" 0 (List.length events);
   Alcotest.(check int) "empty file skips" 0 skipped
 
-(* With both sinks open the trace and the telemetry export report one
-   registry: every [counter] event the trace records at stop names a
-   counter of the final snapshot with the same value, and every [hist]
-   event a histogram with the same count and sum. *)
-let test_trace_matches_snapshot () =
-  let path = tmp_trace () and tel = tmp_trace () in
-  Obs.Telemetry.reset ();
-  Obs.Telemetry.start ~path:tel ();
-  Obs.Trace.start ~path ();
-  Obs.Telemetry.add "both.counter" 3;
-  Obs.Span.with_ "both.span" (fun () -> ignore (run_copy_kernel ()));
-  Obs.Trace.stop ();
-  Obs.Telemetry.stop ();
-  let events = Obs.Trace.read_file path in
-  let snapshot = List.hd (List.rev (Obs.Trace.read_file tel)) in
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; tel; tel ^ ".prom" ];
-  let in_snapshot section name =
-    match Option.bind (J.member section snapshot) (J.member name) with
-    | Some v -> v
-    | None -> Alcotest.failf "%s %s missing from the snapshot" section name
-  in
-  let counters = events_of "counter" events in
-  List.iter
-    (fun name ->
-      if not (List.exists (fun e -> str_field "name" e = Some name) counters) then
-        Alcotest.failf "trace lacks counter %s" name)
-    [ "both.counter"; "interp.runs"; "interp.dyn.total" ];
-  List.iter
-    (fun e ->
-      let name = Option.get (str_field "name" e) in
-      Alcotest.(check (option int)) ("counter " ^ name)
-        (Option.bind (J.member "value" e) J.to_int)
-        (J.to_int (in_snapshot "counters" name)))
-    counters;
-  let hists = events_of "hist" events in
-  Alcotest.(check bool) "span histogram recorded" true
-    (List.exists (fun e -> str_field "name" e = Some "both.span_s") hists);
-  List.iter
-    (fun e ->
-      let name = Option.get (str_field "name" e) in
-      let h = in_snapshot "hists" name in
-      List.iter
-        (fun field ->
-          Alcotest.(check (option (float 0.0))) (name ^ " " ^ field)
-            (num_field field e) (num_field field h))
-        [ "count"; "sum" ])
-    hists
-
 (* --- zero cost when disabled -------------------------------------------- *)
 
 let test_noop_when_disabled () =
-  (* The test runner sets neither ISAAC_TRACE nor ISAAC_TELEMETRY, and
-     every test above closes the sinks it opens, so the layer must be
-     off here. *)
+  (* The test runner does not set ISAAC_TRACE, and every test above
+     closes the trace it opens, so the layer must be off here. *)
   Alcotest.(check bool) "sink off" false (Obs.Trace.enabled ());
   Alcotest.(check bool) "registry off" false (Obs.Telemetry.enabled ());
   Obs.Telemetry.reset ();
@@ -519,7 +486,7 @@ let test_noop_when_disabled () =
   Alcotest.(check string) "no open spans" "" (Obs.Span.current_path ());
   (* ~3 no-op calls per iteration; anything near a microsecond each would
      blow this generous bound and indicate the gate stopped being a
-     pair of boolean loads. *)
+     boolean load. *)
   if elapsed > 2.0 then
     Alcotest.failf "disabled-path overhead too high: %.3fs for %d iters"
       elapsed iters
@@ -534,7 +501,6 @@ let () =
           quick "error flag" test_span_error_flag;
           quick "metrics flush" test_metrics_flush;
           quick "multi-domain emitters" test_multi_domain_sink;
-          quick "counters match the telemetry snapshot" test_trace_matches_snapshot;
           quick "size-capped rotation" test_trace_rotation;
           quick "request ids" test_request_ids;
           quick "partial reads" test_read_file_partial ] );

@@ -1,6 +1,7 @@
 (* Protocol-level tests of the plan-serving daemon core (Serve.handle):
    cold/warm plan requests, malformed-request handling, the stats
-   endpoint, and profile hot-reload through the artifact fingerprint
+   endpoint and the telemetry it embeds while a trace is open, and
+   profile hot-reload through the artifact fingerprint
    watcher. These drive the exact code path behind both isaac_serve
    transports, minus the fd plumbing. *)
 
@@ -306,6 +307,46 @@ let test_stats () =
       | Some (J.Int n) -> Alcotest.(check int) "two plan requests" 2 n
       | _ -> Alcotest.fail "stats lacks requests")
 
+(* While a trace is open the [stats] reply embeds the registry
+   snapshot, and the trace's closing [telemetry] event records the same
+   counts; with no trace open the reply's [telemetry] is [null]. *)
+let test_stats_telemetry () =
+  with_server (fun srv _ ->
+      let telemetry () = field (handle_line srv {|{"op":"stats"}|}) "telemetry" in
+      let requests snap =
+        Option.bind (J.member "counters" snap) (fun c ->
+            Option.bind (J.member "serve.requests" c) J.to_int)
+      in
+      Alcotest.(check bool) "no trace: null" true (telemetry () = J.Null);
+      let path = Filename.temp_file "serve_trace" ".jsonl" in
+      let n = 3 in
+      let events =
+        Obs.Telemetry.reset ();
+        Obs.Trace.start ~path ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Trace.stop ();
+            Obs.Telemetry.reset ())
+          (fun () ->
+            for _ = 1 to n do
+              ignore (handle_line srv gemm_req)
+            done;
+            Alcotest.(check (option int)) "stats reply counts the plan requests"
+              (Some n) (requests (telemetry ()));
+            Obs.Trace.stop ();
+            let events = Obs.Trace.read_file path in
+            Sys.remove path;
+            events)
+      in
+      (match
+         List.filter (fun e -> J.member "ev" e = Some (J.String "telemetry")) events
+       with
+      | [ e ] ->
+        Alcotest.(check (option int)) "closing event counts them too" (Some n)
+          (requests (Option.get (J.member "telemetry" e)))
+      | l -> Alcotest.failf "expected 1 telemetry event, got %d" (List.length l));
+      Alcotest.(check bool) "trace closed: null again" true (telemetry () = J.Null))
+
 let test_shutdown_verdict () =
   with_server (fun srv _ ->
       let response, verdict = Serve.handle srv {|{"op":"shutdown","id":9}|} in
@@ -358,6 +399,7 @@ let () =
          slow "out-of-range dimensions name the field" test_out_of_range_dims;
          slow "largest dimensions still plan" test_largest_dims;
          slow "stats endpoint" test_stats;
+         slow "stats telemetry follows the trace" test_stats_telemetry;
          slow "shutdown verdict" test_shutdown_verdict ]);
       ("hot reload",
        [ slow "rewritten profile picked up without restart" test_hot_reload;

@@ -1,11 +1,10 @@
 (* Tests for Obs.Telemetry: bucket geometry, known-value percentiles,
-   snapshot merge algebra, multi-domain exactness, the model-drift
-   channel, the flight recorder, and the snapshot exporters.
+   multi-domain exactness, the model-drift channel, the flight recorder,
+   and the snapshot the registry is recorded as.
 
    The correctness claims pinned here are the ones telemetry.mli
-   advertises: counter totals are exact for any domain count, histogram
-   quantiles carry a <= 2% relative error, and snapshot merge is
-   associative and commutative. *)
+   advertises: counter totals are exact for any domain count, and
+   histogram quantiles carry a <= 2% relative error. *)
 
 module T = Obs.Telemetry
 module H = T.Histo
@@ -14,23 +13,22 @@ module J = Obs.Json
 let quick name f = Alcotest.test_case name `Quick f
 
 let tmp_path name =
-  let path = Filename.temp_file ("isaac_telemetry_" ^ name) ".jsonl" in
+  let path = Filename.temp_file ("telemetry_" ^ name) ".jsonl" in
   Sys.remove path;
   path
 
-(* Run [f] with telemetry enabled against a throwaway snapshot file,
-   always stopping (and so disabling) afterwards so later tests see the
-   layer off again. *)
+(* Run [f] with the registry collecting into a trace on a throwaway
+   file, always stopping (and so disabling) afterwards so later tests
+   see the layer off again. *)
 let with_telemetry name f =
   let path = tmp_path name in
-  T.start ~path ();
+  Obs.Trace.start ~path ();
   Fun.protect
     ~finally:(fun () ->
-      T.stop ();
+      Obs.Trace.stop ();
       T.reset ();
-      if Sys.file_exists path then Sys.remove path;
-      if Sys.file_exists (path ^ ".prom") then Sys.remove (path ^ ".prom"))
-    (fun () -> f path)
+      if Sys.file_exists path then Sys.remove path)
+    f
 
 (* --- bucket geometry ---------------------------------------------------- *)
 
@@ -112,51 +110,10 @@ let test_known_percentiles () =
   check_rel ~msg:"skewed p50" ~expect:0.001 (H.quantile s2 0.5);
   Alcotest.(check (float 0.0)) "skewed p100" 10.0 (H.quantile s2 1.0);
   (* Empty histogram degenerates to NaN, not a crash. *)
+  let empty = H.snapshot (H.create ()) in
   Alcotest.(check bool) "empty quantile NaN" true
-    (Float.is_nan (H.quantile H.empty_snapshot 0.5));
-  Alcotest.(check bool) "empty mean NaN" true
-    (Float.is_nan (H.mean H.empty_snapshot))
-
-(* --- merge algebra ------------------------------------------------------ *)
-
-let snap_equal a b =
-  a.H.count = b.H.count
-  && a.H.sum = b.H.sum
-  && a.H.min_v = b.H.min_v
-  && a.H.max_v = b.H.max_v
-  && a.H.buckets = b.H.buckets
-
-let snap_pp fmt s =
-  Format.fprintf fmt "{count=%d; sum=%g; min=%g; max=%g; buckets=%d}" s.H.count
-    s.H.sum s.H.min_v s.H.max_v (Array.length s.H.buckets)
-
-let snap = Alcotest.testable snap_pp snap_equal
-
-let test_merge_algebra () =
-  (* Integer-valued samples keep the float sums exact, so structural
-     equality of merged snapshots is meaningful. *)
-  let mk samples =
-    let h = H.create () in
-    List.iter (fun v -> H.observe h v) samples;
-    H.snapshot h
-  in
-  let a = mk [ 1.0; 2.0; 4.0; 1024.0 ]
-  and b = mk [ 3.0; 3.0; 3.0 ]
-  and c = mk [ 0.5; 7.0; 4096.0; 2.0 ] in
-  Alcotest.check snap "commutative" (H.merge a b) (H.merge b a);
-  Alcotest.check snap "associative"
-    (H.merge a (H.merge b c))
-    (H.merge (H.merge a b) c);
-  Alcotest.check snap "identity left" a (H.merge H.empty_snapshot a);
-  Alcotest.check snap "identity right" a (H.merge a H.empty_snapshot);
-  let m = H.merge a (H.merge b c) in
-  Alcotest.(check int) "merged count" 11 m.H.count;
-  Alcotest.(check (float 1e-9)) "merged sum" 5145.5 m.H.sum;
-  Alcotest.(check (float 0.0)) "merged min" 0.5 m.H.min_v;
-  Alcotest.(check (float 0.0)) "merged max" 4096.0 m.H.max_v;
-  (* Merging must agree with observing everything into one histogram. *)
-  let all = mk [ 1.0; 2.0; 4.0; 1024.0; 3.0; 3.0; 3.0; 0.5; 7.0; 4096.0; 2.0 ] in
-  Alcotest.check snap "merge = union of observations" all m
+    (Float.is_nan (H.quantile empty 0.5));
+  Alcotest.(check bool) "empty mean NaN" true (Float.is_nan (H.mean empty))
 
 (* --- multi-domain exactness --------------------------------------------- *)
 
@@ -190,15 +147,9 @@ let test_domain_hammer () =
   T.Counter.reset c;
   Alcotest.(check int) "reset" 0 (T.Counter.value c)
 
-(* --- gauges and registry ------------------------------------------------ *)
+(* --- registry ------------------------------------------------------------ *)
 
-let test_gauge_and_registry () =
-  let g = T.Gauge.create () in
-  Alcotest.(check bool) "unset gauge is NaN" true
-    (Float.is_nan (T.Gauge.value g));
-  T.Gauge.set g 1.5;
-  T.Gauge.set g 2.5;
-  Alcotest.(check (float 0.0)) "last write wins" 2.5 (T.Gauge.value g);
+let test_registry () =
   let c1 = T.counter "registry.x" in
   let c2 = T.counter "registry.x" in
   Alcotest.(check bool) "same handle for same name" true (c1 == c2);
@@ -219,19 +170,16 @@ let test_gated_sinks_off () =
   Alcotest.(check bool) "telemetry off in test env" false (T.enabled ());
   T.incr "off.counter";
   T.observe "off.hist" 1.0;
-  T.set_gauge "off.gauge" 1.0;
   T.Model.record ~op:"gemm" ~bucket:"2^30" ~predicted:1.0 ~measured:2.0;
   T.Flight.record ~kind:"span" ~name:"dead" "nope";
   (* Gated sinks don't even register the name while disabled. *)
   Alcotest.(check (option int)) "counter never registered" None
     (T.counter_value "off.counter");
-  Alcotest.(check (option (float 0.0))) "gauge never set" None
-    (T.gauge_value "off.gauge");
   Alcotest.(check bool) "no drift recorded" true (T.Model.drift ~op:"gemm" = None);
   Alcotest.(check int) "flight empty" 0 (List.length (T.Flight.events ()))
 
 let test_model_drift () =
-  with_telemetry "drift" (fun _path ->
+  with_telemetry "drift" (fun () ->
       T.Model.record ~op:"gemm" ~bucket:"2^30" ~predicted:1.1 ~measured:1.0;
       T.Model.record ~op:"gemm" ~bucket:"2^30" ~predicted:0.9 ~measured:1.0;
       T.Model.record ~op:"gemm" ~bucket:"2^34" ~predicted:1.5 ~measured:1.0;
@@ -254,7 +202,7 @@ let test_model_drift () =
       Alcotest.(check bool) "unknown op" true (T.Model.drift ~op:"fft" = None))
 
 let test_flight_recorder () =
-  with_telemetry "flight" (fun _path ->
+  with_telemetry "flight" (fun () ->
       for i = 1 to 199 do
         T.Flight.record ~req:i ~kind:"span" ~name:"k"
           (Printf.sprintf "event-%d" i)
@@ -299,95 +247,52 @@ let test_flight_recorder () =
       Alcotest.(check int) "clear empties" 0 (List.length (T.Flight.events ()));
       Alcotest.(check string) "empty dump" "" (T.Flight.dump ()))
 
-(* --- snapshot export ---------------------------------------------------- *)
+(* --- snapshot ------------------------------------------------------------ *)
 
-let test_snapshot_and_export () =
-  with_telemetry "export" (fun path ->
-      T.add "plan.cache_hit" 3;
-      T.incr "plan.cache_miss";
-      T.set_gauge "mlp.val_mse" 0.25;
-      for i = 1 to 100 do
-        T.observe "plan.latency_s" (0.001 *. float i)
-      done;
-      T.Model.record ~op:"gemm" ~bucket:"2^30" ~predicted:1.2 ~measured:1.0;
-      let snap = T.snapshot_json () in
-      (* The snapshot must survive a JSONL round trip. *)
-      let snap = J.of_string (J.to_string snap) in
-      Alcotest.(check (option string)) "schema" (Some "isaac-telemetry")
-        (Option.bind (J.member "schema" snap) J.to_str);
-      let counter name =
-        Option.bind (J.member "counters" snap) (fun c ->
-            Option.bind (J.member name c) J.to_int)
-      in
-      Alcotest.(check (option int)) "hit counter" (Some 3)
-        (counter "plan.cache_hit");
-      Alcotest.(check (option int)) "miss counter" (Some 1)
-        (counter "plan.cache_miss");
-      let hist_field field =
-        Option.bind (J.member "hists" snap) (fun h ->
-            Option.bind (J.member "plan.latency_s" h) (fun h ->
-                Option.bind (J.member field h) J.to_float))
-      in
-      (match hist_field "p50" with
-      | None -> Alcotest.fail "plan latency p50 missing"
-      | Some p50 -> check_rel ~msg:"exported p50" ~expect:0.05 p50);
-      Alcotest.(check bool) "p95 and p99 present" true
-        (hist_field "p95" <> None && hist_field "p99" <> None);
-      let drift =
-        Option.bind (J.member "gauges" snap) (fun g ->
-            Option.bind (J.member "model.drift.gemm" g) J.to_float)
-      in
-      (match drift with
-      | None -> Alcotest.fail "drift gauge missing"
-      | Some d -> Alcotest.(check (float 1e-9)) "drift gauge value" 0.2 d);
-      (* Files: export_now appends a JSONL line and renames a .prom in. *)
-      T.export_now ();
-      let snaps, skipped = Obs.Trace.read_file_partial path in
-      Alcotest.(check int) "no torn lines" 0 skipped;
-      Alcotest.(check bool) "at least one snapshot" true (snaps <> []);
-      let prom = In_channel.with_open_text (path ^ ".prom") In_channel.input_all in
-      let contains needle =
-        let nl = String.length needle and hl = String.length prom in
-        let rec go i = i + nl <= hl && (String.sub prom i nl = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "prom counter" true
-        (contains "isaac_plan_cache_hit_total 3");
-      Alcotest.(check bool) "prom quantile" true (contains "quantile=\"0.99\"");
-      Alcotest.(check bool) "prom drift gauge" true
-        (contains "isaac_model_drift_gemm"));
-  (* stop() wrote a final snapshot and turned the layer back off. *)
-  Alcotest.(check bool) "disabled after stop" false (T.enabled ())
-
-let test_seq_advances () =
-  with_telemetry "seq" (fun path ->
-      T.incr "seq.probe";
-      T.export_now ();
-      T.export_now ();
-      let snaps, _ = Obs.Trace.read_file_partial path in
-      let seqs =
-        List.filter_map
-          (fun s -> Option.bind (J.member "seq" s) J.to_int)
-          snaps
-      in
-      match seqs with
-      | a :: b :: _ ->
-        Alcotest.(check bool) "monotone seq" true (b > a)
-      | _ -> Alcotest.failf "expected 2 snapshots, got %d" (List.length seqs))
+(* The snapshot survives a JSON round trip with its counters, histogram
+   quantiles and model drift. *)
+let test_snapshot () =
+  let snap =
+    with_telemetry "snapshot" (fun () ->
+        T.add "plan.cache_hit" 3;
+        T.incr "plan.cache_miss";
+        for i = 1 to 100 do
+          T.observe "plan.latency_s" (0.001 *. float i)
+        done;
+        T.Model.record ~op:"gemm" ~bucket:"2^30" ~predicted:1.2 ~measured:1.0;
+        J.of_string (J.to_string (T.snapshot_json ())))
+  in
+  Alcotest.(check bool) "disabled after stop" false (T.enabled ());
+  Alcotest.(check (option string)) "schema" (Some "isaac-telemetry")
+    (Option.bind (J.member "schema" snap) J.to_str);
+  let at path =
+    List.fold_left (fun v k -> Option.bind v (J.member k)) (Some snap) path
+  in
+  let counter name = Option.bind (at [ "counters"; name ]) J.to_int in
+  Alcotest.(check (option int)) "hit counter" (Some 3) (counter "plan.cache_hit");
+  Alcotest.(check (option int)) "miss counter" (Some 1) (counter "plan.cache_miss");
+  let hist_field field =
+    Option.bind (at [ "hists"; "plan.latency_s"; field ]) J.to_float
+  in
+  (match hist_field "p50" with
+  | None -> Alcotest.fail "plan latency p50 missing"
+  | Some p50 -> check_rel ~msg:"snapshot p50" ~expect:0.05 p50);
+  Alcotest.(check bool) "p95 and p99 present" true
+    (hist_field "p95" <> None && hist_field "p99" <> None);
+  match Option.bind (at [ "model"; "gemm"; "drift" ]) J.to_float with
+  | None -> Alcotest.fail "gemm drift missing"
+  | Some d -> Alcotest.(check (float 1e-9)) "drift value" 0.2 d
 
 let () =
   Alcotest.run "telemetry"
     [ ( "histo",
         [ quick "bucket boundaries" test_bucket_boundaries;
-          quick "known-value percentiles" test_known_percentiles;
-          quick "merge algebra" test_merge_algebra ] );
+          quick "known-value percentiles" test_known_percentiles ] );
       ( "sharding",
         [ quick "4-domain hammer" test_domain_hammer;
-          quick "gauge + registry" test_gauge_and_registry ] );
+          quick "registry" test_registry ] );
       ( "gating",
         [ quick "sinks off by default" test_gated_sinks_off;
           quick "model drift" test_model_drift;
           quick "flight recorder" test_flight_recorder ] );
-      ( "export",
-        [ quick "snapshot json + prometheus" test_snapshot_and_export;
-          quick "seq advances" test_seq_advances ] ) ]
+      ("snapshot", [ quick "json round trip" test_snapshot ]) ]

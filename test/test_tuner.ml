@@ -795,17 +795,15 @@ let test_racing_class_misses_walk_once () =
     Tuner.Search.exhaustive_gemm ~top_k:5 ~cap:3000 ~domains:1 ?planner
       (Util.Rng.create 5) device ~profile input
   in
-  let tel = Filename.temp_file "tuner_classes" ".jsonl" in
+  let trace = Filename.temp_file "tuner_classes" ".jsonl" in
   Obs.Telemetry.reset ();
-  Obs.Telemetry.start ~path:tel ();
+  Obs.Trace.start ~path:trace ();
   let raced =
     List.map (fun i -> Domain.spawn (fun () -> plan ~planner i)) inputs
     |> List.map Domain.join
   in
-  Obs.Telemetry.stop ();
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ tel; tel ^ ".prom" ];
+  Obs.Trace.stop ();
+  Sys.remove trace;
   let count name = Option.get (Obs.Telemetry.counter_value name) in
   Alcotest.(check int) "one walk" 1 (count "search.class_miss");
   Alcotest.(check int) "three served from it" 3 (count "search.class_hit");
