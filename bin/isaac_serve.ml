@@ -17,51 +17,21 @@
 
 open Cmdliner
 
-let serve_stdin srv =
-  let rec loop () =
-    match input_line stdin with
-    | exception End_of_file -> ()
-    | line ->
-      let line = String.trim line in
-      if line = "" then loop ()
-      else begin
-        let response, verdict = Serve.handle srv line in
-        print_string response;
-        print_newline ();
-        flush stdout;
-        match verdict with `Stop -> () | `Continue -> loop ()
-      end
-  in
-  loop ()
-
 (* One accepted connection: serve request lines until EOF or shutdown.
    A shutdown request flips [stop] and shuts the listener down
    (shutdown(2), not close(2) — closing an fd does not wake siblings
    already blocked in accept, shutdown makes their accept fail). *)
 let serve_connection srv ~stop ~listener fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
   (try
-     let rec loop () =
-       match input_line ic with
-       | exception End_of_file -> ()
-       | line ->
-         let line = String.trim line in
-         if line = "" then loop ()
-         else begin
-           let response, verdict = Serve.handle srv line in
-           output_string oc response;
-           output_char oc '\n';
-           flush oc;
-           match verdict with
-           | `Continue -> loop ()
-           | `Stop ->
-             Atomic.set stop true;
-             (try Unix.shutdown listener Unix.SHUTDOWN_RECEIVE
-              with Unix.Unix_error _ -> ())
-         end
-     in
-     loop ()
+     match
+       Serve.serve_lines srv (Unix.in_channel_of_descr fd)
+         (Unix.out_channel_of_descr fd)
+     with
+     | `Eof -> ()
+     | `Stop ->
+       Atomic.set stop true;
+       (try Unix.shutdown listener Unix.SHUTDOWN_RECEIVE
+        with Unix.Unix_error _ -> ())
    with Sys_error _ | Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -108,7 +78,7 @@ let run gemm_profile conv_profile socket workers cache_entries reload_interval =
   | Ok srv -> (
     match socket with
     | Some path -> serve_socket srv path (max 1 workers)
-    | None -> serve_stdin srv)
+    | None -> ignore (Serve.serve_lines srv stdin stdout))
 
 let cmd =
   let gemm_profile =

@@ -24,35 +24,15 @@ let op_conv =
   let print fmt op = Format.fprintf fmt "%s" (match op with `Gemm -> "gemm" | `Conv -> "conv") in
   Arg.conv (parse, print)
 
-(* Without --resume a fresh run must not inherit another run's partial
-   chunks: drop anything matching <path>.chunk* before starting. *)
-let clear_stale_checkpoints path =
-  let dir = Filename.dirname path and base = Filename.basename path in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-    Array.iter
-      (fun f ->
-        if String.starts_with ~prefix:(base ^ ".chunk") f then
-          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      entries
-
-let run device op samples epochs seed domains out checkpoint every resume verbose =
+let run device op samples epochs seed domains out verbose =
   if verbose then begin
     Fmt_tty.setup_std_outputs ();
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info)
   end;
-  (match checkpoint with
-   | Some path when not resume -> clear_stale_checkpoints path
-   | _ -> ());
   let rng = Util.Rng.create seed in
   let t0 = Unix.gettimeofday () in
-  let engine =
-    Isaac.tune ~samples ~epochs ~domains
-      ?checkpoint:(Option.map (fun path -> (path, every)) checkpoint)
-      rng device ~op ()
-  in
+  let engine = Isaac.tune ~samples ~epochs ~domains rng device ~op () in
   Printf.printf "tuned %s for %s in %.1fs (%d samples, %d epochs)\n"
     (match op with `Gemm -> "GEMM" | `Conv -> "CONV")
     device.Gpu.Device.name
@@ -78,28 +58,10 @@ let cmd =
   let out =
     Arg.(value & opt string "isaac.profile" & info [ "o"; "output" ] ~doc:"Output profile path.")
   in
-  let checkpoint =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"PATH"
-             ~doc:"Checkpoint dataset generation to $(docv).chunk* so a \
-                   killed run can be resumed with $(b,--resume).")
-  in
-  let every =
-    Arg.(value & opt int 200
-         & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"Persist each generation chunk every $(docv) accepted samples.")
-  in
-  let resume =
-    Arg.(value & flag
-         & info [ "resume" ]
-             ~doc:"Resume from existing checkpoint chunks (same seed, \
-                   --domains and --checkpoint path as the killed run); \
-                   without this flag stale chunks are discarded.")
-  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log progress.") in
   Cmd.v
     (Cmd.info "isaac_tune" ~doc:"Auto-tune an input-aware kernel performance model")
     Term.(const run $ device $ op $ samples $ epochs $ seed $ domains $ out
-          $ checkpoint $ every $ resume $ verbose)
+          $ verbose)
 
 let () = exit (Cmd.eval cmd)

@@ -77,7 +77,7 @@ let of_profile ?cache_entries device (profile : Tuner.Profile.t) =
     conv_cache = Plan_cache.create ?max_entries:cache_entries () }
 
 let tune ?samples ?(epochs = 20) ?arch ?dtypes ?(noise = Gpu.Executor.default_noise)
-    ?domains ?checkpoint rng device ~op () =
+    ?domains rng device ~op () =
   let samples =
     match samples with Some s -> s | None -> Util.Env_config.scaled 4000
   in
@@ -103,11 +103,11 @@ let tune ?samples ?(epochs = 20) ?arch ?dtypes ?(noise = Gpu.Executor.default_no
         Obs.Span.with_ "tune.dataset" (fun () ->
             match op with
             | `Gemm ->
-              Tuner.Dataset.generate_gemm ~domains ?dtypes ~noise ?checkpoint
-                rng device ~n:samples
+              Tuner.Dataset.generate_gemm ~domains ?dtypes ~noise rng device
+                ~n:samples
             | `Conv ->
-              Tuner.Dataset.generate_conv ~domains ?dtypes ~noise ?checkpoint
-                rng device ~n:samples)
+              Tuner.Dataset.generate_conv ~domains ?dtypes ~noise rng device
+                ~n:samples)
       in
       let profile =
         Obs.Span.with_ "tune.train" (fun () ->

@@ -63,7 +63,6 @@ val tune :
   ?dtypes:Ptx.Types.dtype list ->
   ?noise:float ->
   ?domains:int ->
-  ?checkpoint:string * int ->
   Util.Rng.t ->
   Gpu.Device.t ->
   op:[ `Gemm | `Conv ] ->
@@ -78,9 +77,7 @@ val tune :
     same default as {!Tuner.Search} and the codegen entry points — so set
     [ISAAC_DOMAINS=1] (or pass [~domains:1]) when cross-machine bitwise
     reproducibility matters. Deterministic given the rng and the domain
-    count. [checkpoint] is forwarded to
-    {!Tuner.Dataset.generate_gemm}/[generate_conv] so a killed tuning run
-    can resume its dataset generation where it left off. *)
+    count. *)
 
 val of_profile : ?cache_entries:int -> Gpu.Device.t -> Tuner.Profile.t -> t
 (** Wrap a previously saved profile. Raises [Invalid_argument] if the

@@ -368,6 +368,11 @@ let handle_conv t json ~id =
   record_request t (snd result) latency_s;
   respond_plan ~id ~op:"conv" ~latency_s result
 
+let error_reply t ~id msg =
+  Atomic.incr t.errors;
+  if Obs.Telemetry.enabled () then Obs.Telemetry.Counter.incr t_errors;
+  Obs.Json.to_string (respond_error ~id msg)
+
 let handle t line =
   let id = ref Obs.Json.Null in
   match
@@ -408,12 +413,82 @@ let handle t line =
     | op -> bad "unknown op %S (ping/stats/reload/gemm/conv/shutdown)" op
   with
   | response, verdict -> (Obs.Json.to_string response, verdict)
-  | exception Bad_request msg ->
-    Atomic.incr t.errors;
-    if Obs.Telemetry.enabled () then Obs.Telemetry.Counter.incr t_errors;
-    (Obs.Json.to_string (respond_error ~id:!id msg), `Continue)
-  | exception exn ->
-    Atomic.incr t.errors;
-    if Obs.Telemetry.enabled () then Obs.Telemetry.Counter.incr t_errors;
-    ( Obs.Json.to_string (respond_error ~id:!id (Printexc.to_string exn)),
-      `Continue )
+  | exception Bad_request msg -> (error_reply t ~id:!id msg, `Continue)
+  | exception exn -> (error_reply t ~id:!id (Printexc.to_string exn), `Continue)
+
+(* --- transport --------------------------------------------------------- *)
+
+(* The longest request line kept: far above any valid request, and
+   above the 200 kB lines that exercise the JSON reader's own bounds
+   (nesting depth, quoted strings), so those still reach it. A longer
+   line is drained to its newline unread, so a request costs the daemon
+   at most this much memory however long it is. *)
+let max_line_bytes = 1 lsl 20
+
+(* Reads [ic] through one fixed chunk buffer. Each call returns the next
+   line without its newline, [`Too_long] for a line over
+   [max_line_bytes], or [`Eof]; a last line with no newline is still a
+   line. *)
+let line_reader ic =
+  let chunk = Bytes.create 65536 in
+  let pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 256 in
+  let rec newline i =
+    if i = !len || Bytes.get chunk i = '\n' then i else newline (i + 1)
+  in
+  fun () ->
+    Buffer.clear line;
+    let too_long = ref false in
+    let finish () = if !too_long then `Too_long else `Line (Buffer.contents line) in
+    let rec scan () =
+      if !pos = !len then begin
+        pos := 0;
+        len := input ic chunk 0 (Bytes.length chunk)
+      end;
+      if !len = 0 then
+        if !too_long || Buffer.length line > 0 then finish () else `Eof
+      else begin
+        let stop = newline !pos in
+        let n = stop - !pos in
+        if not !too_long then
+          if Buffer.length line + n > max_line_bytes then begin
+            too_long := true;
+            Buffer.reset line
+          end
+          else Buffer.add_subbytes line chunk !pos n;
+        if stop < !len then begin
+          pos := stop + 1;
+          finish ()
+        end
+        else begin
+          pos := !len;
+          scan ()
+        end
+      end
+    in
+    scan ()
+
+let serve_lines t ic oc =
+  let next_line = line_reader ic in
+  let reply response =
+    output_string oc response;
+    output_char oc '\n';
+    flush oc
+  in
+  let rec loop () =
+    match next_line () with
+    | `Eof -> `Eof
+    | `Too_long ->
+      reply
+        (error_reply t ~id:Obs.Json.Null
+           (Printf.sprintf "request line longer than %d bytes" max_line_bytes));
+      loop ()
+    | `Line line -> (
+      let line = String.trim line in
+      if line = "" then loop ()
+      else
+        let response, verdict = handle t line in
+        reply response;
+        match verdict with `Continue -> loop () | `Stop -> `Stop)
+  in
+  loop ()

@@ -59,6 +59,15 @@ val handle : t -> string -> string * [ `Continue | `Stop ]
     no request string can grow its reply without bound. Safe to call from
     multiple domains. *)
 
+val serve_lines : t -> in_channel -> out_channel -> [ `Eof | `Stop ]
+(** Serve request lines from [ic] until end of input or a [shutdown]
+    request, writing one reply line to [oc] per non-blank request line
+    ({!handle}) and flushing after each; both [isaac_serve] transports
+    run it. A line longer than 1 MiB is drained to its newline without
+    being kept and gets the bounded error reply with ["id":null], so
+    one request holds at most 1 MiB of the daemon's memory. Raises
+    [Sys_error] when [ic] or [oc] fails. *)
+
 val maybe_reload : ?force:bool -> t -> int
 (** Re-check the profile files' {!Util.Artifact.fingerprint}s and swap
     in freshly built engines for any that changed on disk, returning

@@ -1,10 +1,6 @@
 module GP = Codegen.Gemm_params
 module CP = Codegen.Conv_params
 
-let src = Logs.Src.create "tuner.dataset" ~doc:"ISAAC dataset generation"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type t = {
   op : [ `Gemm | `Conv ];
   device : string;
@@ -98,134 +94,19 @@ let fit_conv_sampler ?(warmup = 10_000) ?dtypes rng device =
   Sampler.fit ~warmup rng Config_space.gemm ~legal:(fun cfg ->
       conv_legal device (random_conv_input ?dtypes rng) cfg)
 
-(* --- chunk checkpoints -------------------------------------------------- *)
-
-(* A checkpoint freezes one domain's chunk mid-generation: the rows
-   measured so far plus the chunk RNG's exact state. Because every draw
-   in the chunk loop (inputs, sampler rejections, measurement noise)
-   comes from that one generator, restoring it and continuing produces
-   the byte-identical tail an uninterrupted run would have. *)
-let checkpoint_kind = "isaac-dataset-chunk"
-let checkpoint_version = 1
-
-let op_str = function `Gemm -> "gemm" | `Conv -> "conv"
-
-let checkpoint_payload ~op ~device_name ~n ~filled ~rng
-    flog fraw ys =
-  let dim = Features.dim in
-  let buf = Buffer.create ((filled * (2 * dim + 1) * 26) + 128) in
-  Buffer.add_string buf (Printf.sprintf "op %s\n" (op_str op));
-  Buffer.add_string buf (Printf.sprintf "device %s\n" device_name);
-  Buffer.add_string buf (Printf.sprintf "rows %d of %d\n" filled n);
-  Buffer.add_string buf (Printf.sprintf "rng %s\n" (Util.Rng.serialize rng));
-  for i = 0 to filled - 1 do
-    for j = 0 to dim - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "%.17g " (Mlp.Matrix.get flog i j))
-    done;
-    for j = 0 to dim - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "%.17g " (Mlp.Matrix.get fraw i j))
-    done;
-    Buffer.add_string buf (Printf.sprintf "%.17g\n" ys.(i))
-  done;
-  Buffer.contents buf
-
-(* Parse a checkpoint payload back into the chunk arrays. Any mismatch
-   (different op/device/chunk size, malformed rows) rejects the file and
-   the chunk restarts from scratch — stale checkpoints must never leak
-   rows into a differently-shaped run. *)
-let restore_checkpoint ~op ~device_name ~n path flog fraw ys =
-  let reject reason =
-    Obs.Telemetry.incr "dataset.checkpoint_rejected";
-    Log.warn (fun m -> m "%s: ignoring checkpoint (%s)" path reason);
-    None
-  in
-  match
-    Util.Artifact.read ~path ~kind:checkpoint_kind
-      ~max_version:checkpoint_version
-  with
-  | Error (Util.Artifact.Io _) -> None (* absent: fresh start *)
-  | Error e -> reject (Util.Artifact.error_to_string ~path e)
-  | Ok (_, payload) -> (
-    let dim = Features.dim in
-    match String.split_on_char '\n' payload with
-    | op_line :: dev_line :: rows_line :: rng_line :: rows ->
-      if op_line <> "op " ^ op_str op then reject "different op"
-      else if dev_line <> "device " ^ device_name then reject "different device"
-      else (
-        match Scanf.sscanf rows_line "rows %d of %d%!" (fun a b -> (a, b)) with
-        | exception _ -> reject "bad rows line"
-        | filled, total ->
-          if total <> n || filled < 0 || filled > n then
-            reject "different chunk size"
-          else (
-            match
-              Scanf.sscanf rng_line "rng %[^\n]%!" Util.Rng.deserialize
-            with
-            | exception _ -> reject "bad rng state"
-            | None -> reject "bad rng state"
-            | Some rng -> (
-              let parse_row i line =
-                let fields =
-                  String.split_on_char ' ' (String.trim line)
-                  |> List.filter (( <> ) "")
-                  |> List.map float_of_string
-                in
-                if List.length fields <> (2 * dim) + 1 then failwith "width";
-                List.iteri
-                  (fun j v ->
-                    if j < dim then Mlp.Matrix.set flog i j v
-                    else if j < 2 * dim then Mlp.Matrix.set fraw i (j - dim) v
-                    else ys.(i) <- v)
-                  fields
-              in
-              match
-                List.iteri
-                  (fun i line -> if i < filled then parse_row i line)
-                  rows
-              with
-              | () ->
-                if List.length (List.filter (fun l -> String.trim l <> "") rows)
-                   <> filled
-                then reject "row count mismatch"
-                else begin
-                  Obs.Telemetry.add "dataset.resumed_rows" filled;
-                  Some (filled, rng)
-                end
-              | exception _ -> reject "malformed row")))
-    | _ -> reject "truncated header")
-
-let write_checkpoint ~op ~device_name ~n ~filled ~rng path flog fraw ys =
-  Util.Artifact.write ~path ~kind:checkpoint_kind ~version:checkpoint_version
-    (checkpoint_payload ~op ~device_name ~n ~filled ~rng flog fraw ys);
-  Obs.Telemetry.incr "dataset.checkpoints_written";
-  (* Kill-resume smoke tests die right here, just after a durable
-     checkpoint — the worst-case crash point resume must handle. *)
-  Util.Faultsim.crash_point "gen_crash"
-
 (* Give up on a chunk after this many consecutive inputs yield no
    measurable configuration: with the sampler already bounding rejection
    attempts per input, a run this dry means the restricted space is
    effectively empty and looping further would never terminate. *)
 let max_consecutive_skips = 100
 
-let generate_chunk ?checkpoint ~op ~noise ~sampler rng device ~n
+let generate_chunk ~noise ~sampler rng device ~n
     ~random_input ~legal ~features ~measure =
   let dim = Features.dim in
   let flog = Mlp.Matrix.create n dim in
   let fraw = Mlp.Matrix.create n dim in
   let ys = Array.make n 0.0 in
-  let device_name = device.Gpu.Device.name in
-  let rng, start =
-    match checkpoint with
-    | None -> (rng, 0)
-    | Some (path, _) -> (
-      match restore_checkpoint ~op ~device_name ~n path flog fraw ys with
-      | Some (filled, rng') -> (rng', filled)
-      | None -> (rng, 0))
-  in
-  let filled = ref start in
+  let filled = ref 0 in
   let skips = ref 0 in
   while !filled < n do
     let input = random_input rng in
@@ -251,7 +132,7 @@ let generate_chunk ?checkpoint ~op ~noise ~sampler rng device ~n
              "Dataset.generate: no measurable configuration in %d consecutive \
               input draws (%d/%d samples done on %s) — the restricted \
               configuration space appears to be empty"
-             !skips !filled n device_name)
+             !skips !filled n device.Gpu.Device.name)
     | Some (cfg_array, tflops) ->
       skips := 0;
       let i = !filled in
@@ -260,51 +141,30 @@ let generate_chunk ?checkpoint ~op ~noise ~sampler rng device ~n
       Array.iteri (Mlp.Matrix.set flog i) fl;
       Array.iteri (Mlp.Matrix.set fraw i) fr;
       ys.(i) <- tflops;
-      incr filled;
-      (match checkpoint with
-       | Some (path, every) when every > 0 && !filled mod every = 0 && !filled < n ->
-         write_checkpoint ~op ~device_name ~n ~filled:!filled ~rng path flog
-           fraw ys
-       | _ -> ())
+      incr filled
   done;
   (flog, fraw, ys)
 
-let chunk_path path chunk = Printf.sprintf "%s.chunk%d" path chunk
-
 (* Benchmarking sampled kernels is embarrassingly parallel: each domain
    gets an independent PRNG split off the caller's and fills its own
-   chunk (the sampler's fitted marginals are shared read-only). With
-   [checkpoint = (path, every_n)] each domain persists its chunk to
-   [path.chunk<i>] every [every_n] accepted samples; a rerun with the
-   same seed, domain count and path resumes each chunk from its last
-   durable state, and the deterministic chunk-order merge makes the
-   final dataset bitwise-identical to an uninterrupted run. Chunk files
-   are removed once the merge completes. *)
-let generate_generic ?(domains = 1) ?checkpoint ~op ~noise ~sampler
+   chunk (the sampler's fitted marginals are shared read-only). Chunks
+   merge in chunk order, so the dataset is a function of the seed and
+   the domain count alone. *)
+let generate_generic ?(domains = 1) ~op ~noise ~sampler
     rng device ~n ~random_input ~legal ~features ~measure () =
   Obs.Span.with_ "dataset.generate"
     ~meta:(fun () ->
       [ ("op", Obs.Json.String (match op with `Gemm -> "gemm" | `Conv -> "conv"));
         ("n", Obs.Json.Int n);
-        ("domains", Obs.Json.Int domains);
-        ("checkpointed", Obs.Json.Bool (checkpoint <> None)) ])
+        ("domains", Obs.Json.Int domains) ])
     (fun () ->
   let dim = Features.dim in
   let rngs = Array.init (max 1 domains) (fun _ -> Util.Rng.split rng) in
-  let chunk_checkpoint chunk =
-    Option.map (fun (path, every) -> (chunk_path path chunk, every)) checkpoint
-  in
   let chunks =
     Util.Parallel.run_chunks ~domains ~total:n (fun ~chunk ~offset:_ ~size ->
-        generate_chunk ?checkpoint:(chunk_checkpoint chunk) ~op ~noise ~sampler
-          rngs.(chunk) device ~n:size ~random_input ~legal ~features ~measure)
+        generate_chunk ~noise ~sampler rngs.(chunk) device ~n:size
+          ~random_input ~legal ~features ~measure)
   in
-  (match checkpoint with
-   | Some (path, _) ->
-     for chunk = 0 to max 1 domains - 1 do
-       try Sys.remove (chunk_path path chunk) with Sys_error _ -> ()
-     done
-   | None -> ());
   let flog = Mlp.Matrix.create n dim in
   let fraw = Mlp.Matrix.create n dim in
   let ys = Array.make n 0.0 in
@@ -363,21 +223,21 @@ let measure_conv rng device input cfg_array ~noise =
   | _ -> None
 
 let generate_gemm ?(domains = 1) ?dtypes ?(noise = Gpu.Executor.default_noise)
-    ?sampler ?checkpoint rng device ~n =
+    ?sampler rng device ~n =
   let sampler =
     match sampler with Some s -> s | None -> fit_gemm_sampler ?dtypes rng device
   in
-  generate_generic ~domains ?checkpoint ~op:`Gemm ~noise ~sampler rng
+  generate_generic ~domains ~op:`Gemm ~noise ~sampler rng
     device ~n
     ~random_input:(random_gemm_input ?dtypes)
     ~legal:gemm_legal ~features:(fun ~log i c -> Features.gemm_features ~log i c) ~measure:measure_gemm ()
 
 let generate_conv ?(domains = 1) ?dtypes ?(noise = Gpu.Executor.default_noise)
-    ?sampler ?checkpoint rng device ~n =
+    ?sampler rng device ~n =
   let sampler =
     match sampler with Some s -> s | None -> fit_conv_sampler ?dtypes rng device
   in
-  generate_generic ~domains ?checkpoint ~op:`Conv ~noise ~sampler rng
+  generate_generic ~domains ~op:`Conv ~noise ~sampler rng
     device ~n
     ~random_input:(random_conv_input ?dtypes)
     ~legal:conv_legal ~features:(fun ~log i c -> Features.conv_features ~log i c) ~measure:measure_conv ()

@@ -70,7 +70,6 @@ val generate_gemm :
   ?dtypes:Ptx.Types.dtype list ->
   ?noise:float ->
   ?sampler:Sampler.t ->
-  ?checkpoint:string * int ->
   Util.Rng.t ->
   Gpu.Device.t ->
   n:int ->
@@ -79,18 +78,6 @@ val generate_gemm :
     to skip the warm-up. [domains > 1] fans the benchmarking loop out
     over OCaml 5 domains (deterministic for fixed seed and domain
     count).
-
-    [checkpoint = (path, every_n)] makes the expensive benchmarking loop
-    resumable: each domain atomically persists its partial chunk to
-    [path.chunk<i>] (a checksummed {!Util.Artifact}, kind
-    ["isaac-dataset-chunk"]) every [every_n] accepted samples, recording
-    the measured rows and the chunk RNG state. A killed run re-invoked
-    with the same seed, [domains] and [path] restores each chunk from
-    its last durable state and produces a dataset bitwise-identical to
-    an uninterrupted run; chunk files are deleted once the final merge
-    completes. Stale checkpoints (different op, device or chunk size)
-    and corrupt ones are rejected with a warning (counted in
-    [dataset.checkpoint_rejected]) and the chunk restarts from scratch.
 
     Inputs for which no measurable configuration exists (e.g. an
     over-restricted [dtypes]) are skipped and counted in
@@ -103,7 +90,6 @@ val generate_conv :
   ?dtypes:Ptx.Types.dtype list ->
   ?noise:float ->
   ?sampler:Sampler.t ->
-  ?checkpoint:string * int ->
   Util.Rng.t ->
   Gpu.Device.t ->
   n:int ->

@@ -36,10 +36,6 @@ let checksum s =
     s;
   Printf.sprintf "%016Lx" !h
 
-(* Consulted once at startup; per-write env lookups would race on
-   Env_config's registry when checkpoints are written from domains. *)
-let fsync_default = Env_config.bool "ISAAC_FSYNC" true
-
 let fsync_channel oc =
   try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
 
@@ -60,7 +56,7 @@ let corrupt payload =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
   Bytes.to_string b
 
-let write ?(fsync = fsync_default) ~path ~kind ~version payload =
+let write ~path ~kind ~version payload =
   if kind = "" || String.contains kind ' ' then
     invalid_arg ("Artifact.write: bad kind " ^ kind);
   if version < 1 then invalid_arg "Artifact.write: version must be >= 1";
@@ -90,10 +86,10 @@ let write ?(fsync = fsync_default) ~path ~kind ~version payload =
       in
       output_string oc payload;
       flush oc;
-      if fsync then fsync_channel oc;
+      fsync_channel oc;
       keep_tmp := true);
   Sys.rename tmp path;
-  if fsync then fsync_dir (Filename.dirname path)
+  fsync_dir (Filename.dirname path)
 
 let read ~path ~kind ~max_version =
   match open_in_bin path with

@@ -1,9 +1,9 @@
 (** Crash-safe persistence for tuning artifacts.
 
     The paper's economics (§5–§6) hinge on the offline phase's outputs —
-    trained profiles, plan caches, datasets, benchmark reports — being
-    paid for once and reused forever, so every artifact this repo writes
-    goes through this module rather than a bare [open_out]:
+    trained profiles, and the benchmark reports that vouch for them —
+    being paid for once and reused forever, so every artifact this repo
+    writes goes through this module rather than a bare [open_out]:
 
     - {!write} is atomic: the bytes go to a temp file in the same
       directory, are fsynced, and are [rename]d over the destination.
@@ -17,9 +17,8 @@
       corrupted artifact is always detected and reported, never
       partially loaded.
 
-    Durability (fsync of file and containing directory) is on by default
-    and can be dropped for bulk test runs with [ISAAC_FSYNC=0];
-    atomicity is unconditional.
+    Every write fsyncs the file and its containing directory, so a
+    completed write survives a power loss as well as a crash.
 
     {!Faultsim} hooks: [io_crash] kills a write after half the payload,
     [io_corrupt] flips a payload byte after checksumming. *)
@@ -39,7 +38,7 @@ val error_to_string : path:string -> error -> string
 val checksum : string -> string
 (** FNV-1a 64-bit checksum, 16 lowercase hex digits. *)
 
-val write : ?fsync:bool -> path:string -> kind:string -> version:int -> string -> unit
+val write : path:string -> kind:string -> version:int -> string -> unit
 (** [write ~path ~kind ~version payload] atomically replaces [path].
     [kind] is a space-free tag such as ["isaac-profile"]; [version >= 1]
     is the writer's schema version for that kind. Raises [Sys_error] on

@@ -38,18 +38,9 @@ let configure spec =
 
 let () = configure (Env_config.string "ISAAC_FAULTS" "")
 
-let active () = Hashtbl.length sites > 0
-
-let period kind =
-  Option.map (fun s -> s.period) (Hashtbl.find_opt sites kind)
-
 let fire kind =
   match Hashtbl.find_opt sites kind with
   | None -> false
   | Some s ->
     let n = 1 + Atomic.fetch_and_add s.calls 1 in
     n mod s.period = 0
-
-let crash_point kind =
-  if fire kind then
-    raise (Injected (Printf.sprintf "injected fault %S" kind))

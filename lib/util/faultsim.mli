@@ -19,13 +19,11 @@
       payload to its temp file (the destination is never replaced);
     - [io_corrupt] — {!Artifact.write} flips one payload byte after
       checksumming, so the next read reports a checksum mismatch;
-    - [bench_fail] — [Tuner.Dataset] benchmark measurements fail;
-    - [gen_crash] — dataset generation dies right after writing a
-      checkpoint (the kill-resume smoke test). *)
+    - [bench_fail] — [Tuner.Dataset] benchmark measurements fail. *)
 
 exception Injected of string
-(** Raised by {!crash_point} (and by write paths honouring [io_crash])
-    when a fault fires. Simulates the process dying mid-operation. *)
+(** Raised by write paths honouring [io_crash] when the fault fires.
+    Simulates the process dying mid-operation. *)
 
 val configure : string -> unit
 (** [configure spec] replaces the active fault table; [""] disables all
@@ -33,15 +31,6 @@ val configure : string -> unit
     [ISAAC_FAULTS]. Raises [Invalid_argument] on a malformed spec. Not
     domain-safe: configure before spawning workers (tests only). *)
 
-val active : unit -> bool
-(** Whether any fault site is armed. *)
-
-val period : string -> int option
-(** The firing period of a kind, [None] if not armed. *)
-
 val fire : string -> bool
 (** [fire kind] advances [kind]'s counter and reports whether this call
     should fault. Always [false] for unarmed kinds. *)
-
-val crash_point : string -> unit
-(** [crash_point kind] raises {!Injected} when {!fire} says so. *)

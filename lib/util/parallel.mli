@@ -28,4 +28,4 @@ val run_chunks :
     (in chunk order) is re-raised, so no worker outlives the call, even
     on failure: a trap in one interpreter chunk cannot leave others
     racing on the output buffers, and a failed dataset chunk cannot
-    leave its siblings generating and writing checkpoints. *)
+    leave its siblings generating. *)

@@ -37,19 +37,6 @@ let split t =
 
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
-let serialize t = Printf.sprintf "%Lx %Lx %Lx %Lx" t.s0 t.s1 t.s2 t.s3
-
-let deserialize s =
-  match
-    String.split_on_char ' ' (String.trim s) |> List.filter (( <> ) "")
-  with
-  | [ a; b; c; d ] -> (
-    let word w = Scanf.sscanf w "%Lx%!" Fun.id in
-    match { s0 = word a; s1 = word b; s2 = word c; s3 = word d } with
-    | t -> Some t
-    | exception _ -> None)
-  | _ -> None
-
 let int t bound =
   assert (bound > 0);
   let x = Int64.to_int (next t) land max_int in

@@ -21,14 +21,6 @@ val split : t -> t
 val copy : t -> t
 (** [copy t] duplicates the current state (same future stream). *)
 
-val serialize : t -> string
-(** The full generator state as one line of four hex words, for
-    checkpoint files. [deserialize (serialize t)] resumes [t]'s exact
-    stream. *)
-
-val deserialize : string -> t option
-(** Inverse of {!serialize}; [None] on malformed input. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound). Requires [bound > 0]. *)
 

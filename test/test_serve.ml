@@ -174,6 +174,39 @@ let test_long_strings_bounded () =
           (deep, "nesting deeper than 64") ];
       expect_ok (handle_line srv gemm_req))
 
+(* Both transports read through [Serve.serve_lines], which keeps at
+   most 1 MiB of a line: a 2 MiB line is drained unread and gets a short
+   error reply with a null [id], and the ping after it is answered. *)
+let test_long_line_drained () =
+  with_server (fun srv _ ->
+      let input = Filename.temp_file "serve_test" ".in"
+      and output = Filename.temp_file "serve_test" ".out" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ input; output ])
+        (fun () ->
+          Out_channel.with_open_bin input (fun oc ->
+              output_string oc (String.make (2 * 1024 * 1024) 'x');
+              output_string oc "\n{\"op\":\"ping\",\"id\":8}\n");
+          let verdict =
+            In_channel.with_open_bin input (fun ic ->
+                Out_channel.with_open_bin output (Serve.serve_lines srv ic))
+          in
+          Alcotest.(check bool) "read to the end" true (verdict = `Eof);
+          let replies = In_channel.with_open_bin output In_channel.input_all in
+          match String.split_on_char '\n' replies with
+          | [ drained; ping; "" ] ->
+            if not (contains (error_of drained) "longer than") then
+              Alcotest.failf "reply %S does not say the line is too long" drained;
+            Alcotest.(check string) "id is null" "null"
+              (J.to_string (field drained "id"));
+            if String.length drained >= 1024 then
+              Alcotest.failf "%d-byte reply to a 2 MiB line" (String.length drained);
+            expect_ok ping;
+            Alcotest.(check (option int)) "ping answered" (Some 8)
+              (J.to_int (field ping "id"))
+          | lines ->
+            Alcotest.failf "expected 2 reply lines, got %d" (List.length lines - 1)))
+
 (* Every reply echoes the request [id], so only an integer in OCaml's
    range, null or a string of at most 256 bytes is accepted. Any other
    [id] gets a short error reply that names the field and carries a
@@ -394,6 +427,7 @@ let () =
          slow "cold miss, warm hit, identical plan" test_cold_then_warm;
          slow "malformed requests" test_errors;
          slow "bounded error replies" test_long_strings_bounded;
+         slow "over-long line drained" test_long_line_drained;
          slow "request id bounded" test_id_bounded;
          slow "bad search cap names the knob" test_bad_search_cap;
          slow "out-of-range dimensions name the field" test_out_of_range_dims;
