@@ -240,97 +240,7 @@ let run_conv_algorithms () =
       ~claim:"explicit im2col always adds DRAM traffic (worst layer)"
       ~paper:"motivates IMPLICIT_PRECOMP_GEMM" ~value:worst ~at_least:1.05 ]
 
-(* Do the three scoreboard-derived features (critical path, stall
-   fraction, register pressure — Features ~schedule:true) change the
-   regression's held-out MSE? Fig. 5 methodology on a small labeled set:
-   same samples, same architecture and epochs, 16 vs 19 features. The
-   gate is a non-degradation bound, not an improvement claim: the static
-   schedule is itself a function of the tuning parameters, so the paper's
-   16 features may already carry most of the signal. *)
-let run_schedule_features () =
-  Printf.printf "\n-- schedule-aware features: 16 paper features vs +3 scoreboard --\n";
-  let device = Gpu.Device.p100 in
-  (* Floors keep the comparison out of the tiny-sample regime where the
-     three extra dimensions read as pure overfitting noise. *)
-  let n_train =
-    max 3000 (Util.Env_config.scaled (Util.Env_config.int "SCHED_FEAT_TRAIN" 6000))
-  in
-  let n_test =
-    max 750 (Util.Env_config.scaled (Util.Env_config.int "SCHED_FEAT_TEST" 1500))
-  in
-  let n = n_train + n_test in
-  let rng = Engines.fresh_rng "sched-feat" in
-  let sampler = Tuner.Dataset.fit_gemm_sampler rng device in
-  let samples =
-    Reporting.time_section
-      (Printf.sprintf "label %d GEMM samples (P100)" n)
-      (fun () ->
-        Array.init n (fun _ ->
-            let rec draw () =
-              let input = Tuner.Dataset.random_gemm_input rng in
-              let legal = Tuner.Dataset.gemm_legal device input in
-              match
-                Tuner.Sampler.sample_verified rng sampler ~legal
-                  ~verify:(fun _ -> true)
-              with
-              | None -> draw ()
-              | Some cfg -> (
-                  let c = GP.config_of_array cfg in
-                  match
-                    Gpu.Executor.measure ~noise:Gpu.Executor.default_noise rng
-                      device (GP.cost input c)
-                  with
-                  | Some m when m.tflops > 0.0 -> (input, cfg, m.tflops)
-                  | _ -> draw ())
-            in
-            draw ()))
-  in
-  let dataset ~schedule dim =
-    let flog = Mlp.Matrix.create n dim and fraw = Mlp.Matrix.create n dim in
-    Array.iteri
-      (fun row (input, cfg, _) ->
-        let put t f = Array.iteri (Mlp.Matrix.set t row) f in
-        put flog (Tuner.Features.gemm_features ~schedule ~log:true input cfg);
-        put fraw (Tuner.Features.gemm_features ~schedule ~log:false input cfg))
-      samples;
-    { Tuner.Dataset.op = `Gemm; device = device.Gpu.Device.name;
-      features_log = flog; features_raw = fraw;
-      tflops = Array.map (fun (_, _, t) -> t) samples }
-  in
-  let slice (ds : Tuner.Dataset.t) start len =
-    let idx = List.init len (fun i -> start + i) in
-    { ds with
-      features_log = Mlp.Train.rows ds.features_log idx;
-      features_raw = Mlp.Train.rows ds.features_raw idx;
-      tflops = Array.sub ds.tflops start len }
-  in
-  let epochs = Util.Env_config.int "SCHED_FEAT_EPOCHS" 12 in
-  let mse_of tag ds =
-    let train = slice ds 0 n_train and test = slice ds n_train n_test in
-    let rng = Engines.fresh_rng ("sched-feat-train-" ^ tag) in
-    let profile = Tuner.Profile.train ~epochs rng train in
-    Tuner.Profile.mse profile test
-  in
-  let mse16 = mse_of "base" (dataset ~schedule:false Tuner.Features.dim) in
-  let mse19 =
-    mse_of "sched" (dataset ~schedule:true Tuner.Features.schedule_dim)
-  in
-  Util.Table.print
-    ~header:[| "features"; "held-out MSE" |]
-    [ [| "16 (paper)"; Printf.sprintf "%.4f" mse16 |];
-      [| "19 (+schedule)"; Printf.sprintf "%.4f" mse19 |] ];
-  Reporting.metric ~experiment:"ablations" ~unit_:"mse"
-    ~direction:Obs.Bench_report.Lower_better "ablations.sched_features_mse"
-    mse19;
-  Reporting.metric ~experiment:"ablations" ~unit_:"ratio"
-    "ablations.sched_features_gain" (mse16 /. mse19);
-  [ Reporting.check
-      ~claim:"schedule features do not degrade held-out MSE (19 vs 16)"
-      ~paper:"n/a (extension beyond Table 2)"
-      ~ours:(Printf.sprintf "%.4f vs %.4f" mse19 mse16)
-      ~pass:(mse19 <= (1.25 *. mse16) +. 0.01) ]
-
 let run () =
   Reporting.print_header "Ablations: top-k, optimizers, Dirichlet prior, energy";
   run_topk () @ run_optimizers () @ run_alpha () @ run_energy ()
-  @ run_conv_algorithms () @ run_schedule_features ()
+  @ run_conv_algorithms ()

@@ -87,19 +87,6 @@ let tests () =
     (let program = Codegen.Gemm.generate linpack linpack_cfg in
      Test.make ~name:"regalloc: liveness + linear scan"
        (Staged.stage (fun () -> ignore (Ptx.Regalloc.allocate program))));
-    (let program = Codegen.Gemm.generate linpack linpack_cfg in
-     Test.make ~name:"scoreboard_analyze: stalls + pressure (64x64 kernel)"
-       (Staged.stage (fun () -> ignore (Ptx.Scoreboard.analyze program))));
-    (let program = Codegen.Gemm.generate linpack linpack_cfg in
-     Test.make ~name:"scoreboard_lint: liveness lints (64x64 kernel)"
-       (Staged.stage (fun () -> ignore (Ptx.Scoreboard.lint program))));
-    (let program = Codegen.Gemm.generate small small_cfg in
-     let grid = Codegen.Gemm.grid small small_cfg in
-     let block = Codegen.Gemm.block small_cfg in
-     let iargs = [ ("M", 32); ("N", 32); ("K", 32) ] in
-     Test.make ~name:"scoreboard_trips: abstract trip counts (32^3)"
-       (Staged.stage (fun () ->
-            ignore (Ptx.Scoreboard.block_trips ~grid ~block ~iargs program))));
     (let spec = Frontend.Einsum.parse "mk,kn->mn" in
      Test.make ~name:"frontend: einsum parse + classify"
        (Staged.stage (fun () -> ignore (Frontend.Einsum.parse "bmk,bkn->bmn") |> fun () -> ignore spec))) ]

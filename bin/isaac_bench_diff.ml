@@ -64,6 +64,7 @@ let run base_path cand_path against strict all det_tol timing_thr wall_thr =
     Printf.printf
       "note: seed/scale differ between reports; deterministic gates may \
        misfire\n";
+  List.iter (Printf.printf "note: %s\n") (R.knob_notes base cand);
   let config =
     { R.det_tolerance = det_tol; timing_threshold = timing_thr;
       wall_threshold = wall_thr }

@@ -9,9 +9,8 @@
 
    For every task of the GEMM and CONV evaluation suites it draws legal
    configurations from the fitted generative model, generates the kernel,
-   and runs Ptx.Verify (which folds in the Ptx.Scoreboard scheduling
-   lints: dead stores, unread registers, unreachable code, redundant
-   barriers).
+   and runs Ptx.Verify, whose warnings include its four lints: dead
+   stores, unread registers, unreachable code and redundant barriers.
 
    Exit status: 0 when every kernel is clean; 1 on any verifier error;
    2 under --strict when there are no errors but some kernel carries a
@@ -74,8 +73,8 @@ let lint_one ~verbose ~dump_binary ~stats ~records ~op ~task name program
         (List.length r.warnings)
   end;
   (* --dump-binary: the packed Ptx.Encode listing of the (register-
-     allocated) kernel — hex word, control-info stall byte, disassembled
-     text and field breakdown per instruction. *)
+     allocated) kernel — hex word, disassembled text and field breakdown
+     per instruction. *)
   if dump_binary then
     match Ptx.Encode.encode (Ptx.Regalloc.allocate program) with
     | Ok e -> print_string (Ptx.Encode.dump e)
@@ -327,10 +326,9 @@ let cmd =
       & info [ "dump-binary" ]
           ~doc:
             "For every linted kernel, print its packed binary encoding: one \
-             line per instruction word (hex encoding, control-info stall \
-             byte, disassembly) plus the opcode/guard/operand field \
-             breakdown. Pair with --count 1 and --op to dump a single \
-             kernel.")
+             line per instruction word (hex encoding, disassembly) plus \
+             the opcode/guard/operand field breakdown. Pair with --count 1 \
+             and --op to dump a single kernel.")
   in
   let strict =
     Arg.(

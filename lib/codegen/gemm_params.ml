@@ -290,8 +290,7 @@ let cost ?(bounds = Predicated) (i : input) (c : config) =
     ilp = float_of_int (c.ms * c.ns * c.ks) /. float_of_int width;
     mlp = Float.min 16.0 (float_of_int ((la + lb) / c.vec));
     barriers_per_block = barriers;
-    k_iters;
-    sched = None }
+    k_iters }
 
 let describe c =
   Printf.sprintf "%dx%dx%d ms%d ns%d ks%d kl%d kg%d v%d db%d" c.ml c.nl c.u c.ms c.ns

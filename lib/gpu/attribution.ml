@@ -36,20 +36,7 @@ let pairings =
     { term = "overhead_seconds";
       counter = "interp.bar_waits";
       term_of = (fun r -> r.Perf_model.overhead_seconds);
-      counter_of = (fun c -> float_of_int c.Ptx.Interp.bar) };
-    { term = "stall_cycles";
-      counter = "interp.latency_slots";
-      (* The scoreboard's predicted hazard stalls are caused by
-         latency-producing instructions (FMA chains, shared and global
-         loads); their dynamic issue counts are the counter-side driver.
-         The static stalls-per-slot factor modulates the ratio per
-         configuration, which the drift column makes visible. *)
-      term_of = (fun r -> r.Perf_model.stall_cycles);
-      counter_of =
-        (fun c ->
-          float_of_int
-            (c.Ptx.Interp.fma + c.Ptx.Interp.ld_shared
-           + c.Ptx.Interp.ld_global)) } ]
+      counter_of = (fun c -> float_of_int c.Ptx.Interp.bar) } ]
 
 type row = {
   term : string;

@@ -37,7 +37,7 @@ type pairing = {
 }
 
 val pairings : pairing list
-(** The five term↔counter pairs:
+(** The four term↔counter pairs:
     [arith_seconds ↔ interp.issue_slots] (all dynamically issued
     instructions, including predicated-off ones),
     [mem_seconds ↔ interp.global_transactions] (load + store; the term
@@ -45,11 +45,7 @@ val pairings : pairing list
     traffic driver, because the term's seconds additionally divide by a
     config-dependent effective bandwidth that counters cannot see),
     [shared_seconds ↔ interp.shared_transactions],
-    [overhead_seconds ↔ interp.bar_waits],
-    [stall_cycles ↔ interp.latency_slots] (the scoreboard's predicted
-    hazard stalls against the dynamic count of latency-producing
-    instructions — FMAs plus shared and global loads; only meaningful
-    for samples whose {!Kernel_cost.sched} was attached). *)
+    [overhead_seconds ↔ interp.bar_waits]. *)
 
 type row = {
   term : string;

@@ -7,21 +7,6 @@
     by comparing these static counts against the interpreter's dynamic
     counters. *)
 
-(** Static schedule summary from {!Ptx.Scoreboard}, when the kernel's
-    mini-PTX has been analyzed. [None] keeps the coarse closed-form
-    ILP/register estimates (identical to the model before the scoreboard
-    existed). *)
-type sched = {
-  stalls_per_slot : float;   (** steady-state stall cycles per issue slot *)
-  fma_issue_rate : float;    (** per-warp FMA issue ceiling in [0,1]
-                                 (0 for FMA-free kernels: no information) *)
-  crit_path_cycles : int;    (** loop-carried dependence critical path *)
-  dual_issue_frac : float;
-  sched_ilp : float;         (** dependence-window ILP estimate *)
-  peak_fregs : int;          (** MaxLive register pressure *)
-  peak_iregs : int;
-}
-
 type t = {
   name : string;
   dtype : Ptx.Types.dtype;
@@ -67,16 +52,10 @@ type t = {
                                   staging phase (memory-level parallelism) *)
   barriers_per_block : float;
   k_iters : float;            (** main-loop trip count per block *)
-  sched : sched option;       (** static scoreboard schedule, when analyzed *)
 }
 
 val grid_blocks : t -> int
 (** Total blocks launched: [grid_m * grid_n * grid_k]. *)
 
 val occupancy_usage : t -> Occupancy.usage
-(** Registers come from [regs_per_thread], raised to the scoreboard's
-    measured peak pressure when a schedule is attached (pressure-capped
-    occupancy). *)
-
-val with_sched : t -> Ptx.Scoreboard.summary -> t
-(** Attach a scoreboard summary to a cost descriptor. *)
+(** The kernel's resources as the occupancy calculator reads them. *)

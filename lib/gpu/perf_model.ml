@@ -20,7 +20,6 @@ type report = {
   mem_seconds : float;
   shared_seconds : float;
   overhead_seconds : float;
-  stall_cycles : float;
 }
 
 let predict (d : Device.t) (c : Kernel_cost.t) =
@@ -49,19 +48,8 @@ let predict (d : Device.t) (c : Kernel_cost.t) =
     let ialu_tp = float_of_int d.cores_per_sm /. float_of_int d.warp_size in
     (* Latency ceiling (paper Eq. 2): each warp sustains at most
        ilp/fma_latency FMA issues per cycle, 1 when its independent chains
-       cover the pipeline latency. With a static scoreboard schedule
-       attached, the coarse ilp/latency guess is replaced by the measured
-       steady-state FMA issue rate — FMA slots over FMA slots plus stall
-       cycles — which additionally sees the latency hiding that
-       interleaved addressing and shared-load slots provide. The two
-       agree in the limits: a single dependent chain gives 1/fma_latency,
-       full independence gives 1. *)
-    let per_warp_issue =
-      match c.sched with
-      | Some s when s.Kernel_cost.fma_issue_rate > 0.0 ->
-        Float.min 1.0 s.Kernel_cost.fma_issue_rate
-      | _ -> Float.min 1.0 (c.ilp /. d.fma_latency)
-    in
+       cover the pipeline latency. *)
+    let per_warp_issue = Float.min 1.0 (c.ilp /. d.fma_latency) in
     let fma_tp_eff = Float.min fma_tp (warps_eff_f *. per_warp_issue) in
     let warp_size = float_of_int d.warp_size in
     let warp_fmas = c.issued_fmas /. warp_size in
@@ -70,14 +58,6 @@ let predict (d : Device.t) (c : Kernel_cost.t) =
     let arith_cycles = (warp_fmas /. fma_tp_eff) +. (0.5 *. warp_ialu /. ialu_tp) in
     let arith_seconds = arith_cycles /. sm /. clock_hz in
     let latency_capped = fma_tp_eff < fma_tp *. 0.95 in
-    (* Predicted warp-level stall cycles over the whole grid: static
-       stalls per issue slot times warp issue slots. Zero without a
-       schedule (and for stall-free schedules). *)
-    let stall_cycles =
-      match c.sched with
-      | Some s -> s.Kernel_cost.stalls_per_slot *. (warp_fmas +. warp_ialu)
-      | None -> 0.0
-    in
 
     (* --- global memory -------------------------------------------------- *)
     let elem_bytes = Ptx.Types.dtype_bytes c.dtype in
@@ -159,6 +139,5 @@ let predict (d : Device.t) (c : Kernel_cost.t) =
         arith_seconds;
         mem_seconds;
         shared_seconds;
-        overhead_seconds;
-        stall_cycles }
+        overhead_seconds }
   end

@@ -34,21 +34,10 @@ type report = {
   mem_seconds : float;
   shared_seconds : float;
   overhead_seconds : float; (** barriers + atomics + launch *)
-  stall_cycles : float;
-      (** predicted warp-level hazard stall cycles over the whole grid:
-          the scoreboard's steady-state stalls per issue slot times the
-          warp issue-slot count; 0 when no {!Kernel_cost.sched} is
-          attached. The attribution pass correlates this against the
-          interpreter's latency-producing instruction counts. *)
 }
 
 val predict : Device.t -> Kernel_cost.t -> report option
 (** [None] when the kernel cannot launch on the device (occupancy 0 —
-    the "possible but not legal" X̂ \ X region of §4).
-
-    When [Kernel_cost.sched] is present (see {!Kernel_cost.with_sched}),
-    two terms sharpen: the arithmetic pipeline's latency ceiling uses the
-    scoreboard's measured steady-state FMA issue rate instead of the
-    coarse ilp/fma_latency guess, and occupancy uses pressure-capped
-    registers. With [sched = None] the prediction is bit-identical to
-    the pre-scoreboard model. *)
+    the "possible but not legal" X̂ \ X region of §4). The arithmetic
+    pipeline's latency ceiling is the paper's closed form (Eq. 2): each
+    warp issues at most [min 1 (ilp / fma_latency)] FMAs per cycle. *)

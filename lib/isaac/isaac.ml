@@ -32,38 +32,18 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let t_cache_hit = Obs.Telemetry.counter "plan.cache_hit"
 let t_cache_miss = Obs.Telemetry.counter "plan.cache_miss"
 let t_coalesced = Obs.Telemetry.counter "plan.coalesced"
-let t_plan_latency = Obs.Telemetry.histo "plan.latency_s"
 let t_hit_age = Obs.Telemetry.histo "plan.cache_hit_age_s"
-
-let observe_latency ~t0 =
-  Obs.Telemetry.Histo.observe t_plan_latency
-    (Float.max 0.0 (Unix.gettimeofday () -. t0))
 
 (* [age_s] is already clamped non-negative by the cache (its timestamps
    are wall clock, which NTP can step backwards). *)
-let record_plan_hit ~t0 ~age_s =
-  if Obs.Telemetry.enabled () then begin
-    Obs.Telemetry.Counter.incr t_cache_hit;
-    Obs.Telemetry.Histo.observe t_hit_age age_s;
-    observe_latency ~t0
-  end
-
-let record_plan_miss ~t0 =
-  if Obs.Telemetry.enabled () then begin
-    Obs.Telemetry.Counter.incr t_cache_miss;
-    observe_latency ~t0
-  end
-
-let record_plan_coalesced ~t0 =
-  if Obs.Telemetry.enabled () then begin
-    Obs.Telemetry.Counter.incr t_coalesced;
-    observe_latency ~t0
-  end
-
-let record_outcome ~t0 ~age_s = function
-  | Plan_cache.Hit -> record_plan_hit ~t0 ~age_s
-  | Plan_cache.Miss -> record_plan_miss ~t0
-  | Plan_cache.Coalesced -> record_plan_coalesced ~t0
+let record_outcome ~age_s outcome =
+  if Obs.Telemetry.enabled () then
+    match (outcome : Plan_cache.outcome) with
+    | Hit ->
+      Obs.Telemetry.Counter.incr t_cache_hit;
+      Obs.Telemetry.Histo.observe t_hit_age age_s
+    | Miss -> Obs.Telemetry.Counter.incr t_cache_miss
+    | Coalesced -> Obs.Telemetry.Counter.incr t_coalesced
 
 let of_profile ?cache_entries device (profile : Tuner.Profile.t) =
   if profile.device <> device.Gpu.Device.name then
@@ -165,7 +145,6 @@ let request_rng tag input =
    span and, with the input, seeds the request's generator. *)
 let plan_with_status t cache ~op ~search ~generate i =
   Obs.Span.with_request (fun () ->
-      let t0 = if Obs.Telemetry.enabled () then Unix.gettimeofday () else 0.0 in
       let plan, outcome, age_s =
         Plan_cache.find_or_compute cache i (fun () ->
             let result =
@@ -180,7 +159,7 @@ let plan_with_status t cache ~op ~search ~generate i =
                 plan_of_result ~kernel_hash r)
               result)
       in
-      record_outcome ~t0 ~age_s outcome;
+      record_outcome ~age_s outcome;
       (plan, outcome))
 
 let plan_gemm_with_status t (i : GP.input) =

@@ -144,6 +144,19 @@ let compare_reports ?(config = default_config) base cand =
   in
   matched @ missing @ check_comparisons base cand
 
+let knob_notes (base : B.t) (cand : B.t) =
+  let show = function Some v -> Printf.sprintf "%S" v | None -> "unset" in
+  List.sort_uniq compare
+    (List.map fst base.env.knobs @ List.map fst cand.env.knobs)
+  |> List.filter_map (fun k ->
+         let b = List.assoc_opt k base.env.knobs
+         and c = List.assoc_opt k cand.env.knobs in
+         if b = c then None
+         else
+           Some
+             (Printf.sprintf "knob %s differs: baseline %s, candidate %s" k
+                (show b) (show c)))
+
 let regressions l =
   List.filter (fun c -> c.verdict = Regressed && c.significant) l
 

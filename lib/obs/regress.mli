@@ -50,6 +50,13 @@ val compare_reports :
 (** [compare_reports base cand] — all comparisons, metric order
     following the candidate report (then baseline-only leftovers). *)
 
+val knob_notes : Bench_report.t -> Bench_report.t -> string list
+(** [knob_notes base cand]: one line per environment knob
+    ([env.knobs]) whose value differs between the two reports, or that
+    only one of them records, in knob-name order. A changed knob can move
+    deterministic metrics, so [isaac_bench_diff] prints these as notes;
+    they never fail the comparison. *)
+
 val regressions : comparison list -> comparison list
 (** The significant regressions only. *)
 

@@ -1,6 +1,7 @@
 (** Forward dataflow analyses over a {!Cfg.t}.
 
-    Two analyses back the static verifier:
+    Two analyses back the static verifier, which also builds its
+    liveness lints on {!uses_defs}:
 
     - {b definite assignment}: a must-analysis (meet = intersection over
       predecessors) computing, per program point, the registers written
@@ -26,6 +27,10 @@
 type reg = R_i of int | R_f of int | R_p of int
 
 val pp_reg : reg -> string
+
+val uses_defs : Instr.t -> reg list * reg list
+(** Registers one instruction reads and writes. The guard predicate is
+    a read; a destination is a write only, even under a guard. *)
 
 (** {1 Definite assignment} *)
 

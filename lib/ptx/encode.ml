@@ -57,7 +57,6 @@ type t = {
   n_iregs : int;
   n_pregs : int;
   words : int array;
-  ctrl : int array;
   ipool : int array;
   fpool : float array;
   spool : string array;
@@ -72,13 +71,8 @@ exception Enc of string
 let enc_fail pc fmt =
   Printf.ksprintf (fun s -> raise (Enc (Printf.sprintf "pc %d: %s" pc s))) fmt
 
-let encode ?lat (p : Program.t) =
+let encode (p : Program.t) =
   try
-    let stalls =
-      match Scoreboard.instr_stalls ?lat p with
-      | Ok s -> s
-      | Error _ -> Array.make (max 1 (Array.length p.body)) 0
-    in
     let itbl = Hashtbl.create 16 and ipool = ref [] and ni = ref 0 in
     let ftbl = Hashtbl.create 16 and fpool = ref [] and nf = ref 0 in
     let stbl = Hashtbl.create 16 and spool = ref [] and ns = ref 0 in
@@ -186,7 +180,6 @@ let encode ?lat (p : Program.t) =
           | Bar | Ret -> base)
         p.body
     in
-    let ctrl = Array.mapi (fun pc _ -> min stalls.(pc) 255) p.body in
     Ok
       { name = p.name;
         dtype = p.dtype;
@@ -198,7 +191,6 @@ let encode ?lat (p : Program.t) =
         n_iregs = p.n_iregs;
         n_pregs = p.n_pregs;
         words;
-        ctrl;
         ipool = Array.of_list (List.rev !ipool);
         fpool = Array.of_list (List.rev !fpool);
         spool = Array.of_list (List.rev !spool) }
@@ -345,10 +337,9 @@ let add_str16 b s =
   Buffer.add_uint16_le b (String.length s);
   Buffer.add_string b s
 
-(* [semantic] drops the entry name and the derived control info — the
-   byte stream {!hash} covers. *)
+(* [semantic] drops the entry name — the byte stream {!hash} covers. *)
 let serialize ~semantic t =
-  let b = Buffer.create (64 + (9 * Array.length t.words)) in
+  let b = Buffer.create (64 + (8 * Array.length t.words)) in
   Buffer.add_uint8 b format_version;
   Buffer.add_uint8 b (dtype_tag t.dtype);
   add_str16 b (if semantic then "" else t.name);
@@ -363,7 +354,6 @@ let serialize ~semantic t =
   Buffer.add_uint16_le b t.n_pregs;
   Buffer.add_int32_le b (Int32.of_int (Array.length t.words));
   Array.iter (fun w -> Buffer.add_int64_le b (Int64.of_int w)) t.words;
-  if not semantic then Array.iter (fun c -> Buffer.add_uint8 b c) t.ctrl;
   Buffer.add_uint16_le b (Array.length t.ipool);
   Array.iter (fun v -> Buffer.add_int64_le b (Int64.of_int v)) t.ipool;
   Buffer.add_uint16_le b (Array.length t.fpool);
@@ -428,7 +418,7 @@ let dump t =
         | Some p -> String.trim (Disasm.instr p.dtype p.body.(i))
         | None -> "<undecodable>"
       in
-      Printf.bprintf b "%04d  %016x  stall=%-3d %s\n" i w t.ctrl.(i) text;
+      Printf.bprintf b "%04d  %016x  %s\n" i w text;
       let gk = (w lsr sh_gkind) land 3 in
       let guard =
         match gk with

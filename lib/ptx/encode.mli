@@ -1,22 +1,18 @@
 (** Dense binary encoding of the mini-PTX IR.
 
-    Real GPU toolchains ship kernels as bit-packed instruction words with
-    per-instruction control info (dependency/stall counts), not as
-    structured ASTs — that is what makes kernel identities O(1). This
-    module gives the mini-PTX IR the same treatment:
+    Real GPU toolchains ship kernels as bit-packed instruction words,
+    not as structured ASTs — that is what makes kernel identities O(1).
+    This module gives the mini-PTX IR the same treatment:
 
     - every instruction packs into one 62-bit word (opcode, guard,
       destination, aux, three discriminated operand fields); immediates
       too wide for an operand field spill into deduplicated constant
       pools, and label names live in a string pool;
-    - each word carries one control-info byte: the {!Scoreboard}
-      per-instruction stall count (saturated at 255), the nva-style
-      "control info" real SASS encoders embed;
     - {!encode}/{!decode} round-trip exactly ([decode (encode p) = p]
       for every valid program that fits the field widths — the
       differential and qcheck suites assert this);
-    - {!hash} is a stable FNV-1a 64 over the semantic payload (name and
-      control info excluded): the kernel identity a served plan carries.
+    - {!hash} is a stable FNV-1a 64 over the semantic payload (name
+      excluded): the kernel identity a served plan carries.
 
     Kernels are generated, never read back: nothing parses a packed
     kernel from bytes. A plan is stored as its (input, configuration)
@@ -42,15 +38,13 @@ type t = {
   n_iregs : int;
   n_pregs : int;
   words : int array;   (** one packed instruction word per body entry *)
-  ctrl : int array;    (** control-info byte per word: stall cycles *)
   ipool : int array;   (** wide integer immediates (deduplicated) *)
   fpool : float array; (** float immediates (deduplicated by bit pattern) *)
   spool : string array;(** label names *)
 }
 
-val encode : ?lat:Scoreboard.latency -> Program.t -> (t, string) result
-(** Pack a program. [lat] feeds the {!Scoreboard} stall model behind the
-    control-info bytes (stalls are 0 when the CFG cannot be built). *)
+val encode : Program.t -> (t, string) result
+(** Pack a program. *)
 
 val decode : t -> (Program.t, string) result
 (** Exact inverse of {!encode}. Validates field tags, pool indices and
@@ -61,17 +55,16 @@ val hash : t -> int64
 (** Stable FNV-1a 64 kernel identity over the semantic payload: dtype,
     parameter names, shared sizes, register counts, instruction words
     and constant pools — excluding [name] (so one kernel reused under
-    several shape-specific entry names keeps one hash) and [ctrl] (derived
-    metadata). *)
+    several shape-specific entry names keeps one hash). *)
 
 val hash_hex : int64 -> string
 (** 16 lowercase hex digits. *)
 
 val byte_size : t -> int
-(** Size of the packed form in bytes: 8 per instruction word, 1
-    control byte per word, the pools and a header. *)
+(** Size of the packed form in bytes: 8 per instruction word, the
+    pools and a header. *)
 
 val dump : t -> string
 (** Human-readable listing for [isaac_lint --dump-binary]: per word, the
-    hex encoding, the control info, the disassembled text and a field
-    breakdown (opcode/guard/dst/aux/operand kinds). *)
+    hex encoding, the disassembled text and a field breakdown
+    (opcode/guard/dst/aux/operand kinds). *)

@@ -355,7 +355,7 @@ let describe_with near n_body pc =
 
 (* Stable category numbering packed into bytecode instruction words
    (bits 18–21) for the masked-issue bump; follows the field order of
-   [counters], like [Scoreboard.cat_index]. *)
+   [counters]. *)
 let cat_code = function
   | Instr.Cat_ialu -> 0
   | Cat_fma -> 1

@@ -84,6 +84,136 @@ type site_eval = {
 
 let max_enum_threads = 1024
 
+(* Advisory lints over a program's CFG: unreachable blocks, dead stores
+   and never-read registers from a backward liveness pass, and a second
+   bar.sync with no shared access since the first. Registers are indexed
+   across the three files: integer, then float, then predicate. *)
+let lint (p : Program.t) (cfg : Cfg.t) reach =
+  let body = p.Program.body in
+  let ni = p.n_iregs and nf = p.n_fregs in
+  let nregs = ni + nf + p.n_pregs in
+  let idx = function
+    | Dataflow.R_i r -> r
+    | R_f r -> ni + r
+    | R_p r -> ni + nf + r
+  in
+  let reg_of r =
+    if r < ni then Dataflow.R_i r
+    else if r < ni + nf then R_f (r - ni)
+    else R_p (r - ni - nf)
+  in
+  (* A guarded definition also reads its destination: threads whose
+     guard is false keep the old value. *)
+  let ud =
+    Array.map
+      (fun (instr : Instr.t) ->
+        let uses, defs = Dataflow.uses_defs instr in
+        let uses = if instr.Instr.guard = None then uses else defs @ uses in
+        (List.map idx uses, List.map idx defs))
+      body
+  in
+  let nb = Array.length cfg.Cfg.blocks in
+  let diags = ref [] in
+  let add kind pc message = diags := { kind; pc; message } :: !diags in
+  for b = 0 to nb - 1 do
+    if not reach.(b) then
+      add Unreachable_code (Some cfg.Cfg.blocks.(b).Cfg.first)
+        "unreachable code: no path from entry reaches this block"
+  done;
+  (* Backward liveness over reachable blocks. *)
+  let fresh () = Array.make (max 1 nregs) false in
+  let live_in = Array.init nb (fun _ -> fresh ()) in
+  let live_out b =
+    let out = fresh () in
+    List.iter
+      (fun s -> Array.iteri (fun r l -> if l then out.(r) <- true) live_in.(s))
+      cfg.Cfg.blocks.(b).Cfg.succs;
+    out
+  in
+  (* Walks block [b] backwards from its live-out set, calling [f] with
+     the set live just after each instruction. *)
+  let walk_back b ~f =
+    let live = live_out b in
+    let blk = cfg.Cfg.blocks.(b) in
+    for pc = blk.Cfg.last downto blk.Cfg.first do
+      f pc live;
+      let uses, defs = ud.(pc) in
+      List.iter (fun r -> live.(r) <- false) defs;
+      List.iter (fun r -> live.(r) <- true) uses
+    done;
+    live
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for b = nb - 1 downto 0 do
+      if reach.(b) then begin
+        let li = walk_back b ~f:(fun _ _ -> ()) in
+        if li <> live_in.(b) then begin
+          live_in.(b) <- li;
+          changed := true
+        end
+      end
+    done
+  done;
+  (* Dead stores: an unguarded definition not live just after the
+     instruction. Guarded definitions merge with the old value, so the
+     generators' mov-then-guarded-load staging idiom stays clean. *)
+  for b = 0 to nb - 1 do
+    if reach.(b) then
+      ignore
+        (walk_back b ~f:(fun pc live ->
+             if body.(pc).Instr.guard = None then
+               List.iter
+                 (fun r ->
+                   if not live.(r) then
+                     add Dead_store (Some pc)
+                       (Printf.sprintf
+                          "%s is written here but never read before being \
+                           overwritten (dead store)"
+                          (Dataflow.pp_reg (reg_of r))))
+                 (snd ud.(pc))))
+  done;
+  (* Registers written but never read, over reachable code. *)
+  let used = fresh () and defined = fresh () in
+  for b = 0 to nb - 1 do
+    if reach.(b) then begin
+      let blk = cfg.Cfg.blocks.(b) in
+      for pc = blk.Cfg.first to blk.Cfg.last do
+        let uses, defs = ud.(pc) in
+        List.iter (fun r -> used.(r) <- true) uses;
+        List.iter (fun r -> defined.(r) <- true) defs
+      done
+    end
+  done;
+  for r = nregs - 1 downto 0 do
+    if defined.(r) && not used.(r) then
+      add Unread_register None
+        (Printf.sprintf "%s is written but never read"
+           (Dataflow.pp_reg (reg_of r)))
+  done;
+  (* Redundant consecutive barriers within one block. *)
+  for b = 0 to nb - 1 do
+    if reach.(b) then begin
+      let blk = cfg.Cfg.blocks.(b) in
+      let seen_bar = ref false and shared_since = ref true in
+      for pc = blk.Cfg.first to blk.Cfg.last do
+        match body.(pc).Instr.op with
+        | Instr.Bar ->
+          if !seen_bar && not !shared_since then
+            add Redundant_barrier (Some pc)
+              "redundant bar.sync: no shared-memory access since the \
+               previous barrier in this block";
+          seen_bar := true;
+          shared_since := false
+        | Ld_shared _ | Ld_shared_i _ | St_shared _ | St_shared_i _ ->
+          shared_since := true
+        | _ -> ()
+      done
+    end
+  done;
+  List.rev !diags
+
 let run ?(iargs = []) ~block (p : Program.t) =
   let errors = ref [] and warnings = ref [] in
   let push store kind ?pc fmt =
@@ -115,23 +245,9 @@ let run ?(iargs = []) ~block (p : Program.t) =
           err Use_before_def ~pc "%s read before any definition on some path"
             (Dataflow.pp_reg reg))
         (Dataflow.def_before_use p cfg);
-      (* Scheduling lints from the scoreboard's liveness analysis:
-         advisory (warnings), so [ok] — the generators' legality oracle —
-         still means "no errors". *)
-      List.iter
-        (fun l ->
-          let kind =
-            match l with
-            | Scoreboard.Dead_store _ -> Dead_store
-            | Scoreboard.Unread_register _ -> Unread_register
-            | Scoreboard.Unreachable_code _ -> Unreachable_code
-            | Scoreboard.Redundant_barrier _ -> Redundant_barrier
-          in
-          let pc, message = Scoreboard.lint_message l in
-          match pc with
-          | Some pc -> warn ~pc kind "%s" message
-          | None -> warn kind "%s" message)
-        (Scoreboard.lint p);
+      (* The lints are warnings, so [ok] — the generators' legality
+         oracle — still means "no errors". *)
+      warnings := List.rev_append (lint p cfg reach) !warnings;
       (* Symbolic uniformity / affine pass. *)
       let bx, by, bz = block in
       let int_params =

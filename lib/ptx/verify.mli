@@ -4,9 +4,12 @@
     well-formedness, definite assignment ({!Dataflow.def_before_use}),
     barrier-divergence detection over the uniformity lattice,
     shared-memory race and bounds checking by enumerating the block's
-    threads over closed (tid-only) address expressions, and a
+    threads over closed (tid-only) address expressions, a
     bank-conflict analysis whose aggregate conflict factor feeds the
-    shared-memory term of the performance model.
+    shared-memory term of the performance model, and four advisory
+    lints (warnings): dead stores and never-read registers from a
+    backward liveness pass over {!Dataflow.uses_defs}, unreachable
+    blocks, and redundant barriers.
 
     The contract mirrors the paper's generator invariant: every emitted
     kernel must verify clean, so the tuner can use [run] as a cheap
@@ -21,8 +24,8 @@ type kind =
   | Unanalyzable        (** warning: an address or guard escapes the
                             affine domain, so race/bounds/bank analysis
                             skipped the site *)
-  | Dead_store          (** warning ({!Scoreboard.lint}): value written
-                            but never read before being overwritten *)
+  | Dead_store          (** warning: value written but never read before
+                            being overwritten *)
   | Unread_register     (** warning: register written but never read *)
   | Unreachable_code    (** warning: block with no path from entry *)
   | Redundant_barrier   (** warning: bar.sync with no shared access since

@@ -19,7 +19,6 @@ let t_requests = Obs.Telemetry.counter "serve.requests"
 let t_coalesced = Obs.Telemetry.counter "serve.coalesced"
 let t_errors = Obs.Telemetry.counter "serve.errors"
 let t_reloads = Obs.Telemetry.counter "serve.reloads"
-let t_latency = Obs.Telemetry.histo "serve.latency_s"
 
 type slot = {
   path : string;
@@ -324,11 +323,10 @@ let engine_for t = function
     | Some s -> Atomic.get s.engine
     | None -> bad "no CONV profile loaded (start with --conv-profile)")
 
-let record_request t outcome latency_s =
+let record_request t outcome =
   Atomic.incr t.requests;
   if Obs.Telemetry.enabled () then begin
     Obs.Telemetry.Counter.incr t_requests;
-    Obs.Telemetry.Histo.observe t_latency latency_s;
     match (outcome : Isaac.Plan_cache.outcome) with
     | Coalesced -> Obs.Telemetry.Counter.incr t_coalesced
     | Hit | Miss -> ()
@@ -344,10 +342,14 @@ let handle_gemm t json ~id =
           (field_int ~min:1 json "k"))
   in
   let engine = engine_for t `Gemm in
-  let t0 = Unix.gettimeofday () in
-  let result = Isaac.plan_gemm_with_status engine input in
-  let latency_s = Unix.gettimeofday () -. t0 in
-  record_request t (snd result) latency_s;
+  (* One clock per plan request: the [serve.latency] span's duration is
+     both the reply's [latency_s] and the one observation of the
+     [serve.latency_s] histogram. *)
+  let result, latency_s =
+    Obs.Span.with_dur "serve.latency" (fun () ->
+        Isaac.plan_gemm_with_status engine input)
+  in
+  record_request t (snd result);
   respond_plan ~id ~op:"gemm" ~latency_s result
 
 let handle_conv t json ~id =
@@ -362,10 +364,11 @@ let handle_conv t json ~id =
           ~s:(field_int ~min:1 json "s") ())
   in
   let engine = engine_for t `Conv in
-  let t0 = Unix.gettimeofday () in
-  let result = Isaac.plan_conv_with_status engine input in
-  let latency_s = Unix.gettimeofday () -. t0 in
-  record_request t (snd result) latency_s;
+  let result, latency_s =
+    Obs.Span.with_dur "serve.latency" (fun () ->
+        Isaac.plan_conv_with_status engine input)
+  in
+  record_request t (snd result);
   respond_plan ~id ~op:"conv" ~latency_s result
 
 let error_reply t ~id msg =

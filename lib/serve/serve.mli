@@ -22,13 +22,15 @@
     above that bound get an error reply naming the field, so no plan
     is cached for them. Plan responses report
     [cache] ∈ ["hit"] / ["miss"] / ["coalesced"], the request
-    [latency_s], and the chosen kernel configuration ([plan], [null]
+    [latency_s] (the duration of its [serve.latency] span), and the
+    chosen kernel configuration ([plan], [null]
     when no kernel is legal — that negative result is cached too, so
     the retry is a hit).
 
     {b Telemetry}: [serve.requests] / [serve.coalesced] /
-    [serve.errors] / [serve.reloads] counters and a [serve.latency_s]
-    histogram; the engines count [plan.evictions] and histogram
+    [serve.errors] / [serve.reloads] counters and the [serve.latency]
+    span's [serve.latency_s] histogram, which a request fills once, with
+    the [latency_s] of its reply; the engines count [plan.evictions] and histogram
     cache-hit ages in [plan.cache_hit_age_s]. [serve.requests] counts
     only plan ops — [ping] / [stats] / [reload] probes don't pollute
     the load counters. *)

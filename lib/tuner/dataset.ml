@@ -230,7 +230,7 @@ let generate_gemm ?(domains = 1) ?dtypes ?(noise = Gpu.Executor.default_noise)
   generate_generic ~domains ~op:`Gemm ~noise ~sampler rng
     device ~n
     ~random_input:(random_gemm_input ?dtypes)
-    ~legal:gemm_legal ~features:(fun ~log i c -> Features.gemm_features ~log i c) ~measure:measure_gemm ()
+    ~legal:gemm_legal ~features:Features.gemm_features ~measure:measure_gemm ()
 
 let generate_conv ?(domains = 1) ?dtypes ?(noise = Gpu.Executor.default_noise)
     ?sampler rng device ~n =
@@ -240,7 +240,7 @@ let generate_conv ?(domains = 1) ?dtypes ?(noise = Gpu.Executor.default_noise)
   generate_generic ~domains ~op:`Conv ~noise ~sampler rng
     device ~n
     ~random_input:(random_conv_input ?dtypes)
-    ~legal:conv_legal ~features:(fun ~log i c -> Features.conv_features ~log i c) ~measure:measure_conv ()
+    ~legal:conv_legal ~features:Features.conv_features ~measure:measure_conv ()
 
 let throughput_probe rng device ~n =
   (* Wall-clock, not [Sys.time]: CPU time sums across domains, which

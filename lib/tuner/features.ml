@@ -1,29 +1,9 @@
 let dim = 16
 let input_dim = 6
-let schedule_dim = dim + 3
 
 let log2 x = Float.log x /. Float.log 2.0
 
 let tr log v = if log then log2 (float_of_int v) else float_of_int v
-
-(* Schedule-derived features from the static scoreboard: dependence
-   critical path per iteration, stall fraction (stall cycles over total
-   cycles, already in [0,1)), and peak register pressure. The program is
-   regenerated from (input, config); analysis failure (a CFG the
-   generators never emit) degrades to zeros rather than poisoning the
-   sample. *)
-let sched_slots ~log program =
-  match Ptx.Scoreboard.analyze program with
-  | Error _ -> [| 0.0; 0.0; 0.0 |]
-  | Ok t ->
-    let s = t.Ptx.Scoreboard.summary in
-    let stall_frac = s.stalls_per_slot /. (1.0 +. s.stalls_per_slot) in
-    [| tr log (max 1 s.crit_path_cycles);
-       stall_frac;
-       tr log (max 1 (s.peak_fregs + s.peak_iregs)) |]
-
-let with_schedule ~log base program =
-  Array.append base (sched_slots ~log program)
 
 let pack ~log ~m ~n ~k ~bytes ~flag_a ~flag_b config =
   assert (Array.length config = 10);
@@ -96,34 +76,18 @@ let query_features q config =
   fill_query q config x ~row:0;
   Array.init dim (fun j -> Mlp.Matrix.get x 0 j)
 
-let gemm_features ?(schedule = false) ~log (i : Codegen.Gemm_params.input)
-    config =
-  let base =
-    pack ~log ~m:i.m ~n:i.n ~k:i.k
-      ~bytes:(Ptx.Types.dtype_bytes i.dtype)
-      ~flag_a:(if i.a_trans then 1.0 else 0.0)
-      ~flag_b:(if i.b_trans then 1.0 else 0.0)
-      config
-  in
-  if not schedule then base
-  else
-    with_schedule ~log base
-      (Codegen.Gemm.generate i
-         (Codegen.Gemm_params.config_of_array config))
+let gemm_features ~log (i : Codegen.Gemm_params.input) config =
+  pack ~log ~m:i.m ~n:i.n ~k:i.k
+    ~bytes:(Ptx.Types.dtype_bytes i.dtype)
+    ~flag_a:(if i.a_trans then 1.0 else 0.0)
+    ~flag_b:(if i.b_trans then 1.0 else 0.0)
+    config
 
-let conv_features ?(schedule = false) ~log (i : Codegen.Conv_params.input)
-    config =
+let conv_features ~log (i : Codegen.Conv_params.input) config =
   let gi = Codegen.Conv_params.gemm_input i in
-  let rs = tr log (i.r * i.s) in
-  let base =
-    pack ~log ~m:gi.m ~n:gi.n ~k:gi.k
-      ~bytes:(Ptx.Types.dtype_bytes i.dtype) ~flag_a:rs ~flag_b:0.0 config
-  in
-  if not schedule then base
-  else
-    with_schedule ~log base
-      (Codegen.Conv.generate i
-         (Codegen.Gemm_params.config_of_array config))
+  pack ~log ~m:gi.m ~n:gi.n ~k:gi.k
+    ~bytes:(Ptx.Types.dtype_bytes i.dtype) ~flag_a:(tr log (i.r * i.s))
+    ~flag_b:0.0 config
 
 type scaler = { mean : float; std : float }
 

@@ -19,32 +19,18 @@ val input_dim : int
 (** Number of input-parameter slots, 6: feature columns 0–5. The ten
     tuning slots follow, tuning parameter [j] in column [input_dim + j]. *)
 
-val schedule_dim : int
-(** Number of features in the [~schedule:true] extended mode, 19: the 16
-    paper features plus three static-schedule features from
-    {!Ptx.Scoreboard} — dependence critical path per iteration, stall
-    fraction (stall cycles over total cycles, in [0,1)), and peak
-    register pressure. An extension beyond the paper; the ablation suite
-    measures its effect on held-out MSE. *)
-
 val gemm_features :
-  ?schedule:bool -> log:bool -> Codegen.Gemm_params.input -> int array ->
-  float array
+  log:bool -> Codegen.Gemm_params.input -> int array -> float array
 (** [gemm_features ~log input config_array]: with [log] the sizes and
     tuning values go through log2 (flags stay 0/1); without it they are
-    passed raw (the ablation column of Table 2). With [~schedule:true]
-    the kernel is regenerated, the scoreboard runs, and the three
-    schedule features are appended ({!schedule_dim} slots total; critical
-    path and pressure respect [log], the stall fraction is already
-    normalized). *)
+    passed raw (the ablation column of Table 2). *)
 
 val conv_features :
-  ?schedule:bool -> log:bool -> Codegen.Conv_params.input -> int array ->
-  float array
+  log:bool -> Codegen.Conv_params.input -> int array -> float array
 (** Implicit-GEMM features of a convolution, with R·S folded into the
     data-type slot's spare bits — concretely the same 16 slots, with the
     transposition flags reused for log2(R·S) since convolutions have no
-    layout flags. [~schedule] as in {!gemm_features}. *)
+    layout flags. *)
 
 type query
 (** Featurization cache for one planning query: the six static input

@@ -173,6 +173,20 @@ let test_missing_and_new () =
   Alcotest.(check bool) "strict mode sees the loss" true
     (List.exists (fun c -> c.R.c_name = "b") (R.worsened comps))
 
+let test_knob_notes () =
+  let with_knobs knobs = { (report []) with BR.env = { env with BR.knobs } } in
+  let base =
+    with_knobs [ ("A", "1"); ("B", "same"); ("GONE", "true"); ("C", "x") ]
+  in
+  let cand = with_knobs [ ("A", "2"); ("B", "same"); ("C", "x"); ("NEW", "") ] in
+  Alcotest.(check (list string)) "one note per differing knob"
+    [ {|knob A differs: baseline "1", candidate "2"|};
+      {|knob GONE differs: baseline "true", candidate unset|};
+      {|knob NEW differs: baseline unset, candidate ""|} ]
+    (R.knob_notes base cand);
+  Alcotest.(check (list string)) "equal knobs: no note" []
+    (R.knob_notes base base)
+
 (* --- robust statistics -------------------------------------------------- *)
 
 let test_mad () =
@@ -231,13 +245,13 @@ let test_bootstrap_ci () =
 
 (* --- attribution -------------------------------------------------------- *)
 
-let perf_report ~arith ~global_bytes ~shared ~overhead ~stalls =
+let perf_report ~arith ~global_bytes ~shared ~overhead =
   { Gpu.Perf_model.seconds = arith +. shared +. overhead;
     tflops = 1.0; occupancy = 1.0; warps_per_sm = 1; blocks_per_sm = 1;
     l2_hit_rate = 0.0; effective_dram_gbs = 0.0; global_bytes;
     bound = Gpu.Perf_model.Memory; arith_seconds = arith;
     mem_seconds = 1e-9 *. global_bytes; shared_seconds = shared;
-    overhead_seconds = overhead; stall_cycles = stalls }
+    overhead_seconds = overhead }
 
 let synthetic_sample i =
   let c = Ptx.Interp.zero_counters () in
@@ -256,8 +270,7 @@ let synthetic_sample i =
         ~arith:(1e-9 *. float_of_int (100 * i))
         ~global_bytes:(32.0 *. float_of_int (15 * i))
         ~shared:(3e-9 *. float_of_int (7 * i))
-        ~overhead:(4e-9 *. float_of_int i)
-        ~stalls:(2.5 *. float_of_int (50 * i));
+        ~overhead:(4e-9 *. float_of_int i);
     counters = c }
 
 let test_attribution_proportional () =
@@ -309,7 +322,8 @@ let () =
         [ quick "deterministic tolerance" test_deterministic_gate;
           quick "timing CI overlap" test_timing_ci_gate;
           quick "wall times and shape checks" test_wall_and_checks;
-          quick "missing and new metrics" test_missing_and_new ] );
+          quick "missing and new metrics" test_missing_and_new;
+          quick "knob notes" test_knob_notes ] );
       ( "statistics",
         [ quick "mad" test_mad;
           quick "percentile singleton" test_percentile_single;

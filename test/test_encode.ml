@@ -6,8 +6,7 @@
       constant pools).
 
    2. Real generated kernels across the Table 4/5 suites: exact
-      encode/decode round-trips, a packed size below the text size,
-      control-info consistency with the scoreboard schedule, and
+      encode/decode round-trips, a packed size below the text size, and
       hash-collision sanity (distinct programs => distinct hashes;
       renamed copies of the same kernel hash identically, so plans for
       different shapes that generate one kernel carry one hash).
@@ -247,30 +246,6 @@ let test_kernel_roundtrip () =
         Alcotest.failf "%s: packed %dB not dense vs %dB text" name packed text)
     kernels
 
-let test_control_info () =
-  List.iter
-    (fun (name, p) ->
-      let enc = encode_exn p in
-      match Ptx.Scoreboard.analyze p with
-      | Error e -> Alcotest.failf "%s: scoreboard: %s" name e
-      | Ok t ->
-        let total_sched =
-          Array.fold_left
-            (fun acc (b : Ptx.Scoreboard.block_sched) -> acc + b.stall_cycles)
-            0 t.Ptx.Scoreboard.blocks
-        in
-        let saturated = Array.exists (fun c -> c = 255) enc.E.ctrl in
-        let total_ctrl = Array.fold_left ( + ) 0 enc.E.ctrl in
-        if saturated then begin
-          if total_ctrl > total_sched then
-            Alcotest.failf "%s: control info exceeds schedule stalls" name
-        end
-        else if total_ctrl <> total_sched then
-          Alcotest.failf
-            "%s: control-info stalls %d disagree with scoreboard %d" name
-            total_ctrl total_sched)
-    (suite_kernels ())
-
 let test_hashes () =
   let kernels = suite_kernels () in
   let by_hash = Hashtbl.create 64 in
@@ -344,7 +319,7 @@ let test_dump () =
     (fun needle ->
       if not (contains_sub d needle) then
         Alcotest.failf "dump misses %S" needle)
-    [ "hash="; "stall="; "op="; "pools:" ]
+    [ "hash="; "op="; "pools:" ]
 
 let () =
   Alcotest.run "encode"
@@ -353,7 +328,6 @@ let () =
          quick "generator draws every opcode" test_gen_covers_every_opcode ]);
       ( "kernels",
         [ quick "encode/decode + wire round-trip" test_kernel_roundtrip;
-          quick "control info matches scoreboard stalls" test_control_info;
           quick "hash: distinct kernels, name-independent" test_hashes;
           quick "field overflow is a clean error" test_field_overflow ] );
       ( "artifacts",

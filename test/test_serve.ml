@@ -380,6 +380,54 @@ let test_stats_telemetry () =
       | l -> Alcotest.failf "expected 1 telemetry event, got %d" (List.length l));
       Alcotest.(check bool) "trace closed: null again" true (telemetry () = J.Null))
 
+(* One clock per plan request: the reply's [latency_s] is bit-equal to
+   the [dur] of the request's [serve.latency] span, and the
+   [serve.latency_s] histogram holds exactly that one observation. *)
+let test_one_clock () =
+  with_server (fun srv _ ->
+      let path = Filename.temp_file "serve_clock" ".jsonl" in
+      let reply, stats, events =
+        Obs.Telemetry.reset ();
+        Obs.Trace.start ~path ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Trace.stop ();
+            Obs.Telemetry.reset ())
+          (fun () ->
+            let reply = handle_line srv gemm_req in
+            let stats = handle_line srv {|{"op":"stats"}|} in
+            Obs.Trace.stop ();
+            let events = Obs.Trace.read_file path in
+            Sys.remove path;
+            (reply, stats, events))
+      in
+      let bits name v =
+        match v with
+        | Some f -> Int64.bits_of_float f
+        | None -> Alcotest.failf "%s missing" name
+      in
+      let latency = bits "latency_s" (J.to_float (field reply "latency_s")) in
+      let durs =
+        List.filter_map
+          (fun e ->
+            if
+              J.member "ev" e = Some (J.String "span")
+              && J.member "name" e = Some (J.String "serve.latency")
+            then Some (bits "dur" (Option.bind (J.member "dur" e) J.to_float))
+            else None)
+          events
+      in
+      Alcotest.(check (list int64)) "one span, its dur is the reply's latency_s"
+        [ latency ] durs;
+      let hist k =
+        Option.bind (J.member "hists" (field stats "telemetry")) (fun h ->
+            Option.bind (J.member "serve.latency_s" h) (J.member k))
+      in
+      Alcotest.(check (option int)) "serve.latency_s count" (Some 1)
+        (Option.bind (hist "count") J.to_int);
+      Alcotest.(check int64) "serve.latency_s sum" latency
+        (bits "sum" (Option.bind (hist "sum") J.to_float)))
+
 let test_shutdown_verdict () =
   with_server (fun srv _ ->
       let response, verdict = Serve.handle srv {|{"op":"shutdown","id":9}|} in
@@ -434,6 +482,7 @@ let () =
          slow "largest dimensions still plan" test_largest_dims;
          slow "stats endpoint" test_stats;
          slow "stats telemetry follows the trace" test_stats_telemetry;
+         slow "one clock per plan request" test_one_clock;
          slow "shutdown verdict" test_shutdown_verdict ]);
       ("hot reload",
        [ slow "rewritten profile picked up without restart" test_hot_reload;

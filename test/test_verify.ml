@@ -1,7 +1,8 @@
 (* Static verifier: generated kernels must verify clean; deliberately
-   corrupted programs must be rejected with the expected diagnostic; and
-   verifier acceptance must imply trap-free interpretation (differential
-   property). *)
+   corrupted programs must be rejected with the expected diagnostic;
+   each lint must fire on a hand-built defect and stay quiet on
+   generated kernels; and verifier acceptance must imply trap-free
+   interpretation (differential property). *)
 
 open Ptx.Types
 module I = Ptx.Instr
@@ -243,6 +244,107 @@ let test_bank_conflicts () =
   if not (V.ok r) then Alcotest.failf "broadcast: %s" (V.to_string r);
   Alcotest.(check (float 1e-9)) "broadcast factor" 1.0 r.V.bank.V.conflict_factor
 
+(* --- lints ---------------------------------------------------------------- *)
+
+let lint_kinds ?(iargs = []) ?(block = (1, 1, 1)) p =
+  List.filter_map
+    (fun (d : V.diag) ->
+      match d.kind with
+      | V.Dead_store | Unread_register | Unreachable_code | Redundant_barrier ->
+        Some (V.kind_name d.kind)
+      | _ -> None)
+    (verify_program ~iargs ~block p).V.warnings
+
+let test_lint_dead_store () =
+  let kinds =
+    lint_kinds
+      (prog ~shared:4
+         [ ins (I.Movf (0, Fimm 1.0));
+           ins (I.Movf (0, Fimm 2.0));
+           ins (I.St_shared (Iimm 0, Freg 0));
+           ins I.Ret ])
+  in
+  Alcotest.(check bool) "dead store found" true (List.mem "dead-store" kinds)
+
+let test_lint_guarded_merge_not_dead () =
+  (* The generators' staging idiom: mov 0 then guarded load — the mov is
+     a live merge input, not a dead store. *)
+  let p =
+    { (prog ~shared:8
+         [ ins (I.Setp (Lt, 0, Ispecial Tid_x, Iimm 2));
+           ins (I.Movf (0, Fimm 0.0));
+           gins 0 (I.Ld_global (0, 0, Ispecial Tid_x));
+           ins (I.St_shared (Ispecial Tid_x, Freg 0));
+           ins I.Ret ])
+      with
+      Ptx.Program.buf_params = [| "A" |] }
+  in
+  Alcotest.(check (list string)) "clean" [] (lint_kinds p)
+
+let test_lint_unread_register () =
+  let kinds =
+    lint_kinds
+      (prog ~ni:8 [ ins (I.Mov (5, Iimm 3)); ins (I.Mov (5, Iimm 4)); ins I.Ret ])
+  in
+  Alcotest.(check bool) "unread found" true
+    (List.mem "unread-register" kinds)
+
+let test_lint_unreachable () =
+  let kinds =
+    lint_kinds
+      (prog
+         [ ins (I.Bra "end");
+           ins (I.Mov (0, Iimm 1));
+           ins (I.Label "end");
+           ins I.Ret ])
+  in
+  Alcotest.(check bool) "unreachable found" true
+    (List.mem "unreachable-code" kinds)
+
+let test_lint_redundant_barrier () =
+  let kinds =
+    lint_kinds
+      (prog ~shared:4
+         [ ins (I.St_shared (Iimm 0, Fimm 1.0));
+           ins I.Bar;
+           ins I.Bar;
+           ins (I.Ld_shared (0, Iimm 0));
+           ins I.Ret ])
+  in
+  Alcotest.(check bool) "redundant bar found" true
+    (List.mem "redundant-barrier" kinds);
+  (* A shared access between two barriers keeps both meaningful. *)
+  let kinds =
+    lint_kinds
+      (prog ~shared:4
+         [ ins (I.St_shared (Iimm 0, Fimm 1.0));
+           ins I.Bar;
+           ins (I.Ld_shared (0, Iimm 0));
+           ins I.Bar;
+           ins I.Ret ])
+  in
+  Alcotest.(check bool) "separated bars clean" true
+    (not (List.mem "redundant-barrier" kinds))
+
+let test_generated_kernels_lint_free () =
+  let check name ~iargs c p =
+    match lint_kinds ~iargs ~block:(P.threads_per_block c, 1, 1) p with
+    | [] -> ()
+    | ks ->
+      Alcotest.failf "%s: %d lints: %s" name (List.length ks)
+        (String.concat ", " ks)
+  in
+  let gemm name i c = check name ~iargs:(gemm_iargs i) c (G.generate i c) in
+  gemm "gemm basic" (P.input 32 32 32) (cfg ());
+  gemm "gemm ragged" (P.input 17 23 29) (cfg ());
+  gemm "gemm splits" (P.input 24 24 160) (cfg ~ks:2 ~kl:2 ~kg:2 ~u:8 ());
+  gemm "gemm trans" (P.input ~a_trans:true ~b_trans:true 20 18 25) (cfg ());
+  let ci = Codegen.Conv_params.input ~n:2 ~c:3 ~k:4 ~p:6 ~q:6 ~r:3 ~s:3 () in
+  let gi = Codegen.Conv_params.gemm_input ci in
+  check "conv"
+    ~iargs:[ ("M", gi.P.m); ("N", gi.P.n); ("K", gi.P.k) ]
+    (cfg ()) (Codegen.Conv.generate ci (cfg ()))
+
 (* --- differential property: verifier-accept => interpreter trap-free --- *)
 
 let shapes = [| (32, 32, 32); (17, 23, 29); (24, 24, 40); (16, 16, 64) |]
@@ -308,5 +410,12 @@ let () =
     [ ("clean", suite);
       ("corrupt", corruption_suite);
       ("bank", [ quick "bank conflicts" test_bank_conflicts ]);
+      ( "lints",
+        [ quick "dead store" test_lint_dead_store;
+          quick "guarded merge is live" test_lint_guarded_merge_not_dead;
+          quick "unread register" test_lint_unread_register;
+          quick "unreachable code" test_lint_unreachable;
+          quick "redundant barrier" test_lint_redundant_barrier;
+          quick "generated kernels lint-free" test_generated_kernels_lint_free ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest prop_verified_runs_trap_free ] ) ]
