@@ -46,13 +46,10 @@ let sample_configs rng ~legal ~verify n =
   in
   go [] n (20 * n)
 
-(* A served plan's kernel identity (packed-encoding hash of the
-   register-allocated kernel), carried on each sample so outliers can be
-   matched against the plans that serve the same kernel. *)
-let hash_of program =
-  match Ptx.Encode.encode (Ptx.Regalloc.allocate program) with
-  | Ok e -> Some (Ptx.Encode.hash e)
-  | Error _ -> None
+(* A served plan's kernel identity (the generated program's structural
+   hash), carried on each sample so outliers can be matched against the
+   plans that serve the same kernel. *)
+let hash_of program = Some (Ptx.Program.hash program)
 
 let gemm_samples rng input =
   let legal = Tuner.Dataset.gemm_legal device input in

@@ -22,9 +22,10 @@ let tests () =
   let feats =
     Tuner.Features.gemm_features ~log:true linpack (GP.config_to_array linpack_cfg)
   in
-  (* The search's scoring path: Network.predict_matrix over a Matrix
-     batch, the same forward_batch kernel Tuner.Search runs (the
-     pure-OCaml forward behind Network.predict is the reference it
+  (* Batched scoring: Network.predict_matrix over a Matrix batch, the
+     forward_batch kernel, whose hidden and output layers the
+     search's coded scoring (Network.predict_codes) shares (the
+     pure-OCaml forward behind Network.predict is the reference both
      must match). *)
   let batch =
     let n = 256 in
@@ -157,10 +158,9 @@ let interp_throughput () =
 
 (* Artifact-size regression row: the packed Ptx.Encode wire format vs
    the disassembled kernel text, over the bench GEMM/CONV kernels (the
-   linpack tile and a CONV layer at three tile sizes). This is the
-   compression the v3 plan cache and dataset kernel corpora ship with;
-   kernels are register-allocated first, as the plan cache encodes
-   them. The gate holds the dense format to at least 3x smaller. *)
+   linpack tile and a CONV layer at three tile sizes). Kernels are
+   register-allocated first, as the packed format's register fields
+   need. The gate holds the dense format to at least 3x smaller. *)
 let kernel_pack () =
   let conv_cfgs =
     [ { GP.ms = 8; ns = 8; ks = 1; ml = 64; nl = 64; u = 8; kl = 1; kg = 1;

@@ -21,10 +21,10 @@
 type sample = {
   label : string;  (** config description, for debugging *)
   kernel_hash : int64 option;
-  (** {!Ptx.Encode.hash} of the executed kernel (post-allocation), when
-      the producer computed it — the same identity the plan cache uses,
-      so an attribution outlier can be joined back to the exact packed
-      kernel that produced it. [None] for synthetic samples. *)
+  (** {!Ptx.Program.hash} of the executed kernel, when the producer
+      computed it — the identity a served plan carries, so an
+      attribution outlier can be joined back to the exact kernel that
+      produced it. [None] for synthetic samples. *)
   report : Perf_model.report;        (** predicted decomposition *)
   counters : Ptx.Interp.counters;    (** measured ground truth *)
 }

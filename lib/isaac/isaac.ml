@@ -8,15 +8,16 @@ type plan = {
   predicted_tflops : float;
   n_legal : int;
   phases : (string * float) list;
-  kernel_hash : int64 option;
+  kernel_hash : int64;
 }
 
 type t = {
   profile : Tuner.Profile.t;
   device : Gpu.Device.t;
   rng : Util.Rng.t;
-  (* The search's legality-class memo, shared by both ops: a CONV's
-     class is its implicit GEMM's. *)
+  (* The search's legality-class memo, shared by both ops (a CONV's
+     class is its implicit GEMM's) and with any engine built on the
+     same one. *)
   planner : Tuner.Search.planner;
   (* Sharded, coalescing, LRU-bounded caches (entry timestamps live
      inside, so serving telemetry can histogram the age of plans being
@@ -45,14 +46,15 @@ let record_outcome ~age_s outcome =
     | Miss -> Obs.Telemetry.Counter.incr t_cache_miss
     | Coalesced -> Obs.Telemetry.Counter.incr t_coalesced
 
-let of_profile ?cache_entries device (profile : Tuner.Profile.t) =
+let of_profile ?cache_entries ?planner device (profile : Tuner.Profile.t) =
   if profile.device <> device.Gpu.Device.name then
     invalid_arg
       (Printf.sprintf "Isaac.of_profile: profile tuned on %s, device is %s"
          profile.device device.Gpu.Device.name);
   { profile; device;
     rng = Util.Rng.create 0x15aac;
-    planner = Tuner.Search.planner ();
+    planner =
+      (match planner with Some p -> p | None -> Tuner.Search.planner ());
     gemm_cache = Plan_cache.create ?max_entries:cache_entries ();
     conv_cache = Plan_cache.create ?max_entries:cache_entries () }
 
@@ -98,19 +100,6 @@ let tune ?samples ?(epochs = 20) ?arch ?dtypes ?(noise = Gpu.Executor.default_no
 let profile t = t.profile
 let device t = t.device
 
-(* The packed-encoding hash is the plan's kernel identity: O(1)
-   equality, served on the wire. Kernels are register-allocated before
-   encoding — the packed format's fixed-width register fields assume
-   physical numbering, and the canonical form also gives kernels that
-   differ only in virtual register names one hash. Computed once per
-   cache miss; encoding failures (a kernel outgrowing the fixed-width
-   fields even post-allocation) degrade to [None] rather than failing
-   the plan. *)
-let hash_of_config generate input config =
-  match Ptx.Encode.encode (Ptx.Regalloc.allocate (generate input config)) with
-  | Ok e -> Some (Ptx.Encode.hash e)
-  | Error _ -> None
-
 let plan_of_result ~kernel_hash (r : Tuner.Search.result) =
   let predicted =
     if Array.length r.candidates > 0 then r.candidates.(0).predicted_tflops
@@ -141,10 +130,19 @@ let request_rng tag input =
   Util.Rng.create (plan_seed_base lxor Hashtbl.hash (tag, input))
 
 (* One planning request: a cache lookup whose miss runs the §6 search
-   under a [plan] span and hashes the winner's kernel. [op] names the
-   span and, with the input, seeds the request's generator. *)
+   under a [plan] span, then generates the winner's kernel and takes
+   its structural hash, the plan's identity on the wire, under a
+   [kernel.hash] span. [op] names the span and, with the input, seeds
+   the request's generator. The request id is the caller's when one is
+   in scope (the daemon opens it around its [serve.latency] span), so a
+   request's spans carry one id. *)
 let plan_with_status t cache ~op ~search ~generate i =
-  Obs.Span.with_request (fun () ->
+  let in_request f =
+    match Obs.Span.current_request () with
+    | Some _ -> f ()
+    | None -> Obs.Span.with_request f
+  in
+  in_request (fun () ->
       let plan, outcome, age_s =
         Plan_cache.find_or_compute cache i (fun () ->
             let result =
@@ -155,7 +153,10 @@ let plan_with_status t cache ~op ~search ~generate i =
             in
             Option.map
               (fun r ->
-                let kernel_hash = hash_of_config generate i r.Tuner.Search.best in
+                let kernel_hash =
+                  Obs.Span.with_ "kernel.hash" (fun () ->
+                      Ptx.Program.hash (generate i r.Tuner.Search.best))
+                in
                 plan_of_result ~kernel_hash r)
               result)
       in

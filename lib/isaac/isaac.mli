@@ -48,12 +48,11 @@ type plan = {
       [inference], [argmax], [rebench]) as reported by
       {!Tuner.Search.result.phases}: the one field that differs between
       two plans of the same input. Shown by [isaac_query --timing]. *)
-  kernel_hash : int64 option;
-  (** {!Ptx.Encode.hash} of the register-allocated generated kernel: an
-      O(1) kernel identity, served on the wire. Plans for different
-      inputs that generate the same kernel carry equal hashes. [None]
-      when the kernel exceeds the fixed-width encoding fields (never for
-      generated Table 4/5 kernels). *)
+  kernel_hash : int64;
+  (** {!Ptx.Program.hash} of the generated kernel: an O(1) kernel
+      identity, served on the wire. Plans for different inputs that
+      generate the same kernel carry equal hashes. Every plan has one:
+      the hash needs no register allocation or encoding. *)
 }
 
 val tune :
@@ -79,17 +78,22 @@ val tune :
     reproducibility matters. Deterministic given the rng and the domain
     count. *)
 
-val of_profile : ?cache_entries:int -> Gpu.Device.t -> Tuner.Profile.t -> t
+val of_profile :
+  ?cache_entries:int -> ?planner:Tuner.Search.planner -> Gpu.Device.t ->
+  Tuner.Profile.t -> t
 (** Wrap a previously saved profile. Raises [Invalid_argument] if the
     profile was tuned for a different device. [cache_entries] bounds
     each per-op plan cache (LRU eviction beyond it; unbounded by
     default — library users typically plan a handful of shapes, while
     the serving daemon can pass a budget). Evictions count as
-    [plan.evictions] in {!Obs.Telemetry}. The engine starts with an
-    empty legality-class memo, so a profile reload (a new engine) starts
-    cold; the memo is not bounded by [cache_entries] but by its keys, at
-    most 3 dtypes × 25 K-split classes per scoring cap, each at most
-    4 bytes × cap (≈ 18 MB in all at the default cap). *)
+    [plan.evictions] in {!Obs.Telemetry}. [planner] supplies the
+    legality-class memo. No memo entry depends on the profile, so
+    engines may share one: the serving daemon builds both of its
+    engines, and every reloaded one, on one planner. Without it the
+    engine starts with an empty memo of its own. The memo is not
+    bounded by [cache_entries] but by its keys, at most 3 dtypes × 25
+    K-split classes per scoring cap, each at most 4 bytes × cap
+    (≈ 18 MB in all at the default cap). *)
 
 val profile : t -> Tuner.Profile.t
 val device : t -> Gpu.Device.t
@@ -100,7 +104,12 @@ val plan_gemm : t -> Codegen.Gemm_params.input -> plan option
     reproduction's §6 cache, kept in memory only. The search runs
     {!Tuner.Search.exhaustive_gemm} with its defaults, including the
     paper's top-100 re-benchmark, and the engine's planner, so a miss
-    whose legality class the engine has seen skips the walk.
+    whose legality class the planner has seen skips the walk. A miss
+    then generates the winner's kernel and hashes it
+    ({!plan.kernel_hash}). Traced, the search runs in a [plan] span and
+    the hash in a [kernel.hash] span after it, and every span of the
+    call carries one request id: the caller's when one is in scope
+    ({!Obs.Span.with_request}), else a fresh one.
 
     Concurrency-safe: lookups are lock-free, and N domains racing a
     cold input trigger exactly one search (the rest park on it and

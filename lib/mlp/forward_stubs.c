@@ -1,10 +1,12 @@
 /* The kernels behind Mlp.Network.forward_batch (batched MLP inference
-   for the planning hot path, DESIGN.md "Planning hot path") and
-   Mlp.Network.train_batch (one minibatch step of training, DESIGN.md
-   "MLP storage and training"). Both read the network's own parameter
-   vector in place (per layer: fan_out x fan_in row-major weights, then
-   fan_out biases); training also updates it, the gradient and Adam's
-   two moments, vectors of the same layout, in place.
+   over a feature matrix), Mlp.Network.predict_codes (the same
+   inference over coded rows: the planning hot path, DESIGN.md
+   "Planning hot path") and Mlp.Network.train_batch (one minibatch step
+   of training, DESIGN.md "MLP storage and training"). All read the
+   network's own parameter vector in place (per layer: fan_out x fan_in
+   row-major weights, then fan_out biases); training also updates it,
+   the gradient and Adam's two moments, vectors of the same layout, in
+   place.
 
    One source, one copy per vector width. mlp_kernels.h holds the
    kernel body, written over a GCC vector of LANES doubles; this file
@@ -48,6 +50,21 @@
      is finite. The check runs on every call because training updates
      weights in place. The row-lane output layer skips nothing.
 
+   Coded rows (forward_codes) change only the first hidden layer. A
+   coded row's first inputs are shared by every row of the call, and
+   each later input is a value from a small table, picked by a bit
+   field of the row's code. Once per call, the kernel takes the first
+   layer's sum over the shared inputs with dot_rows and multiplies each
+   table value by its weights. Each row then adds its products to that
+   sum in input order, then the bias, then relu. The shared sum is the
+   dense path's running sum after the shared inputs, and each product
+   is the product the dense path forms, so the additions are the same
+   and in the same order. The coded layer adds every term where the
+   dense path skips zero inputs of an all-finite layer; by the argument
+   above that changes nothing, and with a non-finite weight both add
+   every term. With no hidden layer, a coded row's inputs are written
+   out and go through the row-lane output layer like a dense row's.
+
    Float contract of the training step: per element, the arithmetic and
    its order are those of the OCaml reference Network.train_batch_ref,
    so the loss, gradient, moments and parameters are bit-identical to
@@ -58,14 +75,15 @@
    a += b*c there.
 
    The kernels keep no state between calls and size their scratch
-   memory to the network, batch and width, so they are reentrant. Every
-   operand they read while computing lives outside the OCaml heap
-   (Bigarrays and malloc), so they release the runtime lock while they
-   compute: other domains' stop-the-world collections need not wait for
-   them. */
+   memory to the network, batch, tables and width, so they are
+   reentrant. Every operand they read while computing lives outside the
+   OCaml heap (Bigarrays and malloc), so they release the runtime lock
+   while they compute: other domains' stop-the-world collections need
+   not wait for them. */
 
 #define CAML_NAME_SPACE
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <caml/mlvalues.h>
@@ -108,6 +126,9 @@ value isaac_mlp_widest_lanes(value unit)
 
 typedef int forward_fn(const long *, long, const double *, const double *,
                        long, double *);
+typedef int codes_fn(const long *, long, const double *, const double *, long,
+                     const double *, const long *, long, const int32_t *, long,
+                     double *);
 typedef int train_fn(const long *, long, double *, double *, double *,
                      double *, const double *, long, const double *,
                      const double *, double *);
@@ -115,11 +136,12 @@ typedef int train_fn(const long *, long, double *, double *, double *,
 static const struct kernel {
   long lanes;
   forward_fn *forward;
+  codes_fn *codes;
   train_fn *train;
 } kernels[] = {
-  { 2, forward_rows_2, train_step_2 },
+  { 2, forward_rows_2, forward_codes_2, train_step_2 },
 #if defined(__x86_64__)
-  { 4, forward_rows_4, train_step_4 },
+  { 4, forward_rows_4, forward_codes_4, train_step_4 },
 #endif
 };
 
@@ -155,6 +177,32 @@ static long *copy_widths(value v_widths)
   return widths;
 }
 
+/* Raise Invalid_argument "<name>: <what>". */
+static void __attribute__((noreturn)) invalid(const char *name, const char *what)
+{
+  caml_invalid_argument_value(caml_alloc_sprintf("%s: %s", name, what));
+}
+
+/* The layer count of an inference call's network, after checking that
+   it has a layer, every width is at least 1, the last is 1 (the
+   kernels compute one output per row) and [v_params] holds exactly its
+   parameters; raises Invalid_argument naming [name] otherwise. */
+static long check_network(value v_widths, value v_params, const char *name)
+{
+  const long nlayers = (long)Wosize_val(v_widths) - 1;
+  if (nlayers < 1) invalid(name, "shape");
+  long params_len = 0;
+  for (long i = 0; i < nlayers; i++) {
+    const long k_n = Long_val(Field(v_widths, i));
+    const long j_n = Long_val(Field(v_widths, i + 1));
+    if (k_n < 1 || j_n < 1) invalid(name, "layer width");
+    params_len += k_n * j_n + j_n;
+  }
+  if (Long_val(Field(v_widths, nlayers)) != 1) invalid(name, "output width");
+  if (Caml_ba_array_val(v_params)->dim[0] != params_len) invalid(name, "operand size");
+  return nlayers;
+}
+
 /* forward(lanes, widths, params, input, rows, output): [input] holds
    [rows] rows of widths.(0) features; [output] receives the [rows]
    outputs of the one-output last layer (widths.(n-1) = 1, as every
@@ -165,23 +213,11 @@ value isaac_mlp_forward_batch(value v_lanes, value v_widths, value v_params,
   CAMLparam5(v_lanes, v_widths, v_params, v_input, v_rows);
   CAMLxparam1(v_output);
   const struct kernel *kn = kernel_of(v_lanes, "Network.forward_batch: lanes");
-  const long nlayers = (long)Wosize_val(v_widths) - 1;
+  const long nlayers = check_network(v_widths, v_params, "Network.forward_batch");
   const long rows = Long_val(v_rows);
-  if (nlayers < 1 || rows < 0)
-    caml_invalid_argument("Network.forward_batch: shape");
-  long params_len = 0;
-  for (long i = 0; i < nlayers; i++) {
-    const long k_n = Long_val(Field(v_widths, i));
-    const long j_n = Long_val(Field(v_widths, i + 1));
-    if (k_n < 1 || j_n < 1)
-      caml_invalid_argument("Network.forward_batch: layer width");
-    params_len += k_n * j_n + j_n;
-  }
+  if (rows < 0) caml_invalid_argument("Network.forward_batch: shape");
   const long in_w = Long_val(Field(v_widths, 0));
-  if (Long_val(Field(v_widths, nlayers)) != 1)
-    caml_invalid_argument("Network.forward_batch: output width");
-  if (Caml_ba_array_val(v_params)->dim[0] != params_len
-      || Caml_ba_array_val(v_input)->dim[0] < rows * in_w
+  if (Caml_ba_array_val(v_input)->dim[0] < rows * in_w
       || Caml_ba_array_val(v_output)->dim[0] < rows)
     caml_invalid_argument("Network.forward_batch: operand size");
 
@@ -204,6 +240,78 @@ value isaac_mlp_forward_batch_byte(value *argv, int argn)
   (void)argn;
   return isaac_mlp_forward_batch(argv[0], argv[1], argv[2], argv[3], argv[4],
                                  argv[5]);
+}
+
+/* codes(lanes, widths, params, shared, tables, codes, off, len, output):
+   [output] receives the outputs of rows [off, off + len) of [codes].
+   A row's inputs are [shared], then one value per table: the field of
+   its code that indexes table j is the next log2 (length of table j)
+   bits, lowest first. Every table's length must be a power of two and
+   the fields must fit in the 32 bits of a code, so no code can index
+   outside its field's table. */
+value isaac_mlp_forward_codes(value v_lanes, value v_widths, value v_params,
+                              value v_shared, value v_tables, value v_codes,
+                              value v_off, value v_len, value v_output)
+{
+  CAMLparam5(v_lanes, v_widths, v_params, v_shared, v_tables);
+  CAMLxparam4(v_codes, v_off, v_len, v_output);
+  const struct kernel *kn = kernel_of(v_lanes, "Network.predict_codes: lanes");
+  const long nlayers = check_network(v_widths, v_params, "Network.predict_codes");
+  const long off = Long_val(v_off), len = Long_val(v_len);
+  const long nshared = (long)caml_array_length(v_shared);
+  const long nfields = (long)Wosize_val(v_tables);
+  if (nshared + nfields != Long_val(Field(v_widths, 0)))
+    caml_invalid_argument("Network.predict_codes: input width");
+  long total_bits = 0, entries = 0;
+  for (long j = 0; j < nfields; j++) {
+    const long n = (long)caml_array_length(Field(v_tables, j));
+    if (n < 1 || (n & (n - 1)) != 0)
+      caml_invalid_argument("Network.predict_codes: table length");
+    total_bits += __builtin_ctzl(n);
+    entries += n;
+  }
+  if (total_bits > 32)
+    caml_invalid_argument("Network.predict_codes: code width");
+  const long ncodes = Caml_ba_array_val(v_codes)->dim[0];
+  if (off < 0 || len < 0 || off > ncodes || len > ncodes - off
+      || Caml_ba_array_val(v_output)->dim[0] < len)
+    caml_invalid_argument("Network.predict_codes: row range");
+
+  /* [shared] and [tables] are OCaml float arrays, which a collection
+     may move once the lock is released: copy them first. */
+  long *widths = copy_widths(v_widths);
+  double *vals = malloc((nshared + entries + 1) * sizeof *vals);
+  long *bits = malloc((nfields + 1) * sizeof *bits);
+  if (vals == NULL || bits == NULL) {
+    free(widths); free(vals); free(bits);
+    caml_raise_out_of_memory();
+  }
+  for (long k = 0; k < nshared; k++) vals[k] = Double_array_field(v_shared, k);
+  for (long j = 0, e = nshared; j < nfields; j++) {
+    const value t = Field(v_tables, j);
+    const long n = (long)caml_array_length(t);
+    bits[j] = __builtin_ctzl(n);
+    for (long i = 0; i < n; i++) vals[e++] = Double_array_field(t, i);
+  }
+  const double *params = Caml_ba_data_val(v_params);
+  const int32_t *codes = (const int32_t *)Caml_ba_data_val(v_codes) + off;
+  double *output = Caml_ba_data_val(v_output);
+
+  caml_release_runtime_system();
+  const int status = kn->codes(widths, nlayers, params, vals, nshared,
+                               vals + nshared, bits, nfields, codes, len, output);
+  caml_acquire_runtime_system();
+
+  free(widths); free(vals); free(bits);
+  if (status != 0) caml_raise_out_of_memory();
+  CAMLreturn(Val_unit);
+}
+
+value isaac_mlp_forward_codes_byte(value *argv, int argn)
+{
+  (void)argn;
+  return isaac_mlp_forward_codes(argv[0], argv[1], argv[2], argv[3], argv[4],
+                                 argv[5], argv[6], argv[7], argv[8]);
 }
 
 /* train(lanes, widths, params, grad, m, v, x, rows, y, hyper): one Adam

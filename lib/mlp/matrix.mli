@@ -47,6 +47,5 @@ val set : t -> int -> int -> float -> unit
 val sub_rows : t -> off:int -> len:int -> t
 (** [sub_rows m ~off ~len] is a zero-copy view of rows
     [off .. off+len-1]: the view shares storage with [m] (writes are
-    visible in both). Rows are contiguous in row-major layout, so this
-    is how the batched scorer hands each domain its slice of one shared
-    feature matrix without copying. *)
+    visible in both). Rows are contiguous in row-major layout, so a
+    range of rows needs no copy. *)

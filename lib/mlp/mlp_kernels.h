@@ -6,12 +6,13 @@
    (vec_4, forward_rows_4, ...), so the copies link side by side; the
    #undefs at the end release the short names for the next copy.
 
-   A lane is one output neuron in the forward pass's hidden layers, one
-   row in its one-output output layer (LANES rows per vector), and one
-   independent gradient element or parameter in the backward pass and
-   Adam, so the width changes which elements are computed together,
-   never any element's arithmetic: every copy is bit-identical to the
-   OCaml references (see forward_stubs.c). */
+   A lane is one output neuron in the forward pass's hidden layers
+   (the coded first layer's included), one row in its one-output
+   output layer (LANES rows per vector), and one independent gradient
+   element or parameter in the backward pass and Adam, so the width
+   changes which elements are computed together, never any element's
+   arithmetic: every copy is bit-identical to the OCaml references
+   (see forward_stubs.c). */
 
 #define K_(name, lanes) name##_##lanes
 #define K(name, lanes) K_(name, lanes)
@@ -19,12 +20,23 @@
 #define vec_mask K(vec_mask, LANES)
 #define layer K(layer, LANES)
 #define width K(width, LANES)
+#define relu_vec K(relu_vec, LANES)
 #define dot_block K(dot_block, LANES)
 #define dot_rows K(dot_rows, LANES)
 #define layer_row K(layer_row, LANES)
 #define output_rows K(output_rows, LANES)
 #define pack_layers K(pack_layers, LANES)
+#define sum_block K(sum_block, LANES)
+#define sum_rows K(sum_rows, LANES)
+#define infer K(infer, LANES)
+#define infer_open K(infer_open, LANES)
+#define infer_close K(infer_close, LANES)
+#define field K(field, LANES)
+#define source K(source, LANES)
+#define coded_input K(coded_input, LANES)
+#define infer_rows K(infer_rows, LANES)
 #define forward_rows K(forward_rows, LANES)
+#define forward_codes K(forward_codes, LANES)
 #define train_step K(train_step, LANES)
 
 typedef double vec __attribute__((vector_size(8 * LANES)));
@@ -47,6 +59,14 @@ struct layer {
   int skip_zeros;   /* every weight of the layer is finite */
 };
 
+/* Relu on every lane: v < 0 -> +0.0; -0.0 and NaN pass through, as in
+   Network.predict. */
+static inline __attribute__((always_inline)) vec relu_vec(vec y)
+{
+  const vec zero = { 0.0 };
+  return (vec)((vec_mask)y & ~(y < zero));
+}
+
 /* Output vectors [v0, v0 + nv) of one row: the sum over t ascending of
    xs[t] * rows[t][v] from +0.0, then [+ bias] unless [bias] is NULL,
    then relu if [relu] is set. In the forward pass xs[t] is kept input t
@@ -65,13 +85,10 @@ dot_block(long v0, int nv, const vec *const *rows, const double *xs, long n,
     const vec *w = rows[t] + v0;
     for (int v = 0; v < nv; v++) acc[v] += x * w[v];
   }
-  const vec zero = { 0.0 };
   for (int v = 0; v < nv; v++) {
     vec y = acc[v];
     if (bias) y += bias[v0 + v];
-    /* v < 0 -> +0.0; -0.0 and NaN pass through, as in Network.predict. */
-    if (relu) y = (vec)((vec_mask)y & ~(y < zero));
-    out[v0 + v] = y;
+    out[v0 + v] = relu ? relu_vec(y) : y;
   }
 }
 
@@ -150,17 +167,62 @@ static void pack_layers(struct layer *ls, long nlayers, const double *params,
   }
 }
 
-/* Inference: [input] holds [rows] rows of widths[0] features; [output]
-   receives the [rows] outputs of a network whose output layer has one
-   output (widths[nlayers] = 1). Returns 0, or -1 when out of memory.
+/* Output vectors [v0, v0 + nv) of a coded row's first layer: init[v]
+   plus terms[t][v] for t ascending, then + bias and relu. init is the
+   layer's sum over the shared inputs and terms[t] the precomputed
+   product of the row's value of field t and its weights, so each lane
+   performs dot_block's additions in dot_block's order (forward_codes).
+   [nv] is a constant at every call site, so the accumulators stay in
+   registers. */
+static inline __attribute__((always_inline)) void
+sum_block(long v0, int nv, const vec *init, const vec *const *terms, long n,
+          const vec *bias, vec *out)
+{
+  vec acc[BLOCK];
+  for (int v = 0; v < nv; v++) acc[v] = init[v0 + v];
+  for (long t = 0; t < n; t++) {
+    const vec *p = terms[t] + v0;
+    for (int v = 0; v < nv; v++) acc[v] += p[v];
+  }
+  for (int v = 0; v < nv; v++) out[v0 + v] = relu_vec(acc[v] + bias[v0 + v]);
+}
 
-   The output layer runs LANES rows at a time (output_rows): each row
-   of a group runs the hidden layers alone, and its last hidden
-   activations (its input row, with no hidden layer) are stored into
-   lane l of cols; lanes past the last row read zeros and are never
-   stored back. */
-static int forward_rows(const long *widths, long nlayers, const double *params,
-                        const double *input, long rows, double *output)
+/* sum_block over output vectors [0, nvec). */
+static void sum_rows(long nvec, const vec *init, const vec *const *terms, long n,
+                     const vec *bias, vec *out)
+{
+  long v0 = 0;
+  for (; v0 + BLOCK <= nvec; v0 += BLOCK) sum_block(v0, BLOCK, init, terms, n, bias, out);
+  switch (nvec - v0) {
+  case 7: sum_block(v0, 7, init, terms, n, bias, out); break;
+  case 6: sum_block(v0, 6, init, terms, n, bias, out); break;
+  case 5: sum_block(v0, 5, init, terms, n, bias, out); break;
+  case 4: sum_block(v0, 4, init, terms, n, bias, out); break;
+  case 3: sum_block(v0, 3, init, terms, n, bias, out); break;
+  case 2: sum_block(v0, 2, init, terms, n, bias, out); break;
+  case 1: sum_block(v0, 1, init, terms, n, bias, out); break;
+  default: break;
+  }
+}
+
+/* One inference call: the packed network and the scratch memory its
+   rows share. */
+struct infer {
+  struct layer *ls;
+  long nlayers;
+  vec *mem;           /* one allocation for everything below */
+  const vec **wrow;   /* weight rows of the kept inputs of one row */
+  vec *act[2];        /* hidden activations, layer i in act[i & 1] */
+  double *xs;         /* the kept inputs of one row */
+  vec *cols;          /* the output layer's inputs of one group of rows */
+  vec *extra;         /* the caller's [extra] vectors */
+};
+
+/* Pack [params] into a fresh call's memory, with [extra] vectors more
+   for the caller. Returns 0, or -1 when out of memory (nothing then
+   stays allocated). */
+static int infer_open(struct infer *f, const long *widths, long nlayers,
+                      const double *params, long extra)
 {
   long wt_vecs = 0, max_in = 0, max_vec = 0;
   for (long i = 0; i < nlayers; i++) {
@@ -169,49 +231,178 @@ static int forward_rows(const long *widths, long nlayers, const double *params,
     if (widths[i] > max_in) max_in = widths[i];
     if (nvec > max_vec) max_vec = nvec;
   }
-  const long in_w = widths[0], last_in = widths[nlayers - 1];
-
-  struct layer *ls = malloc(nlayers * sizeof *ls);
-  /* Transposed weights, then two activation buffers, the kept inputs
-     of the current row and the output layer's inputs of one group of
-     rows. */
-  const long xs_vecs = (max_in + LANES - 1) / LANES;
-  vec *wt = aligned_alloc(sizeof(vec),
-                          (wt_vecs + 2 * max_vec + xs_vecs + last_in) * sizeof(vec));
-  const vec **wrow = malloc(max_in * sizeof *wrow);
-  if (ls == NULL || wt == NULL || wrow == NULL) {
-    free(ls); free(wt); free(wrow);
+  const long last_in = widths[nlayers - 1], xs_vecs = (max_in + LANES - 1) / LANES;
+  f->ls = malloc(nlayers * sizeof *f->ls);
+  f->mem = aligned_alloc(sizeof(vec), (wt_vecs + 2 * max_vec + xs_vecs + last_in + extra)
+                                      * sizeof(vec));
+  f->wrow = malloc(max_in * sizeof *f->wrow);
+  if (f->ls == NULL || f->mem == NULL || f->wrow == NULL) {
+    free(f->ls); free(f->mem); free(f->wrow);
     return -1;
   }
   for (long i = 0; i < nlayers; i++) {
-    ls[i].fan_in = widths[i];
-    ls[i].fan_out = widths[i + 1];
-    ls[i].nvec = (ls[i].fan_out + LANES - 1) / LANES;
+    f->ls[i].fan_in = widths[i];
+    f->ls[i].fan_out = widths[i + 1];
+    f->ls[i].nvec = (widths[i + 1] + LANES - 1) / LANES;
   }
-  vec *act[2] = { wt + wt_vecs, wt + wt_vecs + max_vec };
-  double *xs = (double *)(wt + wt_vecs + 2 * max_vec);
-  vec *cols = wt + wt_vecs + 2 * max_vec + xs_vecs;
+  f->nlayers = nlayers;
+  f->act[0] = f->mem + wt_vecs;
+  f->act[1] = f->act[0] + max_vec;
+  f->xs = (double *)(f->act[1] + max_vec);
+  f->cols = f->act[1] + max_vec + xs_vecs;
+  f->extra = f->cols + last_in;
+  pack_layers(f->ls, nlayers, params, f->mem);
+  return 0;
+}
 
-  pack_layers(ls, nlayers, params, wt);
+static void infer_close(struct infer *f)
+{
+  free(f->ls); free(f->mem); free(f->wrow);
+}
+
+/* Field j of a coded row: bits [shift, shift + log2 n) of the code
+   index its n table values, which sit at [values], and, with a hidden
+   layer, their products with their first-layer weights, value i's at
+   prod + i * nvec. */
+struct field {
+  long shift;
+  uint64_t mask;
+  const double *values;
+  const vec *prod;
+};
+
+/* Where a call's rows come from. Dense: row r is input[r * in_w ...].
+   Coded (codes not NULL): row r's inputs are the [nshared] shared
+   values, then the value each field of codes[r] selects. With a hidden
+   layer, [prefix] holds the first layer's sum over the shared inputs;
+   with none, [xrow] receives a row's inputs. */
+struct source {
+  const double *input;
+  long in_w;
+  const int32_t *codes;
+  long nshared, nfields;
+  const double *shared;
+  const struct field *fields;
+  const vec *prefix;
+  double *xrow;
+};
+
+/* Coded row r's input to layer [*from]: with a hidden layer, the first
+   layer's output (sum_rows, from the prefix and the row's products),
+   which is layer 1's input; with none, the row's inputs themselves. */
+static const double *coded_input(const struct infer *f, const struct source *s,
+                                 long r, long *from)
+{
+  const uint64_t code = (uint32_t)s->codes[r];
+  const struct field *fs = s->fields;
+  if (f->nlayers == 1) {
+    memcpy(s->xrow, s->shared, s->nshared * sizeof(double));
+    for (long j = 0; j < s->nfields; j++)
+      s->xrow[s->nshared + j] = fs[j].values[(code >> fs[j].shift) & fs[j].mask];
+    *from = 0;
+    return s->xrow;
+  }
+  const struct layer *l0 = &f->ls[0];
+  for (long j = 0; j < s->nfields; j++)
+    f->wrow[j] = fs[j].prod + (long)((code >> fs[j].shift) & fs[j].mask) * l0->nvec;
+  sum_rows(l0->nvec, s->prefix, f->wrow, s->nfields, l0->bias, f->act[0]);
+  *from = 1;
+  return (const double *)f->act[0];
+}
+
+/* Rows [0, rows) of [s] into [output], through a network with one
+   output. The output layer runs LANES rows at a time (output_rows):
+   each row of a group runs the hidden layers alone, and its last
+   hidden activations (its input row, with no hidden layer) are stored
+   into lane l of cols; lanes past the last row read zeros and are
+   never stored back. */
+static void infer_rows(const struct infer *f, const struct source *s, long rows,
+                       double *output)
+{
+  const struct layer *out = &f->ls[f->nlayers - 1];
   for (long r0 = 0; r0 < rows; r0 += LANES) {
     const long nr = rows - r0 < LANES ? rows - r0 : LANES;
     for (long l = 0; l < LANES; l++) {
-      double *col = (double *)cols + l;
+      double *col = (double *)f->cols + l;
       if (l < nr) {
-        const double *in = input + (r0 + l) * in_w;
-        for (long i = 0; i < nlayers - 1; i++) {
-          layer_row(&ls[i], in, 1, wrow, xs, act[i & 1]);
-          in = (const double *)act[i & 1];
+        long i = 0;
+        const double *in = s->codes == NULL ? s->input + (r0 + l) * s->in_w
+                                            : coded_input(f, s, r0 + l, &i);
+        for (; i < f->nlayers - 1; i++) {
+          layer_row(&f->ls[i], in, 1, f->wrow, f->xs, f->act[i & 1]);
+          in = (const double *)f->act[i & 1];
         }
-        for (long k = 0; k < last_in; k++) col[k * LANES] = in[k];
+        for (long k = 0; k < out->fan_in; k++) col[k * LANES] = in[k];
       } else {
-        for (long k = 0; k < last_in; k++) col[k * LANES] = 0.0;
+        for (long k = 0; k < out->fan_in; k++) col[k * LANES] = 0.0;
       }
     }
-    const vec y = output_rows(&ls[nlayers - 1], cols);
+    const vec y = output_rows(out, f->cols);
     for (long l = 0; l < nr; l++) output[r0 + l] = y[l];
   }
-  free(ls); free(wt); free(wrow);
+}
+
+/* Inference: [input] holds [rows] rows of widths[0] features; [output]
+   receives the [rows] outputs of a network whose output layer has one
+   output (widths[nlayers] = 1). Returns 0, or -1 when out of memory. */
+static int forward_rows(const long *widths, long nlayers, const double *params,
+                        const double *input, long rows, double *output)
+{
+  struct infer f;
+  if (infer_open(&f, widths, nlayers, params, 0) != 0) return -1;
+  const struct source s = { .input = input, .in_w = widths[0] };
+  infer_rows(&f, &s, rows, output);
+  infer_close(&f);
+  return 0;
+}
+
+/* Coded inference: the [rows] rows of [codes], with [nshared] shared
+   values and [nfields] fields, field j of bits[j] bits, lowest first,
+   whose tables lie back to back in [table]. Once per call, the first
+   layer's sum over the shared inputs is taken with dot_rows, every
+   input added, and each table value is multiplied by its weights; each
+   row then adds its products in field order (coded_input). Outputs
+   equal forward_rows' on the rows the codes stand for (see
+   forward_stubs.c). Returns 0, or -1 when out of memory. */
+static int forward_codes(const long *widths, long nlayers, const double *params,
+                         const double *shared, long nshared, const double *table,
+                         const long *bits, long nfields, const int32_t *codes,
+                         long rows, double *output)
+{
+  long entries = 0;
+  for (long j = 0; j < nfields; j++) entries += 1L << bits[j];
+  const long nvec = (widths[1] + LANES - 1) / LANES;
+  const long field_vecs = (nfields * (long)sizeof(struct field) + sizeof(vec) - 1) / sizeof(vec);
+  struct infer f;
+  if (infer_open(&f, widths, nlayers, params,
+                 (1 + entries) * nvec + (widths[0] + LANES - 1) / LANES + field_vecs) != 0)
+    return -1;
+  vec *prefix = f.extra, *prod = f.extra + nvec;
+  struct field *fields = (struct field *)(prod + entries * nvec);
+  for (long j = 0, shift = 0, e = 0; j < nfields; j++) {
+    fields[j] = (struct field){ .shift = shift, .mask = ((uint64_t)1 << bits[j]) - 1,
+                                .values = table + e, .prod = prod + e * nvec };
+    shift += bits[j];
+    e += 1L << bits[j];
+  }
+  const struct source s = {
+    .codes = codes, .nshared = nshared, .nfields = nfields, .shared = shared,
+    .fields = fields, .prefix = prefix,
+    .xrow = (double *)(prod + entries * nvec + field_vecs) };
+  if (nlayers > 1) {
+    const struct layer *l0 = &f.ls[0];
+    for (long k = 0; k < nshared; k++) f.wrow[k] = l0->w + k * nvec;
+    dot_rows(nvec, f.wrow, shared, nshared, NULL, 0, prefix);
+    for (long e = 0, j = 0; j < nfields; j++) {
+      const vec *w = l0->w + (nshared + j) * nvec;
+      for (long i = 0; i <= (long)fields[j].mask; i++, e++) {
+        const vec x = BROADCAST(table[e]);
+        for (long v = 0; v < nvec; v++) prod[e * nvec + v] = x * w[v];
+      }
+    }
+  }
+  infer_rows(&f, &s, rows, output);
+  infer_close(&f);
   return 0;
 }
 
@@ -398,6 +589,7 @@ static int train_step(const long *widths, long nlayers, double *params,
 #undef BROADCAST
 #undef vec
 #undef vec_mask
+#undef relu_vec
 #undef layer
 #undef width
 #undef dot_block
@@ -405,7 +597,17 @@ static int train_step(const long *widths, long nlayers, double *params,
 #undef layer_row
 #undef output_rows
 #undef pack_layers
+#undef sum_block
+#undef sum_rows
+#undef infer
+#undef infer_open
+#undef infer_close
+#undef field
+#undef source
+#undef coded_input
+#undef infer_rows
 #undef forward_rows
+#undef forward_codes
 #undef train_step
 #undef K
 #undef K_

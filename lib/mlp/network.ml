@@ -135,6 +135,28 @@ let predict_matrix t x =
   assert (out.Matrix.cols = 1);
   Matrix.to_array out
 
+type codes = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Coded inference: the C kernel reads the codes and the parameter
+   vector in place, copies [shared] and [tables] out of the OCaml heap
+   and validates every size. *)
+external codes_stub :
+  int -> int array -> Matrix.storage -> float array -> float array array ->
+  codes -> int -> int -> Matrix.storage -> unit
+  = "isaac_mlp_forward_codes_byte" "isaac_mlp_forward_codes"
+
+let codes_at lanes t ~shared ~tables codes ~off ~len =
+  let out = Matrix.create (max 0 len) 1 in
+  codes_stub lanes t.arch t.params shared tables codes off len out.Matrix.data;
+  Matrix.to_array out
+
+let predict_codes t ~shared ~tables codes ~off ~len =
+  codes_at lanes t ~shared ~tables codes ~off ~len
+
+let predict_codes_at ~lanes t ~shared ~tables codes ~off ~len =
+  check_lanes "Network.predict_codes_at" lanes;
+  codes_at lanes t ~shared ~tables codes ~off ~len
+
 type adam = { lr : float; beta1 : float; beta2 : float; epsilon : float }
 
 let default_adam = { lr = 1e-3; beta1 = 0.9; beta2 = 0.999; epsilon = 1e-8 }

@@ -7,11 +7,12 @@
 
     Every weight and bias lives in one flat {!Matrix.storage} vector —
     per layer, [fan_out × fan_in] row-major weights, then [fan_out]
-    biases — which the C kernels behind {!forward_batch} and
-    {!train_batch} read in place, and the latter updates in place. The
-    loss gradient and Adam's two moments are vectors of the same
-    layout. Each kernel has a pure-OCaml reference it matches bit for
-    bit: {!predict} and {!train_batch_ref}.
+    biases — which the C kernels behind {!forward_batch},
+    {!predict_codes} and {!train_batch} read in place, and the last
+    updates in place. The loss gradient and Adam's two moments are
+    vectors of the same layout. Each kernel has a pure-OCaml reference
+    it matches bit for bit: {!predict} for both inference kernels and
+    {!train_batch_ref} for training.
 
     The caller is responsible for feature transformation; the paper's key
     finding (§5.2) that inputs must be passed through a logarithm lives in
@@ -49,9 +50,10 @@ val predict_one : t -> float array -> float
 val forward_batch : t -> input:Matrix.t -> Matrix.t
 (** Batched forward pass: [input] is (batch × inputs), one feature
     vector per row; the result is (batch × 1), the network's one output
-    per input row. This is the planning hot path that scores
-    tens of thousands of candidate configurations per query
-    ({!Tuner.Search}). The kernel is C and reads the network's parameter
+    per input row: a whole feature matrix scored at once, as
+    {!Tuner.Profile.mse} and the benchmarks do (the planner scores
+    coded rows instead, {!predict_codes}). The kernel is C and reads
+    the network's parameter
     vector in place: in the hidden layers, output neurons are the lanes
     of SIMD vectors of {!lanes} doubles over weights transposed once
     per call, and exact-zero inputs are skipped when every weight of
@@ -77,6 +79,55 @@ val forward_batch : t -> input:Matrix.t -> Matrix.t
 val predict_matrix : t -> Matrix.t -> float array
 (** {!forward_batch} with the (batch × 1) result flattened to one
     prediction per row — the batched analogue of {!predict}. *)
+
+type codes = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Rows as codes: each 32-bit code packs one index per coded input
+    (see {!predict_codes}). *)
+
+val predict_codes :
+  t -> shared:float array -> tables:float array array -> codes -> off:int ->
+  len:int -> float array
+(** [predict_codes t ~shared ~tables codes ~off ~len] scores rows
+    [off] to [off + len - 1] of [codes], one prediction per row, in
+    order. A row's inputs are [shared], the same in every row, then one
+    value per table: table [j] has [2{^b}] values, and the next [b] bits
+    of the row's code, from the lowest up, index it. So the row with
+    code [c] stands for the input row
+    [shared @ [tables.(0).(i0); tables.(1).(i1); ...]]. This is the
+    planning hot path ({!Tuner.Search}), which scores each legality
+    class's configuration codes without building a feature matrix.
+
+    The C kernel behind {!forward_batch} runs it at the same {!lanes},
+    with the runtime lock released. Once per call, it sums the first
+    layer over the shared inputs and multiplies each table value by its
+    weights; each row then adds its products to that sum, field by
+    field. With no hidden layer, each row's inputs go through the
+    row-lane output layer instead.
+
+    Float contract: outputs are bit-equal to {!predict} on the rows the
+    codes stand for, at every width, for any values and weights. Each
+    row performs {!predict}'s additions in its order: the shared sum is
+    [predict]'s running sum after the shared inputs, and each table
+    product is the product [predict] forms. The kernel adds every
+    term, where {!forward_batch} skips exact-zero inputs of a layer
+    whose weights are all finite. Adding [0 * w = ±0] cannot change
+    the sum: it starts at [+0.0], so it is never [-0.0]. With a
+    non-finite weight, [0 * w] is NaN, and both add it. The
+    differential tests in [test/test_mlp.ml] assert exact equality at
+    every width the CPU supports ({!predict_codes_at}).
+
+    Raises [Invalid_argument] if [shared] and [tables] do not make the
+    network's input width, a table's length is not a power of two, the
+    fields need more than 32 bits (then some code could index outside
+    its field's table), the row range is not within [codes], or the
+    network's output width is not 1. *)
+
+val predict_codes_at :
+  lanes:int -> t -> shared:float array -> tables:float array array -> codes ->
+  off:int -> len:int -> float array
+(** {!predict_codes} through the kernel compiled for [lanes] doubles
+    per vector, kept for the tests like {!forward_batch_at}, with the
+    same [Invalid_argument] for [lanes]. *)
 
 type adam = {
   lr : float;

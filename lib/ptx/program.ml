@@ -81,3 +81,98 @@ let validate t =
       t.body;
     Ok ()
   with Bad msg -> err "%s: %s" t.name msg
+
+let special_index = function
+  | Tid_x -> 0 | Tid_y -> 1 | Tid_z -> 2
+  | Ctaid_x -> 3 | Ctaid_y -> 4 | Ctaid_z -> 5
+  | Ntid_x -> 6 | Ntid_y -> 7 | Ntid_z -> 8
+  | Nctaid_x -> 9 | Nctaid_y -> 10 | Nctaid_z -> 11
+
+let cmp_index = function Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5
+
+(* The walk folds 32-bit words into FNV-1a 64 in a fixed order: the
+   dtype, each parameter list (its length, then per name its length and
+   bytes), the resource counts and the body length, then per
+   instruction its guard, opcode and operands. An operand is a kind
+   word and its payload: a register or slot number, an integer
+   immediate, a float immediate's bits or a special register's index. A
+   count, register or slot number is one word, its low 32 bits; an
+   immediate is two, its low and high 32 bits. A branch's target is the
+   body index of its label (-1 if undefined), so label names, like the
+   entry name, are left out. One step xors a word into the state and
+   multiplies by the FNV prime. Words of 32 bits put every difference in
+   the low half of the state, where the multiply spreads it upward; a
+   64-bit word that differed only in its top bits (a float's sign, say)
+   would leave a difference there that a second one could cancel. *)
+let hash t =
+  (* The 64-bit state as two 32-bit halves in native ints, so a step
+     allocates nothing: for [h = hi * 2^32 + lo] and the prime
+     [2^40 + 0x1b3], [(h lxor w) * prime] has low half [l * 0x1b3] mod
+     2^32, where [l = lo lxor w], and high half
+     [hi * 0x1b3 + (l * 0x1b3) / 2^32 + l * 2^8] mod 2^32. *)
+  let hi = ref 0xcbf29ce4 and lo = ref 0x84222325 in
+  let word w =
+    let l = !lo lxor (w land 0xffff_ffff) in
+    let m = l * 0x1b3 in
+    lo := m land 0xffff_ffff;
+    hi := ((!hi * 0x1b3) + (m lsr 32) + (l lsl 8)) land 0xffff_ffff
+  in
+  let wide w = word w; word (w asr 32) in
+  let names a =
+    word (Array.length a);
+    Array.iter (fun s -> word (String.length s); String.iter (fun c -> word (Char.code c)) s) a
+  in
+  let io = function
+    | Ireg r -> word 0; word r
+    | Iimm v -> word 1; wide v
+    | Iparam p -> word 2; word p
+    | Ispecial s -> word 3; word (special_index s)
+  in
+  let fo = function
+    | Freg r -> word 0; word r
+    | Fimm v ->
+      let b = Int64.bits_of_float v in
+      word 1;
+      word (Int64.to_int b);
+      word (Int64.to_int (Int64.shift_right_logical b 32))
+  in
+  let labels = find_labels t in
+  word (match t.dtype with F16 -> 0 | F32 -> 1 | F64 -> 2);
+  names t.buf_params;
+  names t.int_params;
+  List.iter word
+    [ t.shared_words; t.shared_int_words; t.n_fregs; t.n_iregs; t.n_pregs;
+      Array.length t.body ];
+  Array.iter
+    (fun { Instr.op; guard } ->
+      (match guard with
+       | None -> word 0
+       | Some (p, sense) -> word (if sense then 1 else 2); word p);
+      word (Instr.opcode op);
+      match op with
+      | Instr.Mov (d, a) -> word d; io a
+      | Iadd (d, a, c) | Isub (d, a, c) | Imul (d, a, c) | Idiv (d, a, c)
+      | Irem (d, a, c) | Imin (d, a, c) | Imax (d, a, c)
+      | Ishl (d, a, c) | Ishr (d, a, c) | Iand (d, a, c) | Ior (d, a, c) ->
+        word d; io a; io c
+      | Imad (d, a, c, e) -> word d; io a; io c; io e
+      | Setp (cmp, p, a, c) -> word (cmp_index cmp); word p; io a; io c
+      | And_p (d, a, c) | Or_p (d, a, c) -> word d; word a; word c
+      | Not_p (d, a) -> word d; word a
+      | Movf (d, a) -> word d; fo a
+      | Fadd (d, a, c) | Fsub (d, a, c) | Fmul (d, a, c)
+      | Fmax (d, a, c) | Fmin (d, a, c) ->
+        word d; fo a; fo c
+      | Ffma (d, a, c, e) -> word d; fo a; fo c; fo e
+      | Ld_global (d, slot, addr) | Ld_global_i (d, slot, addr) ->
+        word d; word slot; io addr
+      | Ld_shared (d, addr) | Ld_shared_i (d, addr) -> word d; io addr
+      | St_global (slot, addr, v) | Atom_global_add (slot, addr, v) ->
+        word slot; io addr; fo v
+      | St_shared (addr, v) -> io addr; fo v
+      | St_shared_i (addr, v) -> io addr; io v
+      | Bra target ->
+        word (Option.value ~default:(-1) (Hashtbl.find_opt labels target))
+      | Label _ | Bar | Ret -> ())
+    t.body;
+  Int64.logor (Int64.shift_left (Int64.of_int !hi) 32) (Int64.of_int !lo)

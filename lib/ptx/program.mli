@@ -26,3 +26,15 @@ val validate : t -> (unit, string) result
 
 val find_labels : t -> (string, int) Hashtbl.t
 (** Map from label name to body index (index of the [Label] instruction). *)
+
+val hash : t -> int64
+(** The kernel's identity: FNV-1a 64 over a structural walk of the
+    program, folding in one 32-bit word per field (two for an
+    immediate). The walk covers the dtype, the parameter names, the
+    shared-memory sizes and register counts, and each instruction's
+    guard, opcode and operands, with immediates by their bits and
+    branch targets by the body index of their label. It leaves out the
+    entry name and label names, so one kernel generated under several
+    shape-specific names keeps one hash. Every program has a hash: it
+    needs no register allocation and no encoding. Served as a plan's
+    [kernel_hash]. *)

@@ -13,7 +13,8 @@
    changed on disk. Swapping the whole engine — rather than mutating
    the old one — means in-flight requests finish against the profile
    they started with, and the plan cache restarts cold (plans from the
-   old profile are stale by definition). *)
+   old profile are stale by definition). Every engine is built on the
+   daemon's one legality-class memo, which no profile enters. *)
 
 let t_requests = Obs.Telemetry.counter "serve.requests"
 let t_coalesced = Obs.Telemetry.counter "serve.coalesced"
@@ -31,6 +32,9 @@ type t = {
   gemm : slot option;
   conv : slot option;
   cache_entries : int option;
+  (* The one legality-class memo of the daemon: no entry depends on a
+     profile, so both engines and every reloaded one share it. *)
+  planner : Tuner.Search.planner;
   reload_lock : Mutex.t;
   mutable last_reload_check : float;  (* guarded by [reload_lock] *)
   reload_interval : float;
@@ -45,7 +49,7 @@ let device_of_name name =
   | Some d -> d
   | None -> failwith ("profile tuned on unknown device " ^ name)
 
-let load_slot ?cache_entries ~op path =
+let load_slot ?cache_entries ~planner ~op path =
   match Tuner.Profile.load path with
   | Error msg -> Error msg
   | Ok profile ->
@@ -59,7 +63,7 @@ let load_slot ?cache_entries ~op path =
       | Error e -> Error (Util.Artifact.error_to_string ~path e)
       | Ok fp ->
         let device = device_of_name profile.device in
-        let engine = Isaac.of_profile ?cache_entries device profile in
+        let engine = Isaac.of_profile ?cache_entries ~planner device profile in
         Ok { path; fp; engine = Atomic.make engine })
 
 let create ?cache_entries ?(reload_interval = 2.0) ?gemm_profile ?conv_profile
@@ -67,10 +71,11 @@ let create ?cache_entries ?(reload_interval = 2.0) ?gemm_profile ?conv_profile
   match (gemm_profile, conv_profile) with
   | None, None -> Error "no profile given: need a GEMM and/or CONV profile"
   | _ -> (
+    let planner = Tuner.Search.planner () in
     let load op = function
       | None -> Ok None
       | Some path ->
-        Result.map Option.some (load_slot ?cache_entries ~op path)
+        Result.map Option.some (load_slot ?cache_entries ~planner ~op path)
     in
     match load `Gemm gemm_profile with
     | Error e -> Error e
@@ -96,6 +101,7 @@ let create ?cache_entries ?(reload_interval = 2.0) ?gemm_profile ?conv_profile
             gemm;
             conv;
             cache_entries;
+            planner;
             reload_lock = Mutex.create ();
             last_reload_check = Unix.gettimeofday ();
             reload_interval;
@@ -137,7 +143,8 @@ let reload_slot t slot =
         false)
       else begin
         let engine =
-          Isaac.of_profile ?cache_entries:t.cache_entries t.device profile
+          Isaac.of_profile ?cache_entries:t.cache_entries ~planner:t.planner
+            t.device profile
         in
         Atomic.set slot.engine engine;
         slot.fp <- fp;
@@ -251,10 +258,7 @@ let json_of_plan (plan : Isaac.plan) =
       ("predicted_tflops", Obs.Json.Float plan.predicted_tflops);
       ("tflops", Obs.Json.Float plan.measurement.tflops);
       ("n_legal", Obs.Json.Int plan.n_legal);
-      ( "kernel_hash",
-        match plan.kernel_hash with
-        | Some h -> Obs.Json.String (Printf.sprintf "%016Lx" h)
-        | None -> Obs.Json.Null ) ]
+      ("kernel_hash", Obs.Json.String (Printf.sprintf "%016Lx" plan.kernel_hash)) ]
 
 let respond_plan ~id ~op ~latency_s (plan, outcome) =
   Obs.Json.Obj
@@ -344,10 +348,12 @@ let handle_gemm t json ~id =
   let engine = engine_for t `Gemm in
   (* One clock per plan request: the [serve.latency] span's duration is
      both the reply's [latency_s] and the one observation of the
-     [serve.latency_s] histogram. *)
+     [serve.latency_s] histogram. The request id opens around it, so
+     the root span carries the id its children do. *)
   let result, latency_s =
-    Obs.Span.with_dur "serve.latency" (fun () ->
-        Isaac.plan_gemm_with_status engine input)
+    Obs.Span.with_request (fun () ->
+        Obs.Span.with_dur "serve.latency" (fun () ->
+            Isaac.plan_gemm_with_status engine input))
   in
   record_request t (snd result);
   respond_plan ~id ~op:"gemm" ~latency_s result
@@ -365,8 +371,9 @@ let handle_conv t json ~id =
   in
   let engine = engine_for t `Conv in
   let result, latency_s =
-    Obs.Span.with_dur "serve.latency" (fun () ->
-        Isaac.plan_conv_with_status engine input)
+    Obs.Span.with_request (fun () ->
+        Obs.Span.with_dur "serve.latency" (fun () ->
+            Isaac.plan_conv_with_status engine input))
   in
   record_request t (snd result);
   respond_plan ~id ~op:"conv" ~latency_s result

@@ -6,7 +6,11 @@
     number of transport workers (domains reading a Unix socket, or the
     single stdin loop) may call {!handle} concurrently: plan lookups
     are lock-free and racing cold requests coalesce onto one planning
-    run.
+    run. Both engines, and every engine a reload swaps in, share the
+    daemon's one legality-class memo ({!Tuner.Search.planner}): no
+    entry depends on a profile, so a CONV whose implicit GEMM is in a
+    class a GEMM already walked skips the walk, and a reload keeps the
+    memo.
 
     {b Protocol} (one JSON object per line, see DESIGN.md "Plan
     serving" for the full schema): requests carry [op] ∈ [ping], [stats],
@@ -25,12 +29,15 @@
     [latency_s] (the duration of its [serve.latency] span), and the
     chosen kernel configuration ([plan], [null]
     when no kernel is legal — that negative result is cached too, so
-    the retry is a hit).
+    the retry is a hit). A plan's [kernel_hash] is 16 hex digits of
+    {!Isaac.plan.kernel_hash}, never [null].
 
     {b Telemetry}: [serve.requests] / [serve.coalesced] /
     [serve.errors] / [serve.reloads] counters and the [serve.latency]
     span's [serve.latency_s] histogram, which a request fills once, with
-    the [latency_s] of its reply; the engines count [plan.evictions] and histogram
+    the [latency_s] of its reply. The span opens inside a fresh request
+    id ({!Obs.Span.with_request}), so it and every span of its plan
+    carry one [req]; the engines count [plan.evictions] and histogram
     cache-hit ages in [plan.cache_hit_age_s]. [serve.requests] counts
     only plan ops — [ping] / [stats] / [reload] probes don't pollute
     the load counters. *)
@@ -77,4 +84,5 @@ val maybe_reload : ?force:bool -> t -> int
     [reload_interval] unless [force]d (the [reload] request forces).
     In-flight requests finish against the engine they started with; a
     swapped engine starts with a cold plan cache (old plans are stale
-    by definition). Reload failures keep the previous engine serving. *)
+    by definition) on the daemon's legality-class memo. Reload failures
+    keep the previous engine serving. *)

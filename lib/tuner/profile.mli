@@ -47,9 +47,9 @@ val standardize_feature : t -> int -> float -> float
     [(v - feat_mean.(j)) / feat_std.(j)]: the one expression
     {!predict_std_matrix} and {!predict_std_one} also apply to every
     element, so a value standardized here is bit-equal to theirs.
-    {!Search} builds its per-request table of standardized feature
-    values with it and scores them through
-    {!Mlp.Network.predict_matrix} directly. *)
+    {!Search} builds its per-request tables of standardized feature
+    values with it and scores codes over them through
+    {!Mlp.Network.predict_codes} directly. *)
 
 val predict_std_matrix : t -> Mlp.Matrix.t -> float array
 (** Batched counterpart of {!predict_std_one}, one un-standardized

@@ -52,7 +52,7 @@ let config_of_code code =
   { GP.ms = v 0; ns = v 1; ks = v 2; ml = v 3; nl = v 4; u = v 5; kl = v 6;
     kg = v 7; vec = v 8; db = v 9 }
 
-type codes = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type codes = Mlp.Network.codes
 
 let codes n : codes = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
 
@@ -368,44 +368,24 @@ type planner = (class_key, class_entry) Plan_cache.t
 
 let planner () = Plan_cache.create ()
 
-let slot_bits = Array.fold_left max 0 field_bits
-
-(* The standardized feature value of every value of every tuning
-   parameter under [profile]: index [i] of parameter [j] at
-   [(j lsl slot_bits) lor i]. *)
-let tuning_table profile =
+(* Each tuning parameter's standardized feature values under
+   [profile], indexed as its field of a code indexes them: table [j]
+   has [2^field_bits.(j)] entries, and the codes' fields are packed
+   lowest first in parameter order, the layout
+   {!Mlp.Network.predict_codes} reads. Entries no value uses stay 0. *)
+let tuning_tables profile =
   let log = profile.Profile.log_features in
-  let tuning = Array.make (nparams lsl slot_bits) 0.0 in
-  Array.iteri
+  Array.mapi
     (fun j values ->
+      let table = Array.make (1 lsl field_bits.(j)) 0.0 in
       Array.iteri
         (fun i v ->
-          tuning.((j lsl slot_bits) lor i) <-
+          table.(i) <-
             Profile.standardize_feature profile (Features.input_dim + j)
               (Features.tuning_slot ~log v))
-        values)
-    grid;
-  tuning
-
-(* Rows [offset, offset + size) of the standardized feature matrix [x]:
-   the request's six standardized static slots, then for each tuning
-   parameter the [tuning_table] value its field of the row's code
-   selects. *)
-let fill_rows ~tuning ~static (rows : codes) (x : Mlp.Matrix.t) ~offset ~size =
-  let d = x.Mlp.Matrix.data in
-  for row = offset to offset + size - 1 do
-    let code = Int32.to_int (Bigarray.Array1.unsafe_get rows row) in
-    let base = row * Features.dim in
-    for j = 0 to Features.input_dim - 1 do
-      Bigarray.Array1.unsafe_set d (base + j) (Array.unsafe_get static j)
-    done;
-    for j = 0 to nparams - 1 do
-      let i = (code lsr Array.unsafe_get shift j) land Array.unsafe_get mask j in
-      Bigarray.Array1.unsafe_set d
-        (base + Features.input_dim + j)
-        (Array.unsafe_get tuning ((j lsl slot_bits) lor i))
-    done
-  done
+        values;
+      table)
+    grid
 
 let t_class_hit = Obs.Telemetry.counter "search.class_hit"
 let t_class_miss = Obs.Telemetry.counter "search.class_miss"
@@ -413,11 +393,12 @@ let t_class_miss = Obs.Telemetry.counter "search.class_miss"
 (* The §6 pipeline, one span per phase. Enumeration is a lookup of the
    input's legality class in the planner's memo, which walks the
    lattice on a miss. Scoring never materializes the scored set: row
-   [row] of the class entry is a code, featurized into one shared
-   standardized feature matrix through the profile's [tuning_table] and
-   forwarded as matrix-matrix work. Both fan row ranges across domains;
-   rows are independent, so the result is identical for any domain
-   count. Config records are built for the top-k rows only. *)
+   [row] of the class entry is a code, which the network scores in
+   place from the request's standardized static slots and the
+   profile's [tuning_tables] ({!Mlp.Network.predict_codes}). Row ranges
+   fan across domains; rows are independent, so the result is
+   identical for any domain count. Config records are built for the
+   top-k rows only. *)
 let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
     ?domains ?planner:given rng device ~profile =
   let at_least_one what v =
@@ -468,21 +449,11 @@ let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
        request id so their spans/flight events correlate with the plan
        request that spawned them. *)
     let req = Obs.Span.current_request () in
-    let x, t_feat =
+    let (shared, tables), t_feat =
       Obs.Span.with_dur "search.featurize" (fun () ->
-          let tuning = tuning_table profile in
-          let static =
-            Array.mapi (Profile.standardize_feature profile)
-              (Features.static_slots query)
-          in
-          let x = Mlp.Matrix.create n Features.dim in
-          let (_ : unit list) =
-            Util.Parallel.run_chunks ~domains ~total:n
-              (fun ~chunk:_ ~offset ~size ->
-                Obs.Span.set_request req;
-                fill_rows ~tuning ~static e.rows x ~offset ~size)
-          in
-          x)
+          ( Array.mapi (Profile.standardize_feature profile)
+              (Features.static_slots query),
+            tuning_tables profile ))
     in
     let pred, t_inf =
       Obs.Span.with_dur "search.inference"
@@ -495,8 +466,8 @@ let exhaustive ~op ~gemm_view ~query ~cost ?(top_k = 100) ?cap ?noise
             Util.Parallel.run_chunks ~domains ~total:n
               (fun ~chunk:_ ~offset ~size ->
                 Obs.Span.set_request req;
-                Mlp.Network.predict_matrix profile.Profile.net
-                  (Mlp.Matrix.sub_rows x ~off:offset ~len:size))
+                Mlp.Network.predict_codes profile.Profile.net ~shared ~tables
+                  e.rows ~off:offset ~len:size)
           with
           | [ pred ] -> pred
           | chunks -> Array.concat chunks)

@@ -16,13 +16,16 @@
       share one legality class. A {!planner} memoizes each class's
       legal-set size and scored rows, as 4-byte configuration codes
       outside the OCaml heap, so a class is walked once per planner;
-    - table featurization: each scored row's feature vector is already
-      standardized, read from a table of the profile's standardized
-      tuning-slot values, built per request, and the request's six
-      standardized static slots ({!Features.static_slots},
-      {!Profile.standardize_feature});
-    - one matrix-matrix network evaluation per layer over the whole
-      candidate batch ({!Mlp.Network.predict_matrix}), fanned across
+    - table featurization: per request, one table per tuning parameter
+      of the profile's standardized values of that parameter, and the
+      request's six standardized static slots
+      ({!Features.static_slots}, {!Profile.standardize_feature}). No
+      feature row is built;
+    - coded-row scoring: the network reads the class entry's codes in
+      place, each row the six static slots and the ten table values its
+      code selects, with the first layer's sum over the static slots
+      and every table value's product with its weights taken once per
+      call ({!Mlp.Network.predict_codes}), in row ranges fanned across
       domains.
 
     Float contract: the pipeline is bit-identical to composing this
@@ -68,7 +71,7 @@ type result = {
   phases : (string * float) list;
   (** wall-clock seconds per pipeline phase, in order: [enumerate]
       (the legality-class lookup, and the walk on a miss), [featurize]
-      (standardized feature-matrix fill),
+      (the request's standardized static slots and tuning tables),
       [inference] (network forward), [argmax] (top-k selection,
       {!top_k_indices}, plus the k candidate records) and [rebench]
       (on-device short-list timing) — each the duration of the phase's
@@ -123,8 +126,8 @@ type planner
     the default cap) per device and cap. An entry depends on no
     profile, so GEMM and CONV requests share it. Safe to share across
     domains: lookups are lock-free, and racing misses on one class run
-    one walk ({!Plan_cache.find_or_compute}). [Isaac] engines hold one
-    each. *)
+    one walk ({!Plan_cache.find_or_compute}). Each [Isaac] engine holds
+    one; the serving daemon builds all its engines on one. *)
 
 val planner : unit -> planner
 (** An empty memo. *)
@@ -153,8 +156,8 @@ val exhaustive_gemm :
     [ISAAC_SEARCH_CAP] when the cap came from the environment) if
     either is below 1.
     [None] when no configuration is legal (never happens for the spaces
-    shipped here). [domains > 1] spreads featurization and model scoring
-    over OCaml 5 domains; it defaults to
+    shipped here). [domains > 1] spreads model scoring over OCaml 5
+    domains; it defaults to
     [Util.Parallel.recommended_domains ()], so ISAAC_DOMAINS governs it.
     Results are identical for any [domains] (given equal [rng] state).
     Features follow the profile's [log_features] flag.

@@ -44,7 +44,9 @@ let test_plan_gemm () =
    the library chose, beside its row counts and domains. The
    [search.enumerate] span's meta says how the engine's legality-class
    memo served the plan: ["miss"] on the fresh engine, then ["hit"] for
-   a second shape of the same class (same dtype and K). *)
+   a second shape of the same class (same dtype and K). After the
+   search, a miss hashes its kernel in one [kernel.hash] span of its
+   request; a cache hit hashes nothing. *)
 let test_plan_phases () =
   let engine = Lazy.force gemm_engine in
   let fresh = Isaac.of_profile Gpu.Device.gtx980ti (Isaac.profile engine) in
@@ -68,7 +70,18 @@ let test_plan_phases () =
     in
     Option.bind (Obs.Json.member "meta" e) (fun m -> Option.bind (Obs.Json.member k m) to_)
   in
+  let named name spans =
+    List.filter (fun e -> Obs.Json.member "name" e = Some (Obs.Json.String name)) spans
+  in
   let plan, spans = traced (GP.input 640 128 640) in
+  (match (named "kernel.hash" spans, named "plan" spans) with
+   | [ k ], [ p ] ->
+     let req e = Option.bind (Obs.Json.member "req" e) Obs.Json.to_int in
+     Alcotest.(check bool) "kernel.hash carries a request id" true (req k <> None);
+     Alcotest.(check (option int)) "kernel.hash in the plan's request" (req p) (req k)
+   | k, p ->
+     Alcotest.failf "expected one kernel.hash and one plan span, got %d and %d"
+       (List.length k) (List.length p));
   Alcotest.(check (list string)) "phase names"
     [ "enumerate"; "featurize"; "inference"; "argmax"; "rebench" ]
     (List.map fst plan.phases);
@@ -105,7 +118,21 @@ let test_plan_phases () =
   Alcotest.(check (option string)) "same class is a hit" (Some "hit") (class_of spans);
   Alcotest.(check int) "one hit counted" 1
     (Option.get (Obs.Telemetry.counter_value "search.class_hit"));
-  Alcotest.(check int) "same legal set" plan.n_legal again.n_legal
+  Alcotest.(check int) "same legal set" plan.n_legal again.n_legal;
+  let _, spans = traced (GP.input 640 128 640) in
+  Alcotest.(check int) "a hit hashes nothing" 0 (List.length (named "kernel.hash" spans))
+
+(* A plan names its kernel: [kernel_hash] is the structural hash of the
+   program generated for its input and config. *)
+let test_kernel_hash () =
+  let gemm = GP.input 512 256 384 in
+  let g = Option.get (Isaac.plan_gemm (Lazy.force gemm_engine) gemm) in
+  Alcotest.(check int64) "gemm" (Ptx.Program.hash (Codegen.Gemm.generate gemm g.config))
+    g.kernel_hash;
+  let conv = CP.input ~n:2 ~c:32 ~k:64 ~p:14 ~q:14 ~r:3 ~s:3 () in
+  let c = Option.get (Isaac.plan_conv (Lazy.force conv_engine) conv) in
+  Alcotest.(check int64) "conv" (Ptx.Program.hash (Codegen.Conv.generate conv c.config))
+    c.kernel_hash
 
 (* Two plans of one input differ only in their [phases] timings. *)
 let strip (p : Isaac.plan) = { p with phases = [] }
@@ -284,7 +311,8 @@ let () =
        [ slow "plan gemm" test_plan_gemm;
          slow "phases" test_plan_phases;
          slow "plan cache" test_plan_cache;
-         slow "input awareness" test_input_awareness ]);
+         slow "input awareness" test_input_awareness;
+         slow "kernel hash" test_kernel_hash ]);
       ("execution",
        [ slow "gemm matches reference" test_gemm_executes_correctly;
          slow "conv matches reference" test_conv_executes_correctly ]);

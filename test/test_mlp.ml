@@ -633,6 +633,198 @@ let test_forward_batch_output_width entry =
     (Invalid_argument "Network.forward_batch: output width") (fun () ->
       ignore (forward_with entry net (random_mat 3 2)))
 
+(* --- coded rows ----------------------------------------------------------- *)
+
+let codes_with entry net ~shared ~tables codes ~off ~len =
+  match entry with
+  | Library -> Mlp.Network.predict_codes net ~shared ~tables codes ~off ~len
+  | At lanes -> Mlp.Network.predict_codes_at ~lanes net ~shared ~tables codes ~off ~len
+
+let int32_codes l : Mlp.Network.codes =
+  Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout
+    (Array.of_list (List.map Int32.of_int l))
+
+let log2 n =
+  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+  go 0
+
+(* The input rows [len] codes from [off] stand for: [shared], then per
+   table the entry its field of the code selects, fields packed lowest
+   first, each [log2 (length)] bits wide, the code read unsigned. *)
+let materialize ~shared ~tables (codes : Mlp.Network.codes) ~off ~len =
+  let ns = Array.length shared in
+  let x = Mlp.Matrix.create len (ns + Array.length tables) in
+  for r = 0 to len - 1 do
+    let code = Int32.to_int codes.{off + r} land 0xffff_ffff in
+    Array.iteri (fun k v -> Mlp.Matrix.set x r k v) shared;
+    let shift = ref 0 in
+    Array.iteri
+      (fun j t ->
+        let n = Array.length t in
+        Mlp.Matrix.set x r (ns + j) t.((code lsr !shift) land (n - 1));
+        shift := !shift + log2 n)
+      tables
+  done;
+  x
+
+let codes_match_predict entry net ~shared ~tables codes ~off ~len =
+  same_bits
+    (Mlp.Network.predict net (materialize ~shared ~tables codes ~off ~len))
+    (codes_with entry net ~shared ~tables codes ~off ~len)
+
+(* Values the first layer special-cases: zeros of both signs, and with
+   [nan] some NaNs, among Gaussian values. *)
+let coded_value ?(nan = false) r =
+  match Util.Rng.int r 8 with
+  | 0 | 1 -> 0.0
+  | 2 -> -0.0
+  | 3 when nan -> Float.nan
+  | _ -> Util.Rng.gaussian r
+
+(* [n] random codes over [bits] bits, the top bit (the int32 sign)
+   included when [bits = 32]. *)
+let random_codes r ~bits n =
+  int32_codes
+    (List.init n (fun _ ->
+         let lo = Util.Rng.int r (1 lsl min bits 16) in
+         if bits <= 16 then lo else lo lor (Util.Rng.int r (1 lsl (bits - 16)) lsl 16)))
+
+(* The coded kernel against [predict] on random networks of depth 0 to
+   2, random shared and table values (zeros, NaN), random field widths
+   (0 to 3 bits, so length-1 tables too), batch sizes and offsets. *)
+let prop_codes_bit_equal entry =
+  QCheck.Test.make ~name:(named "predict_codes bit-equals predict" entry) ~count:60
+    QCheck.(quad (int_range 0 6) (int_range 0 10) (int_range 0 40) (int_range 0 10_000))
+    (fun (ns, nf, batch, seed) ->
+      let r = Util.Rng.create (1 + seed) in
+      let nf = if ns + nf = 0 then 1 else nf in
+      let hidden = Array.init (seed mod 3) (fun _ -> 1 + Util.Rng.int r 40) in
+      let net = trained_net r (Array.concat [ [| ns + nf |]; hidden; [| 1 |] ]) in
+      let nan = seed mod 2 = 0 in
+      let shared = Array.init ns (fun _ -> coded_value ~nan r) in
+      let bits = Array.init nf (fun _ -> Util.Rng.int r 4) in
+      let tables =
+        Array.map (fun b -> Array.init (1 lsl b) (fun _ -> coded_value ~nan r)) bits
+      in
+      let off = seed mod 5 in
+      let codes =
+        random_codes r ~bits:(Array.fold_left ( + ) 0 bits) (off + batch + 2)
+      in
+      codes_match_predict entry net ~shared ~tables codes ~off ~len:batch)
+
+(* Fixed cases, each at every batch size from 1 to 2 * lanes + 1 and at
+   offsets 0 and 3 into the codes, against [predict] row for row:
+   - codes that run every table index of every field, whose fields
+     fill all 32 bits, so codes with the int32 sign bit set occur;
+   - all-zero tables and shared values, of both signs;
+   - NaN among the shared and table values;
+   - an inf weight on a shared input and a NaN weight on a coded one,
+     each meeting zero values, so a layer that skipped zeros would
+     miss a NaN;
+   - a network with no hidden layer, whose inputs are the row-lane
+     output layer's, with and without an inf weight. *)
+let test_codes_cases entry =
+  let lanes = match entry with Library -> Mlp.Network.lanes | At l -> l in
+  let r = Util.Rng.create 4242 in
+  let bits = [| 3; 1; 3; 2; 3; 3; 3; 3; 3; 3; 3; 2 |] in
+  let values f = Array.map (fun b -> Array.init (1 lsl b) (fun _ -> f ())) bits in
+  (* Row [i] puts index [i mod 2^b] in every field of [b] bits, so the
+     8 rows run every index of every field; the last field's top bit is
+     bit 31 of the code, so row 7 is negative as an int32. *)
+  let every_index =
+    int32_codes
+      (List.init 8 (fun i ->
+           snd
+             (Array.fold_left
+                (fun (shift, c) b -> (shift + b, c lor ((i land ((1 lsl b) - 1)) lsl shift)))
+                (0, 0) bits)))
+  in
+  assert (Array.fold_left ( + ) 0 bits = 32);
+  assert (Int32.compare every_index.{7} 0l < 0);
+  let check name net ~shared ~tables =
+    if
+      not
+        (codes_match_predict entry net ~shared ~tables every_index ~off:0 ~len:8)
+    then Alcotest.failf "%s: every index differs from predict" name;
+    List.iter
+      (fun len ->
+        List.iter
+          (fun off ->
+            let codes = random_codes r ~bits:32 (off + len + 1) in
+            if not (codes_match_predict entry net ~shared ~tables codes ~off ~len) then
+              Alcotest.failf "%s: batch %d at offset %d differs from predict" name len off)
+          [ 0; 3 ])
+      (List.init ((2 * lanes) + 1) (fun b -> b + 1))
+  in
+  let sizes = [| 16; 32; 64; 32; 1 |] in
+  let net = trained_net r sizes in
+  let gauss () = Util.Rng.gaussian r in
+  check "every index" net ~shared:(Array.init 4 (fun _ -> gauss ())) ~tables:(values gauss);
+  check "zeros" net ~shared:[| 0.0; -0.0; 0.0; -0.0 |]
+    ~tables:(values (fun () -> if Util.Rng.int r 2 = 0 then 0.0 else -0.0));
+  let zeroish ?nan () = coded_value ?nan r in
+  let shared = Array.init 4 (fun _ -> zeroish ()) in
+  shared.(1) <- 0.0;
+  let tables = values (zeroish ~nan:true) in
+  check "NaN values" net ~shared:(Array.init 4 (fun _ -> zeroish ~nan:true ())) ~tables;
+  (* Weight k of first-layer neuron 3 is parameter 3 * 16 + k. *)
+  List.iter
+    (fun (name, k, w) ->
+      let p = params net in
+      p.((3 * 16) + k) <- w;
+      let net = with_params net p in
+      Alcotest.(check bool) (name ^ ": not finite") false (Mlp.Network.is_finite net);
+      check name net ~shared ~tables:(values (zeroish ~nan:false)))
+    [ ("inf weight on a zero shared input", 1, Float.infinity);
+      ("NaN weight on a coded input", 9, Float.nan) ];
+  let flat = trained_net r [| 16; 1 |] in
+  check "no hidden layer" flat ~shared ~tables;
+  let p = params flat in
+  p.(7) <- Float.neg_infinity;
+  check "no hidden layer, -inf weight" (net_with [| 16; 1 |] p) ~shared
+    ~tables:(values (zeroish ~nan:false))
+
+(* Every size the kernel validates is refused by name before it reads a
+   code. *)
+let test_codes_bad_sizes entry =
+  let net = trained_net (Util.Rng.create 31) [| 4; 5; 1 |] in
+  let codes = int32_codes [ 0; 1; 2; 3 ] in
+  let tables = [| [| 1.0; 2.0 |]; [| 3.0 |] |] in
+  let refused name msg f =
+    Alcotest.check_raises name (Invalid_argument ("Network.predict_codes: " ^ msg))
+      (fun () -> ignore (f ()))
+  in
+  let call ?(net = net) ?(shared = [| 0.5; 0.25 |]) ?(tables = tables) ?(off = 0)
+      ?(len = 4) () =
+    codes_with entry net ~shared ~tables codes ~off ~len
+  in
+  Alcotest.(check int) "valid call" 4 (Array.length (call ()));
+  refused "one input short" "input width" (call ~shared:[| 0.5 |]);
+  refused "one input over" "input width" (call ~tables:[| [| 1.0 |]; [| 1.0 |]; [| 1.0 |] |]);
+  refused "empty table" "table length" (call ~tables:[| [| 1.0 |]; [||] |]);
+  refused "table of 3" "table length" (call ~tables:[| [| 1.0; 2.0; 3.0 |]; [| 1.0 |] |]);
+  refused "33 bits of fields" "code width"
+    (call ~tables:[| Array.make (1 lsl 17) 0.0; Array.make (1 lsl 16) 0.0 |]);
+  refused "negative offset" "row range" (call ~off:(-1) ~len:1);
+  refused "negative length" "row range" (call ~len:(-1));
+  refused "past the end" "row range" (call ~off:1 ~len:4);
+  refused "offset past the end" "row range" (call ~off:5 ~len:0);
+  Alcotest.(check int) "empty range at the end" 0 (Array.length (call ~off:4 ~len:0 ()));
+  let two_outputs =
+    load_lines [ "mlp 3"; "2 3 2"; "0"; "1 2 3 4 5 6"; "0 0 0"; "1 2 3 4 5 6"; "0 0" ]
+  in
+  refused "two outputs" "output width"
+    (call ~net:two_outputs ~shared:[| 0.5 |] ~tables:[| [| 1.0 |] |]);
+  match entry with
+  | Library -> ()
+  | At _ ->
+    Alcotest.check_raises "3 lanes"
+      (Invalid_argument "Network.predict_codes_at: 3 lanes not supported by this CPU")
+      (fun () ->
+        ignore
+          (Mlp.Network.predict_codes_at ~lanes:3 net ~shared:[| 0.5; 0.25 |] ~tables
+             codes ~off:0 ~len:4))
+
 let test_split () =
   let x = random_mat 100 3 in
   let y = Array.init 100 float_of_int in
@@ -738,6 +930,13 @@ let four_row_case entry =
     quick (named "output width 2 rejected" entry) (fun () ->
         test_forward_batch_output_width entry) ]
 
+(* The coded-row kernel's cases, listed last for the same reason. *)
+let coded_cases entry =
+  [ QCheck_alcotest.to_alcotest (prop_codes_bit_equal entry);
+    quick (named "predict_codes = predict" entry) (fun () -> test_codes_cases entry);
+    quick (named "predict_codes sizes refused" entry) (fun () ->
+        test_codes_bad_sizes entry) ]
+
 let () =
   let show l = String.concat " " (List.map string_of_int l) in
   Printf.printf "test_mlp: kernel widths run: %s lanes; skipped, not supported by this CPU: %s\n%!"
@@ -765,8 +964,10 @@ let () =
        [ quick "roundtrip" test_matrix_roundtrip;
          quick "sub_rows view" test_matrix_sub_rows_shares_storage;
          quick "rows match scalar path" test_forward_batch_rows_match_scalar ]
-       @ contract_cases Library @ four_row_case Library);
-      ("widths", at_every_width contract_cases @ at_every_width four_row_case);
+       @ contract_cases Library @ four_row_case Library @ coded_cases Library);
+      ("widths",
+       at_every_width contract_cases @ at_every_width four_row_case
+       @ at_every_width coded_cases);
       ("train",
        [ quick "split" test_split;
          quick "fewer rows than a batch" test_fit_fewer_rows_than_a_batch;

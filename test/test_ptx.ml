@@ -414,6 +414,112 @@ let test_roundtrip_f16 () =
   roundtrip_program "f16 program" (B.finish b)
 
 
+(* --- kernel identity --------------------------------------------------- *)
+
+module GP = Codegen.Gemm_params
+module CP = Codegen.Conv_params
+
+let cfg ms ns ks ml nl u kl kg vec db = { GP.ms; ns; ks; ml; nl; u; kl; kg; vec; db }
+
+(* Three fp16 kernels the perfbench P100 profiles serve whose allocated
+   fp16 accumulators overflow the packed format's 8-bit register
+   field, so [Encode] could not hash them. *)
+let unencodable =
+  [ ( "gemm 2560x32x2560 f16",
+      Codegen.Gemm.generate (GP.input ~dtype:F16 2560 32 2560)
+        (cfg 8 8 4 32 16 32 4 1 2 2) );
+    ( "conv n16 c128 k87 p256 q19 r5 s5 f16",
+      Codegen.Conv.generate
+        (CP.input ~dtype:F16 ~n:16 ~c:128 ~k:87 ~p:256 ~q:19 ~r:5 ~s:5 ())
+        (cfg 8 8 4 64 32 32 2 1 4 2) );
+    ( "conv n16 c512 k512 p7 q7 r3 s3 f16",
+      Codegen.Conv.generate
+        (CP.input ~dtype:F16 ~n:16 ~c:512 ~k:512 ~p:7 ~q:7 ~r:3 ~s:3 ())
+        (cfg 8 8 4 64 64 32 2 1 4 1) ) ]
+
+(* Ten random legal kernels for each GEMM task of Table 4's two suites
+   on the P100. *)
+let random_legal_kernels () =
+  let r = Util.Rng.create 340 in
+  let device = Gpu.Device.p100 in
+  List.concat_map
+    (fun (t : Workloads.Gemm_suites.task) ->
+      let rec draw n tries acc =
+        if n = 0 || tries = 0 then acc
+        else
+          let flat = Tuner.Config_space.random r Tuner.Config_space.gemm in
+          if Tuner.Dataset.gemm_legal device t.input flat then
+            draw (n - 1) (tries - 1)
+              (Codegen.Gemm.generate t.input (GP.config_of_array flat) :: acc)
+          else draw n (tries - 1) acc
+      in
+      draw 10 100_000 [])
+    (Workloads.Gemm_suites.fp32_suite ~mk:2560
+     @ Workloads.Gemm_suites.mixed_suite ~mk:2560)
+
+(* Two kernels share a hash exactly when their disassembly, entry name
+   blanked, is the same text. *)
+let test_hash_separates_disasm () =
+  let kernels = random_legal_kernels () @ List.map snd unencodable in
+  Alcotest.(check bool) "at least 340 random kernels" true (List.length kernels >= 343);
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ ": Encode rejects it") true
+        (Result.is_error (Ptx.Encode.encode (Ptx.Regalloc.allocate p))))
+    unencodable;
+  let by_hash = Hashtbl.create 512 and by_text = Hashtbl.create 512 in
+  List.iter
+    (fun (p : Ptx.Program.t) ->
+      let h = Ptx.Program.hash p and text = Ptx.Disasm.program { p with name = "" } in
+      (match Hashtbl.find_opt by_hash h with
+       | Some t when t <> text -> Alcotest.failf "%016Lx names two kernels" h
+       | _ -> Hashtbl.replace by_hash h text);
+      match Hashtbl.find_opt by_text text with
+      | Some h' when h' <> h -> Alcotest.failf "one kernel hashes to %016Lx and %016Lx" h h'
+      | _ -> Hashtbl.replace by_text text h)
+    kernels;
+  Alcotest.(check int) "as many hashes as texts" (Hashtbl.length by_text)
+    (Hashtbl.length by_hash)
+
+(* [p] with its first integer or float immediate (in a [mov], an [add]
+   or a [movf]) changed by [f] or [g]. *)
+let with_first_immediate ~int:f ~float:g (p : Ptx.Program.t) =
+  let body = Array.copy p.body in
+  let rec go pc =
+    if pc = Array.length body then Alcotest.fail "no immediate to change"
+    else
+      let op =
+        match body.(pc).I.op with
+        | I.Mov (d, Iimm n) -> Some (I.Mov (d, Iimm (f n)))
+        | I.Iadd (d, a, Iimm n) -> Some (I.Iadd (d, a, Iimm (f n)))
+        | I.Movf (d, Fimm v) -> Some (I.Movf (d, Fimm (g v)))
+        | _ -> None
+      in
+      match op with
+      | Some op -> body.(pc) <- { (body.(pc)) with I.op }
+      | None -> go (pc + 1)
+  in
+  go 0;
+  { p with body }
+
+let test_hash_identity () =
+  let p = Codegen.Gemm.generate (GP.input 64 64 64) (cfg 4 4 1 32 32 8 1 1 1 1) in
+  let h = Ptx.Program.hash p in
+  Alcotest.(check int64) "same program, same hash" h
+    (Ptx.Program.hash (Codegen.Gemm.generate (GP.input 64 64 64) (cfg 4 4 1 32 32 8 1 1 1 1)));
+  Alcotest.(check int64) "entry name ignored" h
+    (Ptx.Program.hash { p with name = "renamed_entry" });
+  Alcotest.(check bool) "integer immediate + 1" false
+    (Int64.equal h (Ptx.Program.hash (with_first_immediate ~int:succ ~float:Fun.id p)));
+  let movf0 =
+    let b = B.create ~name:"z" ~dtype:F32 in
+    B.emit b (I.Movf (B.fresh_f b, Fimm 0.0));
+    B.finish b
+  in
+  Alcotest.(check bool) "float immediate 0.0 -> -0.0, by its bits" false
+    (Int64.equal (Ptx.Program.hash movf0)
+       (Ptx.Program.hash (with_first_immediate ~int:Fun.id ~float:Float.neg movf0)))
+
 let () =
   Alcotest.run "ptx"
     [ ("half",
@@ -444,4 +550,7 @@ let () =
          quick "disasm markers" test_disasm_roundtrip_markers ]);
       ("encoding",
        [ quick "roundtrip kitchen sink" test_roundtrip_handmade;
-         quick "roundtrip f16" test_roundtrip_f16 ]) ]
+         quick "roundtrip f16" test_roundtrip_f16 ]);
+      ("hash",
+       [ quick "separates what the disassembly separates" test_hash_separates_disasm;
+         quick "identity, name and immediates" test_hash_identity ]) ]

@@ -466,6 +466,81 @@ let test_reload_rate_limit () =
         (Serve.maybe_reload srv);
       Alcotest.(check int) "forced: picked up" 1 (Serve.maybe_reload ~force:true srv))
 
+(* The span events [f] leaves in a fresh trace. *)
+let traced_spans f =
+  let path = Filename.temp_file "serve_spans" ".jsonl" in
+  Obs.Telemetry.reset ();
+  Obs.Trace.start ~path ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.stop ();
+      Obs.Telemetry.reset ();
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      f ();
+      Obs.Trace.stop ();
+      List.filter
+        (fun e -> J.member "ev" e = Some (J.String "span"))
+        (Obs.Trace.read_file path))
+
+let span_named name e = J.member "name" e = Some (J.String name)
+
+(* One legality-class memo per daemon: a CONV whose implicit GEMM has
+   k = c·r·s = 576 is in the class a GEMM with k = 576 (same dtype)
+   already walked, although each op has its own engine; and after a
+   reload swaps in a new GEMM engine, a GEMM of that class still finds
+   it. *)
+let test_one_memo () =
+  with_server ~reload_interval:3600.0 (fun srv path ->
+      let classes =
+        traced_spans (fun () ->
+            expect_ok (handle_line srv {|{"op":"gemm","m":128,"n":96,"k":576}|});
+            expect_ok
+              (handle_line srv
+                 {|{"op":"conv","n":1,"c":64,"k":32,"p":8,"q":8,"r":3,"s":3}|});
+            Tuner.Profile.save (Lazy.force profile2) path;
+            Alcotest.(check int) "profile reloaded" 1 (Serve.maybe_reload ~force:true srv);
+            expect_ok (handle_line srv {|{"op":"gemm","m":64,"n":160,"k":576}|}))
+        |> List.filter (span_named "search.enumerate")
+        |> List.map (fun e ->
+               Option.bind (J.member "meta" e) (fun m ->
+                   Option.bind (J.member "class" m) J.to_str))
+      in
+      Alcotest.(check (list (option string))) "walked once, then found"
+        [ Some "miss"; Some "hit"; Some "hit" ] classes)
+
+(* A plan request's spans carry one request id, its root span
+   [serve.latency] included, and the next request gets another. *)
+let test_request_id () =
+  with_server (fun srv _ ->
+      let spans =
+        traced_spans (fun () ->
+            expect_ok (handle_line srv gemm_req);
+            expect_ok (handle_line srv gemm_req))
+      in
+      let req e = Option.bind (J.member "req" e) J.to_int in
+      match List.filter (span_named "serve.latency") spans with
+      | [ miss; hit ] ->
+        Alcotest.(check bool) "the miss's root span has an id" true (req miss <> None);
+        Alcotest.(check bool) "the hit's root span has an id" true (req hit <> None);
+        Alcotest.(check bool) "two requests, two ids" true (req miss <> req hit);
+        (* Spans close child first, so the miss's are those up to its root. *)
+        let rec upto = function
+          | [] -> []
+          | e :: rest -> if e == miss then [ e ] else e :: upto rest
+        in
+        let of_miss = upto spans in
+        Alcotest.(check bool) "the miss ran a search" true
+          (List.exists (span_named "search.inference") of_miss);
+        List.iter
+          (fun e ->
+            Alcotest.(check (option int))
+              (Option.value ~default:"?" (Option.bind (J.member "name" e) J.to_str)
+               ^ " carries the miss's id")
+              (req miss) (req e))
+          of_miss
+      | l -> Alcotest.failf "expected two serve.latency spans, got %d" (List.length l))
+
 let slow name f = Alcotest.test_case name `Slow f
 
 let () =
@@ -486,4 +561,7 @@ let () =
          slow "shutdown verdict" test_shutdown_verdict ]);
       ("hot reload",
        [ slow "rewritten profile picked up without restart" test_hot_reload;
-         slow "rate limited unless forced" test_reload_rate_limit ]) ]
+         slow "rate limited unless forced" test_reload_rate_limit ]);
+      ("tracing",
+       [ slow "one legality-class memo per daemon" test_one_memo;
+         slow "one request id per plan request" test_request_id ]) ]
