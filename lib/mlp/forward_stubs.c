@@ -11,13 +11,11 @@
    One source, one copy per vector width. mlp_kernels.h holds the
    kernel body, written over a GCC vector of LANES doubles; this file
    compiles it for 2 lanes (128-bit vectors: SSE2 on x86-64, NEON on
-   arm64) and, on x86-64, for 4 (256-bit AVX2) under
-   "#pragma GCC target", so the build needs no -m flag and the library
-   still runs on any x86-64. Network.lanes picks the widest copy the
-   running CPU supports once, when the program starts
-   (isaac_mlp_widest_lanes), and passes it on every call. There is no
-   8-lane AVX-512F copy: it did not beat 4 lanes by more than the
-   benchmark's run-to-run spread (DESIGN.md "Planning hot path").
+   arm64) and, on x86-64, for 4 (256-bit AVX2) and 8 (512-bit
+   AVX-512F), each under "#pragma GCC target", so the build needs no -m
+   flag and the library still runs on any x86-64. Network.lanes picks
+   the widest copy the running CPU supports once, when the program
+   starts (isaac_mlp_widest_lanes), and passes it on every call.
 
    Float contract of the forward pass. Every output element is the
    ascending-k single-accumulator dot product, then [+ bias], then
@@ -42,12 +40,17 @@
      filled last group computes on zeros in its spare lanes and stores
      only its own rows.
    - Exact-zero inputs are skipped in the hidden layers (relu zeroes
-     about half of all hidden activations). The accumulator starts at
-     +0.0, and in round-to-nearest a sum is -0.0 only when both operands
-     are, so it never becomes -0.0 and adding 0*w = +-0 leaves it
-     unchanged. That fails only when 0*w is NaN, i.e. when w is infinite
-     or NaN, so a layer skips zeros only when every one of its weights
-     is finite. The check runs on every call because training updates
+     about half of all hidden activations). Per row and layer, the
+     kernel builds one 64-bit mask word per 64 inputs, bit k set when
+     input k is kept, and every block of output vectors walks the set
+     bits lowest first, reading input k and its weight row in place, so
+     the kept inputs are added in ascending k and nothing is copied.
+     The accumulator starts at +0.0, and in round-to-nearest a sum is
+     -0.0 only when both operands are, so it never becomes -0.0 and
+     adding 0*w = +-0 leaves it unchanged. That fails only when 0*w is
+     NaN, i.e. when w is infinite or NaN, so a layer skips zeros only
+     when every one of its weights is finite, and otherwise sets every
+     bit. The check runs on every call because training updates
      weights in place. The row-lane output layer skips nothing.
 
    Coded rows (forward_codes) change only the first hidden layer. A
@@ -109,16 +112,24 @@
 #include "mlp_kernels.h"
 #undef LANES
 #pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+#define LANES 8
+#include "mlp_kernels.h"
+#undef LANES
+#pragma GCC pop_options
 #endif
 
-/* The widest width the running CPU supports: 4 with AVX2, else 2.
-   Network.lanes calls this once, during module initialisation, before
-   any domain can call a kernel. */
+/* The widest width the running CPU supports: 8 with AVX-512F, 4 with
+   AVX2, else 2. Network.lanes calls this once, during module
+   initialisation, before any domain can call a kernel. */
 value isaac_mlp_widest_lanes(value unit)
 {
   (void)unit;
 #if defined(__x86_64__)
   __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return Val_long(8);
   if (__builtin_cpu_supports("avx2")) return Val_long(4);
 #endif
   return Val_long(2);
@@ -142,6 +153,7 @@ static const struct kernel {
   { 2, forward_rows_2, forward_codes_2, train_step_2 },
 #if defined(__x86_64__)
   { 4, forward_rows_4, forward_codes_4, train_step_4 },
+  { 8, forward_rows_8, forward_codes_8, train_step_8 },
 #endif
 };
 

@@ -1,6 +1,6 @@
 /* The MLP kernels at one vector width. Not an ordinary header:
    forward_stubs.c includes this file once per width, each time with
-   LANES defined (doubles per vector: 2 or 4) and under the
+   LANES defined (doubles per vector: 2, 4 or 8) and under the
    "#pragma GCC target" that width needs, and calls the copy the running
    CPU supports. Every name defined here is suffixed with the width
    (vec_4, forward_rows_4, ...), so the copies link side by side; the
@@ -23,6 +23,7 @@
 #define relu_vec K(relu_vec, LANES)
 #define dot_block K(dot_block, LANES)
 #define dot_rows K(dot_rows, LANES)
+#define kept_block K(kept_block, LANES)
 #define layer_row K(layer_row, LANES)
 #define output_rows K(output_rows, LANES)
 #define pack_layers K(pack_layers, LANES)
@@ -47,8 +48,10 @@ typedef long long vec_mask __attribute__((vector_size(8 * LANES)));
 #define BROADCAST(x) ((vec){ x, x })
 #elif LANES == 4
 #define BROADCAST(x) ((vec){ x, x, x, x })
+#elif LANES == 8
+#define BROADCAST(x) ((vec){ x, x, x, x, x, x, x, x })
 #else
-#error "LANES must be 2 or 4"
+#error "LANES must be 2, 4 or 8"
 #endif
 
 struct layer {
@@ -67,16 +70,14 @@ static inline __attribute__((always_inline)) vec relu_vec(vec y)
   return (vec)((vec_mask)y & ~(y < zero));
 }
 
-/* Output vectors [v0, v0 + nv) of one row: the sum over t ascending of
-   xs[t] * rows[t][v] from +0.0, then [+ bias] unless [bias] is NULL,
-   then relu if [relu] is set. In the forward pass xs[t] is kept input t
-   and rows[t] its row of transposed weights; xs[t] is broadcast to
-   every lane as it is read, so callers store one double per term. [nv]
-   is a constant at every call site, so the accumulators stay in
-   registers. */
+/* Output vectors [v0, v0 + nv) of one sum over a list of terms: the
+   sum over t ascending of xs[t] * rows[t][v] from +0.0. xs[t] is
+   broadcast to every lane as it is read, so callers store one double
+   per term: the shared inputs of a coded call, and the backward pass's
+   kept deltas. [nv] is a constant at every call site, so the
+   accumulators stay in registers. */
 static inline __attribute__((always_inline)) void
-dot_block(long v0, int nv, const vec *const *rows, const double *xs, long n,
-          const vec *bias, int relu, vec *out)
+dot_block(long v0, int nv, const vec *const *rows, const double *xs, long n, vec *out)
 {
   vec acc[BLOCK];
   for (int v = 0; v < nv; v++) acc[v] = (vec){ 0.0 };
@@ -85,46 +86,83 @@ dot_block(long v0, int nv, const vec *const *rows, const double *xs, long n,
     const vec *w = rows[t] + v0;
     for (int v = 0; v < nv; v++) acc[v] += x * w[v];
   }
-  for (int v = 0; v < nv; v++) {
-    vec y = acc[v];
-    if (bias) y += bias[v0 + v];
-    out[v0 + v] = relu ? relu_vec(y) : y;
-  }
+  for (int v = 0; v < nv; v++) out[v0 + v] = acc[v];
 }
 
 /* dot_block over output vectors [0, nvec). */
-static void dot_rows(long nvec, const vec *const *rows, const double *xs, long n,
-                     const vec *bias, int relu, vec *out)
+static void dot_rows(long nvec, const vec *const *rows, const double *xs, long n, vec *out)
 {
   long v0 = 0;
-  for (; v0 + BLOCK <= nvec; v0 += BLOCK)
-    dot_block(v0, BLOCK, rows, xs, n, bias, relu, out);
+  for (; v0 + BLOCK <= nvec; v0 += BLOCK) dot_block(v0, BLOCK, rows, xs, n, out);
   switch (nvec - v0) {
-  case 7: dot_block(v0, 7, rows, xs, n, bias, relu, out); break;
-  case 6: dot_block(v0, 6, rows, xs, n, bias, relu, out); break;
-  case 5: dot_block(v0, 5, rows, xs, n, bias, relu, out); break;
-  case 4: dot_block(v0, 4, rows, xs, n, bias, relu, out); break;
-  case 3: dot_block(v0, 3, rows, xs, n, bias, relu, out); break;
-  case 2: dot_block(v0, 2, rows, xs, n, bias, relu, out); break;
-  case 1: dot_block(v0, 1, rows, xs, n, bias, relu, out); break;
+  case 7: dot_block(v0, 7, rows, xs, n, out); break;
+  case 6: dot_block(v0, 6, rows, xs, n, out); break;
+  case 5: dot_block(v0, 5, rows, xs, n, out); break;
+  case 4: dot_block(v0, 4, rows, xs, n, out); break;
+  case 3: dot_block(v0, 3, rows, xs, n, out); break;
+  case 2: dot_block(v0, 2, rows, xs, n, out); break;
+  case 1: dot_block(v0, 1, rows, xs, n, out); break;
   default: break;
   }
 }
 
+/* Output vectors [v0, v0 + nv) of one row of layer [l]: the sum over
+   the kept inputs k ascending of in[k] * w[k][v] from +0.0, then
+   + bias, then relu if [relu] is set. Input k is kept when bit k % 64
+   of mask[k / 64] is set; the set bits are walked lowest first, and
+   input k and its weight row are read in place. [nv] is a constant at
+   every call site, so the accumulators stay in registers. */
+static inline __attribute__((always_inline)) void
+kept_block(const struct layer *l, long v0, int nv, const double *in,
+           const uint64_t *mask, int relu, vec *out)
+{
+  const long nvec = l->nvec, nwords = (l->fan_in + 63) / 64;
+  const vec *w = l->w + v0;
+  vec acc[BLOCK];
+  for (int v = 0; v < nv; v++) acc[v] = (vec){ 0.0 };
+  for (long i = 0; i < nwords; i++)
+    for (uint64_t m = mask[i]; m != 0; m &= m - 1) {
+      const long k = i * 64 + __builtin_ctzll(m);
+      const vec x = BROADCAST(in[k]);
+      const vec *wk = w + k * nvec;
+      for (int v = 0; v < nv; v++) acc[v] += x * wk[v];
+    }
+  for (int v = 0; v < nv; v++) {
+    const vec y = acc[v] + l->bias[v0 + v];
+    out[v0 + v] = relu ? relu_vec(y) : y;
+  }
+}
+
+/* One row through layer [l] into its nvec output vectors. Input k is
+   kept when in[k] != 0.0 (NaN is kept), or always when the layer has a
+   non-finite weight (pack_layers); [mask] receives one word per 64
+   inputs, bit k % 64 of word k / 64 set for a kept input. Each word is
+   built in a register and stored once, and every output block then
+   walks the set bits (kept_block), so the kept inputs are added in
+   ascending k, as Network.predict adds them. */
 static void layer_row(const struct layer *l, const double *in, int relu,
-                      const vec **wrow, double *xs, vec *out)
+                      uint64_t *mask, vec *out)
 {
   const long k_n = l->fan_in, nvec = l->nvec;
-  const vec *w = l->w;
   const int keep_all = !l->skip_zeros;
-  long n = 0;
-  for (long k = 0; k < k_n; k++) {
-    const double x = in[k];
-    wrow[n] = w + k * nvec;
-    xs[n] = x;
-    n += (x != 0.0) | keep_all;
+  for (long k0 = 0; k0 < k_n; k0 += 64) {
+    const long n = k_n - k0 < 64 ? k_n - k0 : 64;
+    uint64_t m = 0;
+    for (long b = 0; b < n; b++) m |= (uint64_t)((in[k0 + b] != 0.0) | keep_all) << b;
+    mask[k0 / 64] = m;
   }
-  dot_rows(nvec, wrow, xs, n, l->bias, relu, out);
+  long v0 = 0;
+  for (; v0 + BLOCK <= nvec; v0 += BLOCK) kept_block(l, v0, BLOCK, in, mask, relu, out);
+  switch (nvec - v0) {
+  case 7: kept_block(l, v0, 7, in, mask, relu, out); break;
+  case 6: kept_block(l, v0, 6, in, mask, relu, out); break;
+  case 5: kept_block(l, v0, 5, in, mask, relu, out); break;
+  case 4: kept_block(l, v0, 4, in, mask, relu, out); break;
+  case 3: kept_block(l, v0, 3, in, mask, relu, out); break;
+  case 2: kept_block(l, v0, 2, in, mask, relu, out); break;
+  case 1: kept_block(l, v0, 1, in, mask, relu, out); break;
+  default: break;
+  }
 }
 
 /* The output layer of a network with one output, for LANES rows at
@@ -171,7 +209,8 @@ static void pack_layers(struct layer *ls, long nlayers, const double *params,
    plus terms[t][v] for t ascending, then + bias and relu. init is the
    layer's sum over the shared inputs and terms[t] the precomputed
    product of the row's value of field t and its weights, so each lane
-   performs dot_block's additions in dot_block's order (forward_codes).
+   performs the dense first layer's additions in their order, every
+   input added (forward_codes).
    [nv] is a constant at every call site, so the accumulators stay in
    registers. */
 static inline __attribute__((always_inline)) void
@@ -211,9 +250,9 @@ struct infer {
   struct layer *ls;
   long nlayers;
   vec *mem;           /* one allocation for everything below */
-  const vec **wrow;   /* weight rows of the kept inputs of one row */
+  const vec **wrow;   /* the first layer's terms of one row (coded calls) */
   vec *act[2];        /* hidden activations, layer i in act[i & 1] */
-  double *xs;         /* the kept inputs of one row */
+  uint64_t *mask;     /* the kept inputs of one row and layer (layer_row) */
   vec *cols;          /* the output layer's inputs of one group of rows */
   vec *extra;         /* the caller's [extra] vectors */
 };
@@ -231,11 +270,13 @@ static int infer_open(struct infer *f, const long *widths, long nlayers,
     if (widths[i] > max_in) max_in = widths[i];
     if (nvec > max_vec) max_vec = nvec;
   }
-  const long last_in = widths[nlayers - 1], xs_vecs = (max_in + LANES - 1) / LANES;
+  /* One 64-bit mask word per 64 inputs, LANES words per vector. */
+  const long last_in = widths[nlayers - 1];
+  const long mask_vecs = ((max_in + 63) / 64 + LANES - 1) / LANES;
   f->ls = malloc(nlayers * sizeof *f->ls);
-  f->mem = aligned_alloc(sizeof(vec), (wt_vecs + 2 * max_vec + xs_vecs + last_in + extra)
+  f->mem = aligned_alloc(sizeof(vec), (wt_vecs + 2 * max_vec + mask_vecs + last_in + extra)
                                       * sizeof(vec));
-  f->wrow = malloc(max_in * sizeof *f->wrow);
+  f->wrow = malloc(widths[0] * sizeof *f->wrow);
   if (f->ls == NULL || f->mem == NULL || f->wrow == NULL) {
     free(f->ls); free(f->mem); free(f->wrow);
     return -1;
@@ -248,8 +289,8 @@ static int infer_open(struct infer *f, const long *widths, long nlayers,
   f->nlayers = nlayers;
   f->act[0] = f->mem + wt_vecs;
   f->act[1] = f->act[0] + max_vec;
-  f->xs = (double *)(f->act[1] + max_vec);
-  f->cols = f->act[1] + max_vec + xs_vecs;
+  f->mask = (uint64_t *)(f->act[1] + max_vec);
+  f->cols = f->act[1] + max_vec + mask_vecs;
   f->extra = f->cols + last_in;
   pack_layers(f->ls, nlayers, params, f->mem);
   return 0;
@@ -329,7 +370,7 @@ static void infer_rows(const struct infer *f, const struct source *s, long rows,
         const double *in = s->codes == NULL ? s->input + (r0 + l) * s->in_w
                                             : coded_input(f, s, r0 + l, &i);
         for (; i < f->nlayers - 1; i++) {
-          layer_row(&f->ls[i], in, 1, f->wrow, f->xs, f->act[i & 1]);
+          layer_row(&f->ls[i], in, 1, f->mask, f->act[i & 1]);
           in = (const double *)f->act[i & 1];
         }
         for (long k = 0; k < out->fan_in; k++) col[k * LANES] = in[k];
@@ -392,7 +433,7 @@ static int forward_codes(const long *widths, long nlayers, const double *params,
   if (nlayers > 1) {
     const struct layer *l0 = &f.ls[0];
     for (long k = 0; k < nshared; k++) f.wrow[k] = l0->w + k * nvec;
-    dot_rows(nvec, f.wrow, shared, nshared, NULL, 0, prefix);
+    dot_rows(nvec, f.wrow, shared, nshared, prefix);
     for (long e = 0, j = 0; j < nfields; j++) {
       const vec *w = l0->w + (nshared + j) * nvec;
       for (long i = 0; i <= (long)fields[j].mask; i++, e++) {
@@ -409,11 +450,11 @@ static int forward_codes(const long *widths, long nlayers, const double *params,
 /* Training. The forward pass runs one row at a time through every
    layer (layer_row) and keeps each layer's activations; its outputs
    equal forward_rows' bit for bit, as both equal the OCaml reference.
-   The backward pass reuses dot_rows without bias or relu: each
-   gradient element is a sum of products accumulated in one SIMD lane,
-   from +0.0, over a list of kept terms in a fixed order. Activations
-   and deltas are stored in rows of lane-padded vectors, so every
-   product reads aligned vectors; pad lanes are never read back. */
+   The backward pass sums with dot_rows: each gradient element is a sum
+   of products accumulated in one SIMD lane, from +0.0, over a list of
+   kept terms in a fixed order. Activations and deltas are stored in
+   rows of lane-padded vectors, so every product reads aligned vectors;
+   pad lanes are never read back. */
 
 /* Width i of the network, input first: its lane-padded vector count,
    its activations (rows x nv vectors) and, for hidden widths, layer i's
@@ -454,9 +495,11 @@ static int train_step(const long *widths, long nlayers, double *params,
 
   /* Vectors: every width's activations and padded weights; the forward
      pass's transposed weights; two delta buffers; one gradient row; the
-     kept terms of one sum. */
+     kept terms of one sum; the forward pass's mask words of one row, one
+     per 64 inputs of the widest layer, LANES words per vector. */
+  const long xs_vecs = (max_width + LANES - 1) / LANES;
   const long vecs = rows * act_vecs + wp_vecs + wt_vecs + 2 * rows * max_vec
-                    + max_vec + (max_width + LANES - 1) / LANES;
+                    + max_vec + xs_vecs + ((max_width + 63) / 64 + LANES - 1) / LANES;
   struct layer *ls = malloc(nlayers * sizeof *ls);
   struct width *ws = malloc((nlayers + 1) * sizeof *ws);
   const vec **rowp = malloc(max_width * sizeof *rowp);
@@ -485,7 +528,8 @@ static int train_step(const long *widths, long nlayers, double *params,
   vec *delta = next; next += rows * max_vec;
   vec *down = next; next += rows * max_vec;
   vec *grow = next; next += max_vec;
-  double *xs = (double *)next;
+  double *xs = (double *)next; next += xs_vecs;
+  uint64_t *mask = (uint64_t *)next;
   const double lr = hyper[0], beta1 = hyper[1], beta2 = hyper[2];
   const double eps = hyper[3], bc1 = hyper[4], bc2 = hyper[5];
 
@@ -498,7 +542,7 @@ static int train_step(const long *widths, long nlayers, double *params,
     for (long k = in_w; k < ws[0].nv * LANES; k++) in[k] = 0.0;
     for (long i = 0; i < nlayers; i++) {
       vec *out = ws[i + 1].act + r * ws[i + 1].nv;
-      layer_row(&ls[i], in, i < nlayers - 1, rowp, xs, out);
+      layer_row(&ls[i], in, i < nlayers - 1, mask, out);
       in = (double *)out;
     }
   }
@@ -545,7 +589,7 @@ static int train_step(const long *widths, long nlayers, double *params,
         xs[n] = dv;
         n += dv != 0.0;
       }
-      dot_rows(nin, rowp, xs, n, NULL, 0, grow);
+      dot_rows(nin, rowp, xs, n, grow);
       memcpy(grad + w0 + j * k_n, grow, k_n * sizeof(double));
     }
     if (i > 0) {
@@ -558,7 +602,7 @@ static int train_step(const long *widths, long nlayers, double *params,
           n += dv != 0.0;
         }
         vec *dr = down + r * nin;
-        dot_rows(nin, rowp, xs, n, NULL, 0, dr);
+        dot_rows(nin, rowp, xs, n, dr);
         /* Layer i-1's output is relu(z), which is <= 0 exactly where
            z is (NaN fails both), so the activation masks the delta. */
         const double *a = (const double *)(ws[i].act + r * nin);
@@ -594,6 +638,7 @@ static int train_step(const long *widths, long nlayers, double *params,
 #undef width
 #undef dot_block
 #undef dot_rows
+#undef kept_block
 #undef layer_row
 #undef output_rows
 #undef pack_layers

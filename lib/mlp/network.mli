@@ -56,12 +56,13 @@ val forward_batch : t -> input:Matrix.t -> Matrix.t
     the network's parameter
     vector in place: in the hidden layers, output neurons are the lanes
     of SIMD vectors of {!lanes} doubles over weights transposed once
-    per call, and exact-zero inputs are skipped when every weight of
-    the layer is finite; the output layer, which has one output, runs
-    {!lanes} rows per vector instead, one row per lane, adding every
-    input. The OCaml runtime lock is released while it
-    runs, so other domains keep collecting. It is reentrant: domains
-    may run it on disjoint {!Matrix.sub_rows} views at once.
+    per call, and exact-zero inputs are skipped, through a bitmask of
+    the row's kept inputs, when every weight of the layer is finite;
+    the output layer, which has one output, runs {!lanes} rows per
+    vector instead, one row per lane, adding every input. The OCaml
+    runtime lock is released while it runs, so other domains keep
+    collecting. It is reentrant: domains may run it on disjoint
+    {!Matrix.sub_rows} views at once.
 
     Float contract: per element the arithmetic (ascending-[k]
     single-accumulator dot product, then bias add, then relu) is
@@ -173,13 +174,14 @@ val train_batch_ref : t -> adam -> x:Matrix.t -> y:float array -> float
     it. Same arguments, result and errors as {!train_batch}. *)
 
 val lanes : int
-(** Doubles per SIMD vector in the kernels behind {!forward_batch} and
-    {!train_batch}: 4 (AVX2) or 2 (SSE2 on x86-64, NEON on arm64). The
-    C source is compiled once per width for its own target, so the
-    build needs no [-march] flag; this is the widest width the running
-    CPU supports, chosen once when the program starts. No flag,
-    variable or argument selects another, and plans and profiles do
-    not depend on it. [search.inference] spans record it. *)
+(** Doubles per SIMD vector in the kernels behind {!forward_batch},
+    {!predict_codes} and {!train_batch}: 8 (AVX-512F), 4 (AVX2) or 2
+    (SSE2 on x86-64, NEON on arm64). The C source is compiled once per
+    width for its own target, so the build needs no [-march] flag;
+    this is the widest width the running CPU supports, chosen once
+    when the program starts. No flag, variable or argument selects
+    another, and plans and profiles do not depend on it.
+    [search.inference] spans record it. *)
 
 val compiled_lanes : int list
 (** Every width the kernels are compiled for on this architecture,

@@ -825,6 +825,90 @@ let test_codes_bad_sizes entry =
           (Mlp.Network.predict_codes_at ~lanes:3 net ~shared:[| 0.5; 0.25 |] ~tables
              codes ~off:0 ~len:4))
 
+(* --- mask words ------------------------------------------------------------- *)
+
+(* The hidden layers keep an input through a mask of one 64-bit word
+   per 64 inputs, bit k % 64 of word k / 64 set for input k. Networks
+   whose hidden layers have fan_in 1, 63, 64, 65, 128 and 129 (sizes
+   [fan_in; fan_in; 5; 1]) run rows whose inputs at the word edges 0,
+   62, 63, 64, 127 and 128 (those below fan_in) are 0.0, -0.0, NaN,
+   negative or positive, among zeros of either sign and Gaussians:
+   - rows 0-4 put one of those values at every edge, rows 5-9 mix them;
+   - the batched forward and the coded rows (a row's last inputs coded,
+     every code of the fields run) must equal [predict], and three
+     training steps on the rows without NaN, and one on all of them,
+     [train_batch_ref];
+   - each network runs again with an inf weight on its first layer's
+     input 0, where every input must be kept: 0 * inf is NaN. *)
+let test_mask_word_edges entry =
+  let r = Util.Rng.create 6464 in
+  let specials = [| 0.0; -0.0; Float.nan; -1.5; 2.25 |] in
+  List.iter
+    (fun fan_in ->
+      let edges = List.filter (fun k -> k < fan_in) [ 0; 62; 63; 64; 127; 128 ] in
+      let x = zeroish_inputs r ~rows:10 ~cols:fan_in in
+      for i = 0 to 9 do
+        List.iteri
+          (fun j k -> Mlp.Matrix.set x i k specials.((if i < 5 then i else i + j) mod 5))
+          edges
+      done;
+      let row i = Array.init fan_in (Mlp.Matrix.get x i) in
+      let finite =
+        List.filter (Array.for_all (fun v -> not (Float.is_nan v))) (List.init 10 row)
+      in
+      let x_finite =
+        Mlp.Matrix.of_array ~rows:(List.length finite) ~cols:fan_in (Array.concat finite)
+      in
+      let y = Array.init 10 (fun _ -> Util.Rng.gaussian r) in
+      let nfields = min fan_in 3 in
+      let nshared = fan_in - nfields in
+      let shared = Array.sub (row 3) 0 nshared in
+      let tables =
+        Array.init nfields (fun j ->
+            [| specials.(j mod 2); specials.(2 + (j mod 3)); Util.Rng.gaussian r; -2.0 |])
+      in
+      let codes = int32_codes (List.init 64 Fun.id) in
+      let base = trained_net r [| fan_in; fan_in; 5; 1 |] in
+      let p = params base in
+      p.(0) <- Float.infinity;
+      List.iter
+        (fun (name, net) ->
+          let case = Printf.sprintf "fan_in %d, %s" fan_in name in
+          if not (view_matches_predict entry r net x ~off:2) then
+            Alcotest.failf "%s: forward differs from predict" case;
+          if not (codes_match_predict entry net ~shared ~tables codes ~off:0 ~len:64) then
+            Alcotest.failf "%s: coded rows differ from predict" case;
+          if not (steps_match_ref entry net x_finite (Array.sub y 0 x_finite.rows)) then
+            Alcotest.failf "%s: training differs from the reference" case;
+          if not (steps_match_ref ~steps:1 entry net x y) then
+            Alcotest.failf "%s: training on NaN rows differs from the reference" case)
+        [ ("finite weights", base); ("inf weight", with_params base p) ])
+    [ 1; 63; 64; 65; 128; 129 ]
+
+(* [Network.lanes] is the widest width the CPU's flags allow: 8 with
+   avx512f, 4 with avx2 only, else 2. It reads the flags line of
+   /proc/cpuinfo, so it runs on Linux x86-64 only and is skipped
+   elsewhere. *)
+let test_lanes_match_cpu () =
+  let flags =
+    if Build_arch.architecture <> "amd64" || not (Sys.file_exists "/proc/cpuinfo") then None
+    else
+      In_channel.with_open_text "/proc/cpuinfo" (fun ic ->
+          let rec find () =
+            match In_channel.input_line ic with
+            | None -> None
+            | Some l when String.starts_with ~prefix:"flags" l ->
+              Some (String.split_on_char ' ' l)
+            | Some _ -> find ()
+          in
+          find ())
+  in
+  match flags with
+  | None -> Alcotest.skip ()
+  | Some flags ->
+    let want = if List.mem "avx512f" flags then 8 else if List.mem "avx2" flags then 4 else 2 in
+    Alcotest.(check int) "Network.lanes" want Mlp.Network.lanes
+
 let test_split () =
   let x = random_mat 100 3 in
   let y = Array.init 100 float_of_int in
@@ -913,7 +997,7 @@ let contract_cases entry =
    instructions would fault. *)
 let ran, skipped = List.partition (fun l -> l <= Mlp.Network.lanes) Mlp.Network.compiled_lanes
 
-let at_every_width cases =
+let at_widths widths cases =
   List.concat_map
     (fun lanes ->
       List.map
@@ -921,7 +1005,7 @@ let at_every_width cases =
           Alcotest.test_case name speed
             (if List.mem lanes ran then run else fun () -> Alcotest.skip ()))
         (cases (At lanes)))
-    Mlp.Network.compiled_lanes
+    widths
 
 (* Listed after [contract_cases] at every width, so the cases above keep
    their numbers. *)
@@ -936,6 +1020,18 @@ let coded_cases entry =
     quick (named "predict_codes = predict" entry) (fun () -> test_codes_cases entry);
     quick (named "predict_codes sizes refused" entry) (fun () ->
         test_codes_bad_sizes entry) ]
+
+(* Listed so that adding a width or a case moves no case's number: the
+   cases above at the widths below 8, then the same cases at 8 lanes,
+   then the later cases at every width, then the CPU check. *)
+let below_8, from_8 = List.partition (fun l -> l < 8) Mlp.Network.compiled_lanes
+
+let width_cases =
+  List.concat_map (at_widths below_8) [ contract_cases; four_row_case; coded_cases ]
+  @ List.concat_map (at_widths from_8) [ contract_cases; four_row_case; coded_cases ]
+  @ at_widths Mlp.Network.compiled_lanes (fun entry ->
+        [ quick (named "mask word edges" entry) (fun () -> test_mask_word_edges entry) ])
+  @ [ quick "lanes match the CPU flags" test_lanes_match_cpu ]
 
 let () =
   let show l = String.concat " " (List.map string_of_int l) in
@@ -965,9 +1061,7 @@ let () =
          quick "sub_rows view" test_matrix_sub_rows_shares_storage;
          quick "rows match scalar path" test_forward_batch_rows_match_scalar ]
        @ contract_cases Library @ four_row_case Library @ coded_cases Library);
-      ("widths",
-       at_every_width contract_cases @ at_every_width four_row_case
-       @ at_every_width coded_cases);
+      ("widths", width_cases);
       ("train",
        [ quick "split" test_split;
          quick "fewer rows than a batch" test_fit_fewer_rows_than_a_batch;
