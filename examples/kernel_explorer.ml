@@ -31,7 +31,7 @@ let () =
   (* Register allocation: the generator emits fresh virtual registers;
      liveness + linear scan recover the physical count a PTX assembler
      would use. *)
-  let pr = Ptx.Regalloc.pressure program in
+  let pr = Ptx.Liveness.pressure program in
   let allocated = Ptx.Regalloc.allocate program in
   Printf.printf
     "\nRegister allocation: %d/%d/%d virtual f/i/p regs -> MaxLive %d/%d/%d -> allocated %d/%d/%d\n"

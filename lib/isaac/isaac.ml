@@ -225,7 +225,7 @@ let explain ~plan ~cost_of ~baseline_pick ~program t describe_input =
       (Util.Table.render ~header:[| "metric"; "value" |]
          (describe_report t.device cost report));
     (* Measured register pressure of the actual generated code. *)
-    let pressure = Ptx.Regalloc.pressure (program plan.config) in
+    let pressure = Ptx.Liveness.pressure (program plan.config) in
     Buffer.add_string buf
       (Printf.sprintf
          "\nregister pressure of generated code: %d float + %d int + %d predicate\n"

@@ -6,7 +6,8 @@
     successors). The graph is the substrate for the static verifier's
     dataflow passes: definite assignment, the uniformity/affine abstract
     interpretation, barrier-interval tracking and the post-dominator
-    computation behind barrier-divergence detection. *)
+    computation behind barrier-divergence detection; and for the
+    register liveness of {!Liveness}. *)
 
 type block = {
   id : int;

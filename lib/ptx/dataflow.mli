@@ -1,7 +1,6 @@
 (** Forward dataflow analyses over a {!Cfg.t}.
 
-    Two analyses back the static verifier, which also builds its
-    liveness lints on {!uses_defs}:
+    Two analyses back the static verifier:
 
     - {b definite assignment}: a must-analysis (meet = intersection over
       predecessors) computing, per program point, the registers written
@@ -30,7 +29,10 @@ val pp_reg : reg -> string
 
 val uses_defs : Instr.t -> reg list * reg list
 (** Registers one instruction reads and writes. The guard predicate is
-    a read; a destination is a write only, even under a guard. *)
+    a read; a destination is a write only, even under a guard.
+    {!Liveness} builds its sets on these, over every block and with a
+    guarded [ret] falling through, and adds a guarded destination to
+    the reads. *)
 
 (** {1 Definite assignment} *)
 

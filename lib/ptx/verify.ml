@@ -85,9 +85,9 @@ type site_eval = {
 let max_enum_threads = 1024
 
 (* Advisory lints over a program's CFG: unreachable blocks, dead stores
-   and never-read registers from a backward liveness pass, and a second
-   bar.sync with no shared access since the first. Registers are indexed
-   across the three files: integer, then float, then predicate. *)
+   and never-read registers from {!Liveness}, and a second bar.sync
+   with no shared access since the first. Registers are indexed across
+   the three files: integer, then float, then predicate. *)
 let lint (p : Program.t) (cfg : Cfg.t) reach =
   let body = p.Program.body in
   let ni = p.n_iregs and nf = p.n_fregs in
@@ -102,16 +102,7 @@ let lint (p : Program.t) (cfg : Cfg.t) reach =
     else if r < ni + nf then R_f (r - ni)
     else R_p (r - ni - nf)
   in
-  (* A guarded definition also reads its destination: threads whose
-     guard is false keep the old value. *)
-  let ud =
-    Array.map
-      (fun (instr : Instr.t) ->
-        let uses, defs = Dataflow.uses_defs instr in
-        let uses = if instr.Instr.guard = None then uses else defs @ uses in
-        (List.map idx uses, List.map idx defs))
-      body
-  in
+  let lv = Liveness.analyse p cfg in
   let nb = Array.length cfg.Cfg.blocks in
   let diags = ref [] in
   let add kind pc message = diags := { kind; pc; message } :: !diags in
@@ -120,69 +111,35 @@ let lint (p : Program.t) (cfg : Cfg.t) reach =
       add Unreachable_code (Some cfg.Cfg.blocks.(b).Cfg.first)
         "unreachable code: no path from entry reaches this block"
   done;
-  (* Backward liveness over reachable blocks. *)
-  let fresh () = Array.make (max 1 nregs) false in
-  let live_in = Array.init nb (fun _ -> fresh ()) in
-  let live_out b =
-    let out = fresh () in
-    List.iter
-      (fun s -> Array.iteri (fun r l -> if l then out.(r) <- true) live_in.(s))
-      cfg.Cfg.blocks.(b).Cfg.succs;
-    out
-  in
-  (* Walks block [b] backwards from its live-out set, calling [f] with
-     the set live just after each instruction. *)
-  let walk_back b ~f =
-    let live = live_out b in
-    let blk = cfg.Cfg.blocks.(b) in
-    for pc = blk.Cfg.last downto blk.Cfg.first do
-      f pc live;
-      let uses, defs = ud.(pc) in
-      List.iter (fun r -> live.(r) <- false) defs;
-      List.iter (fun r -> live.(r) <- true) uses
-    done;
-    live
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = nb - 1 downto 0 do
-      if reach.(b) then begin
-        let li = walk_back b ~f:(fun _ _ -> ()) in
-        if li <> live_in.(b) then begin
-          live_in.(b) <- li;
-          changed := true
-        end
-      end
-    done
-  done;
   (* Dead stores: an unguarded definition not live just after the
      instruction. Guarded definitions merge with the old value, so the
      generators' mov-then-guarded-load staging idiom stays clean. *)
   for b = 0 to nb - 1 do
-    if reach.(b) then
-      ignore
-        (walk_back b ~f:(fun pc live ->
-             if body.(pc).Instr.guard = None then
-               List.iter
-                 (fun r ->
-                   if not live.(r) then
-                     add Dead_store (Some pc)
-                       (Printf.sprintf
-                          "%s is written here but never read before being \
-                           overwritten (dead store)"
-                          (Dataflow.pp_reg (reg_of r))))
-                 (snd ud.(pc))))
+    if reach.(b) then begin
+      let blk = cfg.Cfg.blocks.(b) in
+      for pc = blk.Cfg.last downto blk.Cfg.first do
+        if body.(pc).Instr.guard = None then
+          List.iter
+            (fun r ->
+              if not (Liveness.live_out lv pc r) then
+                add Dead_store (Some pc)
+                  (Printf.sprintf
+                     "%s is written here but never read before being \
+                      overwritten (dead store)"
+                     (Dataflow.pp_reg r)))
+            lv.defs.(pc)
+      done
+    end
   done;
   (* Registers written but never read, over reachable code. *)
-  let used = fresh () and defined = fresh () in
+  let used = Array.make (max 1 nregs) false
+  and defined = Array.make (max 1 nregs) false in
   for b = 0 to nb - 1 do
     if reach.(b) then begin
       let blk = cfg.Cfg.blocks.(b) in
       for pc = blk.Cfg.first to blk.Cfg.last do
-        let uses, defs = ud.(pc) in
-        List.iter (fun r -> used.(r) <- true) uses;
-        List.iter (fun r -> defined.(r) <- true) defs
+        List.iter (fun r -> used.(idx r) <- true) lv.uses.(pc);
+        List.iter (fun r -> defined.(idx r) <- true) lv.defs.(pc)
       done
     end
   done;

@@ -7,9 +7,10 @@
     threads over closed (tid-only) address expressions, a
     bank-conflict analysis whose aggregate conflict factor feeds the
     shared-memory term of the performance model, and four advisory
-    lints (warnings): dead stores and never-read registers from a
-    backward liveness pass over {!Dataflow.uses_defs}, unreachable
-    blocks, and redundant barriers.
+    lints (warnings) over reachable blocks: dead stores and never-read
+    registers from {!Liveness} (which covers every block, a guarded
+    [ret] falling through), unreachable blocks, and redundant
+    barriers.
 
     The contract mirrors the paper's generator invariant: every emitted
     kernel must verify clean, so the tuner can use [run] as a cheap

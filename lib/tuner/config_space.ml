@@ -46,24 +46,6 @@ let iter t f =
   in
   go 0
 
-(* Depth-first enumeration with subtree pruning: after assigning
-   buf.(depth), the bound callback may declare the whole subtree under
-   that prefix dead. Visit order of surviving leaves is identical to
-   [iter]'s. *)
-let iter_pruned t ~prune f =
-  let n = Array.length t in
-  let buf = Array.make n 0 in
-  let rec go i =
-    if i = n then f buf
-    else
-      Array.iter
-        (fun v ->
-          buf.(i) <- v;
-          if not (prune buf i) then go (i + 1))
-        t.(i).values
-  in
-  go 0
-
 let random rng t = Array.map (fun p -> Util.Rng.choice rng p.values) t
 
 let describe (t : t) cfg =

@@ -32,19 +32,6 @@ val iter : t -> (int array -> unit) -> unit
 (** Enumerate the full grid. The callback receives a {e reused} buffer;
     copy it if you keep it. *)
 
-val iter_pruned :
-  t -> prune:(int array -> int -> bool) -> (int array -> unit) -> unit
-(** [iter_pruned t ~prune f] enumerates the grid depth-first like
-    {!iter}, but after each assignment of parameter [d] it consults
-    [prune buf d] (with [buf.(0..d)] holding the current prefix and
-    deeper slots stale): [true] skips the {e entire} subtree under that
-    prefix. Surviving leaves are visited in exactly {!iter}'s order, so
-    with a sound bound function — one that only returns [true] when no
-    extension of the prefix can be wanted — the output is identical to
-    filtering {!iter}. With [prune = fun _ _ -> false] this {e is}
-    {!iter}. The planning search uses monotone resource bounds here to
-    skip provably illegal lattice regions ({!Search}). *)
-
 val random : Util.Rng.t -> t -> int array
 (** Uniform sample from the grid (fresh array). *)
 

@@ -87,12 +87,11 @@ let ksplit_mask k =
 
 (* Bound-pruned enumeration of the legal GEMM lattice, specialized to
    the grid's parameter order (ms, ns, ks, ml, nl, u, kl, kg, vec, db).
-   The structure is {!Config_space.iter_pruned} with the pruning
-   predicate inlined level by level, so every check runs at the
-   outermost loop level where its inputs are known and loop-invariant
-   work (thread counts, staging divisions, register bounds) is hoisted
-   out of the inner loops — the generic walk pays a closure dispatch
-   and re-derives these per node, which at ~10^5 legal points is most
+   One nested loop per parameter walks the grid depth-first; each check
+   runs at the outermost loop level where its inputs are known, and
+   skips the whole subtree below that level when it fails. Loop-invariant work (thread counts,
+   staging divisions, register bounds) is hoisted out of the inner
+   loops; at ~10^5 legal points, re-deriving it per node would be most
    of the enumeration time.
 
    Soundness (never prune a legal leaf — DESIGN.md "Planning hot

@@ -3,7 +3,7 @@
    1. qcheck: [decode (encode p) = p] over random valid programs that
       draw every instruction kind (random register files, guards,
       labels, wide and inline immediates — wide ones exercise the
-      constant pools).
+      constant pools), from [Random_program.gen].
 
    2. Real generated kernels across the Table 4/5 suites: exact
       encode/decode round-trips, a packed size below the text size, and
@@ -38,115 +38,9 @@ let decode_exn e =
 (* Random programs                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A random but always-valid program: registers drawn inside a fixed
-   file, labels emitted before any branch that targets them (backward
-   branches only, guarded so the interpreter semantics don't matter —
-   only the structure does here). *)
-let gen_program : Ptx.Program.t QCheck.Gen.t =
-  QCheck.Gen.(
-    let nf = 8 and ni = 8 and np = 4 in
-    let ireg = map (fun r -> Ireg r) (int_bound (ni - 1)) in
-    let imm =
-      frequency
-        [ (3, map (fun v -> Iimm (v - 100)) (int_bound 200));
-          (1, map (fun v -> Iimm ((v * 7919) - 400_000)) (int_bound 100_000)) ]
-    in
-    let ioperand =
-      frequency
-        [ (4, ireg); (2, imm);
-          (1, map (fun s -> Iparam (s mod 2)) (int_bound 10));
-          (1,
-           map
-             (fun s ->
-               Ispecial
-                 [| Tid_x; Tid_y; Tid_z; Ctaid_x; Ctaid_y; Ctaid_z; Ntid_x;
-                    Ntid_y; Ntid_z; Nctaid_x; Nctaid_y; Nctaid_z |].(s mod 12))
-             (int_bound 11)) ]
-    in
-    let foperand =
-      frequency
-        [ (3, map (fun r -> Freg r) (int_bound (nf - 1)));
-          (1, map (fun v -> Fimm ((float_of_int v *. 0.37) -. 9.0)) (int_bound 1000)) ]
-    in
-    let dst_i = int_bound (ni - 1) and dst_f = int_bound (nf - 1) in
-    let dst_p = int_bound (np - 1) in
-    let cmp = map (fun c -> [| Eq; Ne; Lt; Le; Gt; Ge |].(c mod 6)) (int_bound 5) in
-    let op =
-      frequency
-        [ (3, map2 (fun d a -> I.Mov (d, a)) dst_i ioperand);
-          (3, map3 (fun d a b -> I.Iadd (d, a, b)) dst_i ioperand ioperand);
-          (2, map3 (fun d a b -> I.Isub (d, a, b)) dst_i ioperand ioperand);
-          (2, map3 (fun d a b -> I.Imul (d, a, b)) dst_i ioperand ioperand);
-          (1, map3 (fun d a b -> I.Idiv (d, a, b)) dst_i ioperand ioperand);
-          (1, map3 (fun d a b -> I.Irem (d, a, b)) dst_i ioperand ioperand);
-          (1, map3 (fun d a b -> I.Imin (d, a, b)) dst_i ioperand ioperand);
-          (1, map3 (fun d a b -> I.Imax (d, a, b)) dst_i ioperand ioperand);
-          (1, map3 (fun d a b -> I.Ishl (d, a, b)) dst_i ioperand ioperand);
-          (1, map3 (fun d a b -> I.Ishr (d, a, b)) dst_i ioperand ioperand);
-          (1, map3 (fun d a b -> I.Iand (d, a, b)) dst_i ioperand ioperand);
-          (1, map3 (fun d a b -> I.Ior (d, a, b)) dst_i ioperand ioperand);
-          (2,
-           (fun st ->
-             I.Imad (dst_i st, ioperand st, ioperand st, ioperand st)));
-          (2,
-           (fun st -> I.Setp (cmp st, dst_p st, ioperand st, ioperand st)));
-          (1, map3 (fun d a b -> I.And_p (d, a, b)) dst_p dst_p dst_p);
-          (1, map3 (fun d a b -> I.Or_p (d, a, b)) dst_p dst_p dst_p);
-          (1, map2 (fun d a -> I.Not_p (d, a)) dst_p dst_p);
-          (2, map2 (fun d a -> I.Movf (d, a)) dst_f foperand);
-          (2, map3 (fun d a b -> I.Fadd (d, a, b)) dst_f foperand foperand);
-          (1, map3 (fun d a b -> I.Fsub (d, a, b)) dst_f foperand foperand);
-          (1, map3 (fun d a b -> I.Fmul (d, a, b)) dst_f foperand foperand);
-          (1, map3 (fun d a b -> I.Fmax (d, a, b)) dst_f foperand foperand);
-          (1, map3 (fun d a b -> I.Fmin (d, a, b)) dst_f foperand foperand);
-          (2,
-           (fun st ->
-             I.Ffma (dst_f st, foperand st, foperand st, foperand st)));
-          (1, map2 (fun d a -> I.Ld_global (d, 0, a)) dst_f ioperand);
-          (1, map2 (fun d a -> I.Ld_global_i (d, 0, a)) dst_i ioperand);
-          (1, map2 (fun d a -> I.Ld_shared (d, a)) dst_f ioperand);
-          (1, map2 (fun d a -> I.Ld_shared_i (d, a)) dst_i ioperand);
-          (1, map2 (fun a v -> I.St_global (1, a, v)) ioperand foperand);
-          (1, map2 (fun a v -> I.St_shared (a, v)) ioperand foperand);
-          (1, map2 (fun a v -> I.St_shared_i (a, v)) ioperand ioperand);
-          (1, map2 (fun a v -> I.Atom_global_add (1, a, v)) ioperand foperand);
-          (1, return I.Bar) ]
-    in
-    let guarded =
-      map2
-        (fun g (o : I.op) ->
-          match g with
-          | 0 -> I.mk o
-          | 1 -> I.mk ~guard:(0, true) o
-          | _ -> I.mk ~guard:(1, false) o)
-        (int_bound 5) op
-    in
-    map2
-      (fun steps with_loop ->
-        let body = List.map (fun i -> i) steps in
-        let body =
-          if with_loop && body <> [] then
-            (I.mk (I.Label "top") :: body)
-            @ [ I.mk ~guard:(2, true) (I.Bra "top") ]
-          else body
-        in
-        let body = body @ [ I.mk I.Ret ] in
-        { Ptx.Program.name = "rand";
-          dtype = F32;
-          buf_params = [| "IN"; "OUT" |];
-          int_params = [| "M"; "N" |];
-          shared_words = 16;
-          shared_int_words = 4;
-          body = Array.of_list body;
-          n_fregs = nf;
-          n_iregs = ni;
-          n_pregs = np })
-      (list_size (int_range 1 40) guarded)
-      bool)
-
 let prop_roundtrip =
   QCheck.Test.make ~name:"decode (encode p) = p" ~count:500
-    (QCheck.make gen_program)
+    (QCheck.make Random_program.gen)
     (fun p ->
       (match Ptx.Program.validate p with Ok () -> () | Error e -> failwith e);
       match E.encode p with
@@ -165,7 +59,7 @@ let test_gen_covers_every_opcode () =
   for _ = 1 to 500 do
     Array.iter
       (fun (i : I.t) -> Hashtbl.replace seen (I.opcode i.I.op) ())
-      (gen_program st).Ptx.Program.body
+      (Random_program.gen st).Ptx.Program.body
   done;
   let rec check op =
     if I.opcode_name op <> "?" then begin

@@ -47,37 +47,6 @@ let test_random_in_grid () =
       cfg
   done
 
-(* [iter_pruned] must visit exactly the leaves no prefix of which was
-   pruned, in [iter] order — for any prune predicate, sound or not. *)
-let prop_iter_pruned_equals_filtered =
-  QCheck.Test.make ~name:"iter_pruned = iter + prefix filter" ~count:50
-    QCheck.small_int (fun seed ->
-      let space : Tuner.Config_space.t =
-        [| { name = "a"; values = [| 1; 2; 3 |] };
-           { name = "b"; values = [| 1; 2 |] };
-           { name = "c"; values = [| 1; 2; 3; 4 |] };
-           { name = "d"; values = [| 1; 2; 3 |] } |]
-      in
-      (* Deterministic pseudo-random predicate of (prefix values, depth). *)
-      let prune buf d =
-        let h = ref (seed + 17) in
-        for i = 0 to d do
-          h := (!h * 31) + buf.(i)
-        done;
-        !h mod 4 = 0
-      in
-      let pruned = ref [] in
-      Tuner.Config_space.iter_pruned space ~prune (fun b ->
-          pruned := Array.copy b :: !pruned);
-      let filtered = ref [] in
-      Tuner.Config_space.iter space (fun b ->
-          let dead = ref false in
-          for d = 0 to Array.length b - 1 do
-            dead := !dead || prune b d
-          done;
-          if not !dead then filtered := Array.copy b :: !filtered);
-      !pruned = !filtered)
-
 (* --- sampler -------------------------------------------------------------- *)
 
 (* Toy space where legality = "first parameter >= 4": the fitted marginal
@@ -817,8 +786,7 @@ let () =
        [ quick "size" test_space_size;
          quick "iter count" test_space_iter_count;
          quick "value index" test_value_index;
-         quick "random in grid" test_random_in_grid;
-         QCheck_alcotest.to_alcotest prop_iter_pruned_equals_filtered ]);
+         quick "random in grid" test_random_in_grid ]);
       ("sampler",
        [ quick "learns marginals" test_sampler_learns_marginals;
          quick "dirichlet prior" test_sampler_dirichlet_prior_no_zero;
